@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -195,10 +196,7 @@ def cmd_experiment(args) -> int:
     if args.name == "bound-sweep":
         rows = []
         for pen in penetrations:
-            fleet = _fleet_spec(manifest)
-            fleet = FleetSpec(fleet.households, pen, fleet.ev_rate,
-                              fleet.ev_duration_hours, fleet.start_window,
-                              fleet.heterogeneity)
+            fleet = dataclasses.replace(_fleet_spec(manifest), penetration=pen)
             b, loads = build_case_study(fleet, base_spec, grid)
             report = analysis.subopt_ratio_bound(
                 [s.constraint for s in loads], b)
@@ -216,10 +214,7 @@ def cmd_experiment(args) -> int:
         results_escape: List[List[str]] = []
         profile_rows: Dict[float, np.ndarray] = {}
         for pen in penetrations:
-            fleet = _fleet_spec(manifest)
-            fleet = FleetSpec(fleet.households, pen, fleet.ev_rate,
-                              fleet.ev_duration_hours, fleet.start_window,
-                              fleet.heterogeneity)
+            fleet = dataclasses.replace(_fleet_spec(manifest), penetration=pen)
             escapes = np.zeros((len(seeds), iterations))
             agg = np.zeros(grid.slots)
             for si, seed in enumerate(seeds):

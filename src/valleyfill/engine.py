@@ -1,11 +1,12 @@
-"""Iterative coordinator/load protocol for both update rules.
+"""Iterative coordinator/load protocol for both update rules and both transports.
 
-One engine serves convex loads (projection update), finite loads
-(hull-minimize, then sample) and mixed fleets; the coordinator step is
-kind-agnostic.  Per-load randomness comes from a counter-based stream
-keyed by (master_seed, load id, iteration), so trajectories are
-bit-reproducible regardless of execution order and can be replayed by
-networked agents.
+`coordinate` is the one coordinator loop: in-process runs and networked
+sessions pass it a transport callable that returns every load's update.
+`load_step` is the one per-load step, convex (projection) or finite
+(hull-minimize, then sample), in process and in networked agents.
+Per-load randomness comes from a counter-based stream keyed by
+(master_seed, load id, iteration), so trajectories are bit-reproducible
+regardless of execution order and can be replayed by networked agents.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import csv
 import enum
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -35,8 +36,11 @@ __all__ = [
     "coordinator_signal",
     "convex_load_update",
     "finite_load_update",
+    "load_step",
     "escape_probability",
     "expected_next_objective",
+    "fleet_weight",
+    "coordinate",
     "run",
     "trajectory_to_csv",
 ]
@@ -160,15 +164,55 @@ def finite_load_update(g: Profile, C: float, x_prev: Profile,
     return pulse_set.member(idx), theta
 
 
+def load_step(spec: LoadSpec, g: Profile, C: float, x: Profile,
+              prev_idx: Optional[int], master_seed: int, k: int, memo: dict,
+              ) -> Tuple[Profile, Optional[int], float, Optional[Distribution]]:
+    """One load's update at iteration k: (x_new, member index, stay, theta).
+
+    stay = P{x_new == x | x}: theta[prev_idx] for a finite load (0.0 before
+    its first member is chosen), and 1.0 or 0.0 for a convex load, whose
+    move is deterministic and which has no member index or theta.  `memo`
+    maps (constraint, c_i, prev_idx) to theta and must live for one signal
+    only: loads sharing a set and weight then solve the hull once per
+    previous member.
+    """
+    if not spec.is_finite:
+        x_new = convex_load_update(g, x, spec.constraint, spec.c)
+        return x_new, None, 1.0 if x_new == x else 0.0, None
+    draw = load_draw(master_seed, spec.id, k)
+    key = (id(spec.constraint), spec.c, prev_idx)
+    if key not in memo:
+        _, memo[key] = finite_load_update(g, C, x, spec.constraint, spec.c, draw)
+    theta = memo[key]
+    idx = sample(theta, draw)
+    stay = 0.0 if prev_idx is None else stay_probability(theta, prev_idx)
+    return spec.constraint.member(idx), idx, stay, theta
+
+
 def escape_probability(thetas: Sequence[Distribution],
                        prev_indices: Sequence[int]) -> float:
     """P{x^(k) != x^(k-1) | x^(k-1)} = 1 - prod_i theta_i[prev_i] (independent draws)."""
     if len(thetas) != len(prev_indices):
         raise ValueError("thetas and prev_indices must align")
-    stay = 1.0
-    for theta, prev in zip(thetas, prev_indices):
-        stay *= stay_probability(theta, prev)
-    return 1.0 - stay
+    return 1.0 - math.prod(stay_probability(theta, prev)
+                           for theta, prev in zip(thetas, prev_indices))
+
+
+def _finite_moments(theta: Distribution,
+                    pulse_set: FinitePulseSet) -> Tuple[np.ndarray, float]:
+    """(E[x], E[norm2(x)] - norm2(E[x])) for x ~ theta; members share norm2(x) = Y."""
+    mean = theta.weights @ pulse_set.members
+    return mean, pulse_set.sqnorm - pulse_set.grid.dt * float(np.dot(mean, mean))
+
+
+def _expected_objective(b: Profile, mean, variance: float) -> float:
+    """E[L_k | x^(k-1)] = norm2(b + sum_i E[x_i]) + sum_i (E[norm2(x_i)] - norm2(E[x_i])).
+
+    `mean` and `variance` are the two sums over loads; the loads draw
+    independently, so only their own spreads add.
+    """
+    d = b.values + mean
+    return b.grid.dt * float(np.dot(d, d)) + variance
 
 
 def expected_next_objective(b: Profile, xs_prev: Sequence[Profile],
@@ -176,145 +220,117 @@ def expected_next_objective(b: Profile, xs_prev: Sequence[Profile],
                             sets: Sequence[FinitePulseSet]) -> float:
     """Exact conditional expectation E[L_k | x^(k-1)] for an all-finite fleet.
 
-    Uses the decomposition over independent per-load moves:
-    E[L_k] = norm2(d + sum_i mu_i) + sum_i (E[norm2(dx_i)] - norm2(mu_i)),
-    where mu_i is the expected move and E[norm2(dx_i)] follows from the
-    common member norm: E[norm2(x_i)] = Y_i.
+    The previous profiles enter only through the sampling distributions,
+    which were computed from them; each must be a member of its set.
     """
     if not (len(xs_prev) == len(thetas) == len(sets)):
         raise ValueError("xs_prev, thetas, sets must align")
     for i, (x, s) in enumerate(zip(xs_prev, sets)):
         if s.member_index(x) is None:
             raise ValueError(f"load {i}: previous profile is not a member of its set")
-    d = aggregate(b, xs_prev)
-    dt = b.grid.dt
-    total = d.values.copy()
-    correction = 0.0
-    for x, theta, s in zip(xs_prev, thetas, sets):
-        ex = theta.weights @ s.members          # E[x_i^(k)]
-        mu = ex - x.values                      # expected move
-        total += mu
-        e_dx2 = s.sqnorm - 2.0 * dt * float(np.dot(ex, x.values)) \
-            + dt * float(np.dot(x.values, x.values))
-        correction += e_dx2 - dt * float(np.dot(mu, mu))
-    return dt * float(np.dot(total, total)) + correction
+    moments = [_finite_moments(theta, s) for theta, s in zip(thetas, sets)]
+    return _expected_objective(b, sum(mean for mean, _ in moments),
+                               sum(variance for _, variance in moments))
 
 
-def _mixed_expected_objective(b: Profile, prev: List[Profile],
-                              new: List[Profile], loads: Sequence[LoadSpec],
-                              thetas: Dict[int, Distribution]) -> float:
-    """E[L_k | x^(k-1)] with convex moves deterministic and finite moves random."""
-    dt = b.grid.dt
-    total = aggregate(b, prev).values.copy()
-    correction = 0.0
-    for i, spec in enumerate(loads):
-        if spec.is_finite:
-            s = spec.constraint
-            theta = thetas[i]
-            ex = theta.weights @ s.members
-            mu = ex - prev[i].values
-            e_dx2 = s.sqnorm - 2.0 * dt * float(np.dot(ex, prev[i].values)) \
-                + dt * float(np.dot(prev[i].values, prev[i].values))
-            correction += e_dx2 - dt * float(np.dot(mu, mu))
-        else:
-            mu = new[i].values - prev[i].values
-        total += mu
-    return dt * float(np.dot(total, total)) + correction
+def fleet_weight(fleet: Sequence[Tuple[int, bool, float]]) -> float:
+    """C = sum_i c_i of a fleet given as (id, finite, c_i) per load.
 
-
-def run(loads: Sequence[LoadSpec], b: Profile, cfg: EngineConfig,
-        obj: Objective = Objective()) -> Trajectory:
-    """Iterate the coordinator/load protocol until a stopping rule fires.
-
-    Stops on the signal-change rule (k > 2 and ||g^(k-1) - g^(k-2)|| < eps),
-    on an exact fixed point when every load is finite and every sampling
-    distribution is degenerate at the previous profile, or at max_iterations.
+    Raises ConfigurationError for an empty fleet, duplicate ids, or a
+    finite load without other weight to average against (C <= c_i).
     """
-    if not loads:
-        raise ConfigurationError("at least one load required")
-    ids = [spec.id for spec in loads]
-    if len(set(ids)) != len(ids):
-        raise ConfigurationError("duplicate load ids")
-    grid = b.grid
-    for spec in loads:
-        if spec.grid != grid:
-            raise GridMismatchError(f"load {spec.id} is on a different grid")
-    C = sum(spec.c for spec in loads)
-    finite_idx = [i for i, spec in enumerate(loads) if spec.is_finite]
-    for i in finite_idx:
-        if C <= loads[i].c:
-            raise ConfigurationError(
-                f"finite load {loads[i].id} needs C > c_i; add loads or reduce c"
-            )
-    b_eff = obj.effective_base(b)
+    ids = [load_id for load_id, _, _ in fleet]
+    if not ids or len(set(ids)) != len(ids):
+        raise ConfigurationError(f"need one or more loads with unique ids, got "
+                                 f"{len(set(ids))} distinct ids for {len(ids)} loads")
+    C = sum(c for _, _, c in fleet)
+    for load_id, finite, c in fleet:
+        if finite and C <= c:
+            raise ConfigurationError(f"finite load {load_id} needs C > c_i")
+    return C
 
-    xs: List[Profile] = [Profile.zeros(grid) for _ in loads]
-    member_idx: List[Optional[int]] = [None] * len(loads)
+
+def coordinate(b: Profile, C: float, all_finite: bool, n: int,
+               cfg: EngineConfig, exchange: Callable) -> Trajectory:
+    """The coordinator loop, shared by every transport.
+
+    Starting from n zero profiles, each iteration broadcasts
+    g = (b + sum_i x_i) / C through exchange(k, g, xs), which returns the
+    new profiles in load order, stay = P{x^(k) = x^(k-1)} as the product of
+    the loads' stay probabilities (see `load_step`) in load order, and the
+    sums `_expected_objective` takes (NaN where the transport lacks them).
+    The factors lie in [0, 1], so stay is 1.0 exactly when each factor is.
+    Stops on the signal-change rule (k > 2 and ||g^(k-1) - g^(k-2)|| < eps),
+    on an exact fixed point when every load is finite and keeps its
+    profile with probability 1, or at max_iterations.
+    """
+    grid = b.grid
+    xs: List[Profile] = [Profile.zeros(grid) for _ in range(n)]
     records: List[IterationRecord] = []
-    initial_objective = norm2(aggregate(b_eff, xs))
+    initial_objective = norm2(aggregate(b, xs))
     g_prev: Optional[Profile] = None
     terminated = Termination.MAX_ITER
 
     for k in range(1, cfg.max_iterations + 1):
-        g = coordinator_signal(b_eff, xs, C)
-        new_xs: List[Profile] = list(xs)
-        thetas: Dict[int, Distribution] = {}
-        prev_idx = list(member_idx)
-        all_degenerate = bool(finite_idx)
-        # Loads sharing a constraint object and weight solve the same hull
-        # problem whenever they start from the same member; memoize per
-        # iteration (the signal is fixed within one iteration).
-        memo: Dict[Tuple[int, float, Optional[int]], Distribution] = {}
-        for i, spec in enumerate(loads):
-            if spec.is_finite:
-                draw = load_draw(cfg.master_seed, spec.id, k)
-                key = (id(spec.constraint), spec.c, prev_idx[i])
-                theta = memo.get(key)
-                if theta is None:
-                    _, theta = finite_load_update(g, C, xs[i], spec.constraint,
-                                                  spec.c, draw)
-                    memo[key] = theta
-                idx_new = sample(theta, draw)
-                x_new = spec.constraint.member(idx_new)
-                thetas[i] = theta
-                prev = prev_idx[i]
-                if prev is None or not theta.is_degenerate_at(prev):
-                    all_degenerate = False
-                new_xs[i] = x_new
-                member_idx[i] = idx_new
-            else:
-                new_xs[i] = convex_load_update(g, xs[i], spec.constraint, spec.c)
-                all_degenerate = False
-
+        g = coordinator_signal(b, xs, C)
+        new_xs, stay, mean, variance = exchange(k, g, xs)
         changed = sum(1 for old, new in zip(xs, new_xs) if old != new)
         if cfg.record_diagnostics:
-            # Stay probability uses the pre-update member indices; an
-            # initialization profile that is not a member cannot be kept.
-            stay = 1.0
-            for i in finite_idx:
-                prev = prev_idx[i]
-                stay *= thetas[i].weights[prev] if prev is not None else 0.0
-            escape = 1.0 - stay if finite_idx else (0.0 if changed == 0 else 1.0)
-            expected = _mixed_expected_objective(b_eff, xs, new_xs, loads, thetas)
+            escape = 1.0 - stay
+            expected = _expected_objective(b, mean, variance)
         else:
-            escape = math.nan
-            expected = math.nan
-
+            escape = expected = math.nan
         xs = new_xs
-        objective = norm2(aggregate(b_eff, xs))
+        objective = norm2(aggregate(b, xs))
         records.append(IterationRecord(k, g, objective, escape, expected, changed))
 
-        fleet_all_finite = len(finite_idx) == len(loads)
-        if fleet_all_finite and all_degenerate:
+        if all_finite and stay == 1.0:
             terminated = Termination.FIXED_POINT
             break
-        if cfg.stop_on_epsilon and k > 2 and g_prev is not None:
+        if cfg.stop_on_epsilon and k > 2:
             if norm(Profile(g.values - g_prev.values, grid)) < cfg.epsilon:
                 terminated = Termination.TOLERANCE
                 break
         g_prev = g
 
     return Trajectory(records, xs, terminated, initial_objective)
+
+
+def run(loads: Sequence[LoadSpec], b: Profile, cfg: EngineConfig,
+        obj: Objective = Objective()) -> Trajectory:
+    """Run the coordinator loop in process; see `coordinate` for the stopping rules."""
+    C = fleet_weight([(spec.id, spec.is_finite, spec.c) for spec in loads])
+    grid = b.grid
+    for spec in loads:
+        if spec.grid != grid:
+            raise GridMismatchError(f"load {spec.id} is on a different grid")
+    member_idx: List[Optional[int]] = [None] * len(loads)
+
+    def exchange(k, g, xs):
+        memo: dict = {}
+        # id(theta) -> [theta, its set, loads drawing from it]: moments per memo entry
+        draws: dict = {}
+        new_xs, stay = [], 1.0
+        mean = np.zeros(grid.slots)
+        for i, spec in enumerate(loads):
+            x_new, member_idx[i], stay_i, theta = load_step(
+                spec, g, C, xs[i], member_idx[i], cfg.master_seed, k, memo)
+            new_xs.append(x_new)
+            stay *= stay_i
+            if theta is None:
+                mean += x_new.values
+            else:
+                draws.setdefault(id(theta), [theta, spec.constraint, 0])[2] += 1
+        variance = 0.0
+        for theta, pulse_set, count in draws.values():
+            mean_i, variance_i = _finite_moments(theta, pulse_set)
+            mean += count * mean_i
+            variance += count * variance_i
+        return new_xs, stay, mean, variance
+
+    return coordinate(obj.effective_base(b), C,
+                      all(spec.is_finite for spec in loads), len(loads), cfg,
+                      exchange)
 
 
 def trajectory_to_csv(traj: Trajectory, path, g_dir=None) -> None:

@@ -13,13 +13,18 @@ Message kinds:
 - ``PROFILEUPDATE <load_id> <member_index> <stay> <S> v1..vS``
 - ``STOP <reason>``                       termination broadcast
 
-Iterations are barrier synchronized: the signal for iteration k+1 is only
-sent after all n profile updates for iteration k have been received.
+``<member_index>`` is -1 for a convex load; ``<stay>`` is the ``repr`` of
+the probability that the load kept its previous profile.  Networked records
+thus carry escape probabilities, but a NaN expected next objective: agents
+send no sampling distributions.
+
+The coordinator runs the engine's shared loop.  Iterations are barrier
+synchronized: the signal for iteration k+1 is only sent after all n profile
+updates for iteration k have been received.
 """
 
 from __future__ import annotations
 
-import math
 import socket
 import time
 from dataclasses import dataclass
@@ -27,10 +32,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import Profile, TimeGrid, aggregate, norm, norm2
-from .engine import (ConfigurationError, EngineConfig, IterationRecord,
-                     LoadSpec, Termination, Trajectory, convex_load_update,
-                     coordinator_signal, finite_load_update, load_draw)
+from .core import Profile, TimeGrid
+from .engine import (ConfigurationError, EngineConfig, LoadSpec, Trajectory,
+                     coordinate, fleet_weight, load_step)
 
 __all__ = [
     "ProtocolError",
@@ -77,7 +81,31 @@ def _send(fh, kind: str, iteration: int, payload: str = "") -> None:
     fh.flush()
 
 
-def _recv(fh, expect: Optional[Sequence[str]] = None) -> Tuple[str, int, List[str]]:
+def _probability(text: str) -> float:
+    p = float(text)
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"probability {text} outside [0, 1]")
+    return p
+
+
+def _profile(fields: List[str], grid: TimeGrid) -> Profile:
+    """``<S> v1..vS`` on the session grid."""
+    if not fields or int(fields[0]) != grid.slots or len(fields) != grid.slots + 1:
+        raise ValueError(f"profile does not match the {grid.slots}-slot session grid")
+    return Profile(np.array([float(v) for v in fields[1:]]), grid)
+
+
+# Header field parsers per message kind; SIGNAL and PROFILEUPDATE end in a profile.
+_HEADERS = {"HELLO": (int, str), "ASSIGN": (int, str), "SIGNAL": (float,),
+            "PROFILEUPDATE": (int, int, _probability), "STOP": ()}
+
+
+def _recv(fh, expect: Sequence[str], grid: TimeGrid) -> Tuple[str, int, list]:
+    """Read one message of an expected kind: (kind, iteration, fields).
+
+    The fields are the kind's header values, followed by the profile for
+    SIGNAL and PROFILEUPDATE.  Any malformed part raises ProtocolError.
+    """
     line = fh.readline()
     if not line:
         raise AgentLostError("connection closed")
@@ -85,45 +113,35 @@ def _recv(fh, expect: Optional[Sequence[str]] = None) -> Tuple[str, int, List[st
     if len(parts) < 3 or parts[0] != "MESSAGE":
         raise ProtocolError(f"malformed message: {line!r}")
     kind = parts[1]
+    if kind not in expect:
+        raise ProtocolError(f"expected one of {list(expect)}, got: {line!r}")
+    header = _HEADERS[kind]
+    payload = parts[3:]
     try:
         iteration = int(parts[2])
-    except ValueError:
-        raise ProtocolError(f"malformed iteration in: {line!r}") from None
-    if expect is not None and kind not in expect:
-        raise ProtocolError(f"expected one of {expect}, got: {line!r}")
-    return kind, iteration, parts[3:]
-
-
-def _parse_profile(fields: List[str], grid: TimeGrid, line_hint: str) -> Profile:
-    try:
-        count = int(fields[0])
-        values = [float(v) for v in fields[1:1 + count]]
-    except (ValueError, IndexError):
-        raise ProtocolError(f"malformed profile payload: {line_hint!r}") from None
-    if count != grid.slots or len(values) != count:
-        raise ProtocolError(
-            f"profile length {count} does not match the {grid.slots}-slot session grid"
-        )
-    return Profile(np.array(values), grid)
+        if len(payload) < len(header):
+            raise ValueError(f"{kind} needs {len(header)} header fields")
+        fields = [parse(v) for parse, v in zip(header, payload)]
+        if kind in ("SIGNAL", "PROFILEUPDATE"):
+            fields.append(_profile(payload[len(header):], grid))
+    except ValueError as exc:
+        raise ProtocolError(f"malformed {kind} message ({exc}): {line!r}") from None
+    return kind, iteration, fields
 
 
 def serve_coordinator(b: Profile, roster: Sequence[RosterEntry], cfg: EngineConfig,
                       endpoint: Tuple[str, int],
                       timeout: float = DEFAULT_TIMEOUT) -> Trajectory:
-    """Run the coordinator loop against connected agents; mirrors engine.run.
+    """Run the engine's coordinator loop against connected agents.
 
-    Accepts one connection per roster entry, barrier-synchronizes every
-    iteration and applies the same stopping rules as the in-process engine.
-    The returned Trajectory matches an in-process run with diagnostics
-    disabled bit-exactly for identical seeds.
+    Checks the roster before binding, accepts one connection per roster
+    entry, then drives `engine.coordinate` with a transport that sends
+    SIGNAL to every agent and waits for every PROFILEUPDATE.  The returned
+    Trajectory matches the in-process run bit for bit, escape
+    probabilities included; its expected next objectives are NaN.
     """
+    C = fleet_weight([(entry.id, entry.finite, entry.c) for entry in roster])
     ids = [entry.id for entry in roster]
-    if len(set(ids)) != len(ids):
-        raise ConfigurationError("duplicate load id in roster")
-    if not roster:
-        raise ConfigurationError("empty roster")
-    C = sum(entry.c for entry in roster)
-    all_finite = all(entry.finite for entry in roster)
     grid = b.grid
     digest = grid_digest(grid)
 
@@ -132,85 +150,63 @@ def serve_coordinator(b: Profile, roster: Sequence[RosterEntry], cfg: EngineConf
     server.bind(endpoint)
     server.listen(len(roster))
     server.settimeout(timeout)
-    conns: Dict[int, Tuple[socket.socket, object]] = {}
+    accepted: List[Tuple[socket.socket, object]] = []
+    conns: Dict[int, object] = {}
     try:
         while len(conns) < len(roster):
             conn, _ = server.accept()
             conn.settimeout(timeout)
             fh = conn.makefile("rw", encoding="ascii", newline="\n")
-            kind, _, fields = _recv(fh, expect=["HELLO"])
-            load_id = int(fields[0])
+            accepted.append((conn, fh))
+            _, _, (load_id, agent_digest) = _recv(fh, ["HELLO"], grid)
             if load_id in conns:
                 _send(fh, "STOP", 0, "DuplicateId")
                 raise ConfigurationError(f"duplicate load id {load_id} in session")
             if load_id not in ids:
                 _send(fh, "STOP", 0, "UnknownId")
                 raise ConfigurationError(f"load id {load_id} not in roster")
-            if fields[1] != digest:
+            if agent_digest != digest:
                 _send(fh, "STOP", 0, "GridMismatch")
                 raise ProtocolError(
-                    f"agent {load_id} grid digest {fields[1]!r} != session {digest!r}"
+                    f"agent {load_id} grid digest {agent_digest!r} != session {digest!r}"
                 )
             _send(fh, "ASSIGN", 0, f"{load_id} {digest}")
-            conns[load_id] = (conn, fh)
+            conns[load_id] = fh
 
-        xs: Dict[int, Profile] = {i: Profile.zeros(grid) for i in ids}
-        records: List[IterationRecord] = []
-        initial_objective = norm2(aggregate(b, [xs[i] for i in ids]))
-        g_prev: Optional[Profile] = None
-        terminated = Termination.MAX_ITER
-        stop_reason = "MaxIter"
+        def exchange(k, g, xs):
+            payload = f"{float(C)!r} {grid.slots} {_encode_floats(g.values)}"
+            for i in ids:
+                _send(conns[i], "SIGNAL", k, payload)
+            new_xs, stay = [], 1.0
+            for i in ids:
+                _, it, (sender, _, stay_i, x_new) = _recv(conns[i], ["PROFILEUPDATE"],
+                                                          grid)
+                if it != k:
+                    raise ProtocolError(f"profile update for iteration {it}, expected {k}")
+                if sender != i:
+                    raise ProtocolError(f"update from {sender} on connection {i}")
+                new_xs.append(x_new)
+                stay *= stay_i
+            # Agents send no sampling distributions, so the moments are NaN.
+            return new_xs, stay, 0.0, float("nan")
 
         try:
-            for k in range(1, cfg.max_iterations + 1):
-                g = coordinator_signal(b, [xs[i] for i in ids], C)
-                payload = f"{float(C)!r} {grid.slots} {_encode_floats(g.values)}"
-                for i in ids:
-                    _send(conns[i][1], "SIGNAL", k, payload)
-                stays: Dict[int, bool] = {}
-                changed = 0
-                for i in ids:
-                    fh = conns[i][1]
-                    kind, it, fields = _recv(fh, expect=["PROFILEUPDATE"])
-                    if it != k:
-                        raise ProtocolError(
-                            f"profile update for iteration {it}, expected {k}"
-                        )
-                    sender = int(fields[0])
-                    if sender != i:
-                        raise ProtocolError(f"update from {sender} on connection {i}")
-                    stays[i] = fields[2] == "1"
-                    x_new = _parse_profile(fields[3:], grid, " ".join(fields))
-                    if x_new != xs[i]:
-                        changed += 1
-                    xs[i] = x_new
-                objective = norm2(aggregate(b, [xs[i] for i in ids]))
-                records.append(IterationRecord(k, g, objective, math.nan,
-                                               math.nan, changed))
-                if all_finite and all(stays.values()):
-                    terminated = Termination.FIXED_POINT
-                    stop_reason = "FixedPoint"
-                    break
-                if cfg.stop_on_epsilon and k > 2 and g_prev is not None:
-                    if norm(Profile(g.values - g_prev.values, grid)) < cfg.epsilon:
-                        terminated = Termination.TOLERANCE
-                        stop_reason = "Tolerance"
-                        break
-                g_prev = g
+            traj = coordinate(b, C, all(entry.finite for entry in roster),
+                              len(roster), cfg, exchange)
         except (socket.timeout, AgentLostError) as exc:
-            for i in ids:
+            for fh in conns.values():
                 try:
-                    _send(conns[i][1], "STOP", 0, "AgentLost")
+                    _send(fh, "STOP", 0, "AgentLost")
                 except OSError:
                     pass
             raise AgentLostError(f"agent lost mid-session: {exc}") from exc
 
-        for i in ids:
-            _send(conns[i][1], "STOP", len(records), stop_reason)
-        return Trajectory(records, [xs[i] for i in ids], terminated,
-                          initial_objective)
+        reason = traj.terminated_by.value.title().replace("_", "")  # e.g. FixedPoint
+        for fh in conns.values():
+            _send(fh, "STOP", len(traj.records), reason)
+        return traj
     finally:
-        for conn, fh in conns.values():
+        for conn, fh in accepted:
             try:
                 fh.close()
                 conn.close()
@@ -232,48 +228,37 @@ def _connect_with_retry(endpoint: Tuple[str, int], timeout: float) -> socket.soc
 
 
 def run_agent(load: LoadSpec, master_seed: int, endpoint: Tuple[str, int],
-              timeout: float = DEFAULT_TIMEOUT,
-              C_hint: Optional[float] = None) -> int:
+              timeout: float = DEFAULT_TIMEOUT) -> int:
     """Single-load agent state machine; returns a process exit status.
 
-    Per iteration: receive the signal, compute the convex or finite update
-    with the draw keyed by (master_seed, id, k), reply with the profile.
-    The stay flag reports a sampling distribution degenerate at the
-    previous member profile.
+    Per iteration: receive the signal, run `engine.load_step` with the draw
+    keyed by (master_seed, id, k) and reply with the new profile, its
+    member index and the probability that the load kept its previous
+    profile.
     """
     grid = load.grid
+    digest = grid_digest(grid)
     conn = _connect_with_retry(endpoint, timeout)
     fh = conn.makefile("rw", encoding="ascii", newline="\n")
     try:
-        _send(fh, "HELLO", 0, f"{load.id} {grid_digest(grid)}")
-        kind, _, fields = _recv(fh, expect=["ASSIGN", "STOP"])
+        _send(fh, "HELLO", 0, f"{load.id} {digest}")
+        kind, _, fields = _recv(fh, ["ASSIGN", "STOP"], grid)
         if kind == "STOP":
             return 1
-        if int(fields[0]) != load.id or fields[1] != grid_digest(grid):
-            raise ProtocolError(f"handshake refused: {' '.join(fields)!r}")
+        if fields != [load.id, digest]:
+            raise ProtocolError(f"handshake refused: {fields!r}")
 
         x = Profile.zeros(grid)
-        prev_member: Optional[int] = None
+        idx: Optional[int] = None
         while True:
-            kind, k, fields = _recv(fh, expect=["SIGNAL", "STOP"])
+            kind, k, fields = _recv(fh, ["SIGNAL", "STOP"], grid)
             if kind == "STOP":
                 return 0
-            C = float(fields[0])
-            g = _parse_profile(fields[1:], grid, " ".join(fields))
-            if load.is_finite:
-                draw = load_draw(master_seed, load.id, k)
-                x_new, theta = finite_load_update(g, C, x, load.constraint,
-                                                  load.c, draw)
-                stay = (prev_member is not None
-                        and theta.is_degenerate_at(prev_member))
-                prev_member = load.constraint.member_index(x_new)
-            else:
-                x_new = convex_load_update(g, x, load.constraint, load.c)
-                stay = x_new == x
-            x = x_new
+            C, g = fields
+            x, idx, stay, _ = load_step(load, g, C, x, idx, master_seed, k, {})
             _send(fh, "PROFILEUPDATE", k,
-                  f"{load.id} {prev_member if prev_member is not None else -1} "
-                  f"{1 if stay else 0} {grid.slots} {_encode_floats(x.values)}")
+                  f"{load.id} {-1 if idx is None else idx} {stay!r} "
+                  f"{grid.slots} {_encode_floats(x.values)}")
     finally:
         try:
             fh.close()

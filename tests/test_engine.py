@@ -129,6 +129,28 @@ class TestEscapeProbability:
             escape_probability([Distribution.degenerate(2, 0)], [0, 1])
 
 
+class TestMixedFleetEscape:
+    def test_escape_is_one_when_a_convex_load_moves(self):
+        # a convex load's move is deterministic, so an iteration in which
+        # it moves leaves x^(k) != x^(k-1) with probability 1
+        rng = np.random.default_rng(0)
+        g = TimeGrid(6.0, 12)
+        loads = [LoadSpec(0, random_convex_set(rng, g)),
+                 LoadSpec(1, random_pulse_set(rng, g, m_max=4)),
+                 LoadSpec(2, random_pulse_set(rng, g, m_max=4))]
+        b = random_base(rng, g)
+        traj = run(loads, b, EngineConfig(max_iterations=8,
+                                          stop_on_epsilon=False))
+        # runs are keyed by (seed, id, k), so a shorter run is a prefix
+        convex = [Profile.zeros(g)] + [
+            run(loads, b, EngineConfig(max_iterations=k, stop_on_epsilon=False)
+                ).final_profiles[0] for k in range(1, 9)]
+        moved = [k for k in range(1, 9) if convex[k] != convex[k - 1]]
+        assert moved
+        for k in moved:
+            assert traj.records[k - 1].escape_probability == 1.0
+
+
 class TestExpectedNextObjective:
     def test_matches_enumeration(self):
         rng = np.random.default_rng(21)

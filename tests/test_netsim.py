@@ -59,6 +59,8 @@ def assert_trajectories_equivalent(net, local):
         assert np.array_equal(rn.g.values, rl.g.values)
         assert rn.objective == rl.objective
         assert rn.profiles_changed == rl.profiles_changed
+        assert np.array_equal(rn.escape_probability, rl.escape_probability,
+                              equal_nan=True)
     for xn, xl in zip(net.final_profiles, local.final_profiles):
         assert np.array_equal(xn.values, xl.values)
 
@@ -156,6 +158,14 @@ class TestHandshake:
             serve_coordinator(Profile.zeros(TimeGrid(1.0, 2)), [],
                               EngineConfig(), free_endpoint())
 
+    def test_lone_finite_agent_rejected_before_binding(self):
+        # C = c_i leaves the finite load nothing to average against; the
+        # short timeout turns a check made after binding into socket.timeout
+        with pytest.raises(ConfigurationError):
+            serve_coordinator(Profile.zeros(TimeGrid(1.0, 2)),
+                              [RosterEntry(0, True, 1.0)], EngineConfig(),
+                              free_endpoint(), timeout=0.5)
+
 
 class TestFailureModes:
     def test_agent_disconnect_mid_session(self):
@@ -188,7 +198,15 @@ class TestFailureModes:
         coord.join(timeout=30)
         assert isinstance(result.get("error"), AgentLostError)
 
-    def test_malformed_update_is_protocol_error(self):
+    @pytest.mark.parametrize("line", [
+        "MESSAGE HELLO 0",
+        "MESSAGE HELLO 0 abc x",
+        "MESSAGE PROFILEUPDATE 1",
+        "MESSAGE PROFILEUPDATE 1 0 -1",
+        "MESSAGE PROFILEUPDATE 1 0 -1 0 nonsense",
+    ], ids=["hello-no-fields", "hello-bad-id", "update-no-fields",
+            "update-no-stay", "update-bad-profile"])
+    def test_malformed_update_is_protocol_error(self, line):
         rng = np.random.default_rng(9)
         g = TimeGrid(6.0, 12)
         endpoint = free_endpoint()
@@ -207,11 +225,12 @@ class TestFailureModes:
         coord.start()
         conn = _connect_with_retry(endpoint, timeout=10.0)
         fh = conn.makefile("rw", encoding="ascii", newline="\n")
-        fh.write(f"MESSAGE HELLO 0 0 {grid_digest(g)}\n")
-        fh.flush()
-        fh.readline()  # ASSIGN
-        fh.readline()  # SIGNAL
-        fh.write("MESSAGE PROFILEUPDATE 1 0 -1 0 nonsense\n")
+        if "HELLO" not in line:
+            fh.write(f"MESSAGE HELLO 0 0 {grid_digest(g)}\n")
+            fh.flush()
+            fh.readline()  # ASSIGN
+            fh.readline()  # SIGNAL
+        fh.write(line + "\n")
         fh.flush()
         coord.join(timeout=30)
         fh.close()
