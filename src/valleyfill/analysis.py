@@ -86,15 +86,21 @@ def best_response(i: int, xs: Sequence[Profile], b: Profile,
 
 def is_nash(xs: Sequence[Profile], sets: Sequence[FinitePulseSet], b: Profile,
             tol: float) -> NashReport:
-    """Check the best-response condition for every load within tol."""
+    """Check the best-response condition for every load within tol.
+
+    Each load's others' aggregate is the load-order total minus its own
+    profile, so the check costs O(n*m*S).  The first load with the largest
+    gap is named.
+    """
     _check_membership(xs, sets)
     dt = b.grid.dt
+    total = aggregate(b, xs).values
     worst = 0.0
     violator = None
     for i, (x, s) in enumerate(zip(xs, sets)):
-        others = aggregate(b, [y for j, y in enumerate(xs) if j != i])
-        current = dt * float(np.dot(others.values, x.values))
-        best = float(np.min(dt * (s.members @ others.values)))
+        others = total - x.values
+        current = dt * float(np.dot(others, x.values))
+        best = float(np.min(dt * (s.members @ others)))
         gap = current - best
         if gap > worst:
             worst = gap
@@ -166,7 +172,7 @@ def convex_stationarity_residual(loads, xs: Sequence[Profile], b: Profile) -> fl
     from .engine import convex_load_update, coordinator_signal
 
     C = sum(spec.c for spec in loads)
-    g = coordinator_signal(b, list(xs), C)
+    g = coordinator_signal(aggregate(b, list(xs)), C)
     total = 0.0
     for spec, x in zip(loads, xs):
         proj = convex_load_update(g, x, spec.constraint, spec.c)

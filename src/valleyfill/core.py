@@ -149,14 +149,21 @@ def norm(f: Profile) -> float:
     return math.sqrt(norm2(f))
 
 
-def aggregate(b: Profile, xs: Sequence[Profile]) -> Profile:
-    """Pointwise aggregate b + sum_i x_i, summed in load index order."""
-    grid = b.grid
+def aggregate(b: Profile, xs) -> Profile:
+    """Pointwise aggregate b + sum_i x_i, summed in load index order.
+
+    `xs` is a sequence of Profiles on b's grid, or an (n, S) array holding
+    one load's values per row.
+    """
+    if isinstance(xs, np.ndarray):
+        rows = xs
+    else:
+        _check_same_grid(b, *xs)
+        rows = [x.values for x in xs]
     total = b.values.copy()
-    for x in xs:
-        _check_same_grid(b, x)
-        total += x.values
-    return Profile(total, grid)
+    for row in rows:
+        total += row
+    return Profile(total, b.grid)
 
 
 def mean_rate(d: Profile) -> float:

@@ -2,11 +2,20 @@
 
 `coordinate` is the one coordinator loop: in-process runs and networked
 sessions pass it a transport callable that returns every load's update.
-`load_step` is the one per-load step, convex (projection) or finite
-(hull-minimize, then sample), in process and in networked agents.
-Per-load randomness comes from a counter-based stream keyed by
-(master_seed, load id, iteration), so trajectories are bit-reproducible
-regardless of execution order and can be replayed by networked agents.
+Inside the loop the fleet state is an (n, S) array, one load per row;
+`Profile`s are built only for the records' signals and the final
+profiles.  Each iteration sums one aggregate in load order, which gives
+both that iteration's objective and the next signal.
+
+Convex loads update by projection (`convex_load_update`).  Finite loads
+update through `load_step`, which serves a group of loads sharing
+(constraint, c, previous member): their sampling distribution is the
+same, so the group solves the hull once and samples once.  In-process
+runs group the finite loads in load order; networked agents call it with
+a group of one.  Per-load randomness comes from a counter-based stream
+keyed by (master_seed, load id, iteration), so trajectories are
+bit-reproducible regardless of execution order and grouping, and can be
+replayed by networked agents.
 """
 
 from __future__ import annotations
@@ -22,7 +31,7 @@ import numpy as np
 from .core import (GridMismatchError, Objective, Profile, TimeGrid, aggregate,
                    norm, norm2)
 from .feasible import (ConvexChargeSet, Distribution, FinitePulseSet,
-                       hull_minimize, project_convex, sample,
+                       SolverError, hull_minimize, project_convex, sample,
                        stay_probability)
 
 __all__ = [
@@ -129,12 +138,11 @@ def load_draw(master_seed: int, load_id: int, k: int) -> float:
                                         load_id, k]).random())
 
 
-def coordinator_signal(b: Profile, xs: Sequence[Profile], C: float) -> Profile:
-    """Broadcast signal g = (b + sum_i x_i) / C."""
+def coordinator_signal(d: Profile, C: float) -> Profile:
+    """Broadcast signal g = d / C for the aggregate d = b + sum_i x_i."""
     if C <= 0:
         raise ConfigurationError(f"C must be positive, got {C}")
-    d = aggregate(b, xs)
-    return Profile(d.values / C, b.grid)
+    return Profile(d.values / C, d.grid)
 
 
 def convex_load_update(g: Profile, x_prev: Profile, charge_set: ConvexChargeSet,
@@ -148,45 +156,53 @@ def convex_load_update(g: Profile, x_prev: Profile, charge_set: ConvexChargeSet,
 
 
 def finite_load_update(g: Profile, C: float, x_prev: Profile,
-                       pulse_set: FinitePulseSet, c_i: float, draw: float,
-                       ) -> Tuple[Profile, Distribution]:
-    """Randomized update: hull-minimize against the exact leave-one-out signal, then sample.
+                       pulse_set: FinitePulseSet, c_i: float,
+                       start: Optional[int] = None) -> Distribution:
+    """Sampling distribution of a finite load: hull-minimize against the exact leave-one-out signal.
 
     h = (g*C - x_prev) / (C - c_i) equals (b + sum_{j != i} x_j) / sum_{j != i} c_j.
+    `start` is x_prev's member index when the caller knows it (see
+    `hull_minimize`).
     """
     if C <= c_i:
         raise ConfigurationError(
             f"need C > c_i (got C={C}, c_i={c_i}); a single finite load is not schedulable"
         )
     h = Profile((g.values * C - x_prev.values) / (C - c_i), g.grid)
-    _, theta = hull_minimize(h, x_prev, c_i, pulse_set)
-    idx = sample(theta, draw)
-    return pulse_set.member(idx), theta
+    _, theta = hull_minimize(h, x_prev, c_i, pulse_set, start=start)
+    return theta
 
 
-def load_step(spec: LoadSpec, g: Profile, C: float, x: Profile,
-              prev_idx: Optional[int], master_seed: int, k: int, memo: dict,
-              ) -> Tuple[Profile, Optional[int], float, Optional[Distribution]]:
-    """One load's update at iteration k: (x_new, member index, stay, theta).
+def load_step(group: Sequence[LoadSpec], g: Profile, C: float,
+              prev_idx: Optional[int], master_seed: int, k: int,
+              ) -> Tuple[np.ndarray, float, Distribution]:
+    """Iteration k's update of finite loads sharing (constraint, c, previous member).
 
-    stay = P{x_new == x | x}: theta[prev_idx] for a finite load (0.0 before
-    its first member is chosen), and 1.0 or 0.0 for a convex load, whose
-    move is deterministic and which has no member index or theta.  `memo`
-    maps (constraint, c_i, prev_idx) to theta and must live for one signal
-    only: loads sharing a set and weight then solve the hull once per
-    previous member.
+    The loads share x_prev (the member prev_idx, or zero before their first
+    member is chosen), hence one hull solve and one theta.  Returns the new
+    member indices in group order, stay = P{x_new == x_prev} for each load
+    (theta[prev_idx], 0.0 without a previous member) and theta.  Each load
+    draws u keyed by (master_seed, id, k), except when theta puts weight
+    1.0 on one member: inverse-CDF sampling then picks it for every u.  A
+    SolverError is re-raised naming k and the group's load ids.
     """
-    if not spec.is_finite:
-        x_new = convex_load_update(g, x, spec.constraint, spec.c)
-        return x_new, None, 1.0 if x_new == x else 0.0, None
-    draw = load_draw(master_seed, spec.id, k)
-    key = (id(spec.constraint), spec.c, prev_idx)
-    if key not in memo:
-        _, memo[key] = finite_load_update(g, C, x, spec.constraint, spec.c, draw)
-    theta = memo[key]
-    idx = sample(theta, draw)
+    spec = group[0]
+    pulse_set = spec.constraint
+    x_prev = (Profile.zeros(pulse_set.grid) if prev_idx is None
+              else pulse_set.member(prev_idx))
+    try:
+        theta = finite_load_update(g, C, x_prev, pulse_set, spec.c, start=prev_idx)
+    except SolverError as exc:
+        raise SolverError(f"iteration {k}, loads {[s.id for s in group]}: {exc}",
+                          gap=exc.gap) from exc
+    w = theta.weights
+    j = int(np.argmax(w))
+    if w[j] == 1.0 and not np.any(w[:j]):
+        idx = np.full(len(group), j)
+    else:
+        idx = sample(theta, np.array([load_draw(master_seed, s.id, k) for s in group]))
     stay = 0.0 if prev_idx is None else stay_probability(theta, prev_idx)
-    return spec.constraint.member(idx), idx, stay, theta
+    return idx, stay, theta
 
 
 def escape_probability(thetas: Sequence[Distribution],
@@ -255,33 +271,36 @@ def coordinate(b: Profile, C: float, all_finite: bool, n: int,
     """The coordinator loop, shared by every transport.
 
     Starting from n zero profiles, each iteration broadcasts
-    g = (b + sum_i x_i) / C through exchange(k, g, xs), which returns the
-    new profiles in load order, stay = P{x^(k) = x^(k-1)} as the product of
-    the loads' stay probabilities (see `load_step`) in load order, and the
-    sums `_expected_objective` takes (NaN where the transport lacks them).
+    g = (b + sum_i x_i) / C through exchange(k, g, X), where X is the
+    (n, S) array of current profiles.  The exchange returns the new array,
+    stay = P{x^(k) = x^(k-1)} as the product of the loads' stay
+    probabilities (see `load_step`) in load order, and the sums
+    `_expected_objective` takes (NaN where the transport lacks them).
     The factors lie in [0, 1], so stay is 1.0 exactly when each factor is.
     Stops on the signal-change rule (k > 2 and ||g^(k-1) - g^(k-2)|| < eps),
     on an exact fixed point when every load is finite and keeps its
     profile with probability 1, or at max_iterations.
     """
     grid = b.grid
-    xs: List[Profile] = [Profile.zeros(grid) for _ in range(n)]
+    X = np.zeros((n, grid.slots))
+    d = aggregate(b, X)
     records: List[IterationRecord] = []
-    initial_objective = norm2(aggregate(b, xs))
+    initial_objective = norm2(d)
     g_prev: Optional[Profile] = None
     terminated = Termination.MAX_ITER
 
     for k in range(1, cfg.max_iterations + 1):
-        g = coordinator_signal(b, xs, C)
-        new_xs, stay, mean, variance = exchange(k, g, xs)
-        changed = sum(1 for old, new in zip(xs, new_xs) if old != new)
+        g = coordinator_signal(d, C)
+        X_new, stay, mean, variance = exchange(k, g, X)
+        changed = int(np.count_nonzero(np.any(X_new != X, axis=1)))
         if cfg.record_diagnostics:
             escape = 1.0 - stay
             expected = _expected_objective(b, mean, variance)
         else:
             escape = expected = math.nan
-        xs = new_xs
-        objective = norm2(aggregate(b, xs))
+        X = X_new
+        d = aggregate(b, X)
+        objective = norm2(d)
         records.append(IterationRecord(k, g, objective, escape, expected, changed))
 
         if all_finite and stay == 1.0:
@@ -293,7 +312,8 @@ def coordinate(b: Profile, C: float, all_finite: bool, n: int,
                 break
         g_prev = g
 
-    return Trajectory(records, xs, terminated, initial_objective)
+    return Trajectory(records, [Profile(x, grid) for x in X], terminated,
+                      initial_objective)
 
 
 def run(loads: Sequence[LoadSpec], b: Profile, cfg: EngineConfig,
@@ -304,29 +324,40 @@ def run(loads: Sequence[LoadSpec], b: Profile, cfg: EngineConfig,
     for spec in loads:
         if spec.grid != grid:
             raise GridMismatchError(f"load {spec.id} is on a different grid")
+    convex = [i for i, spec in enumerate(loads) if not spec.is_finite]
+    finite = [i for i, spec in enumerate(loads) if spec.is_finite]
     member_idx: List[Optional[int]] = [None] * len(loads)
 
-    def exchange(k, g, xs):
-        memo: dict = {}
-        # id(theta) -> [theta, its set, loads drawing from it]: moments per memo entry
-        draws: dict = {}
-        new_xs, stay = [], 1.0
+    def exchange(k, g, X):
+        X_new = np.empty_like(X)
+        stays = [1.0] * len(loads)
         mean = np.zeros(grid.slots)
-        for i, spec in enumerate(loads):
-            x_new, member_idx[i], stay_i, theta = load_step(
-                spec, g, C, xs[i], member_idx[i], cfg.master_seed, k, memo)
-            new_xs.append(x_new)
-            stay *= stay_i
-            if theta is None:
-                mean += x_new.values
-            else:
-                draws.setdefault(id(theta), [theta, spec.constraint, 0])[2] += 1
         variance = 0.0
-        for theta, pulse_set, count in draws.values():
-            mean_i, variance_i = _finite_moments(theta, pulse_set)
-            mean += count * mean_i
-            variance += count * variance_i
-        return new_xs, stay, mean, variance
+        for i in convex:
+            spec = loads[i]
+            x_new = convex_load_update(g, Profile(X[i], grid), spec.constraint,
+                                       spec.c).values
+            X_new[i] = x_new
+            stays[i] = 1.0 if np.array_equal(x_new, X[i]) else 0.0
+            if cfg.record_diagnostics:
+                mean += x_new
+        groups: dict = {}
+        for i in finite:
+            spec = loads[i]
+            groups.setdefault((id(spec.constraint), spec.c, member_idx[i]), []).append(i)
+        for (_, _, prev), positions in groups.items():
+            group = [loads[i] for i in positions]
+            idx, stay, theta = load_step(group, g, C, prev, cfg.master_seed, k)
+            pulse_set = group[0].constraint
+            X_new[positions] = pulse_set.members[idx]
+            for i, j in zip(positions, idx.tolist()):
+                member_idx[i] = j
+                stays[i] = stay
+            if cfg.record_diagnostics:
+                mean_g, variance_g = _finite_moments(theta, pulse_set)
+                mean += len(positions) * mean_g
+                variance += len(positions) * variance_g
+        return X_new, math.prod(stays), mean, variance
 
     return coordinate(obj.effective_base(b), C,
                       all(spec.is_finite for spec in loads), len(loads), cfg,

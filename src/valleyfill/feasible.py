@@ -131,10 +131,8 @@ class FinitePulseSet:
         """Index of the member equal to x (within tol in each slot), or None."""
         if x.grid != self.grid:
             return None
-        for k in range(self.m):
-            if np.all(np.abs(self.members[k] - x.values) <= tol):
-                return k
-        return None
+        hits = np.flatnonzero(np.all(np.abs(self.members - x.values) <= tol, axis=1))
+        return int(hits[0]) if hits.size else None
 
     def scaled(self, factor: float) -> "FinitePulseSet":
         """The set {factor * y : y in members}; models aggregated identical loads."""
@@ -318,7 +316,7 @@ def _hull_objective(z: np.ndarray, h: np.ndarray, x_prev: np.ndarray,
 
 def hull_minimize(h: Profile, x_prev: Profile, c_i: float,
                   pulse_set: FinitePulseSet, tol: float = None,
-                  max_iterations: int = 10_000,
+                  max_iterations: int = 10_000, start: Optional[int] = None,
                   ) -> Tuple[Profile, Distribution]:
     """Minimize Q(z) = 2*c_i*<h, z> + norm2(z - x_prev) over the member hull.
 
@@ -331,6 +329,11 @@ def hull_minimize(h: Profile, x_prev: Profile, c_i: float,
     whose expectation realizes it; a minimizer within SNAP_TOLERANCE of a
     member in profile norm collapses to the degenerate distribution on the
     nearest member (equal member norms force degeneracy there).
+
+    The corral starts from member `start`; by default from x_prev's own
+    member index when x_prev is a member (fixed points then terminate in
+    one gap evaluation), else from the member with the lowest Q value.
+    Callers that know x_prev's index pass it to skip the membership scan.
     """
     if h.grid != pulse_set.grid or x_prev.grid != pulse_set.grid:
         raise GridMismatchError("profiles and pulse set on different grids")
@@ -340,10 +343,8 @@ def hull_minimize(h: Profile, x_prev: Profile, c_i: float,
     hv, pv = h.values, x_prev.values
     A = Y - (pv - c_i * hv)         # minimize ||sum_k theta_k A_k||^2
 
-    # Warm start: the previous profile's own vertex when it is a member
-    # (fixed points then terminate in one gap evaluation), else the member
-    # with the lowest Q value.
-    start = pulse_set.member_index(x_prev)
+    if start is None:
+        start = pulse_set.member_index(x_prev)
     if start is None:
         start = int(np.argmin(np.einsum("ks,ks->k", A, A)))
     corral = [start]
@@ -415,13 +416,18 @@ def hull_minimize(h: Profile, x_prev: Profile, c_i: float,
     return Profile(z, pulse_set.grid), Distribution(theta)
 
 
-def sample(theta: Distribution, u: float) -> int:
-    """Inverse-CDF sample over cumulative weights in index order."""
-    if not (0.0 <= u < 1.0):
+def sample(theta: Distribution, u):
+    """Inverse-CDF sample over cumulative weights in index order.
+
+    `u` is one draw in [0, 1), giving one member index, or an array of
+    draws, giving an index array: each element is the scalar sample.
+    """
+    draws = np.asarray(u, dtype=np.float64)
+    if not np.all((0.0 <= draws) & (draws < 1.0)):
         raise ValueError(f"u must be in [0, 1), got {u}")
     cum = np.cumsum(theta.weights)
-    idx = int(np.searchsorted(cum, u, side="right"))
-    return min(idx, theta.m - 1)
+    idx = np.minimum(np.searchsorted(cum, draws, side="right"), theta.m - 1)
+    return int(idx) if idx.ndim == 0 else idx
 
 
 def stay_probability(theta: Distribution, prev_index: int) -> float:

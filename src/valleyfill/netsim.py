@@ -34,7 +34,7 @@ import numpy as np
 
 from .core import Profile, TimeGrid
 from .engine import (ConfigurationError, EngineConfig, LoadSpec, Trajectory,
-                     coordinate, fleet_weight, load_step)
+                     convex_load_update, coordinate, fleet_weight, load_step)
 
 __all__ = [
     "ProtocolError",
@@ -173,22 +173,22 @@ def serve_coordinator(b: Profile, roster: Sequence[RosterEntry], cfg: EngineConf
             _send(fh, "ASSIGN", 0, f"{load_id} {digest}")
             conns[load_id] = fh
 
-        def exchange(k, g, xs):
+        def exchange(k, g, X):
             payload = f"{float(C)!r} {grid.slots} {_encode_floats(g.values)}"
             for i in ids:
                 _send(conns[i], "SIGNAL", k, payload)
-            new_xs, stay = [], 1.0
-            for i in ids:
+            X_new, stay = np.empty_like(X), 1.0
+            for pos, i in enumerate(ids):
                 _, it, (sender, _, stay_i, x_new) = _recv(conns[i], ["PROFILEUPDATE"],
                                                           grid)
                 if it != k:
                     raise ProtocolError(f"profile update for iteration {it}, expected {k}")
                 if sender != i:
                     raise ProtocolError(f"update from {sender} on connection {i}")
-                new_xs.append(x_new)
+                X_new[pos] = x_new.values
                 stay *= stay_i
             # Agents send no sampling distributions, so the moments are NaN.
-            return new_xs, stay, 0.0, float("nan")
+            return X_new, stay, 0.0, float("nan")
 
         try:
             traj = coordinate(b, C, all(entry.finite for entry in roster),
@@ -231,10 +231,11 @@ def run_agent(load: LoadSpec, master_seed: int, endpoint: Tuple[str, int],
               timeout: float = DEFAULT_TIMEOUT) -> int:
     """Single-load agent state machine; returns a process exit status.
 
-    Per iteration: receive the signal, run `engine.load_step` with the draw
-    keyed by (master_seed, id, k) and reply with the new profile, its
-    member index and the probability that the load kept its previous
-    profile.
+    Per iteration: receive the signal, update (a finite load runs
+    `engine.load_step` as a group of one, with draws keyed by
+    (master_seed, id, k); a convex load projects) and reply with the new
+    profile, its member index and the probability that the load kept its
+    previous profile.
     """
     grid = load.grid
     digest = grid_digest(grid)
@@ -255,7 +256,14 @@ def run_agent(load: LoadSpec, master_seed: int, endpoint: Tuple[str, int],
             if kind == "STOP":
                 return 0
             C, g = fields
-            x, idx, stay, _ = load_step(load, g, C, x, idx, master_seed, k, {})
+            if load.is_finite:
+                (new_idx,), stay, _ = load_step([load], g, C, idx, master_seed, k)
+                idx = int(new_idx)
+                x = load.constraint.member(idx)
+            else:
+                x_new = convex_load_update(g, x, load.constraint, load.c)
+                stay = 1.0 if x_new == x else 0.0
+                x = x_new
             _send(fh, "PROFILEUPDATE", k,
                   f"{load.id} {-1 if idx is None else idx} {stay!r} "
                   f"{grid.slots} {_encode_floats(x.values)}")

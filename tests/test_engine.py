@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import valleyfill.engine as engine
+
 from conftest import (expected_objective_enumeration, random_base,
                       random_convex_set, random_pulse_set)
 from valleyfill.analysis import is_nash
@@ -11,7 +13,10 @@ from valleyfill.engine import (ConfigurationError, EngineConfig, LoadSpec,
                                coordinator_signal, escape_probability,
                                expected_next_objective, finite_load_update,
                                load_draw, run, trajectory_to_csv)
-from valleyfill.feasible import Distribution
+from valleyfill.feasible import (Distribution, FinitePulseSet, SolverError,
+                                 make_pulse_set, sample)
+from valleyfill.scenario import (BaseLoadSpec, FleetSpec, SynthParams,
+                                 build_case_study)
 
 
 def grid(T=6.0, S=12):
@@ -39,13 +44,13 @@ class TestCoordinatorSignal:
         g = TimeGrid(1.0, 2)
         b = Profile(np.array([1.0, 3.0]), g)
         xs = [Profile(np.array([1.0, 1.0]), g)]
-        sig = coordinator_signal(b, xs, 4.0)
+        sig = coordinator_signal(aggregate(b, xs), 4.0)
         assert np.array_equal(sig.values, [0.5, 1.0])
 
     def test_rejects_nonpositive_weight(self):
         g = grid()
         with pytest.raises(ConfigurationError):
-            coordinator_signal(Profile.zeros(g), [], 0.0)
+            coordinator_signal(Profile.zeros(g), 0.0)
 
 
 class TestConvexLoadUpdate:
@@ -79,7 +84,7 @@ class TestFiniteLoadUpdate:
         ps = random_pulse_set(rng, g)
         sig = Profile.zeros(g)
         with pytest.raises(ConfigurationError):
-            finite_load_update(sig, ps.energy, ps.member(0), ps, ps.energy, 0.5)
+            finite_load_update(sig, ps.energy, ps.member(0), ps, ps.energy)
 
     def test_leave_one_out_signal(self):
         # the internal signal must equal (b + sum_{j != i} x_j)/(C - c_i):
@@ -92,11 +97,12 @@ class TestFiniteLoadUpdate:
         C = ps.energy + 3.0
         c_i = ps.energy
         x_prev = Profile.zeros(g)
-        sig = coordinator_signal(b, [x_prev], C)
+        sig = coordinator_signal(aggregate(b, [x_prev]), C)
         from valleyfill.feasible import hull_minimize
         h_direct = Profile(b.values / (C - c_i), g)
         _, theta_direct = hull_minimize(h_direct, x_prev, c_i, ps)
-        x_new, theta = finite_load_update(sig, C, x_prev, ps, c_i, 0.3)
+        theta = finite_load_update(sig, C, x_prev, ps, c_i)
+        x_new = ps.member(sample(theta, 0.3))
         assert np.allclose(theta.weights, theta_direct.weights, atol=1e-12)
         assert ps.member_index(x_new) is not None
 
@@ -105,9 +111,10 @@ class TestFiniteLoadUpdate:
         g = grid()
         ps = random_pulse_set(rng, g, m_max=5)
         b = random_base(rng, g)
-        sig = coordinator_signal(b, [ps.member(0)], ps.energy + 2.0)
-        x_new, theta = finite_load_update(sig, ps.energy + 2.0, ps.member(0),
-                                          ps, ps.energy, 0.999999)
+        sig = coordinator_signal(aggregate(b, [ps.member(0)]), ps.energy + 2.0)
+        theta = finite_load_update(sig, ps.energy + 2.0, ps.member(0),
+                                   ps, ps.energy)
+        x_new = ps.member(sample(theta, 0.999999))
         k = ps.member_index(x_new)
         assert k is not None
         assert theta.weights[k] > 0
@@ -330,14 +337,13 @@ class TestSupermartingale:
         C = sum(spec.c for spec in loads)
         xs = [Profile.zeros(g) for _ in loads]
         for k in (1, 2):
-            sig = coordinator_signal(b, xs, C)
+            sig = coordinator_signal(aggregate(b, xs), C)
             new = []
             thetas = []
             for spec, x in zip(loads, xs):
                 u = load_draw(3, spec.id, k)
-                x_new, theta = finite_load_update(sig, C, x, spec.constraint,
-                                                  spec.c, u)
-                new.append(x_new)
+                theta = finite_load_update(sig, C, x, spec.constraint, spec.c)
+                new.append(spec.constraint.member(sample(theta, u)))
                 thetas.append(theta)
             if k == 2:
                 expected = expected_next_objective(b, xs, thetas, sets)
@@ -414,3 +420,99 @@ class TestTrajectoryCsv:
         first = lines[1].split(",")
         assert int(first[0]) == 1
         assert float(first[1]) == traj.records[0].objective
+
+
+class TestSolverErrorContext:
+    def test_names_iteration_and_group(self, monkeypatch):
+        g = TimeGrid(4.0, 8)
+        ps = make_pulse_set(1.0, 1.0, [2], g)  # one member: one group from k=2
+        loads = [LoadSpec(i, ps) for i in range(3)]
+        solve = engine.hull_minimize
+
+        def fail_after_first(*args, start=None, **kwargs):
+            if start is None:
+                return solve(*args, start=start, **kwargs)
+            raise SolverError("did not converge", gap=0.25)
+
+        monkeypatch.setattr(engine, "hull_minimize", fail_after_first)
+        with pytest.raises(SolverError) as info:
+            run(loads, random_base(np.random.default_rng(0), g),
+                EngineConfig(max_iterations=5, stop_on_epsilon=False))
+        assert "iteration 2" in str(info.value)
+        assert "loads [0, 1, 2]" in str(info.value)
+        assert info.value.gap == 0.25
+
+
+class TestGroupedWork:
+    """Exact work counts of the canonical seed-0 run, checked by a per-load replay."""
+
+    def test_canonical_run_counts(self, monkeypatch):
+        b, loads = build_case_study(FleetSpec(households=1000, penetration=1.0),
+                                    BaseLoadSpec(synth=SynthParams()), seed=0)
+        iterations = 20
+        events = []
+        solve, draw, signal = engine.hull_minimize, engine.load_draw, \
+            engine.coordinator_signal
+        scan = FinitePulseSet.member_index
+
+        def traced_signal(*args):
+            events.append(("signal",))
+            return signal(*args)
+
+        def traced_solve(h, x_prev, c_i, pulse_set, **kwargs):
+            z, theta = solve(h, x_prev, c_i, pulse_set, **kwargs)
+            events.append(("solve", (id(pulse_set), c_i, kwargs.get("start")), theta))
+            return z, theta
+
+        def traced_draw(master_seed, load_id, k):
+            events.append(("draw", load_id, k))
+            return draw(master_seed, load_id, k)
+
+        def traced_scan(self, x, tol=0.0):
+            events.append(("scan",))
+            return scan(self, x, tol)
+
+        monkeypatch.setattr(engine, "coordinator_signal", traced_signal)
+        monkeypatch.setattr(engine, "hull_minimize", traced_solve)
+        monkeypatch.setattr(engine, "load_draw", traced_draw)
+        monkeypatch.setattr(FinitePulseSet, "member_index", traced_scan)
+        traj = run(loads, b, EngineConfig(max_iterations=iterations, master_seed=0,
+                                          stop_on_epsilon=False))
+        monkeypatch.undo()
+
+        per_k = [[] for _ in range(iterations + 1)]
+        k = 0
+        for event in events:
+            if event[0] == "signal":
+                k += 1
+            else:
+                per_k[k].append(event)
+        prev = [None] * len(loads)
+        draws_total = updates_to_draw = 0
+        for k in range(1, iterations + 1):
+            solves = {e[1]: e[2] for e in per_k[k] if e[0] == "solve"}
+            keys = {(id(spec.constraint), spec.c, prev[i])
+                    for i, spec in enumerate(loads)}
+            # one hull solve per distinct (set, c, previous member)
+            assert sum(e[0] == "solve" for e in per_k[k]) == len(solves) == len(keys)
+            assert set(solves) == keys
+            # the membership scan runs only while no previous member is known
+            scans = sum(e[0] == "scan" for e in per_k[k])
+            assert scans == (len(keys) if k == 1 else 0)
+            drawn = sorted(e[1] for e in per_k[k] if e[0] == "draw")
+            expected = []
+            for i, spec in enumerate(loads):
+                theta = solves[(id(spec.constraint), spec.c, prev[i])]
+                w = theta.weights
+                if np.count_nonzero(w) == 1 and w.max() == 1.0:
+                    prev[i] = int(np.argmax(w))
+                else:
+                    expected.append(spec.id)
+                    prev[i] = sample(theta, draw(0, spec.id, k))
+            assert drawn == sorted(expected)
+            draws_total += len(drawn)
+            updates_to_draw += len(expected)
+        assert 0 < draws_total == updates_to_draw < iterations * len(loads)
+        for i, spec in enumerate(loads):
+            assert np.array_equal(traj.final_profiles[i].values,
+                                  spec.constraint.members[prev[i]])

@@ -51,6 +51,37 @@ class TestMakePulseSet:
         assert back.sqnorm == ps.sqnorm
 
 
+class TestMemberIndex:
+    @staticmethod
+    def row_loop(pulse_set, x, tol):
+        for k in range(pulse_set.m):
+            if np.all(np.abs(pulse_set.members[k] - x.values) <= tol):
+                return k
+        return None
+
+    def test_matches_row_loop_on_near_duplicates(self):
+        for seed in range(300):
+            rng = np.random.default_rng(seed)
+            S = int(rng.integers(1, 9))
+            g = TimeGrid(float(S), S)
+            tol = float(rng.choice([0.0, 1e-12, 1e-6, 1e-3]))
+            base = rng.uniform(0.0, 2.0, S)
+            # members within a few tol of each other, so several may match
+            members = base + rng.uniform(-3.0, 3.0, (int(rng.integers(1, 7)), S)) \
+                * max(tol, 1e-9)
+            members[int(rng.integers(len(members)))] = base
+            ps = FinitePulseSet(members, g, 1.0, 1.0, 2.0)
+            if rng.random() < 0.5:
+                x = Profile(ps.members[int(rng.integers(ps.m))], g)
+            else:
+                x = Profile(base + rng.uniform(-1.5, 1.5, S) * tol, g)
+            assert ps.member_index(x, tol) == self.row_loop(ps, x, tol), seed
+
+    def test_other_grid_is_not_a_member(self):
+        ps = make_pulse_set(1.0, 1.0, [0, 2], TimeGrid(4.0, 4))
+        assert ps.member_index(Profile(ps.members[0], TimeGrid(8.0, 4))) is None
+
+
 class TestValidateA1A4:
     def test_constructed_sets_pass(self):
         ps = make_pulse_set(3.3, 4.0, list(range(0, 81, 7)), canonical_grid())
@@ -158,6 +189,21 @@ class TestHullMinimize:
         assert theta.weights.tolist() == [1.0]
         assert z == ps.member(0)
 
+    def test_known_start_matches_scan(self):
+        # passing x_prev's member index skips the scan and changes nothing
+        rng = np.random.default_rng(29)
+        for _ in range(100):
+            S = int(rng.integers(2, 13))
+            g = TimeGrid(float(S), S)
+            ps = random_pulse_set(rng, g, m_max=8)
+            k = int(rng.integers(ps.m))
+            h = Profile(rng.normal(0, 1, S), g)
+            c_i = float(rng.uniform(0.2, 3.0))
+            z_scan, theta_scan = hull_minimize(h, ps.member(k), c_i, ps)
+            z, theta = hull_minimize(h, ps.member(k), c_i, ps, start=k)
+            assert np.array_equal(theta.weights, theta_scan.weights)
+            assert np.array_equal(z.values, z_scan.values)
+
     def test_two_member_closed_form(self):
         rng = np.random.default_rng(3)
         g = TimeGrid(4.0, 4)
@@ -256,6 +302,22 @@ class TestSample:
         theta = Distribution(np.array([0.5, 0.5]))
         assert sample(theta, 0.25) == 0
         assert sample(theta, 0.75) == 1
+
+    def test_array_of_draws_matches_scalar(self):
+        rng = np.random.default_rng(31)
+        for _ in range(50):
+            m = int(rng.integers(1, 7))
+            w = rng.uniform(0.0, 1.0, m) * (rng.random(m) < 0.7)
+            w[int(rng.integers(m))] += 0.1
+            theta = Distribution(w / w.sum())
+            us = np.append(rng.random(20), [0.0, np.nextafter(1.0, 0.0)])
+            assert sample(theta, us).tolist() == [sample(theta, float(u)) for u in us]
+
+    def test_rejects_draw_outside_unit_interval(self):
+        theta = Distribution(np.array([0.5, 0.5]))
+        for u in (1.0, -0.1, np.array([0.2, 1.0])):
+            with pytest.raises(ValueError):
+                sample(theta, u)
 
     def test_empirical_frequencies(self):
         theta = Distribution(np.array([0.2, 0.5, 0.3]))
