@@ -13,9 +13,10 @@ import argparse
 import csv
 import dataclasses
 import json
+import operator
 import os
 import sys
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -66,21 +67,80 @@ def _grid(manifest: dict) -> TimeGrid:
     return TimeGrid(float(g["horizon_hours"]), int(g["slots"]))
 
 
+class ManifestError(ValueError):
+    """Unknown manifest key, value of the wrong kind, or one setting twice (exit 2)."""
+
+
+def _pair(value) -> Tuple[float, float]:
+    lo, hi = value
+    return (float(lo), float(hi))
+
+
+def _window(value) -> Tuple[int, int]:
+    first, last = value
+    return (operator.index(first), operator.index(last))
+
+
+def _jitter(value) -> Tuple[float, float]:
+    """A jitter j stands for the multiplier range (1 - j, 1 + j)."""
+    j = float(value)
+    if not 0.0 <= j < 1.0:
+        raise ValueError(f"must be in [0, 1), got {value!r}")
+    return (1.0 - j, 1.0 + j)
+
+
+def _fields(section, keys: dict, where: str) -> dict:
+    """Convert a manifest section to keyword arguments.
+
+    `keys` maps each accepted key to (field, converter).  Unknown keys,
+    two keys for one field and values the converter rejects raise
+    ManifestError.
+    """
+    if not isinstance(section, dict):
+        raise ManifestError(f"{where} must be an object, got {section!r}")
+    unknown = sorted(set(section) - set(keys))
+    if unknown:
+        raise ManifestError(f"unknown {where} key(s) {unknown}; "
+                            f"expected some of {sorted(keys)}")
+    out = {}
+    for key, value in section.items():
+        field, convert = keys[key]
+        if field in out:
+            raise ManifestError(f"{where} sets {field} twice (key {key!r})")
+        try:
+            out[field] = convert(value)
+        except ManifestError:
+            raise
+        except (TypeError, ValueError) as exc:
+            raise ManifestError(f"bad {where}.{key} {value!r}: {exc}") from None
+    return out
+
+
+_HETEROGENEITY_KEYS = {"rate_jitter": ("rate_range", _jitter),
+                       "rate_range": ("rate_range", _pair),
+                       "duration_jitter": ("duration_range", _jitter),
+                       "duration_range": ("duration_range", _pair)}
+
+
+def _heterogeneity(section) -> Optional[HeterogeneitySpec]:
+    if not section:
+        return None
+    return HeterogeneitySpec(**_fields(section, _HETEROGENEITY_KEYS,
+                                       "fleet.heterogeneity"))
+
+
+# Fleet keys, README's names and FleetSpec's, with the field each sets.
+_FLEET_KEYS = {"households": ("households", operator.index),
+               "penetration": ("penetration", float),
+               "charger_kw": ("ev_rate", float), "ev_rate": ("ev_rate", float),
+               "charge_hours": ("ev_duration_hours", float),
+               "ev_duration_hours": ("ev_duration_hours", float),
+               "start_window": ("start_window", _window),
+               "heterogeneity": ("heterogeneity", _heterogeneity)}
+
+
 def _fleet_spec(manifest: dict) -> FleetSpec:
-    f = dict(manifest["fleet"])
-    het = f.pop("heterogeneity", None)
-    kwargs = {}
-    for key in ("households", "penetration", "ev_rate", "ev_duration_hours"):
-        if key in f:
-            kwargs[key] = f[key]
-    if "start_window" in f:
-        kwargs["start_window"] = tuple(f["start_window"])
-    if het:
-        kwargs["heterogeneity"] = HeterogeneitySpec(
-            rate_range=tuple(het.get("rate_range", (1.0, 1.0))),
-            duration_range=tuple(het.get("duration_range", (1.0, 1.0))),
-        )
-    return FleetSpec(**kwargs)
+    return FleetSpec(**_fields(manifest["fleet"], _FLEET_KEYS, "fleet"))
 
 
 def _baseload_spec(manifest: dict) -> BaseLoadSpec:
@@ -385,6 +445,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except ManifestError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -8,12 +8,16 @@ profiles.  Each iteration sums one aggregate in load order, which gives
 both that iteration's objective and the next signal.
 
 Convex loads update by projection (`convex_load_update`).  Finite loads
-update through `load_step`, which serves a group of loads sharing
-(constraint, c, previous member): their sampling distribution is the
-same, so the group solves the hull once and samples once.  In-process
-runs group the finite loads in load order; networked agents call it with
-a group of one.  Per-load randomness comes from a counter-based stream
-keyed by (master_seed, load id, iteration), so trajectories are
+update in two phases.  First `load_step` serves each group of loads
+sharing (constraint, c, previous member): their sampling distribution is
+the same, so the group solves the hull once, and the step reports whether
+theta pins one member.  Then the loads of the groups theta does not pin
+draw in one `load_draws` call per iteration, in load order, and each group
+samples theta with its loads' draws.  In-process runs group the finite
+loads in load order; networked agents run both phases for a group of one.
+Per-load randomness comes from a counter-based stream keyed by
+(master_seed, load id, iteration) (`load_draw` defines it; `load_draws`
+reproduces it bit for bit in one vectorised pass), so trajectories are
 bit-reproducible regardless of execution order and grouping, and can be
 replayed by networked agents.
 """
@@ -23,6 +27,7 @@ from __future__ import annotations
 import csv
 import enum
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
@@ -42,6 +47,7 @@ __all__ = [
     "Termination",
     "Trajectory",
     "load_draw",
+    "load_draws",
     "coordinator_signal",
     "convex_load_update",
     "finite_load_update",
@@ -128,14 +134,162 @@ class Trajectory:
     initial_objective: float
 
 
+# numpy's SeedSequence (pool of 4 uint32 words) and PCG64 constants.
+_MASK32 = 0xFFFFFFFF
+_POOL = 4
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG_MULT_HI = np.uint64(0x2360ED051FC65DA4)
+_PCG_MULT_LO = 0x4385DF649FCCF645
+# Below this many keys, one `load_draw` per key is faster than one
+# vectorised pass: a key costs 12-25 us, a pass 150-260 us whatever its
+# size up to a few hundred keys, and they break even at 11-12 keys (one
+# Xeon vCPU, Python 3.11, numpy 2.4).
+_BATCH_MIN_KEYS = 12
+
+
+def _words(n: int) -> List[int]:
+    """The uint32 words numpy seeds with for an entry n >= 0, least significant first."""
+    n = operator.index(n)
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    words = [n & _MASK32]
+    while n >> 32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
 def load_draw(master_seed: int, load_id: int, k: int) -> float:
     """Uniform [0,1) draw for load `load_id` at iteration `k`.
 
     Keyed, not sequential: the same (seed, id, k) triple yields the same
-    draw in-process and across networked agents.
+    draw in-process and across networked agents.  The stream is
+    ``np.random.default_rng([master_seed & 0xFFFFFFFFFFFFFFFF, load_id, k]).random()``.
+    numpy seeds with the uint32 words of those entries, concatenated, so
+    one uint32 array of the words gives the same generator without
+    default_rng's per-entry conversion (about a fifth of the call).
+    `load_draws` computes the stream for many ids at once.
     """
-    return float(np.random.default_rng([master_seed & 0xFFFFFFFFFFFFFFFF,
-                                        load_id, k]).random())
+    key = _words(master_seed & 0xFFFFFFFFFFFFFFFF) + _words(load_id) + _words(k)
+    return float(np.random.Generator(np.random.PCG64(np.array(key, np.uint32))).random())
+
+
+def _hash_constants(init: int, mult: int, n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(xor, multiplier) column vectors of n successive SeedSequence hashmix calls.
+
+    The hash constant advances by a fixed multiplier on every call,
+    whatever the data, so the sequence is a table.
+    """
+    xors, mults = [], []
+    for _ in range(n):
+        xors.append(init)
+        init = init * mult & _MASK32
+        mults.append(init)
+    return (np.array(xors, np.uint32)[:, None], np.array(mults, np.uint32)[:, None])
+
+
+# mix_entropy makes 4 + 12 + 4 * (words - 4) hashmix calls.
+_MAX_WORDS = 16
+_HASH_A = _hash_constants(0x43B0D7E5, 0x931E8875, 4 * _MAX_WORDS)
+_HASH_B = _hash_constants(0x8B51F9DD, 0x58F38DED, 2 * _POOL)
+
+
+def _hashmix(v: np.ndarray, xors: np.ndarray, mults: np.ndarray) -> np.ndarray:
+    v = (v ^ xors) * mults
+    return v ^ (v >> np.uint32(16))
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = _MIX_L * x - _MIX_R * y
+    return r ^ (r >> np.uint32(16))
+
+
+def _mulhi64(a: np.ndarray, b: int) -> np.ndarray:
+    """High 64 bits of a * b, from 32-bit halves."""
+    m32, s32 = np.uint64(_MASK32), np.uint64(32)
+    a0, a1 = a & m32, a >> s32
+    b0, b1 = np.uint64(b & _MASK32), np.uint64(b >> 32)
+    p00, p01, p10, p11 = a0 * b0, a0 * b1, a1 * b0, a1 * b1
+    mid = (p00 >> s32) + (p01 & m32) + (p10 & m32)
+    return p11 + (p01 >> s32) + (p10 >> s32) + (mid >> s32)
+
+
+def _seeded_uniforms(entropy: np.ndarray) -> np.ndarray:
+    """First `Generator.random()` of `PCG64(SeedSequence(e))` for each column e.
+
+    `entropy` is an (L, N) uint32 array, one seed's words per column.
+    SeedSequence.mix_entropy and generate_state(4, uint64) run as array
+    arithmetic over the columns; so do PCG64's seeding (state = 0,
+    inc = seq << 1 | 1; step; state += seed; step) and one output step
+    (step, then XSL-RR).  128-bit values are (hi, lo) uint64 pairs.
+    """
+    n_words, n = entropy.shape
+    xa, ma = _HASH_A
+    pool = np.zeros((_POOL, n), np.uint32)  # a short key hashes zeros
+    pool[:n_words] = entropy[:_POOL]
+    pool = _hashmix(pool, xa[:_POOL], ma[:_POOL])
+    t = _POOL
+    for src in range(_POOL):
+        # the source word is fixed while it is mixed into the other three
+        dst = [d for d in range(_POOL) if d != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], xa[t:t + 3], ma[t:t + 3]))
+        t += 3
+    for src in range(_POOL, n_words):
+        pool = _mix(pool, _hashmix(entropy[src], xa[t:t + _POOL], ma[t:t + _POOL]))
+        t += _POOL
+    state = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], *_HASH_B).astype(np.uint64)
+    seed_hi, seed_lo, seq_hi, seq_lo = state[0::2] | (state[1::2] << np.uint64(32))
+    one, mult_lo = np.uint64(1), np.uint64(_PCG_MULT_LO)
+    inc_hi = (seq_hi << one) | (seq_lo >> np.uint64(63))
+    inc_lo = (seq_lo << one) | one
+    lo = inc_lo + seed_lo
+    hi = inc_hi + seed_hi + (lo < inc_lo)
+    for _ in range(2):
+        hi = hi * mult_lo + lo * _PCG_MULT_HI + _mulhi64(lo, _PCG_MULT_LO)
+        lo = lo * mult_lo
+        new_lo = lo + inc_lo
+        hi = hi + inc_hi + (new_lo < lo)
+        lo = new_lo
+    x = hi ^ lo
+    rot = hi >> np.uint64(58)
+    out = (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
+    return (out >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+
+
+def _batched_draws(ids: np.ndarray, head: List[int], tail: List[int]) -> np.ndarray:
+    """`_seeded_uniforms` for keys head + words(id) + tail, ids grouped by width."""
+    out = np.empty(len(ids))
+    wide = ids > np.uint64(_MASK32)
+    for sel, id_words in ((~wide, 1), (wide, 2)):
+        part = ids[sel]
+        if not part.size:
+            continue
+        entropy = np.empty((len(head) + id_words + len(tail), part.size), np.uint32)
+        entropy[:len(head)] = np.array(head, np.uint32)[:, None]
+        entropy[len(head)] = part & np.uint64(_MASK32)
+        if id_words == 2:
+            entropy[len(head) + 1] = part >> np.uint64(32)
+        entropy[len(head) + id_words:] = np.array(tail, np.uint32)[:, None]
+        out[sel] = _seeded_uniforms(entropy)
+    return out
+
+
+def load_draws(master_seed: int, ids, k: int) -> np.ndarray:
+    """`load_draw(master_seed, id, k)` for each id in `ids`, bit for bit, as an array.
+
+    Batches of `_BATCH_MIN_KEYS` or more ids in [0, 2**64) run one
+    vectorised SeedSequence + PCG64 pass (`_batched_draws`).  Smaller
+    batches, other ids and keys of more than `_MAX_WORDS` words take
+    `load_draw` per key.
+    """
+    if len(ids) >= _BATCH_MIN_KEYS:
+        arr = np.asarray(ids)
+        head = _words(master_seed & 0xFFFFFFFFFFFFFFFF)
+        tail = _words(k)
+        if (arr.dtype.kind in "iu" and arr.min() >= 0
+                and len(head) + 2 + len(tail) <= _MAX_WORDS):
+            return _batched_draws(arr.astype(np.uint64), head, tail)
+    return np.array([load_draw(master_seed, i, k) for i in ids], dtype=np.float64)
 
 
 def coordinator_signal(d: Profile, C: float) -> Profile:
@@ -174,17 +328,18 @@ def finite_load_update(g: Profile, C: float, x_prev: Profile,
 
 
 def load_step(group: Sequence[LoadSpec], g: Profile, C: float,
-              prev_idx: Optional[int], master_seed: int, k: int,
-              ) -> Tuple[np.ndarray, float, Distribution]:
-    """Iteration k's update of finite loads sharing (constraint, c, previous member).
+              prev_idx: Optional[int], k: int,
+              ) -> Tuple[Distribution, Optional[int], float]:
+    """Iteration k's distribution for finite loads sharing (constraint, c, previous member).
 
     The loads share x_prev (the member prev_idx, or zero before their first
-    member is chosen), hence one hull solve and one theta.  Returns the new
-    member indices in group order, stay = P{x_new == x_prev} for each load
-    (theta[prev_idx], 0.0 without a previous member) and theta.  Each load
-    draws u keyed by (master_seed, id, k), except when theta puts weight
-    1.0 on one member: inverse-CDF sampling then picks it for every u.  A
-    SolverError is re-raised naming k and the group's load ids.
+    member is chosen), hence one hull solve and one theta.  Returns theta,
+    the member every load takes when theta puts weight 1.0 on it (else
+    None), and stay = P{x_new == x_prev} for each load (theta[prev_idx],
+    0.0 without a previous member).  A pinned member needs no draw:
+    inverse-CDF sampling picks it for every u.  Otherwise the caller
+    samples theta with the loads' `load_draws`.  A SolverError is re-raised
+    naming k and the group's load ids.
     """
     spec = group[0]
     pulse_set = spec.constraint
@@ -197,12 +352,9 @@ def load_step(group: Sequence[LoadSpec], g: Profile, C: float,
                           gap=exc.gap) from exc
     w = theta.weights
     j = int(np.argmax(w))
-    if w[j] == 1.0 and not np.any(w[:j]):
-        idx = np.full(len(group), j)
-    else:
-        idx = sample(theta, np.array([load_draw(master_seed, s.id, k) for s in group]))
+    pinned = j if w[j] == 1.0 and not np.any(w[:j]) else None
     stay = 0.0 if prev_idx is None else stay_probability(theta, prev_idx)
-    return idx, stay, theta
+    return theta, pinned, stay
 
 
 def escape_probability(thetas: Sequence[Distribution],
@@ -326,6 +478,7 @@ def run(loads: Sequence[LoadSpec], b: Profile, cfg: EngineConfig,
             raise GridMismatchError(f"load {spec.id} is on a different grid")
     convex = [i for i, spec in enumerate(loads) if not spec.is_finite]
     finite = [i for i, spec in enumerate(loads) if spec.is_finite]
+    ids = np.array([spec.id for spec in loads])
     member_idx: List[Optional[int]] = [None] * len(loads)
 
     def exchange(k, g, X):
@@ -345,10 +498,23 @@ def run(loads: Sequence[LoadSpec], b: Profile, cfg: EngineConfig,
         for i in finite:
             spec = loads[i]
             groups.setdefault((id(spec.constraint), spec.c, member_idx[i]), []).append(i)
+        # Phase 1: one hull solve per group.  Phase 2: one keyed-draw pass
+        # for every load of a non-pinned group, in load order.
+        solved = []
+        drawing = np.zeros(len(loads), dtype=bool)
         for (_, _, prev), positions in groups.items():
-            group = [loads[i] for i in positions]
-            idx, stay, theta = load_step(group, g, C, prev, cfg.master_seed, k)
-            pulse_set = group[0].constraint
+            theta, pinned, stay = load_step([loads[i] for i in positions], g, C,
+                                            prev, k)
+            solved.append((positions, theta, pinned, stay))
+            if pinned is None:
+                drawing[positions] = True
+        drawn = np.flatnonzero(drawing)
+        u = np.empty(len(loads))
+        u[drawn] = load_draws(cfg.master_seed, ids[drawn], k)
+        for positions, theta, pinned, stay in solved:
+            idx = (np.full(len(positions), pinned) if pinned is not None
+                   else sample(theta, u[positions]))
+            pulse_set = loads[positions[0]].constraint
             X_new[positions] = pulse_set.members[idx]
             for i, j in zip(positions, idx.tolist()):
                 member_idx[i] = j
@@ -365,19 +531,23 @@ def run(loads: Sequence[LoadSpec], b: Profile, cfg: EngineConfig,
 
 
 def trajectory_to_csv(traj: Trajectory, path, g_dir=None) -> None:
-    """One row per iteration; optionally dump each broadcast signal as CSV."""
+    """One row per iteration (k, ||g||, objective, diagnostics, changed loads).
+
+    Optionally dumps each broadcast signal as CSV and names its file.
+    """
     from .core import profile_to_csv
     import os
 
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["k", "objective", "escape_probability",
+        w.writerow(["k", "signal_norm", "objective", "escape_probability",
                     "expected_next_objective", "profiles_changed", "g_file"])
         for rec in traj.records:
             g_file = ""
             if g_dir is not None:
                 g_file = os.path.join(g_dir, f"g_{rec.k:05d}.csv")
                 profile_to_csv(rec.g, g_file)
-            w.writerow([rec.k, repr(rec.objective), repr(rec.escape_probability),
+            w.writerow([rec.k, repr(norm(rec.g)), repr(rec.objective),
+                        repr(rec.escape_probability),
                         repr(rec.expected_next_objective), rec.profiles_changed,
                         g_file])

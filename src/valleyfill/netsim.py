@@ -34,7 +34,9 @@ import numpy as np
 
 from .core import Profile, TimeGrid
 from .engine import (ConfigurationError, EngineConfig, LoadSpec, Trajectory,
-                     convex_load_update, coordinate, fleet_weight, load_step)
+                     convex_load_update, coordinate, fleet_weight, load_draws,
+                     load_step)
+from .feasible import sample
 
 __all__ = [
     "ProtocolError",
@@ -232,10 +234,10 @@ def run_agent(load: LoadSpec, master_seed: int, endpoint: Tuple[str, int],
     """Single-load agent state machine; returns a process exit status.
 
     Per iteration: receive the signal, update (a finite load runs
-    `engine.load_step` as a group of one, with draws keyed by
-    (master_seed, id, k); a convex load projects) and reply with the new
-    profile, its member index and the probability that the load kept its
-    previous profile.
+    `engine.load_step` as a group of one and, unless theta is pinned to one
+    member, samples it with `engine.load_draws` for its one id; a convex
+    load projects) and reply with the new profile, its member index and
+    the probability that the load kept its previous profile.
     """
     grid = load.grid
     digest = grid_digest(grid)
@@ -257,8 +259,9 @@ def run_agent(load: LoadSpec, master_seed: int, endpoint: Tuple[str, int],
                 return 0
             C, g = fields
             if load.is_finite:
-                (new_idx,), stay, _ = load_step([load], g, C, idx, master_seed, k)
-                idx = int(new_idx)
+                theta, pinned, stay = load_step([load], g, C, idx, k)
+                idx = (pinned if pinned is not None else
+                       sample(theta, load_draws(master_seed, [load.id], k)[0]))
                 x = load.constraint.member(idx)
             else:
                 x_new = convex_load_update(g, x, load.constraint, load.c)

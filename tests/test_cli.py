@@ -199,3 +199,56 @@ class TestFleetGen:
         base = (out / "baseload.csv").read_text().strip().splitlines()
         assert base[0] == "slot,value_kw"
         assert len(base) == 1 + 24
+
+    def read_fleet(self, out):
+        rows = (out / "fleet.csv").read_text().strip().splitlines()
+        header = rows[0].split(",")
+        return [dict(zip(header, row.split(","))) for row in rows[1:]]
+
+    def test_documented_charger_keys(self, tmp_path):
+        manifest = write_manifest(tmp_path, {"fleet": {"charger_kw": 7,
+                                                       "charge_hours": 2}})
+        out = tmp_path / "out"
+        assert main(["fleet-gen", "--manifest", manifest,
+                     "--out", str(out)]) == 0
+        fleet = self.read_fleet(out)
+        assert len(fleet) == 3
+        for row in fleet:
+            assert float(row["rate_kw"]) == 7.0
+            assert float(row["duration_hours"]) == 2.0
+
+    def test_jitter_is_a_symmetric_range(self, tmp_path):
+        def fleet_csv(heterogeneity, name):
+            manifest = write_manifest(tmp_path, {"fleet": {
+                "heterogeneity": heterogeneity}}, name=f"{name}.json")
+            assert main(["fleet-gen", "--manifest", manifest,
+                         "--out", str(tmp_path / name)]) == 0
+            return (tmp_path / name / "fleet.csv").read_text()
+
+        jitter = fleet_csv({"rate_jitter": 0.25, "duration_jitter": 0.5}, "j")
+        ranges = fleet_csv({"rate_range": [0.75, 1.25],
+                            "duration_range": [0.5, 1.5]}, "r")
+        assert jitter == ranges
+        assert jitter != fleet_csv({}, "none")
+
+    @pytest.mark.parametrize("fleet", [
+        {"charger_kilowatts": 7},
+        {"heterogeneity": {"rate_jiter": 0.1}},
+        {"charger_kw": 7, "ev_rate": 3.3},
+        {"heterogeneity": {"rate_jitter": 1.5}},
+        {"heterogeneity": {"duration_range": 2}},
+        {"households": "x"},
+        {"penetration": None},
+        {"start_window": 5},
+        {"heterogeneity": [0.1]},
+    ], ids=["unknown-key", "unknown-jitter-key", "two-rate-keys",
+            "jitter-out-of-range", "bad-range", "households-not-int",
+            "penetration-null", "window-not-pair", "heterogeneity-not-object"])
+    def test_bad_fleet_key_exits_2(self, tmp_path, capsys, fleet):
+        manifest = write_manifest(tmp_path, {"fleet": fleet})
+        assert main(["fleet-gen", "--manifest", manifest,
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()

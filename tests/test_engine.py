@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import valleyfill.engine as engine
 
@@ -7,12 +9,13 @@ from conftest import (expected_objective_enumeration, random_base,
                       random_convex_set, random_pulse_set)
 from valleyfill.analysis import is_nash
 from valleyfill.core import (GridMismatchError, Profile, TimeGrid, aggregate,
-                             norm2)
+                             norm, norm2)
 from valleyfill.engine import (ConfigurationError, EngineConfig, LoadSpec,
                                Termination, convex_load_update,
                                coordinator_signal, escape_probability,
                                expected_next_objective, finite_load_update,
-                               load_draw, run, trajectory_to_csv)
+                               load_draw, load_draws, run,
+                               trajectory_to_csv)
 from valleyfill.feasible import (Distribution, FinitePulseSet, SolverError,
                                  make_pulse_set, sample)
 from valleyfill.scenario import (BaseLoadSpec, FleetSpec, SynthParams,
@@ -37,6 +40,62 @@ class TestLoadDraw:
         assert load_draw(6, 2, 9) != base
         assert load_draw(5, 3, 9) != base
         assert load_draw(5, 2, 10) != base
+
+
+MASK64 = 0xFFFFFFFFFFFFFFFF
+
+
+def reference_draws(master_seed, ids, k):
+    """The stream's definition, one Generator per key."""
+    return [float(np.random.default_rng([master_seed & MASK64, i, k]).random())
+            for i in ids]
+
+
+class TestLoadDraws:
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.one_of(st.integers(-2**70, -1), st.integers(0, 2**32 - 1),
+                          st.integers(2**32, MASK64), st.integers(2**64, 2**80)),
+           ids=st.lists(st.one_of(st.integers(0, 2**32 - 1),
+                                  st.integers(2**32, MASK64), st.just(0),
+                                  st.just(2**32 - 1)),
+                        max_size=2 * engine._BATCH_MIN_KEYS + 2),
+           k=st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**70)))
+    def test_matches_default_rng(self, seed, ids, k):
+        # sizes from 0 to past the crossover take both branches
+        got = load_draws(seed, ids, k)
+        assert got.dtype == np.float64 and got.shape == (len(ids),)
+        assert got.tolist() == reference_draws(seed, ids, k)
+
+    def test_large_batch_of_mixed_widths(self):
+        rng = np.random.default_rng(4)
+        ids = [int(i) for i in rng.integers(0, 2**32, 300)]
+        ids += [int(i) for i in rng.integers(2**32, 2**63, 300)]
+        ids += [0, 2**32 - 1, 2**32, MASK64]
+        rng.shuffle(ids)
+        for seed, k in ((1, 20), (-5, 2**31), (2**63 + 11, 2**40)):
+            assert load_draws(seed, ids, k).tolist() == reference_draws(seed, ids, k)
+
+    def test_branches_agree(self, monkeypatch):
+        ids = [0, 1, 7, 2**32 - 1, 2**32, MASK64]
+        monkeypatch.setattr(engine, "_BATCH_MIN_KEYS", len(ids) + 1)
+        scalar = load_draws(3, ids, 9)
+        monkeypatch.setattr(engine, "_BATCH_MIN_KEYS", 1)
+        assert load_draws(3, ids, 9).tolist() == scalar.tolist()
+        assert load_draws(3, ids[:1], 9).tolist() == [load_draw(3, 0, 9)]
+
+    def test_keys_outside_the_kernel_take_the_definition(self):
+        n = engine._BATCH_MIN_KEYS
+        huge_ids = [2**64 + i for i in range(n)]
+        assert load_draws(2, huge_ids, 5).tolist() == reference_draws(2, huge_ids, 5)
+        long_k = 2**(32 * engine._MAX_WORDS)
+        assert load_draws(2, range(n), long_k).tolist() == \
+            reference_draws(2, range(n), long_k)
+
+    def test_negative_id_rejected_like_load_draw(self):
+        with pytest.raises(ValueError):
+            load_draw(0, -1, 1)
+        with pytest.raises(ValueError):
+            load_draws(0, [-1] + list(range(engine._BATCH_MIN_KEYS)), 1)
 
 
 class TestCoordinatorSignal:
@@ -415,11 +474,12 @@ class TestTrajectoryCsv:
         path = tmp_path / "traj.csv"
         trajectory_to_csv(traj, path)
         lines = path.read_text().strip().splitlines()
-        assert lines[0].startswith("k,objective")
+        assert lines[0].startswith("k,signal_norm,objective")
         assert len(lines) == 1 + len(traj.records)
         first = lines[1].split(",")
         assert int(first[0]) == 1
-        assert float(first[1]) == traj.records[0].objective
+        assert float(first[1]) == norm(traj.records[0].g)
+        assert float(first[2]) == traj.records[0].objective
 
 
 class TestSolverErrorContext:
@@ -451,7 +511,7 @@ class TestGroupedWork:
                                     BaseLoadSpec(synth=SynthParams()), seed=0)
         iterations = 20
         events = []
-        solve, draw, signal = engine.hull_minimize, engine.load_draw, \
+        solve, draws, signal = engine.hull_minimize, engine.load_draws, \
             engine.coordinator_signal
         scan = FinitePulseSet.member_index
 
@@ -464,9 +524,9 @@ class TestGroupedWork:
             events.append(("solve", (id(pulse_set), c_i, kwargs.get("start")), theta))
             return z, theta
 
-        def traced_draw(master_seed, load_id, k):
-            events.append(("draw", load_id, k))
-            return draw(master_seed, load_id, k)
+        def traced_draws(master_seed, ids, k):
+            events.append(("draws", [int(i) for i in ids], k))
+            return draws(master_seed, ids, k)
 
         def traced_scan(self, x, tol=0.0):
             events.append(("scan",))
@@ -474,7 +534,7 @@ class TestGroupedWork:
 
         monkeypatch.setattr(engine, "coordinator_signal", traced_signal)
         monkeypatch.setattr(engine, "hull_minimize", traced_solve)
-        monkeypatch.setattr(engine, "load_draw", traced_draw)
+        monkeypatch.setattr(engine, "load_draws", traced_draws)
         monkeypatch.setattr(FinitePulseSet, "member_index", traced_scan)
         traj = run(loads, b, EngineConfig(max_iterations=iterations, master_seed=0,
                                           stop_on_epsilon=False))
@@ -499,7 +559,11 @@ class TestGroupedWork:
             # the membership scan runs only while no previous member is known
             scans = sum(e[0] == "scan" for e in per_k[k])
             assert scans == (len(keys) if k == 1 else 0)
-            drawn = sorted(e[1] for e in per_k[k] if e[0] == "draw")
+            # at most one batched draw call, keyed by this iteration
+            calls = [e for e in per_k[k] if e[0] == "draws"]
+            assert len(calls) <= 1
+            assert all(e[2] == k for e in calls)
+            drawn = [i for e in calls for i in e[1]]
             expected = []
             for i, spec in enumerate(loads):
                 theta = solves[(id(spec.constraint), spec.c, prev[i])]
@@ -508,8 +572,9 @@ class TestGroupedWork:
                     prev[i] = int(np.argmax(w))
                 else:
                     expected.append(spec.id)
-                    prev[i] = sample(theta, draw(0, spec.id, k))
-            assert drawn == sorted(expected)
+                    prev[i] = sample(theta, load_draw(0, spec.id, k))
+            # the batch holds exactly the non-pinned loads, in load order
+            assert drawn == expected
             draws_total += len(drawn)
             updates_to_draw += len(expected)
         assert 0 < draws_total == updates_to_draw < iterations * len(loads)
