@@ -16,6 +16,7 @@ import json
 import operator
 import os
 import sys
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -28,6 +29,8 @@ from .scenario import (BaseLoadSpec, FleetSpec, HeterogeneitySpec, SynthParams,
 
 __all__ = ["main", "load_manifest", "cmd_run", "cmd_experiment", "cmd_analyze"]
 
+CHECKS = ("nash", "gap", "ratio")
+
 DEFAULT_MANIFEST = {
     "grid": {"horizon_hours": 24.0, "slots": 96},
     "fleet": {"households": 1000, "penetration": 1.0},
@@ -39,36 +42,61 @@ DEFAULT_MANIFEST = {
 }
 
 
-def load_manifest(path: Optional[str], overrides: argparse.Namespace) -> dict:
+class InputError(ValueError):
+    """Malformed manifest, profiles CSV or --checks value (exit 2)."""
+
+
+@dataclass(frozen=True)
+class Manifest:
+    """A checked manifest: each section converted to what it configures."""
+
+    grid: TimeGrid
+    fleet: FleetSpec
+    baseload: BaseLoadSpec
+    engine: EngineConfig
+    objective: Objective
+    out: str
+    emit: Dict[str, bool]
+
+
+def load_manifest(path: Optional[str], overrides: argparse.Namespace) -> Manifest:
+    """DEFAULT_MANIFEST updated section by section from the file, then the flags.
+
+    Every section is checked; a malformed one raises InputError.
+    """
     manifest = json.loads(json.dumps(DEFAULT_MANIFEST))  # deep copy
     if path:
         with open(path) as fh:
-            user = json.load(fh)
+            try:
+                user = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise InputError(f"manifest {path} is not JSON: {exc}") from None
+        if not isinstance(user, dict):
+            raise InputError(f"manifest must be an object, got {user!r}")
         for key, value in user.items():
             if isinstance(value, dict) and isinstance(manifest.get(key), dict):
                 manifest[key].update(value)
             else:
                 manifest[key] = value
-    if getattr(overrides, "seed", None) is not None:
-        manifest["engine"]["master_seed"] = overrides.seed
-    if getattr(overrides, "iterations", None) is not None:
-        manifest["engine"]["max_iterations"] = overrides.iterations
-    if getattr(overrides, "epsilon", None) is not None:
-        manifest["engine"]["epsilon"] = overrides.epsilon
-    if getattr(overrides, "penetration", None) is not None:
-        manifest["fleet"]["penetration"] = overrides.penetration
+    for section, key, flag in (("engine", "master_seed", "seed"),
+                               ("engine", "max_iterations", "iterations"),
+                               ("engine", "epsilon", "epsilon"),
+                               ("fleet", "penetration", "penetration")):
+        value = getattr(overrides, flag, None)
+        # a section that is not an object is rejected below
+        if value is not None and isinstance(manifest.get(section), dict):
+            manifest[section][key] = value
     if getattr(overrides, "out", None) is not None:
         manifest["out"] = overrides.out
-    return manifest
-
-
-def _grid(manifest: dict) -> TimeGrid:
-    g = manifest["grid"]
-    return TimeGrid(float(g["horizon_hours"]), int(g["slots"]))
-
-
-class ManifestError(ValueError):
-    """Unknown manifest key, value of the wrong kind, or one setting twice (exit 2)."""
+    parts = _fields(manifest, _MANIFEST_KEYS, "manifest")
+    objective = parts["objective"]
+    try:
+        if "target" in objective:
+            objective["target"] = Profile(objective["target"], parts["grid"])
+        parts["objective"] = Objective(**objective)
+    except ValueError as exc:
+        raise InputError(f"bad objective: {exc}") from None
+    return Manifest(**parts)
 
 
 def _pair(value) -> Tuple[float, float]:
@@ -81,6 +109,11 @@ def _window(value) -> Tuple[int, int]:
     return (operator.index(first), operator.index(last))
 
 
+def _peak_slots(value) -> Tuple[int, int, int]:
+    evening, valley, morning = value
+    return (operator.index(evening), operator.index(valley), operator.index(morning))
+
+
 def _jitter(value) -> Tuple[float, float]:
     """A jitter j stands for the multiplier range (1 - j, 1 + j)."""
     j = float(value)
@@ -89,32 +122,56 @@ def _jitter(value) -> Tuple[float, float]:
     return (1.0 - j, 1.0 + j)
 
 
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError("must be a string")
+    return value
+
+
+def _flag(value) -> bool:
+    if not isinstance(value, bool):
+        raise TypeError("must be true or false")
+    return value
+
+
 def _fields(section, keys: dict, where: str) -> dict:
     """Convert a manifest section to keyword arguments.
 
     `keys` maps each accepted key to (field, converter).  Unknown keys,
     two keys for one field and values the converter rejects raise
-    ManifestError.
+    InputError.
     """
     if not isinstance(section, dict):
-        raise ManifestError(f"{where} must be an object, got {section!r}")
+        raise InputError(f"{where} must be an object, got {section!r}")
     unknown = sorted(set(section) - set(keys))
     if unknown:
-        raise ManifestError(f"unknown {where} key(s) {unknown}; "
-                            f"expected some of {sorted(keys)}")
+        raise InputError(f"unknown {where} key(s) {unknown}; "
+                         f"expected some of {sorted(keys)}")
     out = {}
     for key, value in section.items():
         field, convert = keys[key]
         if field in out:
-            raise ManifestError(f"{where} sets {field} twice (key {key!r})")
+            raise InputError(f"{where} sets {field} twice (key {key!r})")
         try:
             out[field] = convert(value)
-        except ManifestError:
+        except InputError:
             raise
         except (TypeError, ValueError) as exc:
-            raise ManifestError(f"bad {where}.{key} {value!r}: {exc}") from None
+            raise InputError(f"bad {where}.{key} {value!r}: {exc}") from None
     return out
 
+
+def _section(cls, section, keys: dict, where: str):
+    """`cls` built from a manifest section; its own checks raise InputError too."""
+    fields = _fields(section, keys, where)
+    try:
+        return cls(**fields)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"bad {where}: {exc}") from None
+
+
+_GRID_KEYS = {"horizon_hours": ("horizon_hours", float),
+              "slots": ("slots", operator.index)}
 
 _HETEROGENEITY_KEYS = {"rate_jitter": ("rate_range", _jitter),
                        "rate_range": ("rate_range", _pair),
@@ -125,8 +182,8 @@ _HETEROGENEITY_KEYS = {"rate_jitter": ("rate_range", _jitter),
 def _heterogeneity(section) -> Optional[HeterogeneitySpec]:
     if not section:
         return None
-    return HeterogeneitySpec(**_fields(section, _HETEROGENEITY_KEYS,
-                                       "fleet.heterogeneity"))
+    return _section(HeterogeneitySpec, section, _HETEROGENEITY_KEYS,
+                    "fleet.heterogeneity")
 
 
 # Fleet keys, README's names and FleetSpec's, with the field each sets.
@@ -138,43 +195,52 @@ _FLEET_KEYS = {"households": ("households", operator.index),
                "start_window": ("start_window", _window),
                "heterogeneity": ("heterogeneity", _heterogeneity)}
 
+_SYNTH_KEYS = {"evening_peak_kw": ("evening_peak_kw", float),
+               "morning_peak_kw": ("morning_peak_kw", float),
+               "valley_kw": ("valley_kw", float),
+               "peak_slots": ("peak_slots", _peak_slots)}
 
-def _fleet_spec(manifest: dict) -> FleetSpec:
-    return FleetSpec(**_fields(manifest["fleet"], _FLEET_KEYS, "fleet"))
-
-
-def _baseload_spec(manifest: dict) -> BaseLoadSpec:
-    b = manifest["baseload"]
-    scale = float(b.get("per_household_scale", 1.0))
-    if "csv" in b:
-        return BaseLoadSpec(csv_path=b["csv"], per_household_scale=scale)
-    synth = b.get("synth", {})
-    params = SynthParams(**{k: (tuple(v) if k == "peak_slots" else v)
-                            for k, v in synth.items()})
-    return BaseLoadSpec(synth=params, per_household_scale=scale)
+_BASELOAD_KEYS = {"csv": ("csv_path", _text),
+                  "synth": ("synth", lambda s: _section(SynthParams, s, _SYNTH_KEYS,
+                                                        "baseload.synth")),
+                  "per_household_scale": ("per_household_scale", float)}
 
 
-def _engine_config(manifest: dict) -> EngineConfig:
-    e = manifest["engine"]
-    return EngineConfig(epsilon=float(e.get("epsilon", 1e-6)),
-                        max_iterations=int(e.get("max_iterations", 20)),
-                        master_seed=int(e.get("master_seed", 0)))
+def _baseload(section) -> BaseLoadSpec:
+    fields = _fields(section, _BASELOAD_KEYS, "baseload")
+    if "csv_path" in fields:  # a CSV takes precedence over the default synth
+        fields.pop("synth", None)
+    try:
+        return BaseLoadSpec(**fields)
+    except ValueError as exc:
+        raise InputError(f"bad baseload: {exc}") from None
 
 
-def _objective(manifest: dict, grid: TimeGrid) -> Objective:
-    o = manifest.get("objective", {"kind": "flatten"})
-    if o.get("kind", "flatten") == "flatten":
-        return Objective()
-    target = Profile(np.array(o["target"], dtype=float), grid)
-    return Objective(ObjectiveKind.TRACK, target)
+_ENGINE_KEYS = {"epsilon": ("epsilon", float),
+                "max_iterations": ("max_iterations", operator.index),
+                "master_seed": ("master_seed", operator.index)}
+
+_OBJECTIVE_KEYS = {"kind": ("kind", ObjectiveKind),
+                   "target": ("target", lambda v: np.array(v, dtype=float))}
+
+_EMIT_KEYS = {key: (key, _flag) for key in ("trajectory", "profiles", "report")}
+
+# Top-level keys; the objective's target needs the grid, so load_manifest
+# builds the Objective from these fields.
+_MANIFEST_KEYS = {
+    "grid": ("grid", lambda s: _section(TimeGrid, s, _GRID_KEYS, "grid")),
+    "fleet": ("fleet", lambda s: _section(FleetSpec, s, _FLEET_KEYS, "fleet")),
+    "baseload": ("baseload", _baseload),
+    "engine": ("engine", lambda s: _section(EngineConfig, s, _ENGINE_KEYS, "engine")),
+    "objective": ("objective", lambda s: _fields(s, _OBJECTIVE_KEYS, "objective")),
+    "out": ("out", _text),
+    "emit": ("emit", lambda s: _fields(s, _EMIT_KEYS, "emit")),
+}
 
 
-def _build(manifest: dict):
-    grid = _grid(manifest)
-    seed = int(manifest["engine"].get("master_seed", 0))
-    b, loads = build_case_study(_fleet_spec(manifest), _baseload_spec(manifest),
-                                grid, seed=seed)
-    return grid, b, loads
+def _build(manifest: Manifest):
+    return build_case_study(manifest.fleet, manifest.baseload, manifest.grid,
+                            seed=manifest.engine.master_seed)
 
 
 def profiles_to_csv(loads: Sequence[LoadSpec], profiles: Sequence[Profile],
@@ -186,25 +252,37 @@ def profiles_to_csv(loads: Sequence[LoadSpec], profiles: Sequence[Profile],
 
 
 def profiles_from_csv(path, grid: TimeGrid) -> Dict[int, Profile]:
+    """Profiles by load id from `id,v1..vS` rows.
+
+    A row that does not parse, has the wrong length or repeats an id
+    raises InputError naming its line.
+    """
     out: Dict[int, Profile] = {}
     with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if row:
-                out[int(row[0])] = Profile(np.array([float(v) for v in row[1:]]),
-                                           grid)
+        reader = csv.reader(fh)
+        for row in reader:
+            if not row:
+                continue
+            try:
+                load_id = int(row[0])
+                profile = Profile(np.array([float(v) for v in row[1:]]), grid)
+            except ValueError as exc:
+                raise InputError(f"{path} line {reader.line_num}: {exc}") from None
+            if load_id in out:
+                raise InputError(f"{path} line {reader.line_num}: "
+                                 f"load {load_id} appears twice")
+            out[load_id] = profile
     return out
 
 
 def cmd_run(args) -> int:
     manifest = load_manifest(args.manifest, args)
-    grid, b, loads = _build(manifest)
-    cfg = _engine_config(manifest)
-    obj = _objective(manifest, grid)
-    out = manifest["out"]
+    b, loads = _build(manifest)
+    out = manifest.out
     os.makedirs(out, exist_ok=True)
 
     if loads:
-        traj = run(loads, b, cfg, obj)
+        traj = run(loads, b, manifest.engine, manifest.objective)
         final_objective = traj.records[-1].objective
         iterations = len(traj.records)
         terminated = traj.terminated_by.value
@@ -216,13 +294,13 @@ def cmd_run(args) -> int:
         terminated = "no_loads"
         escape_last = 0.0
 
-    emit = manifest.get("emit", {})
-    if traj is not None and emit.get("trajectory", True):
+    emit = manifest.emit
+    if traj is not None and emit["trajectory"]:
         trajectory_to_csv(traj, os.path.join(out, "trajectory.csv"))
-    if traj is not None and emit.get("profiles", True):
+    if traj is not None and emit["profiles"]:
         profiles_to_csv(loads, traj.final_profiles,
                         os.path.join(out, "final_profiles.csv"))
-    if emit.get("report", True):
+    if emit["report"]:
         sets = [s.constraint for s in loads if s.is_finite]
         try:
             ratio = analysis.subopt_ratio_bound(sets, b).ratio_bound if sets else 0.0
@@ -246,17 +324,17 @@ def _sweep_penetrations(args) -> List[float]:
 
 def cmd_experiment(args) -> int:
     manifest = load_manifest(args.manifest, args)
-    grid = _grid(manifest)
-    out = manifest["out"]
+    grid = manifest.grid
+    out = manifest.out
     os.makedirs(out, exist_ok=True)
     penetrations = _sweep_penetrations(args)
     seeds = list(range(args.seeds))
-    base_spec = _baseload_spec(manifest)
+    base_spec = manifest.baseload
 
     if args.name == "bound-sweep":
         rows = []
         for pen in penetrations:
-            fleet = dataclasses.replace(_fleet_spec(manifest), penetration=pen)
+            fleet = dataclasses.replace(manifest.fleet, penetration=pen)
             b, loads = build_case_study(fleet, base_spec, grid)
             report = analysis.subopt_ratio_bound(
                 [s.constraint for s in loads], b)
@@ -269,17 +347,16 @@ def cmd_experiment(args) -> int:
         return 0
 
     if args.name in ("escape-sweep", "profile-sweep"):
-        iterations = int(manifest["engine"].get("max_iterations", 20))
-        cfg_base = _engine_config(manifest)
+        iterations = manifest.engine.max_iterations
         results_escape: List[List[str]] = []
         profile_rows: Dict[float, np.ndarray] = {}
         for pen in penetrations:
-            fleet = dataclasses.replace(_fleet_spec(manifest), penetration=pen)
+            fleet = dataclasses.replace(manifest.fleet, penetration=pen)
             escapes = np.zeros((len(seeds), iterations))
             agg = np.zeros(grid.slots)
             for si, seed in enumerate(seeds):
                 b, loads = build_case_study(fleet, base_spec, grid, seed=seed)
-                cfg = EngineConfig(cfg_base.epsilon, iterations, seed)
+                cfg = dataclasses.replace(manifest.engine, master_seed=seed)
                 traj = run(loads, b, cfg) if loads else None
                 if traj is None:
                     continue
@@ -312,10 +389,13 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    manifest = load_manifest(args.manifest, args)
-    grid, b, loads = _build(manifest)
-    profiles = profiles_from_csv(args.profiles, grid)
     checks = set(args.checks.split(",")) if args.checks else {"nash", "ratio"}
+    unknown = sorted(checks - set(CHECKS))
+    if unknown:
+        raise InputError(f"unknown check(s) {unknown}; expected some of {list(CHECKS)}")
+    manifest = load_manifest(args.manifest, args)
+    b, loads = _build(manifest)
+    profiles = profiles_from_csv(args.profiles, manifest.grid)
     sets = []
     xs = []
     status = 0
@@ -359,12 +439,11 @@ def cmd_analyze(args) -> int:
 
 def cmd_coordinator(args) -> int:
     manifest = load_manifest(args.manifest, args)
-    grid, b, loads = _build(manifest)
-    cfg = _engine_config(manifest)
+    b, loads = _build(manifest)
     roster = [netsim.RosterEntry(s.id, s.is_finite, s.c) for s in loads]
     host, port = args.endpoint.split(":")
-    traj = netsim.serve_coordinator(b, roster, cfg, (host, int(port)))
-    out = manifest["out"]
+    traj = netsim.serve_coordinator(b, roster, manifest.engine, (host, int(port)))
+    out = manifest.out
     os.makedirs(out, exist_ok=True)
     trajectory_to_csv(traj, os.path.join(out, "trajectory.csv"))
     profiles_to_csv(loads, traj.final_profiles,
@@ -374,20 +453,19 @@ def cmd_coordinator(args) -> int:
 
 def cmd_agent(args) -> int:
     manifest = load_manifest(args.manifest, args)
-    grid, b, loads = _build(manifest)
+    b, loads = _build(manifest)
     spec = next((s for s in loads if s.id == args.load_id), None)
     if spec is None:
         print(f"load id {args.load_id} not in scenario", file=sys.stderr)
         return 2
     host, port = args.endpoint.split(":")
-    seed = int(manifest["engine"].get("master_seed", 0))
-    return netsim.run_agent(spec, seed, (host, int(port)))
+    return netsim.run_agent(spec, manifest.engine.master_seed, (host, int(port)))
 
 
 def cmd_fleet_gen(args) -> int:
     manifest = load_manifest(args.manifest, args)
-    grid, b, loads = _build(manifest)
-    out = manifest["out"]
+    b, loads = _build(manifest)
+    out = manifest.out
     os.makedirs(out, exist_ok=True)
     fleet_manifest_csv(loads, os.path.join(out, "fleet.csv"))
     from .core import profile_to_csv
@@ -420,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="check saved profiles against the theory")
     p.add_argument("profiles", help="final_profiles.csv from a run")
-    p.add_argument("--checks", help="comma-separated subset of nash,gap,ratio")
+    p.add_argument("--checks", help="comma-separated subset of " + ",".join(CHECKS))
     common(p)
     p.set_defaults(func=cmd_analyze)
 
@@ -445,7 +523,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ManifestError as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, RuntimeError, OSError) as exc:

@@ -78,7 +78,7 @@ class Profile:
             raise ValueError(
                 f"profile has {arr.shape} values, grid has {self.grid.slots} slots"
             )
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError("profile values must be finite")
         arr = arr.copy()
         arr.flags.writeable = False

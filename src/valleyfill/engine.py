@@ -7,19 +7,19 @@ Inside the loop the fleet state is an (n, S) array, one load per row;
 profiles.  Each iteration sums one aggregate in load order, which gives
 both that iteration's objective and the next signal.
 
-Convex loads update by projection (`convex_load_update`).  Finite loads
-update in two phases.  First `load_step` serves each group of loads
-sharing (constraint, c, previous member): their sampling distribution is
-the same, so the group solves the hull once, and the step reports whether
-theta pins one member.  Then the loads of the groups theta does not pin
-draw in one `load_draws` call per iteration, in load order, and each group
-samples theta with its loads' draws.  In-process runs group the finite
-loads in load order; networked agents run both phases for a group of one.
+`update_loads` is the one load update, for a whole fleet in process and
+for one load in a networked agent.  Convex loads update by projection
+(`convex_load_update`).  Finite loads update in two phases.  First each
+group of loads sharing (constraint, c, previous member) solves the hull
+once, since the loads share their sampling distribution theta, and finds
+whether theta pins one member.  Then the loads of the groups theta does
+not pin draw in one `load_draws` call, in load order, and each group
+samples theta with its loads' draws.
 Per-load randomness comes from a counter-based stream keyed by
 (master_seed, load id, iteration) (`load_draw` defines it; `load_draws`
 reproduces it bit for bit in one vectorised pass), so trajectories are
-bit-reproducible regardless of execution order and grouping, and can be
-replayed by networked agents.
+bit-reproducible regardless of execution order and grouping, and a
+networked agent updating its one load reproduces the in-process run.
 """
 
 from __future__ import annotations
@@ -51,11 +51,11 @@ __all__ = [
     "coordinator_signal",
     "convex_load_update",
     "finite_load_update",
-    "load_step",
     "escape_probability",
     "expected_next_objective",
     "fleet_weight",
     "coordinate",
+    "update_loads",
     "run",
     "trajectory_to_csv",
 ]
@@ -327,36 +327,6 @@ def finite_load_update(g: Profile, C: float, x_prev: Profile,
     return theta
 
 
-def load_step(group: Sequence[LoadSpec], g: Profile, C: float,
-              prev_idx: Optional[int], k: int,
-              ) -> Tuple[Distribution, Optional[int], float]:
-    """Iteration k's distribution for finite loads sharing (constraint, c, previous member).
-
-    The loads share x_prev (the member prev_idx, or zero before their first
-    member is chosen), hence one hull solve and one theta.  Returns theta,
-    the member every load takes when theta puts weight 1.0 on it (else
-    None), and stay = P{x_new == x_prev} for each load (theta[prev_idx],
-    0.0 without a previous member).  A pinned member needs no draw:
-    inverse-CDF sampling picks it for every u.  Otherwise the caller
-    samples theta with the loads' `load_draws`.  A SolverError is re-raised
-    naming k and the group's load ids.
-    """
-    spec = group[0]
-    pulse_set = spec.constraint
-    x_prev = (Profile.zeros(pulse_set.grid) if prev_idx is None
-              else pulse_set.member(prev_idx))
-    try:
-        theta = finite_load_update(g, C, x_prev, pulse_set, spec.c, start=prev_idx)
-    except SolverError as exc:
-        raise SolverError(f"iteration {k}, loads {[s.id for s in group]}: {exc}",
-                          gap=exc.gap) from exc
-    w = theta.weights
-    j = int(np.argmax(w))
-    pinned = j if w[j] == 1.0 and not np.any(w[:j]) else None
-    stay = 0.0 if prev_idx is None else stay_probability(theta, prev_idx)
-    return theta, pinned, stay
-
-
 def escape_probability(thetas: Sequence[Distribution],
                        prev_indices: Sequence[int]) -> float:
     """P{x^(k) != x^(k-1) | x^(k-1)} = 1 - prod_i theta_i[prev_i] (independent draws)."""
@@ -426,7 +396,7 @@ def coordinate(b: Profile, C: float, all_finite: bool, n: int,
     g = (b + sum_i x_i) / C through exchange(k, g, X), where X is the
     (n, S) array of current profiles.  The exchange returns the new array,
     stay = P{x^(k) = x^(k-1)} as the product of the loads' stay
-    probabilities (see `load_step`) in load order, and the sums
+    probabilities (see `update_loads`) in load order, and the sums
     `_expected_objective` takes (NaN where the transport lacks them).
     The factors lie in [0, 1], so stay is 1.0 exactly when each factor is.
     Stops on the signal-change rule (k > 2 and ||g^(k-1) - g^(k-2)|| < eps),
@@ -468,66 +438,87 @@ def coordinate(b: Profile, C: float, all_finite: bool, n: int,
                       initial_objective)
 
 
+def update_loads(loads: Sequence[LoadSpec], g: Profile, C: float, X: np.ndarray,
+                 member_idx: List[Optional[int]], master_seed: int, k: int,
+                 ) -> Tuple[np.ndarray, float, np.ndarray, float]:
+    """Iteration k's update of `loads`, whose current profiles are the rows of X.
+
+    C is the whole fleet's weight; `loads` may be part of the fleet.
+    Convex loads project.  Finite loads sharing (constraint, c, previous
+    member) share theta, so each such group solves the hull once.  A group
+    whose theta puts weight 1.0 on one member takes it without a draw
+    (inverse-CDF sampling picks it for every u); the loads of the other
+    groups draw in one `load_draws` call, in load order.  `member_idx`
+    (None before a finite load's first member) is updated in place.
+    Returns the new profiles, stay = P{x^(k) = x^(k-1)} as the load-order
+    product of the loads' stay probabilities, and the sums of the loads'
+    means and variances that `_expected_objective` takes.  A SolverError
+    is re-raised naming k and the group's load ids.
+    """
+    grid = g.grid
+    X_new = np.empty_like(X)
+    stays = [1.0] * len(loads)
+    mean = np.zeros(grid.slots)
+    variance = 0.0
+    groups: dict = {}
+    for i, spec in enumerate(loads):
+        if spec.is_finite:
+            groups.setdefault((id(spec.constraint), spec.c, member_idx[i]), []).append(i)
+            continue
+        x_new = convex_load_update(g, Profile(X[i], grid), spec.constraint, spec.c).values
+        X_new[i] = x_new
+        stays[i] = 1.0 if np.array_equal(x_new, X[i]) else 0.0
+        mean += x_new
+    solved = []
+    drawn: List[int] = []
+    for (_, _, prev), positions in groups.items():
+        spec = loads[positions[0]]
+        pulse_set = spec.constraint
+        x_prev = Profile.zeros(grid) if prev is None else pulse_set.member(prev)
+        try:
+            theta = finite_load_update(g, C, x_prev, pulse_set, spec.c, start=prev)
+        except SolverError as exc:
+            raise SolverError(f"iteration {k}, loads {[loads[i].id for i in positions]}: "
+                              f"{exc}", gap=exc.gap) from exc
+        w = theta.weights
+        j = int(w.argmax())
+        pinned = j if w[j] == 1.0 and not w[:j].any() else None
+        stay = 0.0 if prev is None else stay_probability(theta, prev)
+        solved.append((positions, pulse_set, theta, pinned, stay))
+        if pinned is None:
+            drawn.extend(positions)
+    if drawn:
+        drawn.sort()
+        u = np.empty(len(loads))
+        u[drawn] = load_draws(master_seed, [loads[i].id for i in drawn], k)
+    for positions, pulse_set, theta, pinned, stay in solved:
+        if pinned is None:
+            idx = sample(theta, u[positions]).tolist()
+            X_new[positions] = pulse_set.members[idx]
+        else:
+            idx = [pinned] * len(positions)
+            X_new[positions] = pulse_set.members[pinned]
+        for i, j in zip(positions, idx):
+            member_idx[i] = j
+            stays[i] = stay
+        mean_g, variance_g = _finite_moments(theta, pulse_set)
+        mean += len(positions) * mean_g
+        variance += len(positions) * variance_g
+    return X_new, math.prod(stays), mean, variance
+
+
 def run(loads: Sequence[LoadSpec], b: Profile, cfg: EngineConfig,
         obj: Objective = Objective()) -> Trajectory:
     """Run the coordinator loop in process; see `coordinate` for the stopping rules."""
     C = fleet_weight([(spec.id, spec.is_finite, spec.c) for spec in loads])
-    grid = b.grid
     for spec in loads:
-        if spec.grid != grid:
+        if spec.grid != b.grid:
             raise GridMismatchError(f"load {spec.id} is on a different grid")
-    convex = [i for i, spec in enumerate(loads) if not spec.is_finite]
-    finite = [i for i, spec in enumerate(loads) if spec.is_finite]
-    ids = np.array([spec.id for spec in loads])
     member_idx: List[Optional[int]] = [None] * len(loads)
-
-    def exchange(k, g, X):
-        X_new = np.empty_like(X)
-        stays = [1.0] * len(loads)
-        mean = np.zeros(grid.slots)
-        variance = 0.0
-        for i in convex:
-            spec = loads[i]
-            x_new = convex_load_update(g, Profile(X[i], grid), spec.constraint,
-                                       spec.c).values
-            X_new[i] = x_new
-            stays[i] = 1.0 if np.array_equal(x_new, X[i]) else 0.0
-            if cfg.record_diagnostics:
-                mean += x_new
-        groups: dict = {}
-        for i in finite:
-            spec = loads[i]
-            groups.setdefault((id(spec.constraint), spec.c, member_idx[i]), []).append(i)
-        # Phase 1: one hull solve per group.  Phase 2: one keyed-draw pass
-        # for every load of a non-pinned group, in load order.
-        solved = []
-        drawing = np.zeros(len(loads), dtype=bool)
-        for (_, _, prev), positions in groups.items():
-            theta, pinned, stay = load_step([loads[i] for i in positions], g, C,
-                                            prev, k)
-            solved.append((positions, theta, pinned, stay))
-            if pinned is None:
-                drawing[positions] = True
-        drawn = np.flatnonzero(drawing)
-        u = np.empty(len(loads))
-        u[drawn] = load_draws(cfg.master_seed, ids[drawn], k)
-        for positions, theta, pinned, stay in solved:
-            idx = (np.full(len(positions), pinned) if pinned is not None
-                   else sample(theta, u[positions]))
-            pulse_set = loads[positions[0]].constraint
-            X_new[positions] = pulse_set.members[idx]
-            for i, j in zip(positions, idx.tolist()):
-                member_idx[i] = j
-                stays[i] = stay
-            if cfg.record_diagnostics:
-                mean_g, variance_g = _finite_moments(theta, pulse_set)
-                mean += len(positions) * mean_g
-                variance += len(positions) * variance_g
-        return X_new, math.prod(stays), mean, variance
-
     return coordinate(obj.effective_base(b), C,
                       all(spec.is_finite for spec in loads), len(loads), cfg,
-                      exchange)
+                      lambda k, g, X: update_loads(loads, g, C, X, member_idx,
+                                                   cfg.master_seed, k))
 
 
 def trajectory_to_csv(traj: Trajectory, path, g_dir=None) -> None:

@@ -18,8 +18,10 @@ the probability that the load kept its previous profile.  Networked records
 thus carry escape probabilities, but a NaN expected next objective: agents
 send no sampling distributions.
 
-The coordinator runs the engine's shared loop.  Iterations are barrier
-synchronized: the signal for iteration k+1 is only sent after all n profile
+The coordinator runs the engine's shared loop, `engine.coordinate`, and
+each agent the engine's load update, `engine.update_loads`, for its one
+load; the update is the in-process one, so a session reproduces the
+in-process run.  Iterations are barrier synchronized: the signal for iteration k+1 is only sent after all n profile
 updates for iteration k have been received.
 """
 
@@ -34,9 +36,7 @@ import numpy as np
 
 from .core import Profile, TimeGrid
 from .engine import (ConfigurationError, EngineConfig, LoadSpec, Trajectory,
-                     convex_load_update, coordinate, fleet_weight, load_draws,
-                     load_step)
-from .feasible import sample
+                     coordinate, fleet_weight, update_loads)
 
 __all__ = [
     "ProtocolError",
@@ -233,11 +233,10 @@ def run_agent(load: LoadSpec, master_seed: int, endpoint: Tuple[str, int],
               timeout: float = DEFAULT_TIMEOUT) -> int:
     """Single-load agent state machine; returns a process exit status.
 
-    Per iteration: receive the signal, update (a finite load runs
-    `engine.load_step` as a group of one and, unless theta is pinned to one
-    member, samples it with `engine.load_draws` for its one id; a convex
-    load projects) and reply with the new profile, its member index and
-    the probability that the load kept its previous profile.
+    Per iteration: receive the signal, update the one load with
+    `engine.update_loads`, the in-process runs' update, and reply with the
+    new profile, its member index and the probability that the load kept
+    its previous profile.
     """
     grid = load.grid
     digest = grid_digest(grid)
@@ -251,25 +250,18 @@ def run_agent(load: LoadSpec, master_seed: int, endpoint: Tuple[str, int],
         if fields != [load.id, digest]:
             raise ProtocolError(f"handshake refused: {fields!r}")
 
-        x = Profile.zeros(grid)
-        idx: Optional[int] = None
+        X = np.zeros((1, grid.slots))
+        member_idx: List[Optional[int]] = [None]
         while True:
             kind, k, fields = _recv(fh, ["SIGNAL", "STOP"], grid)
             if kind == "STOP":
                 return 0
             C, g = fields
-            if load.is_finite:
-                theta, pinned, stay = load_step([load], g, C, idx, k)
-                idx = (pinned if pinned is not None else
-                       sample(theta, load_draws(master_seed, [load.id], k)[0]))
-                x = load.constraint.member(idx)
-            else:
-                x_new = convex_load_update(g, x, load.constraint, load.c)
-                stay = 1.0 if x_new == x else 0.0
-                x = x_new
+            X, stay, _, _ = update_loads([load], g, C, X, member_idx, master_seed, k)
+            idx = member_idx[0]
             _send(fh, "PROFILEUPDATE", k,
                   f"{load.id} {-1 if idx is None else idx} {stay!r} "
-                  f"{grid.slots} {_encode_floats(x.values)}")
+                  f"{grid.slots} {_encode_floats(X[0])}")
     finally:
         try:
             fh.close()

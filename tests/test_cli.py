@@ -81,6 +81,18 @@ class TestRun:
             texts.append((out / "final_profiles.csv").read_text())
         assert texts[0] != texts[1]
 
+    def test_every_section_accepted(self, tmp_path):
+        manifest = write_manifest(tmp_path, {
+            "baseload": {"synth": {"valley_kw": 0.5, "peak_slots": [4, 10, 16]},
+                         "per_household_scale": 2.0},
+            "objective": {"kind": "track", "target": [0.5] * 24},
+            "emit": {"trajectory": False}})
+        out = tmp_path / "out"
+        assert main(["run", "--manifest", manifest, "--out", str(out)]) == 0
+        assert not (out / "trajectory.csv").exists()
+        assert (out / "final_profiles.csv").exists()
+        assert (out / "report.txt").exists()
+
     def test_missing_baseload_csv_is_reported(self, tmp_path):
         manifest = write_manifest(
             tmp_path, {"baseload": {"csv": str(tmp_path / "nope.csv")}})
@@ -137,6 +149,39 @@ class TestAnalyze:
                                         loads[0].constraint.members[0])])
         status = main(["analyze", str(profiles), "--manifest", manifest])
         assert status == 2
+
+    def test_unknown_check_exits_2(self, tmp_path, capsys):
+        manifest = write_manifest(tmp_path)
+        grid, (b, loads) = small_scenario()
+        profiles = tmp_path / "profiles.csv"
+        self.write_profiles(profiles, [(spec.id, spec.constraint.members[0])
+                                       for spec in loads])
+        status = main(["analyze", str(profiles), "--manifest", manifest,
+                       "--checks", "nsh"])
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.err.startswith("error: ") and "nsh" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda rows: rows[1].__setitem__(3, "x"),
+        lambda rows: rows[1].pop(),
+        lambda rows: rows[1].__setitem__(0, rows[0][0]),
+    ], ids=["non-numeric-value", "short-row", "repeated-id"])
+    def test_malformed_profiles_exit_2_naming_the_line(self, tmp_path, capsys,
+                                                       corrupt):
+        manifest = write_manifest(tmp_path)
+        grid, (b, loads) = small_scenario()
+        rows = [[str(spec.id)] + [repr(float(v)) for v in spec.constraint.members[0]]
+                for spec in loads]
+        corrupt(rows)
+        profiles = tmp_path / "profiles.csv"
+        profiles.write_text("".join(",".join(row) + "\n" for row in rows))
+        status = main(["analyze", str(profiles), "--manifest", manifest])
+        err = capsys.readouterr().err
+        assert status == 2
+        assert err.startswith("error: ") and "line 2" in err
+        assert "Traceback" not in err
 
     def test_round_trip_of_run_output(self, tmp_path):
         out = tmp_path / "out"
@@ -231,21 +276,48 @@ class TestFleetGen:
         assert jitter == ranges
         assert jitter != fleet_csv({}, "none")
 
-    @pytest.mark.parametrize("fleet", [
-        {"charger_kilowatts": 7},
-        {"heterogeneity": {"rate_jiter": 0.1}},
-        {"charger_kw": 7, "ev_rate": 3.3},
-        {"heterogeneity": {"rate_jitter": 1.5}},
-        {"heterogeneity": {"duration_range": 2}},
-        {"households": "x"},
-        {"penetration": None},
-        {"start_window": 5},
-        {"heterogeneity": [0.1]},
+    @pytest.mark.parametrize("manifest", [
+        {"fleet": {"charger_kilowatts": 7}},
+        {"fleet": {"heterogeneity": {"rate_jiter": 0.1}}},
+        {"fleet": {"charger_kw": 7, "ev_rate": 3.3}},
+        {"fleet": {"heterogeneity": {"rate_jitter": 1.5}}},
+        {"fleet": {"heterogeneity": {"duration_range": 2}}},
+        {"fleet": {"households": "x"}},
+        {"fleet": {"penetration": None}},
+        {"fleet": {"start_window": 5}},
+        {"fleet": {"heterogeneity": [0.1]}},
+        {"fleet": {"penetration": -0.5}},
+        # the other sections, and the file itself, are checked as strictly
+        {"baseload": {"synth": {"bogus": 1}}},
+        {"baseload": {"synth": {"peak_slots": [4, 36]}}},
+        {"engine": 5},
+        {"engine": {"max_iter": 3}},
+        {"engine": {"epsilon": 0}},
+        {"grid": {"slot": 24}},
+        {"emit": {"reports": True}},
+        {"emit": {"report": "yes"}},
+        {"objective": {"kind": "trak"}},
+        {"objective": {"kind": "track"}},
+        {"objective": {"kind": "track", "target": [1.0, 2.0]}},
+        {"outdir": "x"},
+        "[1, 2]",
+        "{not json",
     ], ids=["unknown-key", "unknown-jitter-key", "two-rate-keys",
             "jitter-out-of-range", "bad-range", "households-not-int",
-            "penetration-null", "window-not-pair", "heterogeneity-not-object"])
-    def test_bad_fleet_key_exits_2(self, tmp_path, capsys, fleet):
-        manifest = write_manifest(tmp_path, {"fleet": fleet})
+            "penetration-null", "window-not-pair", "heterogeneity-not-object",
+            "penetration-negative", "unknown-synth-key", "peak-slots-not-triple",
+            "engine-not-object", "unknown-engine-key", "epsilon-zero",
+            "unknown-grid-key", "unknown-emit-key", "emit-not-bool",
+            "unknown-objective-kind", "track-without-target",
+            "target-off-grid", "unknown-top-level-key", "manifest-not-object",
+            "manifest-not-json"])
+    def test_bad_fleet_key_exits_2(self, tmp_path, capsys, manifest):
+        """Every manifest section, not only `fleet`: a bad one exits 2."""
+        if isinstance(manifest, str):  # the file itself is malformed
+            (tmp_path / "manifest.json").write_text(manifest)
+            manifest = str(tmp_path / "manifest.json")
+        else:
+            manifest = write_manifest(tmp_path, manifest)
         assert main(["fleet-gen", "--manifest", manifest,
                      "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,8 +16,8 @@ from valleyfill.engine import (ConfigurationError, EngineConfig, LoadSpec,
                                Termination, convex_load_update,
                                coordinator_signal, escape_probability,
                                expected_next_objective, finite_load_update,
-                               load_draw, load_draws, run,
-                               trajectory_to_csv)
+                               fleet_weight, load_draw, load_draws, run,
+                               trajectory_to_csv, update_loads)
 from valleyfill.feasible import (Distribution, FinitePulseSet, SolverError,
                                  make_pulse_set, sample)
 from valleyfill.scenario import (BaseLoadSpec, FleetSpec, SynthParams,
@@ -264,6 +266,42 @@ def mixed_fleet(rng, g, n_convex, n_finite):
         loads.append(LoadSpec(next_id, random_pulse_set(rng, g, m_max=5)))
         next_id += 1
     return loads
+
+
+class TestUpdateLoads:
+    """A networked agent updates its one load; the fleet's rows must not differ."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_sets=st.integers(1, 4),
+           n=st.integers(2, 2 * engine._BATCH_MIN_KEYS),
+           master_seed=st.integers(0, MASK64))
+    def test_fleet_rows_match_single_load_calls(self, seed, n_sets, n, master_seed):
+        rng = np.random.default_rng(seed)
+        g = grid()
+        # loads share sets (hence groups), and a fleet of 12 or more draws
+        # in one batched pass where a single load draws per key
+        sets = [random_pulse_set(rng, g, m_max=4) if rng.random() < 0.7
+                else random_convex_set(rng, g) for _ in range(n_sets)]
+        ids = rng.choice(2**40, size=n, replace=False).tolist()
+        loads = [LoadSpec(i, sets[int(rng.integers(n_sets))]) for i in ids]
+        C = fleet_weight([(spec.id, spec.is_finite, spec.c) for spec in loads])
+        b = random_base(rng, g)
+        X = np.zeros((n, g.slots))
+        fleet_idx = [None] * n
+        single_idx = [[None] for _ in loads]
+        for k in range(1, 7):
+            sig = coordinator_signal(aggregate(b, X), C)
+            X_fleet, stay, _, _ = update_loads(loads, sig, C, X, fleet_idx,
+                                               master_seed, k)
+            stays = []
+            for i, spec in enumerate(loads):
+                x_i, stay_i, _, _ = update_loads([spec], sig, C, X[i:i + 1],
+                                                 single_idx[i], master_seed, k)
+                assert x_i[0].tobytes() == X_fleet[i].tobytes()
+                assert single_idx[i] == [fleet_idx[i]]
+                stays.append(stay_i)
+            assert stay == math.prod(stays)
+            X = X_fleet
 
 
 class TestRunValidation:
