@@ -335,7 +335,8 @@ def cmd_experiment(args) -> int:
         rows = []
         for pen in penetrations:
             fleet = dataclasses.replace(manifest.fleet, penetration=pen)
-            b, loads = build_case_study(fleet, base_spec, grid)
+            b, loads = build_case_study(fleet, base_spec, grid,
+                                        seed=manifest.engine.master_seed)
             report = analysis.subopt_ratio_bound(
                 [s.constraint for s in loads], b)
             rows.append([repr(pen)] + report.csv_row())

@@ -15,6 +15,11 @@ once, since the loads share their sampling distribution theta, and finds
 whether theta pins one member.  Then the loads of the groups theta does
 not pin draw in one `load_draws` call, in load order, and each group
 samples theta with its loads' draws.
+A load's theta or projection depends only on the signal (C, g) and its
+previous profile, so the caller keeps one memo per run: while g repeats
+bit for bit, as it does in every round after one in which no profile
+moved, the groups' thetas and the unmoved convex loads' projections are
+reused, and only the draws and sampling run again.
 Per-load randomness comes from a counter-based stream keyed by
 (master_seed, load id, iteration) (`load_draw` defines it; `load_draws`
 reproduces it bit for bit in one vectorised pass), so trajectories are
@@ -440,6 +445,7 @@ def coordinate(b: Profile, C: float, all_finite: bool, n: int,
 
 def update_loads(loads: Sequence[LoadSpec], g: Profile, C: float, X: np.ndarray,
                  member_idx: List[Optional[int]], master_seed: int, k: int,
+                 memo: Optional[dict] = None,
                  ) -> Tuple[np.ndarray, float, np.ndarray, float]:
     """Iteration k's update of `loads`, whose current profiles are the rows of X.
 
@@ -454,8 +460,23 @@ def update_loads(loads: Sequence[LoadSpec], g: Profile, C: float, X: np.ndarray,
     product of the loads' stay probabilities, and the sums of the loads'
     means and variances that `_expected_objective` takes.  A SolverError
     is re-raised naming k and the group's load ids.
+
+    `memo` is the caller's dict for the whole run of these `loads`.  It
+    keeps the results computed under one signal (C, g): each group's
+    theta and the quantities derived from it, and each convex row's
+    projection with the row it projected.  While the signal repeats bit
+    for bit, a group with a stored theta and a convex row equal to its
+    stored row reuse them instead of re-solving or re-projecting; a new
+    signal clears the memo.  Draws and sampling run every call, so a
+    fresh {} per call, or no memo, gives the same results bit for bit.
     """
     grid = g.grid
+    if memo is None:
+        memo = {}
+    signal = (C, g.values.tobytes())
+    if memo.get("signal") != signal:
+        memo.clear()
+        memo["signal"] = signal
     X_new = np.empty_like(X)
     stays = [1.0] * len(loads)
     mean = np.zeros(grid.slots)
@@ -465,33 +486,44 @@ def update_loads(loads: Sequence[LoadSpec], g: Profile, C: float, X: np.ndarray,
         if spec.is_finite:
             groups.setdefault((id(spec.constraint), spec.c, member_idx[i]), []).append(i)
             continue
-        x_new = convex_load_update(g, Profile(X[i], grid), spec.constraint, spec.c).values
+        row = X[i].tobytes()
+        hit = memo.get(i)
+        if hit is not None and hit[0] == row:
+            x_new = hit[1]
+        else:
+            x_new = convex_load_update(g, Profile(X[i], grid), spec.constraint,
+                                       spec.c).values
+            memo[i] = (row, x_new)
         X_new[i] = x_new
         stays[i] = 1.0 if np.array_equal(x_new, X[i]) else 0.0
         mean += x_new
     solved = []
     drawn: List[int] = []
-    for (_, _, prev), positions in groups.items():
+    for key, positions in groups.items():
         spec = loads[positions[0]]
         pulse_set = spec.constraint
-        x_prev = Profile.zeros(grid) if prev is None else pulse_set.member(prev)
-        try:
-            theta = finite_load_update(g, C, x_prev, pulse_set, spec.c, start=prev)
-        except SolverError as exc:
-            raise SolverError(f"iteration {k}, loads {[loads[i].id for i in positions]}: "
-                              f"{exc}", gap=exc.gap) from exc
-        w = theta.weights
-        j = int(w.argmax())
-        pinned = j if w[j] == 1.0 and not w[:j].any() else None
-        stay = 0.0 if prev is None else stay_probability(theta, prev)
-        solved.append((positions, pulse_set, theta, pinned, stay))
-        if pinned is None:
+        if key not in memo:
+            prev = key[2]
+            x_prev = Profile.zeros(grid) if prev is None else pulse_set.member(prev)
+            try:
+                theta = finite_load_update(g, C, x_prev, pulse_set, spec.c, start=prev)
+            except SolverError as exc:
+                raise SolverError(f"iteration {k}, loads "
+                                  f"{[loads[i].id for i in positions]}: {exc}",
+                                  gap=exc.gap) from exc
+            w = theta.weights
+            j = int(w.argmax())
+            pinned = j if w[j] == 1.0 and not w[:j].any() else None
+            stay = 0.0 if prev is None else stay_probability(theta, prev)
+            memo[key] = (theta, pinned, stay, *_finite_moments(theta, pulse_set))
+        solved.append((positions, pulse_set, memo[key]))
+        if memo[key][1] is None:  # theta pins no member, so these loads draw
             drawn.extend(positions)
     if drawn:
         drawn.sort()
         u = np.empty(len(loads))
         u[drawn] = load_draws(master_seed, [loads[i].id for i in drawn], k)
-    for positions, pulse_set, theta, pinned, stay in solved:
+    for positions, pulse_set, (theta, pinned, stay, mean_g, variance_g) in solved:
         if pinned is None:
             idx = sample(theta, u[positions]).tolist()
             X_new[positions] = pulse_set.members[idx]
@@ -501,7 +533,6 @@ def update_loads(loads: Sequence[LoadSpec], g: Profile, C: float, X: np.ndarray,
         for i, j in zip(positions, idx):
             member_idx[i] = j
             stays[i] = stay
-        mean_g, variance_g = _finite_moments(theta, pulse_set)
         mean += len(positions) * mean_g
         variance += len(positions) * variance_g
     return X_new, math.prod(stays), mean, variance
@@ -515,10 +546,11 @@ def run(loads: Sequence[LoadSpec], b: Profile, cfg: EngineConfig,
         if spec.grid != b.grid:
             raise GridMismatchError(f"load {spec.id} is on a different grid")
     member_idx: List[Optional[int]] = [None] * len(loads)
+    memo: dict = {}
     return coordinate(obj.effective_base(b), C,
                       all(spec.is_finite for spec in loads), len(loads), cfg,
                       lambda k, g, X: update_loads(loads, g, C, X, member_idx,
-                                                   cfg.master_seed, k))
+                                                   cfg.master_seed, k, memo))
 
 
 def trajectory_to_csv(traj: Trajectory, path, g_dir=None) -> None:

@@ -9,7 +9,7 @@ Message kinds:
 
 - ``HELLO <load_id> <grid_digest>``       agent -> coordinator handshake
 - ``ASSIGN <load_id> <grid_digest>``      coordinator acknowledgment
-- ``SIGNAL <C> <S> v1..vS``               broadcast signal for the iteration
+- ``SIGNAL <C> <S> v1..vS``               broadcast signal and fleet weight C > 0
 - ``PROFILEUPDATE <load_id> <member_index> <stay> <S> v1..vS``
 - ``STOP <reason>``                       termination broadcast
 
@@ -20,13 +20,16 @@ send no sampling distributions.
 
 The coordinator runs the engine's shared loop, `engine.coordinate`, and
 each agent the engine's load update, `engine.update_loads`, for its one
-load; the update is the in-process one, so a session reproduces the
-in-process run.  Iterations are barrier synchronized: the signal for iteration k+1 is only sent after all n profile
-updates for iteration k have been received.
+load, with one memo for the session, so an agent whose signal and profile
+did not change replies without re-solving; the update is the in-process
+one, so a session reproduces the in-process run.  Iterations are barrier
+synchronized: the signal for iteration k+1 is only sent after all n
+profile updates for iteration k have been received.
 """
 
 from __future__ import annotations
 
+import math
 import socket
 import time
 from dataclasses import dataclass
@@ -90,6 +93,13 @@ def _probability(text: str) -> float:
     return p
 
 
+def _weight(text: str) -> float:
+    C = float(text)
+    if not (math.isfinite(C) and C > 0):
+        raise ValueError(f"fleet weight {text} is not finite and positive")
+    return C
+
+
 def _profile(fields: List[str], grid: TimeGrid) -> Profile:
     """``<S> v1..vS`` on the session grid."""
     if not fields or int(fields[0]) != grid.slots or len(fields) != grid.slots + 1:
@@ -98,7 +108,7 @@ def _profile(fields: List[str], grid: TimeGrid) -> Profile:
 
 
 # Header field parsers per message kind; SIGNAL and PROFILEUPDATE end in a profile.
-_HEADERS = {"HELLO": (int, str), "ASSIGN": (int, str), "SIGNAL": (float,),
+_HEADERS = {"HELLO": (int, str), "ASSIGN": (int, str), "SIGNAL": (_weight,),
             "PROFILEUPDATE": (int, int, _probability), "STOP": ()}
 
 
@@ -106,9 +116,13 @@ def _recv(fh, expect: Sequence[str], grid: TimeGrid) -> Tuple[str, int, list]:
     """Read one message of an expected kind: (kind, iteration, fields).
 
     The fields are the kind's header values, followed by the profile for
-    SIGNAL and PROFILEUPDATE.  Any malformed part raises ProtocolError.
+    SIGNAL and PROFILEUPDATE.  Any malformed part, a non-ASCII byte
+    included, raises ProtocolError.
     """
-    line = fh.readline()
+    try:
+        line = fh.readline()
+    except UnicodeDecodeError as exc:
+        raise ProtocolError(f"non-ASCII message ({exc})") from None
     if not line:
         raise AgentLostError("connection closed")
     parts = line.split()
@@ -236,7 +250,8 @@ def run_agent(load: LoadSpec, master_seed: int, endpoint: Tuple[str, int],
     Per iteration: receive the signal, update the one load with
     `engine.update_loads`, the in-process runs' update, and reply with the
     new profile, its member index and the probability that the load kept
-    its previous profile.
+    its previous profile.  The update's memo lives for the session, so a
+    round that repeats the last signal and profile reuses their solve.
     """
     grid = load.grid
     digest = grid_digest(grid)
@@ -252,12 +267,14 @@ def run_agent(load: LoadSpec, master_seed: int, endpoint: Tuple[str, int],
 
         X = np.zeros((1, grid.slots))
         member_idx: List[Optional[int]] = [None]
+        memo: dict = {}
         while True:
             kind, k, fields = _recv(fh, ["SIGNAL", "STOP"], grid)
             if kind == "STOP":
                 return 0
             C, g = fields
-            X, stay, _, _ = update_loads([load], g, C, X, member_idx, master_seed, k)
+            X, stay, _, _ = update_loads([load], g, C, X, member_idx, master_seed,
+                                       k, memo)
             idx = member_idx[0]
             _send(fh, "PROFILEUPDATE", k,
                   f"{load.id} {-1 if idx is None else idx} {stay!r} "

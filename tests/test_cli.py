@@ -209,6 +209,20 @@ class TestExperiment:
         r2 = float(lines[2].split(",")[2])
         assert 0 < r1 < r2   # more EVs, larger bound at fixed base load
 
+    def test_bound_sweep_follows_the_seed(self, tmp_path):
+        manifest = write_manifest(tmp_path, {"fleet": {
+            "heterogeneity": {"rate_jitter": 0.2}}})
+
+        def sweep(seed, name):
+            out = tmp_path / name
+            assert main(["experiment", "bound-sweep", "--manifest", manifest,
+                         "--out", str(out), "--penetrations", "0.3,0.6",
+                         "--seed", str(seed)]) == 0
+            return (out / "bound_sweep.csv").read_text()
+
+        assert sweep(1, "a") == sweep(1, "b")
+        assert sweep(1, "a") != sweep(2, "c")
+
     def test_escape_sweep(self, tmp_path):
         manifest = write_manifest(tmp_path, {"engine": {"max_iterations": 5}})
         out = tmp_path / "out"

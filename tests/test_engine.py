@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import valleyfill.engine as engine
@@ -304,6 +304,111 @@ class TestUpdateLoads:
             X = X_fleet
 
 
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_sets=st.integers(1, 3),
+           n=st.integers(2, 2 * engine._BATCH_MIN_KEYS),
+           master_seed=st.integers(0, MASK64))
+    def test_agent_memos_match_fleet_call(self, seed, n_sets, n, master_seed):
+        """Each agent keeps its own memo across rounds, as `run_agent` does."""
+        rng = np.random.default_rng(seed)
+        g = grid()
+        sets = [random_pulse_set(rng, g, m_max=3) if rng.random() < 0.7
+                else random_convex_set(rng, g) for _ in range(n_sets)]
+        loads = [LoadSpec(i, sets[int(rng.integers(n_sets))]) for i in range(n)]
+        C = fleet_weight([(spec.id, spec.is_finite, spec.c) for spec in loads])
+        b = random_base(rng, g)
+        X = np.zeros((n, g.slots))
+        fleet_idx = [None] * n
+        single_idx = [[None] for _ in loads]
+        memos = [{} for _ in loads]
+        for k in range(1, 16):
+            sig = coordinator_signal(aggregate(b, X), C)
+            X_fleet, stay, _, _ = update_loads(loads, sig, C, X, fleet_idx,
+                                               master_seed, k, {})
+            stays = []
+            for i, spec in enumerate(loads):
+                x_i, stay_i, _, _ = update_loads([spec], sig, C, X[i:i + 1],
+                                                 single_idx[i], master_seed, k,
+                                                 memos[i])
+                assert x_i[0].tobytes() == X_fleet[i].tobytes()
+                assert single_idx[i] == [fleet_idx[i]]
+                stays.append(stay_i)
+            assert stay == math.prod(stays)
+            X = X_fleet
+
+
+def record_bytes(traj):
+    return ([(r.k, r.g.values.tobytes(), r.objective, r.escape_probability,
+              r.expected_next_objective, r.profiles_changed) for r in traj.records],
+            [x.values.tobytes() for x in traj.final_profiles], traj.terminated_by)
+
+
+class TestSignalMemo:
+    """Reusing updates while the signal repeats changes no bit of a run."""
+
+    def test_persistent_memo_matches_fresh_memos(self):
+        quiet_runs = []
+
+        @settings(max_examples=25, deadline=None)
+        @given(seed=st.integers(0, 2**32 - 1), n_convex=st.integers(0, 2),
+               n_finite=st.integers(2, 8), master_seed=st.integers(0, MASK64))
+        def prop(seed, n_convex, n_finite, master_seed):
+            rng = np.random.default_rng(seed)
+            g = grid()
+            loads = mixed_fleet(rng, g, n_convex, n_finite)
+            b = random_base(rng, g)
+            C = fleet_weight([(spec.id, spec.is_finite, spec.c) for spec in loads])
+            # convex rows need up to ~150 rounds to stop moving bit for bit
+            cfg = EngineConfig(max_iterations=150, master_seed=master_seed,
+                               stop_on_epsilon=False)
+
+            def coordinate_with(memo_for_call):
+                member_idx = [None] * len(loads)
+                return engine.coordinate(
+                    b, C, n_convex == 0, len(loads), cfg,
+                    lambda k, sig, X: update_loads(loads, sig, C, X, member_idx,
+                                                   master_seed, k, memo_for_call()))
+
+            memo = {}
+            kept = coordinate_with(lambda: memo)
+            fresh = coordinate_with(dict)
+            assert record_bytes(kept) == record_bytes(fresh)
+            gs = [r.g.values.tobytes() for r in kept.records]
+            quiet = sum(a == b for a, b in zip(gs, gs[1:]))
+            event(f"quiet rounds: {'some' if quiet else 'none'}, "
+                  f"convex loads: {'yes' if n_convex else 'no'}")
+            quiet_runs.append(quiet)
+
+        prop()
+        assert any(quiet_runs)
+
+    def test_repeated_signal_makes_no_update_calls(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        g = grid()
+        loads = mixed_fleet(rng, g, 1, 4)
+        b = random_base(rng, g)
+        signals, calls = [], []
+        for name in ("finite_load_update", "convex_load_update"):
+            def traced(*args, _update=getattr(engine, name), **kwargs):
+                calls.append(len(signals))  # the round making the call
+                return _update(*args, **kwargs)
+            monkeypatch.setattr(engine, name, traced)
+        signal = engine.coordinator_signal
+        monkeypatch.setattr(engine, "coordinator_signal",
+                            lambda *args: signals.append(signal(*args)) or signals[-1])
+        traj = run(loads, b, EngineConfig(max_iterations=200, master_seed=3,
+                                          stop_on_epsilon=False))
+        monkeypatch.undo()
+        repeats = [r.k for prev, r in zip(traj.records, traj.records[1:])
+                   if prev.profiles_changed == 0]
+        assert repeats
+        for k in repeats:
+            # nothing moved in round k - 1, so round k sees the same signal
+            assert signals[k - 1].values.tobytes() == signals[k - 2].values.tobytes()
+            assert k not in calls
+        assert 1 in calls
+
+
 class TestRunValidation:
     def test_empty_fleet(self):
         with pytest.raises(ConfigurationError):
@@ -542,7 +647,11 @@ class TestSolverErrorContext:
 
 
 class TestGroupedWork:
-    """Exact work counts of the canonical seed-0 run, checked by a per-load replay."""
+    """Exact work counts of the canonical seed-0 run, checked by a per-load replay.
+
+    Hull solves happen only in rounds whose signal differs from the previous
+    round's; rounds that repeat it reuse every theta.
+    """
 
     def test_canonical_run_counts(self, monkeypatch):
         b, loads = build_case_study(FleetSpec(households=1000, penetration=1.0),
@@ -554,8 +663,9 @@ class TestGroupedWork:
         scan = FinitePulseSet.member_index
 
         def traced_signal(*args):
-            events.append(("signal",))
-            return signal(*args)
+            g = signal(*args)
+            events.append(("signal", g.values.tobytes()))
+            return g
 
         def traced_solve(h, x_prev, c_i, pulse_set, **kwargs):
             z, theta = solve(h, x_prev, c_i, pulse_set, **kwargs)
@@ -579,21 +689,32 @@ class TestGroupedWork:
         monkeypatch.undo()
 
         per_k = [[] for _ in range(iterations + 1)]
+        signals = [None]
         k = 0
         for event in events:
             if event[0] == "signal":
                 k += 1
+                signals.append(event[1])
             else:
                 per_k[k].append(event)
         prev = [None] * len(loads)
-        draws_total = updates_to_draw = 0
+        draws_total = updates_to_draw = quiet_rounds = 0
+        thetas = {}
         for k in range(1, iterations + 1):
             solves = {e[1]: e[2] for e in per_k[k] if e[0] == "solve"}
             keys = {(id(spec.constraint), spec.c, prev[i])
                     for i, spec in enumerate(loads)}
-            # one hull solve per distinct (set, c, previous member)
-            assert sum(e[0] == "solve" for e in per_k[k]) == len(solves) == len(keys)
-            assert set(solves) == keys
+            n_solves = sum(e[0] == "solve" for e in per_k[k])
+            if signals[k] != signals[k - 1]:
+                # a new signal: one hull solve per distinct (set, c, previous member)
+                assert n_solves == len(solves) == len(keys)
+                assert set(solves) == keys
+                thetas = solves
+            else:
+                # the signal repeats (C is fixed): every theta is reused
+                assert n_solves == 0
+                assert keys <= set(thetas)
+                quiet_rounds += 1
             # the membership scan runs only while no previous member is known
             scans = sum(e[0] == "scan" for e in per_k[k])
             assert scans == (len(keys) if k == 1 else 0)
@@ -604,7 +725,7 @@ class TestGroupedWork:
             drawn = [i for e in calls for i in e[1]]
             expected = []
             for i, spec in enumerate(loads):
-                theta = solves[(id(spec.constraint), spec.c, prev[i])]
+                theta = thetas[(id(spec.constraint), spec.c, prev[i])]
                 w = theta.weights
                 if np.count_nonzero(w) == 1 and w.max() == 1.0:
                     prev[i] = int(np.argmax(w))
@@ -616,6 +737,7 @@ class TestGroupedWork:
             draws_total += len(drawn)
             updates_to_draw += len(expected)
         assert 0 < draws_total == updates_to_draw < iterations * len(loads)
+        assert quiet_rounds > 0
         for i, spec in enumerate(loads):
             assert np.array_equal(traj.final_profiles[i].values,
                                   spec.constraint.members[prev[i]])

@@ -1,16 +1,20 @@
+import io
+import math
 import socket
 import threading
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_base, random_convex_set, random_pulse_set
 from valleyfill.core import Profile, TimeGrid
 from valleyfill.engine import (ConfigurationError, EngineConfig, LoadSpec,
                                run)
-from valleyfill.netsim import (AgentLostError, ProtocolError, RosterEntry,
-                               _connect_with_retry, grid_digest, run_agent,
-                               serve_coordinator)
+from valleyfill.netsim import (_HEADERS, AgentLostError, ProtocolError,
+                               RosterEntry, _connect_with_retry, _recv,
+                               grid_digest, run_agent, serve_coordinator)
 
 
 def free_endpoint():
@@ -236,3 +240,75 @@ class TestFailureModes:
         fh.close()
         conn.close()
         assert isinstance(result.get("error"), ProtocolError)
+
+
+WIRE_GRID = TimeGrid(3.0, 3)
+WIRE_WORDS = ["MESSAGE", *_HEADERS, "3", "0", "1", "-1", "-5", "0.5", "nan", "inf",
+              "-0.0", "1e999", grid_digest(WIRE_GRID), "x"]
+wire_token = st.one_of(
+    st.sampled_from(WIRE_WORDS).map(str.encode),
+    st.floats().map(lambda v: repr(v).encode()),
+    st.integers(-2**70, 2**70).map(lambda v: str(v).encode()),
+    st.binary(min_size=1, max_size=4))
+
+
+WIRE_VALID = {"HELLO": ["0", grid_digest(WIRE_GRID)],
+              "ASSIGN": ["0", grid_digest(WIRE_GRID)],
+              "SIGNAL": ["2.5", "3", "0.5", "0.25", "1.0"],
+              "PROFILEUPDATE": ["0", "-1", "0.5", "3", "0.5", "0.25", "1.0"],
+              "STOP": ["FixedPoint"]}
+
+
+@st.composite
+def wire_lines(draw):
+    """Random token lines, and well-formed messages with up to two fields edited."""
+    if draw(st.booleans()):
+        return b" ".join(draw(st.lists(wire_token, max_size=12))) + b"\n"
+    kind = draw(st.sampled_from(list(WIRE_VALID)))
+    fields = [f.encode() for f in WIRE_VALID[kind]]
+    for _ in range(draw(st.integers(0, 2))):
+        pos = draw(st.integers(0, len(fields)))
+        edit = draw(st.sampled_from(["replace", "insert", "delete"]))
+        if edit == "insert" or pos == len(fields):
+            fields.insert(pos, draw(wire_token))
+        elif edit == "replace":
+            fields[pos] = draw(wire_token)
+        else:
+            del fields[pos]
+    return b" ".join([b"MESSAGE", kind.encode(), b"1", *fields]) + b"\n"
+
+
+def read_wire(data):
+    fh = io.TextIOWrapper(io.BytesIO(data), encoding="ascii", newline="\n")
+    return _recv(fh, list(_HEADERS), WIRE_GRID)
+
+
+class TestWireParsing:
+    @settings(max_examples=300, deadline=None)
+    @given(data=wire_lines())
+    def test_random_lines_parse_or_raise_protocol_errors(self, data):
+        try:
+            kind, _, fields = read_wire(data)
+        except (ProtocolError, AgentLostError) as exc:
+            event(type(exc).__name__)
+            return
+        event(f"parsed {kind}")
+        if kind == "SIGNAL":
+            assert math.isfinite(fields[0]) and fields[0] > 0
+
+    @pytest.mark.parametrize("data", [
+        b"MESSAGE SIGNAL 1 nan 3 0.5 0.5 0.5\n",
+        b"MESSAGE SIGNAL 1 -5 3 0.5 0.5 0.5\n",
+        b"MESSAGE SIGNAL 1 inf 3 0.5 0.5 0.5\n",
+        b"MESSAGE SIGNAL 1 2.0 3 0.5 \xc3\xa9 0.5\n",
+        b"MESSAGE STOP 1 \xff\n",
+    ], ids=["nan-weight", "negative-weight", "infinite-weight", "non-ascii-value",
+            "non-ascii-stop"])
+    def test_bad_signal_is_protocol_error(self, data):
+        with pytest.raises(ProtocolError):
+            read_wire(data)
+
+    def test_well_formed_signal_parses(self):
+        kind, k, (C, g) = read_wire(b"MESSAGE SIGNAL 4 2.5 3 0.5 0.25 1.0\n")
+        assert (kind, k, C) == ("SIGNAL", 4, 2.5)
+        assert g.values.tolist() == [0.5, 0.25, 1.0]
