@@ -22,8 +22,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import analysis, netsim
-from .core import Objective, ObjectiveKind, Profile, TimeGrid, aggregate, norm2
-from .engine import EngineConfig, LoadSpec, run, trajectory_to_csv
+from .core import (Objective, ObjectiveKind, Profile, TimeGrid, aggregate, norm2,
+                   profile_to_csv)
+from .engine import EngineConfig, LoadSpec, Trajectory, run, trajectory_to_csv
 from .scenario import (BaseLoadSpec, FleetSpec, HeterogeneitySpec, SynthParams,
                        build_case_study, fleet_manifest_csv)
 
@@ -43,7 +44,7 @@ DEFAULT_MANIFEST = {
 
 
 class InputError(ValueError):
-    """Malformed manifest, profiles CSV or --checks value (exit 2)."""
+    """Malformed manifest, profiles CSV, --checks, --endpoint or load id (exit 2)."""
 
 
 @dataclass(frozen=True)
@@ -96,6 +97,12 @@ def load_manifest(path: Optional[str], overrides: argparse.Namespace) -> Manifes
         parts["objective"] = Objective(**objective)
     except ValueError as exc:
         raise InputError(f"bad objective: {exc}") from None
+    synth, slots = parts["baseload"].synth, parts["grid"].slots
+    peaks = synth.peak_slots if synth is not None else None
+    if peaks is not None and (len(set(peaks)) < 3
+                              or not all(0 <= s < slots for s in peaks)):
+        raise InputError(f"bad baseload.synth.peak_slots {list(peaks)}: "
+                         f"need three distinct slots in [0, {slots})")
     return Manifest(**parts)
 
 
@@ -238,9 +245,30 @@ _MANIFEST_KEYS = {
 }
 
 
-def _build(manifest: Manifest):
-    return build_case_study(manifest.fleet, manifest.baseload, manifest.grid,
-                            seed=manifest.engine.master_seed)
+def _scenario(manifest: Manifest, seed: Optional[int] = None,
+              penetration: Optional[float] = None
+              ) -> Tuple[Profile, Profile, List[LoadSpec]]:
+    """The raw base load b, the game's base and the fleet.
+
+    The game's base is b with the objective folded in (b itself for
+    `flatten`, b - target for `track`); every command solves and checks
+    the game on it.  Seed and penetration default to the manifest's.
+    """
+    fleet = manifest.fleet
+    if penetration is not None:
+        fleet = dataclasses.replace(fleet, penetration=penetration)
+    if seed is None:
+        seed = manifest.engine.master_seed
+    b, loads = build_case_study(fleet, manifest.baseload, manifest.grid, seed=seed)
+    return b, manifest.objective.effective_base(b), loads
+
+
+def _endpoint(text: str) -> Tuple[str, int]:
+    """`host:port` from --endpoint, with the port in 1-65535."""
+    host, _, port = text.rpartition(":")
+    if host and port.isascii() and port.isdigit() and 1 <= int(port) <= 65535:
+        return host, int(port)
+    raise InputError(f"--endpoint must be host:port, port 1-65535, got {text!r}")
 
 
 def profiles_to_csv(loads: Sequence[LoadSpec], profiles: Sequence[Profile],
@@ -275,118 +303,107 @@ def profiles_from_csv(path, grid: TimeGrid) -> Dict[int, Profile]:
     return out
 
 
-def cmd_run(args) -> int:
-    manifest = load_manifest(args.manifest, args)
-    b, loads = _build(manifest)
+def _write_artifacts(manifest: Manifest, loads: Sequence[LoadSpec], base: Profile,
+                     traj: Optional[Trajectory]) -> None:
+    """trajectory.csv, final_profiles.csv and report.txt, as `emit` selects.
+
+    `base` is the game's base and `traj` the run on it (None without loads).
+    """
     out = manifest.out
     os.makedirs(out, exist_ok=True)
-
-    if loads:
-        traj = run(loads, b, manifest.engine, manifest.objective)
-        final_objective = traj.records[-1].objective
-        iterations = len(traj.records)
-        terminated = traj.terminated_by.value
-        escape_last = traj.records[-1].escape_probability
-    else:
-        traj = None
-        final_objective = norm2(b)
-        iterations = 0
-        terminated = "no_loads"
-        escape_last = 0.0
-
     emit = manifest.emit
     if traj is not None and emit["trajectory"]:
         trajectory_to_csv(traj, os.path.join(out, "trajectory.csv"))
     if traj is not None and emit["profiles"]:
         profiles_to_csv(loads, traj.final_profiles,
                         os.path.join(out, "final_profiles.csv"))
-    if emit["report"]:
-        sets = [s.constraint for s in loads if s.is_finite]
-        try:
-            ratio = analysis.subopt_ratio_bound(sets, b).ratio_bound if sets else 0.0
-        except ValueError:
-            ratio = float("nan")
-        with open(os.path.join(out, "report.txt"), "w") as fh:
-            fh.write(f"objective={final_objective!r}\n")
-            fh.write(f"iterations={iterations}\n")
-            fh.write(f"terminated_by={terminated}\n")
-            fh.write(f"final_escape_probability={escape_last!r}\n")
-            fh.write(f"ratio_bound={ratio!r}\n")
-            fh.write(f"n_loads={len(loads)}\n")
+    if not emit["report"]:
+        return
+    if traj is None:
+        final_objective, iterations, terminated, escape_last = (
+            norm2(base), 0, "no_loads", 0.0)
+    else:
+        last = traj.records[-1]
+        final_objective, iterations, terminated, escape_last = (
+            last.objective, len(traj.records), traj.terminated_by.value,
+            last.escape_probability)
+    sets = [s.constraint for s in loads if s.is_finite]
+    try:
+        ratio = analysis.subopt_ratio_bound(sets, base).ratio_bound if sets else 0.0
+    except ValueError:
+        ratio = float("nan")
+    with open(os.path.join(out, "report.txt"), "w") as fh:
+        fh.write(f"objective={final_objective!r}\n")
+        fh.write(f"iterations={iterations}\n")
+        fh.write(f"terminated_by={terminated}\n")
+        fh.write(f"final_escape_probability={escape_last!r}\n")
+        fh.write(f"ratio_bound={ratio!r}\n")
+        fh.write(f"n_loads={len(loads)}\n")
+
+
+def cmd_run(args) -> int:
+    manifest = load_manifest(args.manifest, args)
+    _, base, loads = _scenario(manifest)
+    traj = run(loads, base, manifest.engine) if loads else None
+    _write_artifacts(manifest, loads, base, traj)
     return 0
 
 
-def _sweep_penetrations(args) -> List[float]:
-    if args.penetrations:
-        return [float(p) for p in args.penetrations.split(",")]
-    return [0.2, 0.5, 1.0]
+def _write_csv(path, header: List[str], rows) -> None:
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
 
 
 def cmd_experiment(args) -> int:
     manifest = load_manifest(args.manifest, args)
-    grid = manifest.grid
     out = manifest.out
     os.makedirs(out, exist_ok=True)
-    penetrations = _sweep_penetrations(args)
-    seeds = list(range(args.seeds))
-    base_spec = manifest.baseload
+    penetrations = ([float(p) for p in args.penetrations.split(",")]
+                    if args.penetrations else [0.2, 0.5, 1.0])
 
     if args.name == "bound-sweep":
         rows = []
         for pen in penetrations:
-            fleet = dataclasses.replace(manifest.fleet, penetration=pen)
-            b, loads = build_case_study(fleet, base_spec, grid,
-                                        seed=manifest.engine.master_seed)
+            _, base, loads = _scenario(manifest, penetration=pen)
             report = analysis.subopt_ratio_bound(
-                [s.constraint for s in loads], b)
+                [s.constraint for s in loads], base)
             rows.append([repr(pen)] + report.csv_row())
-        with open(os.path.join(out, "bound_sweep.csv"), "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["penetration", "absolute_bound", "ratio_bound",
-                        "optimum_lower_bound"])
-            w.writerows(rows)
+        _write_csv(os.path.join(out, "bound_sweep.csv"),
+                   ["penetration", "absolute_bound", "ratio_bound",
+                    "optimum_lower_bound"], rows)
         return 0
 
-    if args.name in ("escape-sweep", "profile-sweep"):
-        iterations = manifest.engine.max_iterations
-        results_escape: List[List[str]] = []
-        profile_rows: Dict[float, np.ndarray] = {}
-        for pen in penetrations:
-            fleet = dataclasses.replace(manifest.fleet, penetration=pen)
-            escapes = np.zeros((len(seeds), iterations))
-            agg = np.zeros(grid.slots)
-            for si, seed in enumerate(seeds):
-                b, loads = build_case_study(fleet, base_spec, grid, seed=seed)
-                cfg = dataclasses.replace(manifest.engine, master_seed=seed)
-                traj = run(loads, b, cfg) if loads else None
-                if traj is None:
-                    continue
-                for rec in traj.records:
-                    escapes[si, rec.k - 1] = rec.escape_probability
-                # records may stop early at a fixed point: escape stays 0
-                agg += aggregate(b, traj.final_profiles).values
-            if args.name == "escape-sweep":
-                mean = escapes.mean(axis=0)
-                for k in range(iterations):
-                    results_escape.append([repr(pen), str(k + 1), repr(float(mean[k]))])
-            else:
-                profile_rows[pen] = agg / max(len(seeds), 1)
-        if args.name == "escape-sweep":
-            with open(os.path.join(out, "escape_sweep.csv"), "w", newline="") as fh:
-                w = csv.writer(fh)
-                w.writerow(["penetration", "k", "mean_escape_probability"])
-                w.writerows(results_escape)
-        else:
-            with open(os.path.join(out, "profile_sweep.csv"), "w", newline="") as fh:
-                w = csv.writer(fh)
-                w.writerow(["slot"] + [f"mean_aggregate_kw_pen_{p}" for p in penetrations])
-                for t in range(grid.slots):
-                    w.writerow([t] + [repr(float(profile_rows[p][t]))
-                                      for p in penetrations])
-        return 0
-
-    print(f"unknown experiment {args.name!r}", file=sys.stderr)
-    return 2
+    iterations = manifest.engine.max_iterations
+    seeds = range(args.seeds)
+    escape_rows: List[List[str]] = []
+    mean_aggregates: List[np.ndarray] = []
+    for pen in penetrations:
+        escapes = np.zeros((len(seeds), iterations))
+        agg = np.zeros(manifest.grid.slots)
+        for seed in seeds:
+            b, base, loads = _scenario(manifest, seed, pen)
+            if not loads:
+                continue
+            cfg = dataclasses.replace(manifest.engine, master_seed=seed)
+            traj = run(loads, base, cfg)
+            for rec in traj.records:
+                escapes[seed, rec.k - 1] = rec.escape_probability
+            # records may stop early at a fixed point: escape stays 0
+            agg += aggregate(b, traj.final_profiles).values
+        escape_rows += [[repr(pen), str(k + 1), repr(float(mean))]
+                        for k, mean in enumerate(escapes.mean(axis=0))]
+        mean_aggregates.append(agg / max(len(seeds), 1))
+    if args.name == "escape-sweep":
+        _write_csv(os.path.join(out, "escape_sweep.csv"),
+                   ["penetration", "k", "mean_escape_probability"], escape_rows)
+    else:
+        _write_csv(os.path.join(out, "profile_sweep.csv"),
+                   ["slot"] + [f"mean_aggregate_kw_pen_{p}" for p in penetrations],
+                   ([t] + [repr(float(agg[t])) for agg in mean_aggregates]
+                    for t in range(manifest.grid.slots)))
+    return 0
 
 
 def cmd_analyze(args) -> int:
@@ -395,81 +412,69 @@ def cmd_analyze(args) -> int:
     if unknown:
         raise InputError(f"unknown check(s) {unknown}; expected some of {list(CHECKS)}")
     manifest = load_manifest(args.manifest, args)
-    b, loads = _build(manifest)
+    _, base, loads = _scenario(manifest)
     profiles = profiles_from_csv(args.profiles, manifest.grid)
-    sets = []
+    sets = [spec.constraint for spec in loads]
     xs = []
     status = 0
     for spec in loads:
         if spec.id not in profiles:
-            print(f"load {spec.id}: missing profile", file=sys.stderr)
-            return 2
-        if not spec.is_finite:
-            print(f"load {spec.id}: convex load, skipping membership checks")
-            continue
+            raise InputError(f"load {spec.id}: missing profile")
         x = profiles[spec.id]
         if spec.constraint.member_index(x) is None:
             print(f"load {spec.id}: profile is not an admissible member",
                   file=sys.stderr)
             status = 1
-            continue
-        sets.append(spec.constraint)
         xs.append(x)
-    if status:
+    if status or not loads:
         return status
 
-    if "nash" in checks and sets:
-        value = norm2(aggregate(b, xs))
+    if "nash" in checks:
+        value = norm2(aggregate(base, xs))
         tol = 1e-9 * (1 + abs(value))
-        report = analysis.is_nash(xs, sets, b, tol)
+        report = analysis.is_nash(xs, sets, base, tol)
         print(report.to_text(), end="")
         if not report.is_equilibrium:
             status = 1
-    if "gap" in checks and sets:
+    if "gap" in checks:
         try:
-            gap, bound, ok = analysis.suboptimality_gap_check(xs, sets, b)
+            gap, bound, ok = analysis.suboptimality_gap_check(xs, sets, base)
             print(f"gap={gap!r}\ngap_bound={bound!r}\ngap_ok={ok}")
             if not ok:
                 status = 1
         except analysis.OracleTooLargeError:
             print("gap=skipped (instance too large to enumerate)")
-    if "ratio" in checks and sets:
-        print(analysis.subopt_ratio_bound(sets, b).to_text(), end="")
+    if "ratio" in checks:
+        print(analysis.subopt_ratio_bound(sets, base).to_text(), end="")
     return status
 
 
 def cmd_coordinator(args) -> int:
+    endpoint = _endpoint(args.endpoint)
     manifest = load_manifest(args.manifest, args)
-    b, loads = _build(manifest)
+    _, base, loads = _scenario(manifest)
     roster = [netsim.RosterEntry(s.id, s.is_finite, s.c) for s in loads]
-    host, port = args.endpoint.split(":")
-    traj = netsim.serve_coordinator(b, roster, manifest.engine, (host, int(port)))
-    out = manifest.out
-    os.makedirs(out, exist_ok=True)
-    trajectory_to_csv(traj, os.path.join(out, "trajectory.csv"))
-    profiles_to_csv(loads, traj.final_profiles,
-                    os.path.join(out, "final_profiles.csv"))
+    traj = netsim.serve_coordinator(base, roster, manifest.engine, endpoint)
+    _write_artifacts(manifest, loads, base, traj)
     return 0
 
 
 def cmd_agent(args) -> int:
+    endpoint = _endpoint(args.endpoint)
     manifest = load_manifest(args.manifest, args)
-    b, loads = _build(manifest)
+    _, _, loads = _scenario(manifest)
     spec = next((s for s in loads if s.id == args.load_id), None)
     if spec is None:
-        print(f"load id {args.load_id} not in scenario", file=sys.stderr)
-        return 2
-    host, port = args.endpoint.split(":")
-    return netsim.run_agent(spec, manifest.engine.master_seed, (host, int(port)))
+        raise InputError(f"load id {args.load_id} not in scenario")
+    return netsim.run_agent(spec, manifest.engine.master_seed, endpoint)
 
 
 def cmd_fleet_gen(args) -> int:
     manifest = load_manifest(args.manifest, args)
-    b, loads = _build(manifest)
+    b, _, loads = _scenario(manifest)
     out = manifest.out
     os.makedirs(out, exist_ok=True)
     fleet_manifest_csv(loads, os.path.join(out, "fleet.csv"))
-    from .core import profile_to_csv
     profile_to_csv(b, os.path.join(out, "baseload.csv"))
     return 0
 

@@ -553,24 +553,13 @@ def run(loads: Sequence[LoadSpec], b: Profile, cfg: EngineConfig,
                                                    cfg.master_seed, k, memo))
 
 
-def trajectory_to_csv(traj: Trajectory, path, g_dir=None) -> None:
-    """One row per iteration (k, ||g||, objective, diagnostics, changed loads).
-
-    Optionally dumps each broadcast signal as CSV and names its file.
-    """
-    from .core import profile_to_csv
-    import os
-
+def trajectory_to_csv(traj: Trajectory, path) -> None:
+    """One row per iteration (k, ||g||, objective, diagnostics, changed loads)."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["k", "signal_norm", "objective", "escape_probability",
-                    "expected_next_objective", "profiles_changed", "g_file"])
+                    "expected_next_objective", "profiles_changed"])
         for rec in traj.records:
-            g_file = ""
-            if g_dir is not None:
-                g_file = os.path.join(g_dir, f"g_{rec.k:05d}.csv")
-                profile_to_csv(rec.g, g_file)
             w.writerow([rec.k, repr(norm(rec.g)), repr(rec.objective),
                         repr(rec.escape_probability),
-                        repr(rec.expected_next_objective), rec.profiles_changed,
-                        g_file])
+                        repr(rec.expected_next_objective), rec.profiles_changed])

@@ -26,6 +26,7 @@ __all__ = [
     "SynthParams",
     "BaseLoadSpec",
     "CANONICAL_GRID",
+    "CANONICAL_PEAK_SLOTS",
     "synth_baseload",
     "default_baseload",
     "load_baseload_csv",
@@ -35,6 +36,7 @@ __all__ = [
 ]
 
 CANONICAL_GRID = TimeGrid(horizon_hours=24.0, slots=96)
+CANONICAL_PEAK_SLOTS = (4, 36, 52)   # on CANONICAL_GRID
 
 
 class BaseLoadError(ValueError):
@@ -74,9 +76,10 @@ class SynthParams:
     evening_peak_kw: float = 1.1
     morning_peak_kw: float = 1.0
     valley_kw: float = 0.9
-    # (evening peak slot, valley slot, morning peak slot) on the grid; the
-    # horizon starts in the evening, so defaults put the valley before dawn.
-    peak_slots: Tuple[int, int, int] = (4, 36, 52)
+    # (evening peak slot, valley slot, morning peak slot) on the grid; None
+    # places them at CANONICAL_PEAK_SLOTS scaled to the grid.  The horizon
+    # starts in the evening, so the valley falls before dawn.
+    peak_slots: Optional[Tuple[int, int, int]] = None
 
 
 @dataclass(frozen=True)
@@ -121,13 +124,16 @@ def synth_baseload(grid: TimeGrid, evening_peak_kw: float, morning_peak_kw: floa
 
 def default_baseload(grid: TimeGrid = CANONICAL_GRID) -> Profile:
     """Bundled synthetic residential curve (kW per household)."""
-    p = SynthParams()
-    if grid.slots != CANONICAL_GRID.slots:
-        # Rescale anchor slots proportionally for non-canonical grids.
+    return _synth_curve(SynthParams(), grid)
+
+
+def _synth_curve(p: SynthParams, grid: TimeGrid) -> Profile:
+    slots = p.peak_slots
+    if slots is None:
         scale = grid.slots / CANONICAL_GRID.slots
-        p = SynthParams(peak_slots=tuple(int(round(s * scale)) for s in p.peak_slots))
+        slots = tuple(int(round(s * scale)) for s in CANONICAL_PEAK_SLOTS)
     return synth_baseload(grid, p.evening_peak_kw, p.morning_peak_kw,
-                          p.valley_kw, p.peak_slots)
+                          p.valley_kw, slots)
 
 
 def load_baseload_csv(path, grid: TimeGrid) -> Profile:
@@ -208,9 +214,7 @@ def build_case_study(spec: FleetSpec, base: BaseLoadSpec,
     if base.csv_path is not None:
         per_household = load_baseload_csv(base.csv_path, grid)
     else:
-        p = base.synth
-        per_household = synth_baseload(grid, p.evening_peak_kw, p.morning_peak_kw,
-                                       p.valley_kw, p.peak_slots)
+        per_household = _synth_curve(base.synth, grid)
     b = Profile(per_household.values * spec.households * base.per_household_scale,
                 grid)
     return b, build_fleet(spec, grid, seed)

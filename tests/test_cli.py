@@ -1,12 +1,19 @@
+import csv
 import json
+import threading
 
+import numpy as np
 import pytest
 
+from test_netsim import free_endpoint
+from valleyfill import netsim
 from valleyfill.analysis import brute_force_optimum
-from valleyfill.cli import main, profiles_from_csv
-from valleyfill.core import TimeGrid, norm2
+from valleyfill.cli import main, profiles_from_csv, profiles_to_csv
+from valleyfill.core import (Objective, ObjectiveKind, Profile, TimeGrid,
+                             aggregate, norm2, profile_from_csv)
+from valleyfill.engine import EngineConfig, Termination, run
 from valleyfill.scenario import (BaseLoadSpec, FleetSpec, SynthParams,
-                                 build_case_study)
+                                 build_case_study, default_baseload)
 
 SMALL_MANIFEST = {
     "grid": {"horizon_hours": 24.0, "slots": 24},
@@ -34,6 +41,35 @@ def small_scenario(penetration=0.3, seed=3):
                      start_window=(0, 20))
     return grid, build_case_study(spec, BaseLoadSpec(synth=SynthParams()),
                                   grid, seed=seed)
+
+
+# Three canonical EVs among six households; `track` pulls the aggregate
+# towards a daytime plateau instead of flattening it.
+TRACK_TARGET = [4.0 + 4.0 * (32 <= t < 72) for t in range(96)]
+THREE_EVS = {"fleet": {"households": 6, "penetration": 0.5},
+             "engine": {"max_iterations": 30, "master_seed": 2}}
+OBJECTIVES = {"flatten": {"kind": "flatten"},
+              "track": {"kind": "track", "target": TRACK_TARGET}}
+
+
+def three_ev_manifest(tmp_path, kind):
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(dict(THREE_EVS, objective=OBJECTIVES[kind])))
+    return str(path)
+
+
+def track_game(seed=2):
+    """The raw base load, the fleet and the objective of the `track` manifest."""
+    grid = TimeGrid(24.0, 96)
+    b, loads = build_case_study(FleetSpec(households=6, penetration=0.5),
+                                BaseLoadSpec(synth=SynthParams()), grid, seed=seed)
+    return b, loads, Objective(ObjectiveKind.TRACK,
+                               Profile(np.array(TRACK_TARGET), grid))
+
+
+def read_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
 
 
 class TestRun:
@@ -101,6 +137,67 @@ class TestRun:
         (tmp_path / "manifest.json").write_text(json.dumps(del_synth))
         assert main(["run", "--manifest", manifest,
                      "--out", str(tmp_path / "o")]) == 1
+
+
+class TestNetworked:
+    @pytest.mark.parametrize("kind", ["flatten", "track"])
+    def test_coordinator_writes_runs_artifacts(self, tmp_path, kind):
+        """Coordinator plus one agent per EV gives `run`'s artifacts."""
+        manifest = three_ev_manifest(tmp_path, kind)
+        assert main(["run", "--manifest", manifest,
+                     "--out", str(tmp_path / "run")]) == 0
+        host, port = free_endpoint()
+        common = ["--manifest", manifest, "--endpoint", f"{host}:{port}"]
+        commands = [["coordinator", *common, "--out", str(tmp_path / "net")]]
+        commands += [["agent", "--load-id", str(i), *common] for i in range(3)]
+        statuses = [None] * len(commands)
+
+        def call(i):
+            statuses[i] = main(commands[i])
+
+        threads = [threading.Thread(target=call, args=(i,), daemon=True)
+                   for i in range(len(commands))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+        assert not any(t.is_alive() for t in threads)
+        assert statuses == [0] * len(commands)
+
+        local, net = tmp_path / "run", tmp_path / "net"
+        assert (net / "final_profiles.csv").read_bytes() == \
+            (local / "final_profiles.csv").read_bytes()
+        assert (net / "report.txt").read_bytes() == \
+            (local / "report.txt").read_bytes()
+        local_rows = read_rows(local / "trajectory.csv")
+        net_rows = read_rows(net / "trajectory.csv")
+        assert net_rows[0] == local_rows[0]
+        column = local_rows[0].index("expected_next_objective")
+        assert len(net_rows) == len(local_rows)
+        for net_row, local_row in zip(net_rows[1:], local_rows[1:]):
+            assert net_row[column] == "nan"
+            del net_row[column], local_row[column]
+            assert net_row == local_row
+
+    @pytest.mark.parametrize("command", ["coordinator", "agent"])
+    @pytest.mark.parametrize("endpoint", ["nohostport", "127.0.0.1:abc",
+                                          "127.0.0.1:99999"])
+    def test_bad_endpoint_exits_2(self, tmp_path, capsys, monkeypatch,
+                                  command, endpoint):
+        def connect(*args, **kwargs):
+            raise AssertionError("a bad endpoint reached the transport")
+
+        monkeypatch.setattr(netsim, "serve_coordinator", connect)
+        monkeypatch.setattr(netsim, "run_agent", connect)
+        argv = [command, "--manifest", write_manifest(tmp_path),
+                "--endpoint", endpoint, "--out", str(tmp_path / "out")]
+        if command == "agent":
+            argv += ["--load-id", "0"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --endpoint") and endpoint in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestAnalyze:
@@ -195,6 +292,20 @@ class TestAnalyze:
         for spec in loads:
             assert spec.constraint.member_index(profiles[spec.id]) is not None
 
+    def test_track_fixed_point_is_nash(self, tmp_path, capsys):
+        """`analyze` checks a `track` equilibrium on b - target."""
+        b, loads, objective = track_game()
+        traj = run(loads, b, EngineConfig(max_iterations=5000, master_seed=2,
+                                          stop_on_epsilon=False), objective)
+        assert traj.terminated_by is Termination.FIXED_POINT
+        profiles = tmp_path / "profiles.csv"
+        profiles_to_csv(loads, traj.final_profiles, profiles)
+        status = main(["analyze", str(profiles), "--checks", "nash",
+                       "--manifest", three_ev_manifest(tmp_path, "track")])
+        captured = capsys.readouterr()
+        assert status == 0, captured.out + captured.err
+        assert "is_equilibrium=True" in captured.out
+
 
 class TestExperiment:
     def test_bound_sweep(self, tmp_path):
@@ -246,6 +357,29 @@ class TestExperiment:
         assert lines[0] == "slot,mean_aggregate_kw_pen_0.3"
         assert len(lines) == 1 + 24
 
+    def test_track_sweeps_solve_the_track_game(self, tmp_path):
+        manifest = three_ev_manifest(tmp_path, "track")
+        out = tmp_path / "out"
+        for name in ("escape-sweep", "profile-sweep"):
+            assert main(["experiment", name, "--manifest", manifest,
+                         "--out", str(out), "--penetrations", "0.5",
+                         "--seeds", "2"]) == 0
+        escapes = np.zeros((2, 30))
+        physical = np.zeros(96)
+        for seed in (0, 1):
+            b, loads, objective = track_game(seed)
+            traj = run(loads, b, EngineConfig(max_iterations=30, master_seed=seed),
+                       objective)
+            for rec in traj.records:
+                escapes[seed, rec.k - 1] = rec.escape_probability
+            physical += aggregate(b, traj.final_profiles).values / 2
+        escape_rows = read_rows(out / "escape_sweep.csv")[1:]
+        assert [float(row[2]) for row in escape_rows] == \
+            pytest.approx(escapes.mean(axis=0), rel=1e-12, abs=1e-15)
+        profile_rows = read_rows(out / "profile_sweep.csv")[1:]
+        assert [float(row[1]) for row in profile_rows] == \
+            pytest.approx(physical, rel=1e-12)
+
 
 class TestFleetGen:
     def test_artifacts(self, tmp_path):
@@ -258,6 +392,26 @@ class TestFleetGen:
         base = (out / "baseload.csv").read_text().strip().splitlines()
         assert base[0] == "slot,value_kw"
         assert len(base) == 1 + 24
+
+    def test_baseload_follows_the_grid(self, tmp_path):
+        """Default peak slots scale to a 48-slot grid, keeping the 0.9 kW valley."""
+        manifest = write_manifest(tmp_path, {"grid": {"slots": 48}})
+        out = tmp_path / "out"
+        assert main(["fleet-gen", "--manifest", manifest,
+                     "--out", str(out)]) == 0
+        grid = TimeGrid(24.0, 48)
+        b = profile_from_csv(out / "baseload.csv", grid)
+        per_household = default_baseload(grid).values
+        assert np.array_equal(b.values, 10 * per_household)
+        assert per_household.min() == pytest.approx(0.9)
+
+    @pytest.mark.parametrize("slots", [[4, 10, 24], [-1, 10, 16], [4, 10, 10]])
+    def test_bad_peak_slots_are_named(self, tmp_path, capsys, slots):
+        manifest = write_manifest(tmp_path, {"baseload": {"synth": {
+            "peak_slots": slots}}})
+        assert main(["fleet-gen", "--manifest", manifest,
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "baseload.synth.peak_slots" in capsys.readouterr().err
 
     def read_fleet(self, out):
         rows = (out / "fleet.csv").read_text().strip().splitlines()
@@ -304,6 +458,9 @@ class TestFleetGen:
         # the other sections, and the file itself, are checked as strictly
         {"baseload": {"synth": {"bogus": 1}}},
         {"baseload": {"synth": {"peak_slots": [4, 36]}}},
+        {"baseload": {"synth": {"peak_slots": [4, 10, 24]}}},
+        {"baseload": {"synth": {"peak_slots": [-1, 10, 16]}}},
+        {"baseload": {"synth": {"peak_slots": [4, 10, 10]}}},
         {"engine": 5},
         {"engine": {"max_iter": 3}},
         {"engine": {"epsilon": 0}},
@@ -320,6 +477,7 @@ class TestFleetGen:
             "jitter-out-of-range", "bad-range", "households-not-int",
             "penetration-null", "window-not-pair", "heterogeneity-not-object",
             "penetration-negative", "unknown-synth-key", "peak-slots-not-triple",
+            "peak-slot-past-grid", "peak-slot-negative", "peak-slot-repeated",
             "engine-not-object", "unknown-engine-key", "epsilon-zero",
             "unknown-grid-key", "unknown-emit-key", "emit-not-bool",
             "unknown-objective-kind", "track-without-target",

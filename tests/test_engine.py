@@ -617,7 +617,8 @@ class TestTrajectoryCsv:
         path = tmp_path / "traj.csv"
         trajectory_to_csv(traj, path)
         lines = path.read_text().strip().splitlines()
-        assert lines[0].startswith("k,signal_norm,objective")
+        assert lines[0] == ("k,signal_norm,objective,escape_probability,"
+                            "expected_next_objective,profiles_changed")
         assert len(lines) == 1 + len(traj.records)
         first = lines[1].split(",")
         assert int(first[0]) == 1

@@ -3,7 +3,8 @@ import pytest
 
 from valleyfill.core import TimeGrid
 from valleyfill.feasible import validate_A1A4
-from valleyfill.scenario import (CANONICAL_GRID, BaseLoadError, BaseLoadSpec,
+from valleyfill.scenario import (CANONICAL_GRID, CANONICAL_PEAK_SLOTS,
+                                 BaseLoadError, BaseLoadSpec,
                                  FleetSpec, HeterogeneitySpec, SynthParams,
                                  build_case_study, build_fleet,
                                  default_baseload, fleet_manifest_csv,
@@ -77,10 +78,10 @@ class TestSynthBaseload:
         p = default_baseload()
         assert p.values.min() == pytest.approx(0.9)
         assert p.values.max() == pytest.approx(1.1)
-        params = SynthParams()
-        assert p.values[params.peak_slots[0]] == pytest.approx(1.1)
-        assert p.values[params.peak_slots[1]] == pytest.approx(0.9)
-        assert p.values[params.peak_slots[2]] == pytest.approx(1.0)
+        evening, valley, morning = CANONICAL_PEAK_SLOTS
+        assert p.values[evening] == pytest.approx(1.1)
+        assert p.values[valley] == pytest.approx(0.9)
+        assert p.values[morning] == pytest.approx(1.0)
 
     def test_constant_anchors_give_flat_curve(self):
         g = TimeGrid(24.0, 96)
