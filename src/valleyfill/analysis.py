@@ -12,7 +12,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import Objective, Profile, aggregate, norm2
+from .core import Profile, aggregate, norm2
 from .feasible import FinitePulseSet
 
 __all__ = [
@@ -109,10 +109,9 @@ def is_nash(xs: Sequence[Profile], sets: Sequence[FinitePulseSet], b: Profile,
 
 
 def brute_force_optimum(sets: Sequence[FinitePulseSet], b: Profile,
-                        obj: Objective = Objective(),
                         cap: int = ENUMERATION_CAP,
                         ) -> Tuple[Tuple[int, ...], float]:
-    """Exact global optimum of the load-balancing objective by enumeration."""
+    """Exact global optimum of norm2(b + sum_i x_i) by enumeration."""
     total = 1
     for s in sets:
         total *= s.m
@@ -120,7 +119,6 @@ def brute_force_optimum(sets: Sequence[FinitePulseSet], b: Profile,
             raise OracleTooLargeError(
                 f"product space has more than {cap} selections"
             )
-    base = obj.effective_base(b)
     dt = b.grid.dt
     best_value = math.inf
     best_choice: Tuple[int, ...] = ()
@@ -139,14 +137,13 @@ def brute_force_optimum(sets: Sequence[FinitePulseSet], b: Profile,
             recurse(level + 1, partial + sets[level].members[k], choice + (k,))
 
     if not sets:
-        return (), norm2(base)
-    recurse(0, base.values.copy(), ())
+        return (), norm2(b)
+    recurse(0, b.values.copy(), ())
     return best_choice, best_value
 
 
 def suboptimality_gap_check(x_s: Sequence[Profile], sets: Sequence[FinitePulseSet],
-                            b: Profile, obj: Objective = Objective(),
-                            ) -> Tuple[float, float, bool]:
+                            b: Profile) -> Tuple[float, float, bool]:
     """Gap of a stationary profile against the enumerated optimum vs 2/4*sum(Y).
 
     The caller is responsible for stationarity of x_s (assert via is_nash).
@@ -154,8 +151,8 @@ def suboptimality_gap_check(x_s: Sequence[Profile], sets: Sequence[FinitePulseSe
     otherwise.
     """
     _check_membership(x_s, sets)
-    _, optimum = brute_force_optimum(sets, b, obj)
-    value = norm2(aggregate(obj.effective_base(b), list(x_s)))
+    _, optimum = brute_force_optimum(sets, b)
+    value = norm2(aggregate(b, list(x_s)))
     gap = value - optimum
     nonnegative = all(np.all(s.members >= 0) for s in sets)
     bound = (2.0 if nonnegative else 4.0) * sum(s.sqnorm for s in sets)

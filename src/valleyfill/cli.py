@@ -13,6 +13,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import operator
 import os
 import sys
@@ -44,7 +45,7 @@ DEFAULT_MANIFEST = {
 
 
 class InputError(ValueError):
-    """Malformed manifest, profiles CSV, --checks, --endpoint or load id (exit 2)."""
+    """Malformed manifest, fleet, base load, profiles CSV, flag or load id (exit 2)."""
 
 
 @dataclass(frozen=True)
@@ -97,12 +98,6 @@ def load_manifest(path: Optional[str], overrides: argparse.Namespace) -> Manifes
         parts["objective"] = Objective(**objective)
     except ValueError as exc:
         raise InputError(f"bad objective: {exc}") from None
-    synth, slots = parts["baseload"].synth, parts["grid"].slots
-    peaks = synth.peak_slots if synth is not None else None
-    if peaks is not None and (len(set(peaks)) < 3
-                              or not all(0 <= s < slots for s in peaks)):
-        raise InputError(f"bad baseload.synth.peak_slots {list(peaks)}: "
-                         f"need three distinct slots in [0, {slots})")
     return Manifest(**parts)
 
 
@@ -252,14 +247,18 @@ def _scenario(manifest: Manifest, seed: Optional[int] = None,
 
     The game's base is b with the objective folded in (b itself for
     `flatten`, b - target for `track`); every command solves and checks
-    the game on it.  Seed and penetration default to the manifest's.
+    the game on it.  Seed and penetration default to the manifest's.  A
+    fleet or base load that cannot be built raises InputError.
     """
     fleet = manifest.fleet
     if penetration is not None:
         fleet = dataclasses.replace(fleet, penetration=penetration)
     if seed is None:
         seed = manifest.engine.master_seed
-    b, loads = build_case_study(fleet, manifest.baseload, manifest.grid, seed=seed)
+    try:
+        b, loads = build_case_study(fleet, manifest.baseload, manifest.grid, seed=seed)
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
     return b, manifest.objective.effective_base(b), loads
 
 
@@ -356,12 +355,28 @@ def _write_csv(path, header: List[str], rows) -> None:
         w.writerows(rows)
 
 
+def _penetrations(text: Optional[str]) -> List[float]:
+    """--penetrations: comma-separated levels >= 0, by default 0.2, 0.5 and 1.0."""
+    if not text:
+        return [0.2, 0.5, 1.0]
+    levels = []
+    for entry in text.split(","):
+        try:
+            level = float(entry)
+        except ValueError:
+            level = math.nan
+        if not (math.isfinite(level) and level >= 0):
+            raise InputError(f"--penetrations entry {entry!r} in {text!r} is not "
+                             f"a finite level >= 0")
+        levels.append(level)
+    return levels
+
+
 def cmd_experiment(args) -> int:
     manifest = load_manifest(args.manifest, args)
+    penetrations = _penetrations(args.penetrations)
     out = manifest.out
     os.makedirs(out, exist_ok=True)
-    penetrations = ([float(p) for p in args.penetrations.split(",")]
-                    if args.penetrations else [0.2, 0.5, 1.0])
 
     if args.name == "bound-sweep":
         rows = []
@@ -376,20 +391,21 @@ def cmd_experiment(args) -> int:
         return 0
 
     iterations = manifest.engine.max_iterations
-    seeds = range(args.seeds)
+    first_seed = manifest.engine.master_seed
+    seeds = range(first_seed, first_seed + args.seeds)
     escape_rows: List[List[str]] = []
     mean_aggregates: List[np.ndarray] = []
     for pen in penetrations:
         escapes = np.zeros((len(seeds), iterations))
         agg = np.zeros(manifest.grid.slots)
-        for seed in seeds:
+        for s, seed in enumerate(seeds):
             b, base, loads = _scenario(manifest, seed, pen)
             if not loads:
                 continue
             cfg = dataclasses.replace(manifest.engine, master_seed=seed)
             traj = run(loads, base, cfg)
             for rec in traj.records:
-                escapes[seed, rec.k - 1] = rec.escape_probability
+                escapes[s, rec.k - 1] = rec.escape_probability
             # records may stop early at a fixed point: escape stays 0
             agg += aggregate(b, traj.final_profiles).values
         escape_rows += [[repr(pen), str(k + 1), repr(float(mean))]

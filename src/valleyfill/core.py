@@ -12,7 +12,7 @@ import csv
 import enum
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -55,14 +55,6 @@ class TimeGrid:
     def dt(self) -> float:
         """Slot width in hours."""
         return self.horizon_hours / self.slots
-
-    def serialize(self) -> str:
-        return f"{self.horizon_hours!r},{self.slots}"
-
-    @classmethod
-    def deserialize(cls, text: str) -> "TimeGrid":
-        horizon, slots = text.strip().split(",")
-        return cls(float(horizon), int(slots))
 
 
 @dataclass(frozen=True)

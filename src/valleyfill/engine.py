@@ -5,7 +5,10 @@ sessions pass it a transport callable that returns every load's update.
 Inside the loop the fleet state is an (n, S) array, one load per row;
 `Profile`s are built only for the records' signals and the final
 profiles.  Each iteration sums one aggregate in load order, which gives
-both that iteration's objective and the next signal.
+both that iteration's objective and the next signal.  The loop plays the
+game on the base it is given; a caller with a Track objective passes
+`Objective.effective_base(b)`.  The escape probability is one minus the
+product of the loads' stay probabilities, which `update_loads` returns.
 
 `update_loads` is the one load update, for a whole fleet in process and
 for one load in a networked agent.  Convex loads update by projection
@@ -38,8 +41,7 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .core import (GridMismatchError, Objective, Profile, TimeGrid, aggregate,
-                   norm, norm2)
+from .core import GridMismatchError, Profile, TimeGrid, aggregate, norm, norm2
 from .feasible import (ConvexChargeSet, Distribution, FinitePulseSet,
                        SolverError, hull_minimize, project_convex, sample,
                        stay_probability)
@@ -56,7 +58,6 @@ __all__ = [
     "coordinator_signal",
     "convex_load_update",
     "finite_load_update",
-    "escape_probability",
     "expected_next_objective",
     "fleet_weight",
     "coordinate",
@@ -136,7 +137,6 @@ class Trajectory:
     records: List[IterationRecord]
     final_profiles: List[Profile]
     terminated_by: Termination
-    initial_objective: float
 
 
 # numpy's SeedSequence (pool of 4 uint32 words) and PCG64 constants.
@@ -332,15 +332,6 @@ def finite_load_update(g: Profile, C: float, x_prev: Profile,
     return theta
 
 
-def escape_probability(thetas: Sequence[Distribution],
-                       prev_indices: Sequence[int]) -> float:
-    """P{x^(k) != x^(k-1) | x^(k-1)} = 1 - prod_i theta_i[prev_i] (independent draws)."""
-    if len(thetas) != len(prev_indices):
-        raise ValueError("thetas and prev_indices must align")
-    return 1.0 - math.prod(stay_probability(theta, prev)
-                           for theta, prev in zip(thetas, prev_indices))
-
-
 def _finite_moments(theta: Distribution,
                     pulse_set: FinitePulseSet) -> Tuple[np.ndarray, float]:
     """(E[x], E[norm2(x)] - norm2(E[x])) for x ~ theta; members share norm2(x) = Y."""
@@ -412,7 +403,6 @@ def coordinate(b: Profile, C: float, all_finite: bool, n: int,
     X = np.zeros((n, grid.slots))
     d = aggregate(b, X)
     records: List[IterationRecord] = []
-    initial_objective = norm2(d)
     g_prev: Optional[Profile] = None
     terminated = Termination.MAX_ITER
 
@@ -439,14 +429,12 @@ def coordinate(b: Profile, C: float, all_finite: bool, n: int,
                 break
         g_prev = g
 
-    return Trajectory(records, [Profile(x, grid) for x in X], terminated,
-                      initial_objective)
+    return Trajectory(records, [Profile(x, grid) for x in X], terminated)
 
 
 def update_loads(loads: Sequence[LoadSpec], g: Profile, C: float, X: np.ndarray,
                  member_idx: List[Optional[int]], master_seed: int, k: int,
-                 memo: Optional[dict] = None,
-                 ) -> Tuple[np.ndarray, float, np.ndarray, float]:
+                 memo: dict) -> Tuple[np.ndarray, float, np.ndarray, float]:
     """Iteration k's update of `loads`, whose current profiles are the rows of X.
 
     C is the whole fleet's weight; `loads` may be part of the fleet.
@@ -468,11 +456,9 @@ def update_loads(loads: Sequence[LoadSpec], g: Profile, C: float, X: np.ndarray,
     for bit, a group with a stored theta and a convex row equal to its
     stored row reuse them instead of re-solving or re-projecting; a new
     signal clears the memo.  Draws and sampling run every call, so a
-    fresh {} per call, or no memo, gives the same results bit for bit.
+    fresh {} per call gives the same results bit for bit.
     """
     grid = g.grid
-    if memo is None:
-        memo = {}
     signal = (C, g.values.tobytes())
     if memo.get("signal") != signal:
         memo.clear()
@@ -538,17 +524,19 @@ def update_loads(loads: Sequence[LoadSpec], g: Profile, C: float, X: np.ndarray,
     return X_new, math.prod(stays), mean, variance
 
 
-def run(loads: Sequence[LoadSpec], b: Profile, cfg: EngineConfig,
-        obj: Objective = Objective()) -> Trajectory:
-    """Run the coordinator loop in process; see `coordinate` for the stopping rules."""
+def run(loads: Sequence[LoadSpec], b: Profile, cfg: EngineConfig) -> Trajectory:
+    """Run the coordinator loop in process; see `coordinate` for the stopping rules.
+
+    `b` is the game's base: the base load, or for a Track objective
+    `Objective.effective_base(b)`.
+    """
     C = fleet_weight([(spec.id, spec.is_finite, spec.c) for spec in loads])
     for spec in loads:
         if spec.grid != b.grid:
             raise GridMismatchError(f"load {spec.id} is on a different grid")
     member_idx: List[Optional[int]] = [None] * len(loads)
     memo: dict = {}
-    return coordinate(obj.effective_base(b), C,
-                      all(spec.is_finite for spec in loads), len(loads), cfg,
+    return coordinate(b, C, all(spec.is_finite for spec in loads), len(loads), cfg,
                       lambda k, g, X: update_loads(loads, g, C, X, member_idx,
                                                    cfg.master_seed, k, memo))
 

@@ -8,7 +8,6 @@ plus inverse-CDF sampling over the resulting hull weights).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
@@ -37,6 +36,8 @@ __all__ = [
 # member collapse to the degenerate distribution on it, making stationary
 # points exactly observable.
 SNAP_TOLERANCE = 1e-7
+# Major cycles of the min-norm-point method before hull_minimize gives up.
+_HULL_MAX_ITERATIONS = 10_000
 
 
 class InfeasibleSetError(ValueError):
@@ -127,11 +128,11 @@ class FinitePulseSet:
     def member(self, k: int) -> Profile:
         return Profile(self.members[k], self.grid)
 
-    def member_index(self, x: Profile, tol: float = 0.0) -> Optional[int]:
-        """Index of the member equal to x (within tol in each slot), or None."""
+    def member_index(self, x: Profile) -> Optional[int]:
+        """Index of the first member equal to x in every slot, or None."""
         if x.grid != self.grid:
             return None
-        hits = np.flatnonzero(np.all(np.abs(self.members - x.values) <= tol, axis=1))
+        hits = np.flatnonzero(np.all(self.members == x.values, axis=1))
         return int(hits[0]) if hits.size else None
 
     def scaled(self, factor: float) -> "FinitePulseSet":
@@ -142,33 +143,6 @@ class FinitePulseSet:
             sqnorm=self.sqnorm * factor * factor,
             rate_bound=self.rate_bound * abs(factor),
         )
-
-    def to_csv(self, members_path, meta_path) -> None:
-        """Member matrix as CSV rows plus a sidecar metadata record."""
-        with open(members_path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            for k in range(self.m):
-                w.writerow([repr(float(v)) for v in self.members[k]])
-        with open(meta_path, "w") as fh:
-            fh.write(f"grid={self.grid.serialize()}\n")
-            fh.write(f"energy={self.energy!r}\n")
-            fh.write(f"sqnorm={self.sqnorm!r}\n")
-            fh.write(f"rate_bound={self.rate_bound!r}\n")
-
-    @classmethod
-    def from_csv(cls, members_path, meta_path) -> "FinitePulseSet":
-        meta = {}
-        with open(meta_path) as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    key, _, value = line.partition("=")
-                    meta[key] = value
-        grid = TimeGrid.deserialize(meta["grid"])
-        with open(members_path, newline="") as fh:
-            rows = [[float(v) for v in row] for row in csv.reader(fh) if row]
-        return cls(np.array(rows), grid, float(meta["energy"]),
-                   float(meta["sqnorm"]), float(meta["rate_bound"]))
 
 
 @dataclass(frozen=True)
@@ -198,9 +172,6 @@ class Distribution:
     @property
     def m(self) -> int:
         return self.weights.shape[0]
-
-    def is_degenerate_at(self, k: int) -> bool:
-        return self.weights[k] == 1.0
 
 
 @dataclass(frozen=True)
@@ -315,8 +286,7 @@ def _hull_objective(z: np.ndarray, h: np.ndarray, x_prev: np.ndarray,
 
 
 def hull_minimize(h: Profile, x_prev: Profile, c_i: float,
-                  pulse_set: FinitePulseSet, tol: float = None,
-                  max_iterations: int = 10_000, start: Optional[int] = None,
+                  pulse_set: FinitePulseSet, start: Optional[int] = None,
                   ) -> Tuple[Profile, Distribution]:
     """Minimize Q(z) = 2*c_i*<h, z> + norm2(z - x_prev) over the member hull.
 
@@ -324,11 +294,11 @@ def hull_minimize(h: Profile, x_prev: Profile, c_i: float,
     onto the hull, solved by the min-norm-point active-set method: grow a
     corral of members, minimize exactly over its affine hull, and drop
     members whose weight would go negative.  Vertex ties break toward the
-    lowest index.  Stops when the duality gap drops below tol, default
-    1e-8 * (1 + |Q|).  Returns the minimizer together with hull weights
-    whose expectation realizes it; a minimizer within SNAP_TOLERANCE of a
-    member in profile norm collapses to the degenerate distribution on the
-    nearest member (equal member norms force degeneracy there).
+    lowest index.  Stops when the duality gap drops below 1e-8 * (1 + |Q|).
+    Returns the minimizer together with hull weights whose expectation
+    realizes it; a minimizer within SNAP_TOLERANCE of a member in profile
+    norm collapses to the degenerate distribution on the nearest member
+    (equal member norms force degeneracy there).
 
     The corral starts from member `start`; by default from x_prev's own
     member index when x_prev is a member (fixed points then terminate in
@@ -364,10 +334,10 @@ def hull_minimize(h: Profile, x_prev: Profile, c_i: float,
         return u[:n]
 
     gap = math.inf
-    for _ in range(max_iterations):
+    for _ in range(_HULL_MAX_ITERATIONS):
         xx = float(np.dot(x, x))
         q = _hull_objective(x + (pv - c_i * hv), hv, pv, c_i, dt)
-        gap_tol = tol if tol is not None else 1e-8 * (1.0 + abs(q))
+        gap_tol = 1e-8 * (1.0 + abs(q))
         scores = A @ x
         j = int(np.argmin(scores))
         gap = 2.0 * dt * (xx - float(scores[j]))
@@ -398,7 +368,7 @@ def hull_minimize(h: Profile, x_prev: Profile, c_i: float,
         x = w @ A[corral]
     else:
         raise SolverError(
-            f"hull minimization did not converge in {max_iterations} iterations",
+            f"hull minimization did not converge in {_HULL_MAX_ITERATIONS} iterations",
             gap=gap,
         )
 

@@ -10,13 +10,13 @@ Message kinds:
 - ``HELLO <load_id> <grid_digest>``       agent -> coordinator handshake
 - ``ASSIGN <load_id> <grid_digest>``      coordinator acknowledgment
 - ``SIGNAL <C> <S> v1..vS``               broadcast signal and fleet weight C > 0
-- ``PROFILEUPDATE <load_id> <member_index> <stay> <S> v1..vS``
+- ``PROFILEUPDATE <load_id> <stay> <S> v1..vS``
 - ``STOP <reason>``                       termination broadcast
 
-``<member_index>`` is -1 for a convex load; ``<stay>`` is the ``repr`` of
-the probability that the load kept its previous profile.  Networked records
-thus carry escape probabilities, but a NaN expected next objective: agents
-send no sampling distributions.
+An agent sends what the coordinator needs: the new profile and, as
+``<stay>``, the ``repr`` of the probability that the load kept its previous
+profile.  Networked records thus carry escape probabilities, but a NaN
+expected next objective: agents send no sampling distributions.
 
 The coordinator runs the engine's shared loop, `engine.coordinate`, and
 each agent the engine's load update, `engine.update_loads`, for its one
@@ -109,7 +109,7 @@ def _profile(fields: List[str], grid: TimeGrid) -> Profile:
 
 # Header field parsers per message kind; SIGNAL and PROFILEUPDATE end in a profile.
 _HEADERS = {"HELLO": (int, str), "ASSIGN": (int, str), "SIGNAL": (_weight,),
-            "PROFILEUPDATE": (int, int, _probability), "STOP": ()}
+            "PROFILEUPDATE": (int, _probability), "STOP": ()}
 
 
 def _recv(fh, expect: Sequence[str], grid: TimeGrid) -> Tuple[str, int, list]:
@@ -195,8 +195,8 @@ def serve_coordinator(b: Profile, roster: Sequence[RosterEntry], cfg: EngineConf
                 _send(conns[i], "SIGNAL", k, payload)
             X_new, stay = np.empty_like(X), 1.0
             for pos, i in enumerate(ids):
-                _, it, (sender, _, stay_i, x_new) = _recv(conns[i], ["PROFILEUPDATE"],
-                                                          grid)
+                _, it, (sender, stay_i, x_new) = _recv(conns[i], ["PROFILEUPDATE"],
+                                                       grid)
                 if it != k:
                     raise ProtocolError(f"profile update for iteration {it}, expected {k}")
                 if sender != i:
@@ -249,9 +249,9 @@ def run_agent(load: LoadSpec, master_seed: int, endpoint: Tuple[str, int],
 
     Per iteration: receive the signal, update the one load with
     `engine.update_loads`, the in-process runs' update, and reply with the
-    new profile, its member index and the probability that the load kept
-    its previous profile.  The update's memo lives for the session, so a
-    round that repeats the last signal and profile reuses their solve.
+    new profile and the probability that the load kept its previous
+    profile.  The update's memo lives for the session, so a round that
+    repeats the last signal and profile reuses their solve.
     """
     grid = load.grid
     digest = grid_digest(grid)
@@ -275,10 +275,8 @@ def run_agent(load: LoadSpec, master_seed: int, endpoint: Tuple[str, int],
             C, g = fields
             X, stay, _, _ = update_loads([load], g, C, X, member_idx, master_seed,
                                        k, memo)
-            idx = member_idx[0]
             _send(fh, "PROFILEUPDATE", k,
-                  f"{load.id} {-1 if idx is None else idx} {stay!r} "
-                  f"{grid.slots} {_encode_floats(X[0])}")
+                  f"{load.id} {stay!r} {grid.slots} {_encode_floats(X[0])}")
     finally:
         try:
             fh.close()

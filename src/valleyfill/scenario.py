@@ -132,6 +132,9 @@ def _synth_curve(p: SynthParams, grid: TimeGrid) -> Profile:
     if slots is None:
         scale = grid.slots / CANONICAL_GRID.slots
         slots = tuple(int(round(s * scale)) for s in CANONICAL_PEAK_SLOTS)
+    if len(set(slots)) < 3 or not all(0 <= s < grid.slots for s in slots):
+        raise ValueError(f"baseload.synth.peak_slots {list(slots)} are not three "
+                         f"distinct slots of the {grid.slots}-slot grid")
     return synth_baseload(grid, p.evening_peak_kw, p.morning_peak_kw,
                           p.valley_kw, slots)
 

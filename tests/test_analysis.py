@@ -2,13 +2,15 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_base, random_pulse_set
 from valleyfill.analysis import (OracleTooLargeError, best_response,
                                  brute_force_optimum,
                                  convex_stationarity_residual, is_nash,
                                  subopt_ratio_bound, suboptimality_gap_check)
-from valleyfill.core import Profile, TimeGrid, norm2
+from valleyfill.core import Profile, TimeGrid, aggregate, inner, norm2
 from valleyfill.engine import EngineConfig, LoadSpec, Termination, run
 from valleyfill.feasible import FinitePulseSet
 
@@ -92,6 +94,35 @@ class TestIsNash:
             choice, _ = brute_force_optimum(sets, b)
             xs = [s.member(k) for s, k in zip(sets, choice)]
             assert is_nash(xs, sets, b, 1e-9).is_equilibrium
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 8),
+           n_sets=st.integers(1, 3), signed=st.booleans(),
+           tol_scale=st.sampled_from([0.0, 0.5, 1.0, 2.0]))
+    def test_matches_best_response_oracle(self, seed, n, n_sets, signed, tol_scale):
+        """worst_violation is the largest gap of `best_response` over the loads."""
+        rng = np.random.default_rng(seed)
+        g = TimeGrid(float(rng.integers(1, 13)), int(rng.integers(2, 13)))
+        sets = [random_pulse_set(rng, g, m_max=5, signed=signed)
+                for _ in range(n_sets)]
+        own = [sets[int(rng.integers(n_sets))] for _ in range(n)]
+        xs = [s.member(int(rng.integers(s.m))) for s in own]
+        b = random_base(rng, g)
+        gaps, costs = [], []
+        for i, (x, s) in enumerate(zip(xs, own)):
+            others = aggregate(b, xs[:i] + xs[i + 1:])
+            costs.append(inner(others, x))
+            gaps.append(costs[-1] - best_response(i, xs, b, s)[1])
+        worst = max(gaps)
+        slack = 1e-9 * max(abs(c) for c in costs)
+        tol = tol_scale * max(worst, 0.0)
+        report = is_nash(xs, own, b, tol)
+        assert report.worst_violation == pytest.approx(max(worst, 0.0), abs=slack)
+        if abs(worst - tol) > slack:
+            assert report.is_equilibrium == (worst <= tol)
+            event(f"equilibrium: {report.is_equilibrium}")
+        if not report.is_equilibrium:
+            assert gaps[report.violating_load] >= worst - slack
 
 
 class TestBruteForce:

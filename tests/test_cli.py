@@ -67,6 +67,13 @@ def track_game(seed=2):
                                Profile(np.array(TRACK_TARGET), grid))
 
 
+def one_row_baseload(tmp_path):
+    """A base-load CSV with one row where the grid has 24 slots."""
+    path = tmp_path / "one_row.csv"
+    path.write_text("slot,kw_per_household\n0,1.0\n")
+    return str(path)
+
+
 def read_rows(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
@@ -295,8 +302,9 @@ class TestAnalyze:
     def test_track_fixed_point_is_nash(self, tmp_path, capsys):
         """`analyze` checks a `track` equilibrium on b - target."""
         b, loads, objective = track_game()
-        traj = run(loads, b, EngineConfig(max_iterations=5000, master_seed=2,
-                                          stop_on_epsilon=False), objective)
+        traj = run(loads, objective.effective_base(b),
+                   EngineConfig(max_iterations=5000, master_seed=2,
+                                stop_on_epsilon=False))
         assert traj.terminated_by is Termination.FIXED_POINT
         profiles = tmp_path / "profiles.csv"
         profiles_to_csv(loads, traj.final_profiles, profiles)
@@ -366,12 +374,12 @@ class TestExperiment:
                          "--seeds", "2"]) == 0
         escapes = np.zeros((2, 30))
         physical = np.zeros(96)
-        for seed in (0, 1):
+        for s, seed in enumerate((2, 3)):  # the manifest's master_seed is 2
             b, loads, objective = track_game(seed)
-            traj = run(loads, b, EngineConfig(max_iterations=30, master_seed=seed),
-                       objective)
+            traj = run(loads, objective.effective_base(b),
+                       EngineConfig(max_iterations=30, master_seed=seed))
             for rec in traj.records:
-                escapes[seed, rec.k - 1] = rec.escape_probability
+                escapes[s, rec.k - 1] = rec.escape_probability
             physical += aggregate(b, traj.final_profiles).values / 2
         escape_rows = read_rows(out / "escape_sweep.csv")[1:]
         assert [float(row[2]) for row in escape_rows] == \
@@ -379,6 +387,37 @@ class TestExperiment:
         profile_rows = read_rows(out / "profile_sweep.csv")[1:]
         assert [float(row[1]) for row in profile_rows] == \
             pytest.approx(physical, rel=1e-12)
+
+    @pytest.mark.parametrize("name,table", [("escape-sweep", "escape_sweep.csv"),
+                                            ("profile-sweep", "profile_sweep.csv")])
+    def test_sweep_seeds_start_at_the_seed(self, tmp_path, name, table):
+        """--seed 3 --seeds 2 averages what seeds 3 and 4 give one at a time."""
+        manifest = write_manifest(tmp_path, {"engine": {"max_iterations": 5}})
+
+        def sweep(seed, seeds):
+            out = tmp_path / f"{seed}-{seeds}"
+            assert main(["experiment", name, "--manifest", manifest,
+                         "--out", str(out), "--penetrations", "0.3",
+                         "--seed", str(seed), "--seeds", str(seeds)]) == 0
+            return read_rows(out / table)
+
+        both, three, four = sweep(3, 2), sweep(3, 1), sweep(4, 1)
+        assert both[0] == three[0] == four[0]
+        column = 2 if name == "escape-sweep" else 1
+        assert len(both) == len(three) == len(four)
+        for row, a, b in zip(both[1:], three[1:], four[1:]):
+            assert float(row[column]) == (float(a[column]) + float(b[column])) / 2
+        assert both != sweep(0, 2)
+
+    @pytest.mark.parametrize("levels", ["0.2,x", "-0.5"])
+    def test_bad_penetrations_exit_2(self, tmp_path, capsys, levels):
+        out = tmp_path / "out"
+        assert main(["experiment", "bound-sweep", "--manifest",
+                     write_manifest(tmp_path), "--out", str(out),
+                     "--penetrations", levels]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --penetrations") and levels in err
+        assert not out.exists()
 
 
 class TestFleetGen:
@@ -455,6 +494,10 @@ class TestFleetGen:
         {"fleet": {"start_window": 5}},
         {"fleet": {"heterogeneity": [0.1]}},
         {"fleet": {"penetration": -0.5}},
+        {"fleet": {"start_window": [50, 10]}},
+        {"fleet": {"charge_hours": 1.1}},
+        {"fleet": {"charger_kw": -3}},
+        lambda tmp_path: {"baseload": {"csv": one_row_baseload(tmp_path)}},
         # the other sections, and the file itself, are checked as strictly
         {"baseload": {"synth": {"bogus": 1}}},
         {"baseload": {"synth": {"peak_slots": [4, 36]}}},
@@ -476,8 +519,9 @@ class TestFleetGen:
     ], ids=["unknown-key", "unknown-jitter-key", "two-rate-keys",
             "jitter-out-of-range", "bad-range", "households-not-int",
             "penetration-null", "window-not-pair", "heterogeneity-not-object",
-            "penetration-negative", "unknown-synth-key", "peak-slots-not-triple",
-            "peak-slot-past-grid", "peak-slot-negative", "peak-slot-repeated",
+            "penetration-negative", "window-reversed", "hours-off-grid",
+            "charger-negative", "baseload-csv-one-row", "unknown-synth-key",
+            "peak-slots-not-triple", "peak-slot-past-grid", "peak-slot-negative", "peak-slot-repeated",
             "engine-not-object", "unknown-engine-key", "epsilon-zero",
             "unknown-grid-key", "unknown-emit-key", "emit-not-bool",
             "unknown-objective-kind", "track-without-target",
@@ -485,6 +529,8 @@ class TestFleetGen:
             "manifest-not-json"])
     def test_bad_fleet_key_exits_2(self, tmp_path, capsys, manifest):
         """Every manifest section, not only `fleet`: a bad one exits 2."""
+        if callable(manifest):  # the manifest names a file it needs
+            manifest = manifest(tmp_path)
         if isinstance(manifest, str):  # the file itself is malformed
             (tmp_path / "manifest.json").write_text(manifest)
             manifest = str(tmp_path / "manifest.json")

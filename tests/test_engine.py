@@ -14,7 +14,7 @@ from valleyfill.core import (GridMismatchError, Profile, TimeGrid, aggregate,
                              norm, norm2)
 from valleyfill.engine import (ConfigurationError, EngineConfig, LoadSpec,
                                Termination, convex_load_update,
-                               coordinator_signal, escape_probability,
+                               coordinator_signal,
                                expected_next_objective, finite_load_update,
                                fleet_weight, load_draw, load_draws, run,
                                trajectory_to_csv, update_loads)
@@ -181,22 +181,6 @@ class TestFiniteLoadUpdate:
         assert theta.weights[k] > 0
 
 
-class TestEscapeProbability:
-    def test_degenerate_stays(self):
-        theta = Distribution.degenerate(4, 2)
-        assert escape_probability([theta], [2]) == 0.0
-
-    def test_hand_example(self):
-        t1 = Distribution(np.array([0.5, 0.5]))
-        t2 = Distribution(np.array([0.25, 0.75]))
-        # stay = 0.5 * 0.75
-        assert escape_probability([t1, t2], [0, 1]) == pytest.approx(0.625)
-
-    def test_alignment_check(self):
-        with pytest.raises(ValueError):
-            escape_probability([Distribution.degenerate(2, 0)], [0, 1])
-
-
 class TestMixedFleetEscape:
     def test_escape_is_one_when_a_convex_load_moves(self):
         # a convex load's move is deterministic, so an iteration in which
@@ -292,11 +276,11 @@ class TestUpdateLoads:
         for k in range(1, 7):
             sig = coordinator_signal(aggregate(b, X), C)
             X_fleet, stay, _, _ = update_loads(loads, sig, C, X, fleet_idx,
-                                               master_seed, k)
+                                               master_seed, k, {})
             stays = []
             for i, spec in enumerate(loads):
                 x_i, stay_i, _, _ = update_loads([spec], sig, C, X[i:i + 1],
-                                                 single_idx[i], master_seed, k)
+                                                 single_idx[i], master_seed, k, {})
                 assert x_i[0].tobytes() == X_fleet[i].tobytes()
                 assert single_idx[i] == [fleet_idx[i]]
                 stays.append(stay_i)
@@ -677,9 +661,9 @@ class TestGroupedWork:
             events.append(("draws", [int(i) for i in ids], k))
             return draws(master_seed, ids, k)
 
-        def traced_scan(self, x, tol=0.0):
+        def traced_scan(self, x):
             events.append(("scan",))
-            return scan(self, x, tol)
+            return scan(self, x)
 
         monkeypatch.setattr(engine, "coordinator_signal", traced_signal)
         monkeypatch.setattr(engine, "hull_minimize", traced_solve)
@@ -725,9 +709,11 @@ class TestGroupedWork:
             assert all(e[2] == k for e in calls)
             drawn = [i for e in calls for i in e[1]]
             expected = []
+            stays = []
             for i, spec in enumerate(loads):
                 theta = thetas[(id(spec.constraint), spec.c, prev[i])]
                 w = theta.weights
+                stays.append(0.0 if prev[i] is None else float(w[prev[i]]))
                 if np.count_nonzero(w) == 1 and w.max() == 1.0:
                     prev[i] = int(np.argmax(w))
                 else:
@@ -735,6 +721,8 @@ class TestGroupedWork:
                     prev[i] = sample(theta, load_draw(0, spec.id, k))
             # the batch holds exactly the non-pinned loads, in load order
             assert drawn == expected
+            # escape = 1 - prod_i theta_i[prev_i], in load order
+            assert traj.records[k - 1].escape_probability == 1.0 - math.prod(stays)
             draws_total += len(drawn)
             updates_to_draw += len(expected)
         assert 0 < draws_total == updates_to_draw < iterations * len(loads)

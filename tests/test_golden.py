@@ -79,9 +79,9 @@ def track_run():
     loads += [LoadSpec(i, random_pulse_set(rng, grid, m_max=5)) for i in range(1, 7)]
     b = random_base(rng, grid)
     target = Profile(rng.uniform(1.0, 4.0, grid.slots), grid)
-    return run(loads, b, EngineConfig(max_iterations=40, master_seed=5,
-                                      stop_on_epsilon=False),
-               Objective(ObjectiveKind.TRACK, target))
+    obj = Objective(ObjectiveKind.TRACK, target)
+    return run(loads, obj.effective_base(b),
+               EngineConfig(max_iterations=40, master_seed=5, stop_on_epsilon=False))
 
 
 CASES = {"case-study-seed-0": case_study,

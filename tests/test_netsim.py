@@ -206,8 +206,8 @@ class TestFailureModes:
         "MESSAGE HELLO 0",
         "MESSAGE HELLO 0 abc x",
         "MESSAGE PROFILEUPDATE 1",
-        "MESSAGE PROFILEUPDATE 1 0 -1",
-        "MESSAGE PROFILEUPDATE 1 0 -1 0 nonsense",
+        "MESSAGE PROFILEUPDATE 1 0",
+        "MESSAGE PROFILEUPDATE 1 0 0 nonsense",
     ], ids=["hello-no-fields", "hello-bad-id", "update-no-fields",
             "update-no-stay", "update-bad-profile"])
     def test_malformed_update_is_protocol_error(self, line):
@@ -255,7 +255,7 @@ wire_token = st.one_of(
 WIRE_VALID = {"HELLO": ["0", grid_digest(WIRE_GRID)],
               "ASSIGN": ["0", grid_digest(WIRE_GRID)],
               "SIGNAL": ["2.5", "3", "0.5", "0.25", "1.0"],
-              "PROFILEUPDATE": ["0", "-1", "0.5", "3", "0.5", "0.25", "1.0"],
+              "PROFILEUPDATE": ["0", "0.5", "3", "0.5", "0.25", "1.0"],
               "STOP": ["FixedPoint"]}
 
 

@@ -104,6 +104,12 @@ class TestSynthBaseload:
         assert p.values.min() == pytest.approx(0.9)
         assert p.values.max() == pytest.approx(1.1)
 
+    @pytest.mark.parametrize("slots", [1, 2, 4])
+    def test_grid_too_small_for_the_peaks(self, slots):
+        """The scaled default peak slots collide on very small grids."""
+        with pytest.raises(ValueError, match=rf"baseload.synth.peak_slots .* {slots}-slot"):
+            default_baseload(TimeGrid(2.0, slots))
+
 
 class TestCsvLoader:
     def write(self, tmp_path, rows, header="slot,kw_per_household"):
