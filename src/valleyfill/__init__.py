@@ -8,7 +8,7 @@ coordinator/agent runner.
 """
 
 from .core import (Objective, ObjectiveKind, Profile, TimeGrid, aggregate,
-                   inner, norm, norm2, objective_value, variance)
+                   inner, norm, norm2)
 from .engine import EngineConfig, LoadSpec, Termination, Trajectory, run
 from .feasible import (ConvexChargeSet, Distribution, FinitePulseSet,
                        hull_minimize, make_pulse_set, project_convex, sample)

@@ -13,6 +13,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .core import Profile, aggregate, norm2
+from .engine import convex_load_update, coordinator_signal
 from .feasible import FinitePulseSet
 
 __all__ = [
@@ -166,8 +167,6 @@ def convex_stationarity_residual(loads, xs: Sequence[Profile], b: Profile) -> fl
     g the broadcast signal at x; the residual is the root sum of squared
     per-load violations, zero exactly at stationary points.
     """
-    from .engine import convex_load_update, coordinator_signal
-
     C = sum(spec.c for spec in loads)
     g = coordinator_signal(aggregate(b, list(xs)), C)
     total = 0.0

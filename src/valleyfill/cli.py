@@ -375,6 +375,8 @@ def _penetrations(text: Optional[str]) -> List[float]:
 def cmd_experiment(args) -> int:
     manifest = load_manifest(args.manifest, args)
     penetrations = _penetrations(args.penetrations)
+    if args.seeds < 1:
+        raise InputError(f"--seeds must be >= 1, got {args.seeds}")
     out = manifest.out
     os.makedirs(out, exist_ok=True)
 
@@ -410,7 +412,7 @@ def cmd_experiment(args) -> int:
             agg += aggregate(b, traj.final_profiles).values
         escape_rows += [[repr(pen), str(k + 1), repr(float(mean))]
                         for k, mean in enumerate(escapes.mean(axis=0))]
-        mean_aggregates.append(agg / max(len(seeds), 1))
+        mean_aggregates.append(agg / len(seeds))
     if args.name == "escape-sweep":
         _write_csv(os.path.join(out, "escape_sweep.csv"),
                    ["penetration", "k", "mean_escape_probability"], escape_rows)
@@ -470,7 +472,9 @@ def cmd_coordinator(args) -> int:
     manifest = load_manifest(args.manifest, args)
     _, base, loads = _scenario(manifest)
     roster = [netsim.RosterEntry(s.id, s.is_finite, s.c) for s in loads]
-    traj = netsim.serve_coordinator(base, roster, manifest.engine, endpoint)
+    # without loads there is no session to serve, as `run` has nothing to solve
+    traj = (netsim.serve_coordinator(base, roster, manifest.engine, endpoint)
+            if roster else None)
     _write_artifacts(manifest, loads, base, traj)
     return 0
 

@@ -1,5 +1,8 @@
-"""Discretized time grid, profile algebra, objectives and variance.
+"""Discretized time grid, profile algebra and objectives.
 
+The objective of load profiles xs on base load b is
+``norm2(aggregate(objective.effective_base(b), xs))``: Flatten uses b
+itself and Track folds its target into the base as b - target.
 Units are fixed throughout the package: rates in kW, time in hours,
 energy in kWh, squared norms in kW^2*h.  All integrals are discretized
 as left-Riemann sums on a uniform grid, and every reduction runs in
@@ -12,7 +15,7 @@ import csv
 import enum
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -26,11 +29,7 @@ __all__ = [
     "norm2",
     "norm",
     "aggregate",
-    "objective_value",
-    "variance",
-    "mean_rate",
     "profile_to_csv",
-    "profile_from_csv",
 ]
 
 
@@ -158,25 +157,6 @@ def aggregate(b: Profile, xs) -> Profile:
     return Profile(total, b.grid)
 
 
-def mean_rate(d: Profile) -> float:
-    """Time average (1/T) * dt * sum_t d_t  (kW)."""
-    return d.grid.dt * float(np.sum(d.values)) / d.grid.horizon_hours
-
-
-def objective_value(b: Profile, xs: Sequence[Profile], obj: Objective = Objective()) -> float:
-    """Squared l2 norm of the aggregate (Flatten) or of aggregate - target (Track)."""
-    return norm2(aggregate(obj.effective_base(b), xs))
-
-
-def variance(d: Profile) -> float:
-    """Time variance of a profile: (1/T) * norm2(d) - mean_rate(d)^2.
-
-    Nonnegative, zero iff the profile is constant across slots.
-    """
-    mu = mean_rate(d)
-    return norm2(d) / d.grid.horizon_hours - mu * mu
-
-
 def profile_to_csv(p: Profile, path) -> None:
     """Write `slot,value_kw` rows; values round-trip 64-bit floats exactly."""
     with open(path, "w", newline="") as fh:
@@ -184,22 +164,3 @@ def profile_to_csv(p: Profile, path) -> None:
         w.writerow(["slot", "value_kw"])
         for t, v in enumerate(p.values):
             w.writerow([t, repr(float(v))])
-
-
-def profile_from_csv(path, grid: TimeGrid) -> Profile:
-    with open(path, newline="") as fh:
-        r = csv.reader(fh)
-        header = next(r, None)
-        if header != ["slot", "value_kw"]:
-            raise ValueError(f"unexpected header {header!r} in {path}")
-        values = np.zeros(grid.slots)
-        count = 0
-        for row in r:
-            slot = int(row[0])
-            if not (0 <= slot < grid.slots):
-                raise ValueError(f"slot {slot} out of range for grid with {grid.slots} slots")
-            values[slot] = float(row[1])
-            count += 1
-    if count != grid.slots:
-        raise ValueError(f"expected {grid.slots} rows, got {count} in {path}")
-    return Profile(values, grid)

@@ -58,7 +58,6 @@ __all__ = [
     "coordinator_signal",
     "convex_load_update",
     "finite_load_update",
-    "expected_next_objective",
     "fleet_weight",
     "coordinate",
     "update_loads",
@@ -75,8 +74,9 @@ class ConfigurationError(ValueError):
 class LoadSpec:
     """One elastic load: its constraint set and update weight c_i.
 
-    The default weight is the load's total energy request (c_i = X_i),
-    which equalizes per-load convergence speed.
+    The id is a non-negative integer: it keys the load's draws.  The
+    default weight is the load's total energy request (c_i = X_i), which
+    equalizes per-load convergence speed.
     """
 
     id: int
@@ -84,6 +84,8 @@ class LoadSpec:
     c: Optional[float] = None
 
     def __post_init__(self):
+        if self.id < 0:
+            raise ConfigurationError(f"load id {self.id} is negative; ids must be >= 0")
         if self.c is None:
             object.__setattr__(self, "c", self.constraint.energy)
         if not (self.c > 0):
@@ -347,24 +349,6 @@ def _expected_objective(b: Profile, mean, variance: float) -> float:
     """
     d = b.values + mean
     return b.grid.dt * float(np.dot(d, d)) + variance
-
-
-def expected_next_objective(b: Profile, xs_prev: Sequence[Profile],
-                            thetas: Sequence[Distribution],
-                            sets: Sequence[FinitePulseSet]) -> float:
-    """Exact conditional expectation E[L_k | x^(k-1)] for an all-finite fleet.
-
-    The previous profiles enter only through the sampling distributions,
-    which were computed from them; each must be a member of its set.
-    """
-    if not (len(xs_prev) == len(thetas) == len(sets)):
-        raise ValueError("xs_prev, thetas, sets must align")
-    for i, (x, s) in enumerate(zip(xs_prev, sets)):
-        if s.member_index(x) is None:
-            raise ValueError(f"load {i}: previous profile is not a member of its set")
-    moments = [_finite_moments(theta, s) for theta, s in zip(thetas, sets)]
-    return _expected_objective(b, sum(mean for mean, _ in moments),
-                               sum(variance for _, variance in moments))
 
 
 def fleet_weight(fleet: Sequence[Tuple[int, bool, float]]) -> float:

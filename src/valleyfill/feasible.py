@@ -38,6 +38,8 @@ __all__ = [
 SNAP_TOLERANCE = 1e-7
 # Major cycles of the min-norm-point method before hull_minimize gives up.
 _HULL_MAX_ITERATIONS = 10_000
+# ConvexChargeSet.contains: slack on the box in kW, relative slack on the energy.
+_CONTAINS_TOLERANCE = 1e-9
 
 
 class InfeasibleSetError(ValueError):
@@ -79,7 +81,8 @@ class ConvexChargeSet:
         return ConvexChargeSet(Profile(self.caps.values * factor, self.grid),
                                self.energy * factor)
 
-    def contains(self, x: Profile, tol: float = 1e-9) -> bool:
+    def contains(self, x: Profile) -> bool:
+        tol = _CONTAINS_TOLERANCE
         if x.grid != self.grid:
             return False
         if np.any(x.values < -tol) or np.any(x.values > self.caps.values + tol):

@@ -7,13 +7,20 @@ in-process trajectories exactly.
 
 Message kinds:
 
-- ``HELLO <load_id> <grid_digest>``       agent -> coordinator handshake
+- ``HELLO <load_id> <grid_digest> <finite|convex> <c>``
+                                        agent -> coordinator handshake
 - ``ASSIGN <load_id> <grid_digest>``      coordinator acknowledgment
 - ``SIGNAL <C> <S> v1..vS``               broadcast signal and fleet weight C > 0
 - ``PROFILEUPDATE <load_id> <stay> <S> v1..vS``
 - ``STOP <reason>``                       termination broadcast
 
-An agent sends what the coordinator needs: the new profile and, as
+In HELLO an agent states its load's kind and weight c (``repr``).  The
+coordinator refuses, with ``STOP`` and an error before iteration 1, an
+agent whose id repeats or is not in the roster (``DuplicateId``,
+``UnknownId``), whose grid differs (``GridMismatch``), or whose kind or
+weight differs bit for bit from its roster entry (``RosterMismatch``).
+
+An agent sends what the coordinator needs each round: the new profile and, as
 ``<stay>``, the ``repr`` of the probability that the load kept its previous
 profile.  Networked records thus carry escape probabilities, but a NaN
 expected next objective: agents send no sampling distributions.
@@ -94,10 +101,17 @@ def _probability(text: str) -> float:
 
 
 def _weight(text: str) -> float:
-    C = float(text)
-    if not (math.isfinite(C) and C > 0):
-        raise ValueError(f"fleet weight {text} is not finite and positive")
-    return C
+    c = float(text)
+    if not (math.isfinite(c) and c > 0):
+        raise ValueError(f"weight {text} is not finite and positive")
+    return c
+
+
+def _finite(text: str) -> bool:
+    """A load kind, ``finite`` or ``convex``, as LoadSpec.is_finite."""
+    if text not in ("finite", "convex"):
+        raise ValueError(f"load kind {text!r} is neither finite nor convex")
+    return text == "finite"
 
 
 def _profile(fields: List[str], grid: TimeGrid) -> Profile:
@@ -108,7 +122,8 @@ def _profile(fields: List[str], grid: TimeGrid) -> Profile:
 
 
 # Header field parsers per message kind; SIGNAL and PROFILEUPDATE end in a profile.
-_HEADERS = {"HELLO": (int, str), "ASSIGN": (int, str), "SIGNAL": (_weight,),
+_HEADERS = {"HELLO": (int, str, _finite, _weight), "ASSIGN": (int, str),
+            "SIGNAL": (_weight,),
             "PROFILEUPDATE": (int, _probability), "STOP": ()}
 
 
@@ -151,13 +166,15 @@ def serve_coordinator(b: Profile, roster: Sequence[RosterEntry], cfg: EngineConf
     """Run the engine's coordinator loop against connected agents.
 
     Checks the roster before binding, accepts one connection per roster
-    entry, then drives `engine.coordinate` with a transport that sends
-    SIGNAL to every agent and waits for every PROFILEUPDATE.  The returned
-    Trajectory matches the in-process run bit for bit, escape
-    probabilities included; its expected next objectives are NaN.
+    entry whose HELLO matches it (id, grid, kind and weight), then drives
+    `engine.coordinate` with a transport that sends SIGNAL to every agent
+    and waits for every PROFILEUPDATE.  The returned Trajectory matches
+    the in-process run bit for bit, escape probabilities included; its
+    expected next objectives are NaN.
     """
     C = fleet_weight([(entry.id, entry.finite, entry.c) for entry in roster])
-    ids = [entry.id for entry in roster]
+    entries = {entry.id: entry for entry in roster}
+    ids = list(entries)
     grid = b.grid
     digest = grid_digest(grid)
 
@@ -174,11 +191,11 @@ def serve_coordinator(b: Profile, roster: Sequence[RosterEntry], cfg: EngineConf
             conn.settimeout(timeout)
             fh = conn.makefile("rw", encoding="ascii", newline="\n")
             accepted.append((conn, fh))
-            _, _, (load_id, agent_digest) = _recv(fh, ["HELLO"], grid)
+            _, _, (load_id, agent_digest, finite, c) = _recv(fh, ["HELLO"], grid)
             if load_id in conns:
                 _send(fh, "STOP", 0, "DuplicateId")
                 raise ConfigurationError(f"duplicate load id {load_id} in session")
-            if load_id not in ids:
+            if load_id not in entries:
                 _send(fh, "STOP", 0, "UnknownId")
                 raise ConfigurationError(f"load id {load_id} not in roster")
             if agent_digest != digest:
@@ -186,6 +203,11 @@ def serve_coordinator(b: Profile, roster: Sequence[RosterEntry], cfg: EngineConf
                 raise ProtocolError(
                     f"agent {load_id} grid digest {agent_digest!r} != session {digest!r}"
                 )
+            entry = entries[load_id]
+            if (finite, c) != (entry.finite, entry.c):
+                _send(fh, "STOP", 0, "RosterMismatch")
+                raise ConfigurationError(f"agent {load_id} (finite={finite}, c={c!r}) "
+                                         f"does not match its roster entry {entry}")
             _send(fh, "ASSIGN", 0, f"{load_id} {digest}")
             conns[load_id] = fh
 
@@ -258,7 +280,8 @@ def run_agent(load: LoadSpec, master_seed: int, endpoint: Tuple[str, int],
     conn = _connect_with_retry(endpoint, timeout)
     fh = conn.makefile("rw", encoding="ascii", newline="\n")
     try:
-        _send(fh, "HELLO", 0, f"{load.id} {digest}")
+        load_kind = "finite" if load.is_finite else "convex"
+        _send(fh, "HELLO", 0, f"{load.id} {digest} {load_kind} {float(load.c)!r}")
         kind, _, fields = _recv(fh, ["ASSIGN", "STOP"], grid)
         if kind == "STOP":
             return 1

@@ -4,7 +4,8 @@ The canonical case study uses a 24 h horizon in 96 slots of 15 minutes,
 3.3 kW / 4 h charging pulses and start slots 0..80 (every 15 minutes from
 the start of the horizon, latest start 4 h before the end).  The bundled
 synthetic residential curve stands in for utility trace data; the CSV
-loader accepts real per-household traces.
+loader accepts real per-household traces.  `synth_baseload` builds every
+synthetic curve and checks its peak slots and levels for every caller.
 """
 
 from __future__ import annotations
@@ -95,17 +96,26 @@ class BaseLoadSpec:
             raise ValueError("exactly one of csv_path or synth must be given")
 
 
-def synth_baseload(grid: TimeGrid, evening_peak_kw: float, morning_peak_kw: float,
-                   valley_kw: float, peak_slots: Tuple[int, int, int]) -> Profile:
+def synth_baseload(p: SynthParams, grid: TimeGrid) -> Profile:
     """Smooth double-hump curve via periodic cosine interpolation.
 
     Anchors the evening peak, the overnight valley and the morning peak at
-    the given slots and interpolates between consecutive anchors with a
-    half-cosine ramp; the curve wraps around the horizon seam.
+    `p.peak_slots` (by default CANONICAL_PEAK_SLOTS scaled to the grid)
+    and interpolates between consecutive anchors with a half-cosine ramp;
+    the curve wraps around the horizon seam.  The slots must be three
+    distinct slots of the grid and the levels nonnegative.
     """
-    if min(evening_peak_kw, morning_peak_kw, valley_kw) < 0:
+    levels = (p.evening_peak_kw, p.valley_kw, p.morning_peak_kw)
+    if min(levels) < 0:
         raise ValueError("anchor levels must be nonnegative")
-    anchors = sorted(zip(peak_slots, (evening_peak_kw, valley_kw, morning_peak_kw)))
+    peak_slots = p.peak_slots
+    if peak_slots is None:
+        scale = grid.slots / CANONICAL_GRID.slots
+        peak_slots = tuple(int(round(s * scale)) for s in CANONICAL_PEAK_SLOTS)
+    if len(set(peak_slots)) < 3 or not all(0 <= s < grid.slots for s in peak_slots):
+        raise ValueError(f"baseload.synth.peak_slots {list(peak_slots)} are not three "
+                         f"distinct slots of the {grid.slots}-slot grid")
+    anchors = sorted(zip(peak_slots, levels))
     slots = grid.slots
     values = np.zeros(slots)
     n = len(anchors)
@@ -124,19 +134,7 @@ def synth_baseload(grid: TimeGrid, evening_peak_kw: float, morning_peak_kw: floa
 
 def default_baseload(grid: TimeGrid = CANONICAL_GRID) -> Profile:
     """Bundled synthetic residential curve (kW per household)."""
-    return _synth_curve(SynthParams(), grid)
-
-
-def _synth_curve(p: SynthParams, grid: TimeGrid) -> Profile:
-    slots = p.peak_slots
-    if slots is None:
-        scale = grid.slots / CANONICAL_GRID.slots
-        slots = tuple(int(round(s * scale)) for s in CANONICAL_PEAK_SLOTS)
-    if len(set(slots)) < 3 or not all(0 <= s < grid.slots for s in slots):
-        raise ValueError(f"baseload.synth.peak_slots {list(slots)} are not three "
-                         f"distinct slots of the {grid.slots}-slot grid")
-    return synth_baseload(grid, p.evening_peak_kw, p.morning_peak_kw,
-                          p.valley_kw, slots)
+    return synth_baseload(SynthParams(), grid)
 
 
 def load_baseload_csv(path, grid: TimeGrid) -> Profile:
@@ -217,7 +215,7 @@ def build_case_study(spec: FleetSpec, base: BaseLoadSpec,
     if base.csv_path is not None:
         per_household = load_baseload_csv(base.csv_path, grid)
     else:
-        per_household = _synth_curve(base.synth, grid)
+        per_household = synth_baseload(base.synth, grid)
     b = Profile(per_household.values * spec.households * base.per_household_scale,
                 grid)
     return b, build_fleet(spec, grid, seed)

@@ -10,7 +10,7 @@ from valleyfill import netsim
 from valleyfill.analysis import brute_force_optimum
 from valleyfill.cli import main, profiles_from_csv, profiles_to_csv
 from valleyfill.core import (Objective, ObjectiveKind, Profile, TimeGrid,
-                             aggregate, norm2, profile_from_csv)
+                             aggregate, norm2)
 from valleyfill.engine import EngineConfig, Termination, run
 from valleyfill.scenario import (BaseLoadSpec, FleetSpec, SynthParams,
                                  build_case_study, default_baseload)
@@ -185,6 +185,24 @@ class TestNetworked:
             assert net_row[column] == "nan"
             del net_row[column], local_row[column]
             assert net_row == local_row
+
+    def test_coordinator_without_loads_writes_runs_report(self, tmp_path,
+                                                          monkeypatch):
+        """An empty fleet opens no socket; the report is `run`'s, byte for byte."""
+        def serve(*args, **kwargs):
+            raise AssertionError("an empty fleet reached the transport")
+
+        monkeypatch.setattr(netsim, "serve_coordinator", serve)
+        manifest = write_manifest(tmp_path, {"fleet": {"households": 4,
+                                                       "penetration": 0.0}})
+        assert main(["run", "--manifest", manifest,
+                     "--out", str(tmp_path / "run")]) == 0
+        assert main(["coordinator", "--manifest", manifest,
+                     "--out", str(tmp_path / "net")]) == 0
+        report = (tmp_path / "net" / "report.txt").read_bytes()
+        assert b"terminated_by=no_loads" in report
+        assert report == (tmp_path / "run" / "report.txt").read_bytes()
+        assert sorted(p.name for p in (tmp_path / "net").iterdir()) == ["report.txt"]
 
     @pytest.mark.parametrize("command", ["coordinator", "agent"])
     @pytest.mark.parametrize("endpoint", ["nohostport", "127.0.0.1:abc",
@@ -409,6 +427,16 @@ class TestExperiment:
             assert float(row[column]) == (float(a[column]) + float(b[column])) / 2
         assert both != sweep(0, 2)
 
+    @pytest.mark.parametrize("name", ["escape-sweep", "profile-sweep"])
+    @pytest.mark.parametrize("seeds", ["0", "-1"])
+    def test_seeds_below_one_exit_2(self, tmp_path, capsys, name, seeds):
+        out = tmp_path / "out"
+        assert main(["experiment", name, "--manifest", write_manifest(tmp_path),
+                     "--out", str(out), "--seeds", seeds]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --seeds must be >= 1, got {seeds}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("levels", ["0.2,x", "-0.5"])
     def test_bad_penetrations_exit_2(self, tmp_path, capsys, levels):
         out = tmp_path / "out"
@@ -439,9 +467,9 @@ class TestFleetGen:
         assert main(["fleet-gen", "--manifest", manifest,
                      "--out", str(out)]) == 0
         grid = TimeGrid(24.0, 48)
-        b = profile_from_csv(out / "baseload.csv", grid)
+        b = np.loadtxt(out / "baseload.csv", delimiter=",", skiprows=1)[:, 1]
         per_household = default_baseload(grid).values
-        assert np.array_equal(b.values, 10 * per_household)
+        assert np.array_equal(b, 10 * per_household)
         assert per_household.min() == pytest.approx(0.9)
 
     @pytest.mark.parametrize("slots", [[4, 10, 24], [-1, 10, 16], [4, 10, 10]])

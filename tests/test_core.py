@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 
 import valleyfill
 from valleyfill.core import (GridMismatchError, Objective, ObjectiveKind,
-                             Profile, TimeGrid, aggregate, inner, mean_rate,
-                             norm2, objective_value, profile_from_csv,
-                             profile_to_csv, variance)
+                             Profile, TimeGrid, aggregate, inner, norm2,
+                             profile_to_csv)
 
 
 def grid(T=24.0, S=96):
@@ -66,7 +65,10 @@ class TestProfile:
         p = Profile(np.array([0.1, 1.0 / 3.0, 2.5, 0.0]), g)
         path = tmp_path / "p.csv"
         profile_to_csv(p, path)
-        assert profile_from_csv(path, g) == p
+        assert path.read_text().splitlines()[0] == "slot,value_kw"
+        slots, values = np.loadtxt(path, delimiter=",", skiprows=1).T
+        assert np.array_equal(slots, np.arange(4))
+        assert Profile(values, g) == p
 
 
 class TestInner:
@@ -154,14 +156,18 @@ class TestAggregate:
 
 
 class TestObjective:
+    """The objective is norm2(aggregate(obj.effective_base(b), xs))."""
+
     def test_empty_zero(self):
         g = grid()
-        assert objective_value(Profile.zeros(g), []) == 0.0
+        b = Profile.zeros(g)
+        assert norm2(aggregate(Objective().effective_base(b), [])) == 0.0
 
     def test_flat_profile(self):
         g = grid()
         mu = 1.7
-        assert objective_value(Profile.constant(mu, g), []) == \
+        b = Profile.constant(mu, g)
+        assert norm2(aggregate(Objective().effective_base(b), [])) == \
             pytest.approx(24.0 * mu * mu, rel=1e-12)
 
     def test_perfect_tracking(self):
@@ -170,37 +176,9 @@ class TestObjective:
         x = Profile(np.array([0.1, 0.2, 0.3, 0.4]), g)
         target = aggregate(b, [x])
         obj = Objective(ObjectiveKind.TRACK, target)
-        assert objective_value(b, [x], obj) == pytest.approx(0.0, abs=1e-15)
+        assert norm2(aggregate(obj.effective_base(b), [x])) == \
+            pytest.approx(0.0, abs=1e-15)
 
     def test_track_requires_target(self):
         with pytest.raises(ValueError):
             Objective(ObjectiveKind.TRACK)
-
-
-class TestVariance:
-    def test_constant_is_zero(self):
-        assert variance(Profile.constant(3.0, grid())) == pytest.approx(0.0, abs=1e-12)
-
-    def test_hand_arithmetic(self):
-        g = TimeGrid(1.0, 2)
-        d = Profile(np.array([0.0, 2.0]), g)
-        assert variance(d) == pytest.approx(1.0, rel=1e-12)
-
-    def test_shift_invariance(self):
-        rng = np.random.default_rng(7)
-        g = TimeGrid(6.0, 12)
-        d = Profile(rng.uniform(0, 3, 12), g)
-        shifted = Profile(d.values + 5.0, g)
-        assert variance(shifted) == pytest.approx(variance(d), rel=1e-9, abs=1e-9)
-
-    def test_objective_identity(self):
-        # norm2(d) = T * (V(d) + mu^2), the variance/norm equivalence
-        rng = np.random.default_rng(42)
-        g = grid()
-        for _ in range(10):
-            b = Profile(rng.uniform(0, 2, 96), g)
-            xs = [Profile(rng.uniform(0, 1, 96), g) for _ in range(3)]
-            d = aggregate(b, xs)
-            lhs = objective_value(b, xs)
-            rhs = g.horizon_hours * (variance(d) + mean_rate(d) ** 2)
-            assert lhs == pytest.approx(rhs, rel=1e-9)

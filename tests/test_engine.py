@@ -11,14 +11,13 @@ from conftest import (expected_objective_enumeration, random_base,
                       random_convex_set, random_pulse_set)
 from valleyfill.analysis import is_nash
 from valleyfill.core import (GridMismatchError, Profile, TimeGrid, aggregate,
-                             norm, norm2)
+                             norm)
 from valleyfill.engine import (ConfigurationError, EngineConfig, LoadSpec,
                                Termination, convex_load_update,
-                               coordinator_signal,
-                               expected_next_objective, finite_load_update,
+                               coordinator_signal, finite_load_update,
                                fleet_weight, load_draw, load_draws, run,
                                trajectory_to_csv, update_loads)
-from valleyfill.feasible import (Distribution, FinitePulseSet, SolverError,
+from valleyfill.feasible import (FinitePulseSet, SolverError,
                                  make_pulse_set, sample)
 from valleyfill.scenario import (BaseLoadSpec, FleetSpec, SynthParams,
                                  build_case_study)
@@ -203,43 +202,6 @@ class TestMixedFleetEscape:
             assert traj.records[k - 1].escape_probability == 1.0
 
 
-class TestExpectedNextObjective:
-    def test_matches_enumeration(self):
-        rng = np.random.default_rng(21)
-        g = TimeGrid(3.0, 6)
-        for _ in range(25):
-            n = int(rng.integers(1, 4))
-            sets = [random_pulse_set(rng, g, m_max=4) for _ in range(n)]
-            xs = [s.member(int(rng.integers(s.m))) for s in sets]
-            thetas = []
-            for s in sets:
-                w = rng.uniform(0.05, 1.0, s.m)
-                thetas.append(Distribution(w / w.sum()))
-            b = random_base(rng, g)
-            fast = expected_next_objective(b, xs, thetas, sets)
-            slow = expected_objective_enumeration(b, xs, thetas, sets)
-            assert fast == pytest.approx(slow, rel=1e-12, abs=1e-12)
-
-    def test_degenerate_is_current_objective(self):
-        rng = np.random.default_rng(22)
-        g = grid()
-        sets = [random_pulse_set(rng, g, m_max=3) for _ in range(2)]
-        xs = [s.member(0) for s in sets]
-        thetas = [Distribution.degenerate(s.m, 0) for s in sets]
-        b = random_base(rng, g)
-        assert expected_next_objective(b, xs, thetas, sets) == \
-            pytest.approx(norm2(aggregate(b, xs)), rel=1e-12)
-
-    def test_rejects_non_member(self):
-        rng = np.random.default_rng(23)
-        g = grid()
-        s = random_pulse_set(rng, g, m_max=3)
-        bad = Profile(s.members[0] + 0.5, g)
-        with pytest.raises(ValueError):
-            expected_next_objective(random_base(rng, g), [bad],
-                                    [Distribution.degenerate(s.m, 0)], [s])
-
-
 def mixed_fleet(rng, g, n_convex, n_finite):
     loads = []
     next_id = 0
@@ -419,6 +381,15 @@ class TestRunValidation:
         with pytest.raises(ConfigurationError):
             run(loads, Profile.zeros(g), EngineConfig())
 
+    @pytest.mark.parametrize("finite", [True, False])
+    def test_negative_id_rejected(self, finite):
+        rng = np.random.default_rng(34)
+        g = grid()
+        constraint = random_pulse_set(rng, g) if finite else random_convex_set(rng, g)
+        with pytest.raises(ConfigurationError, match="load id -1 "):
+            LoadSpec(-1, constraint)
+        assert LoadSpec(0, constraint).id == 0
+
     def test_bad_config(self):
         with pytest.raises(ConfigurationError):
             EngineConfig(epsilon=0.0)
@@ -510,32 +481,34 @@ class TestSupermartingale:
                 slack = 1e-9 * max(1.0, abs(prev.objective))
                 assert cur.expected_next_objective <= prev.objective + slack
 
-    def test_recorded_expectation_matches_standalone(self):
-        rng = np.random.default_rng(72)
-        g = TimeGrid(6.0, 12)
-        loads = mixed_fleet(rng, g, 0, 2)
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 4),
+           master_seed=st.integers(0, 2**32 - 1), iterations=st.integers(1, 6))
+    def test_recorded_expectation_matches_standalone(self, seed, n, master_seed,
+                                                     iterations):
+        """Record k holds E[L_k | x^(k-1)], by outcome enumeration over the thetas."""
+        rng = np.random.default_rng(seed)
+        g = TimeGrid(3.0, 6)
+        loads = [LoadSpec(i, random_pulse_set(rng, g, m_max=4)) for i in range(n)]
         b = random_base(rng, g)
-        traj = run(loads, b, EngineConfig(max_iterations=6, master_seed=3,
+        traj = run(loads, b, EngineConfig(max_iterations=iterations,
+                                          master_seed=master_seed,
                                           stop_on_epsilon=False))
-        # recompute the k=2 record by hand from the k=1 endpoint
         sets = [spec.constraint for spec in loads]
-        xs1 = []
         C = sum(spec.c for spec in loads)
         xs = [Profile.zeros(g) for _ in loads]
-        for k in (1, 2):
-            sig = coordinator_signal(aggregate(b, xs), C)
-            new = []
-            thetas = []
-            for spec, x in zip(loads, xs):
-                u = load_draw(3, spec.id, k)
-                theta = finite_load_update(sig, C, x, spec.constraint, spec.c)
-                new.append(spec.constraint.member(sample(theta, u)))
-                thetas.append(theta)
-            if k == 2:
-                expected = expected_next_objective(b, xs, thetas, sets)
-                assert traj.records[1].expected_next_objective == \
-                    pytest.approx(expected, rel=1e-12)
-            xs = new
+        for rec in traj.records:
+            # runs are keyed by (seed, id, k), so a shorter run is a prefix
+            if rec.k > 1:
+                xs = run(loads, b, EngineConfig(max_iterations=rec.k - 1,
+                                                master_seed=master_seed,
+                                                stop_on_epsilon=False)).final_profiles
+            assert rec.g == coordinator_signal(aggregate(b, xs), C)
+            thetas = [finite_load_update(rec.g, C, x, spec.constraint, spec.c)
+                      for spec, x in zip(loads, xs)]
+            expected = expected_objective_enumeration(b, xs, thetas, sets)
+            assert rec.expected_next_objective == \
+                pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
 class TestFixedPoint:

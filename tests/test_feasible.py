@@ -102,6 +102,17 @@ class TestValidateA1A4:
         assert report.max_ramp_rate == pytest.approx(3.3 / 0.25, rel=1e-12)
 
 
+class TestConvexContains:
+    def test_box_and_energy_within_tolerance(self):
+        g = TimeGrid(4.0, 4)  # dt = 1
+        cs = ConvexChargeSet(Profile(np.full(4, 2.0), g), energy=4.0)
+        assert cs.contains(Profile(np.full(4, 1.0), g))
+        assert cs.contains(Profile(np.array([2.0 + 1e-10, 1.0, 1.0, -1e-10]), g))
+        assert not cs.contains(Profile(np.array([2.1, 1.0, 1.0, -0.1]), g))
+        assert not cs.contains(Profile(np.full(4, 1.01), g))
+        assert not cs.contains(Profile(np.full(8, 0.5), TimeGrid(4.0, 8)))
+
+
 class TestProjectConvex:
     def test_feasible_fixed_point(self):
         g = TimeGrid(4.0, 4)

@@ -157,6 +157,60 @@ class TestHandshake:
         assert status == 1
         assert isinstance(result.get("error"), ConfigurationError)
 
+    def test_kind_mismatch_refused(self):
+        """A convex agent whose roster entry, of the same weight, is finite."""
+        rng = np.random.default_rng(7)
+        g = TimeGrid(6.0, 12)
+        endpoint = free_endpoint()
+        # the convex entry 1 keeps C > c_i for the finite entry 0
+        roster = [RosterEntry(0, True, 1.5), RosterEntry(1, False, 2.0)]
+        b = random_base(rng, g)
+        result = {}
+
+        def coordinate():
+            try:
+                serve_coordinator(b, roster, EngineConfig(), endpoint,
+                                  timeout=10.0)
+            except Exception as exc:
+                result["error"] = exc
+
+        coord = threading.Thread(target=coordinate)
+        coord.start()
+        load = LoadSpec(0, random_convex_set(rng, g), c=1.5)
+        status = run_agent(load, 0, endpoint, timeout=10.0)
+        coord.join(timeout=30)
+        assert status == 1
+        assert isinstance(result.get("error"), ConfigurationError)
+        assert "does not match its roster entry" in str(result["error"])
+
+    def test_weight_one_ulp_off_is_a_mismatch(self):
+        """c must equal the roster's bit for bit; the refusal names the reason."""
+        rng = np.random.default_rng(10)
+        g = TimeGrid(6.0, 12)
+        endpoint = free_endpoint()
+        result = {}
+
+        def coordinate():
+            try:
+                serve_coordinator(random_base(rng, g), [RosterEntry(0, False, 2.0)],
+                                  EngineConfig(), endpoint, timeout=10.0)
+            except Exception as exc:
+                result["error"] = exc
+
+        coord = threading.Thread(target=coordinate)
+        coord.start()
+        conn = _connect_with_retry(endpoint, timeout=10.0)
+        fh = conn.makefile("rw", encoding="ascii", newline="\n")
+        fh.write(f"MESSAGE HELLO 0 0 {grid_digest(g)} convex "
+                 f"{math.nextafter(2.0, 3.0)!r}\n")
+        fh.flush()
+        reply = fh.readline()
+        fh.close()
+        conn.close()
+        coord.join(timeout=30)
+        assert reply == "MESSAGE STOP 0 RosterMismatch\n"
+        assert isinstance(result.get("error"), ConfigurationError)
+
     def test_empty_roster(self):
         with pytest.raises(ConfigurationError):
             serve_coordinator(Profile.zeros(TimeGrid(1.0, 2)), [],
@@ -193,7 +247,7 @@ class TestFailureModes:
         # handshake correctly, then vanish before answering any signal
         conn = _connect_with_retry(endpoint, timeout=10.0)
         fh = conn.makefile("rw", encoding="ascii", newline="\n")
-        fh.write(f"MESSAGE HELLO 0 0 {grid_digest(g)}\n")
+        fh.write(f"MESSAGE HELLO 0 0 {grid_digest(g)} convex 2.0\n")
         fh.flush()
         assert fh.readline().startswith("MESSAGE ASSIGN")
         fh.readline()  # consume the first SIGNAL
@@ -230,7 +284,7 @@ class TestFailureModes:
         conn = _connect_with_retry(endpoint, timeout=10.0)
         fh = conn.makefile("rw", encoding="ascii", newline="\n")
         if "HELLO" not in line:
-            fh.write(f"MESSAGE HELLO 0 0 {grid_digest(g)}\n")
+            fh.write(f"MESSAGE HELLO 0 0 {grid_digest(g)} convex 2.0\n")
             fh.flush()
             fh.readline()  # ASSIGN
             fh.readline()  # SIGNAL
@@ -244,7 +298,7 @@ class TestFailureModes:
 
 WIRE_GRID = TimeGrid(3.0, 3)
 WIRE_WORDS = ["MESSAGE", *_HEADERS, "3", "0", "1", "-1", "-5", "0.5", "nan", "inf",
-              "-0.0", "1e999", grid_digest(WIRE_GRID), "x"]
+              "-0.0", "1e999", grid_digest(WIRE_GRID), "finite", "convex", "x"]
 wire_token = st.one_of(
     st.sampled_from(WIRE_WORDS).map(str.encode),
     st.floats().map(lambda v: repr(v).encode()),
@@ -252,7 +306,7 @@ wire_token = st.one_of(
     st.binary(min_size=1, max_size=4))
 
 
-WIRE_VALID = {"HELLO": ["0", grid_digest(WIRE_GRID)],
+WIRE_VALID = {"HELLO": ["0", grid_digest(WIRE_GRID), "finite", "2.5"],
               "ASSIGN": ["0", grid_digest(WIRE_GRID)],
               "SIGNAL": ["2.5", "3", "0.5", "0.25", "1.0"],
               "PROFILEUPDATE": ["0", "0.5", "3", "0.5", "0.25", "1.0"],
@@ -302,11 +356,19 @@ class TestWireParsing:
         b"MESSAGE SIGNAL 1 inf 3 0.5 0.5 0.5\n",
         b"MESSAGE SIGNAL 1 2.0 3 0.5 \xc3\xa9 0.5\n",
         b"MESSAGE STOP 1 \xff\n",
+        b"MESSAGE HELLO 0 0 3.0:3 pulse 2.5\n",
+        b"MESSAGE HELLO 0 0 3.0:3 convex 0.0\n",
+        b"MESSAGE HELLO 0 0 3.0:3 convex\n",
     ], ids=["nan-weight", "negative-weight", "infinite-weight", "non-ascii-value",
-            "non-ascii-stop"])
+            "non-ascii-stop", "hello-unknown-kind", "hello-zero-weight",
+            "hello-no-weight"])
     def test_bad_signal_is_protocol_error(self, data):
         with pytest.raises(ProtocolError):
             read_wire(data)
+
+    def test_well_formed_hello_parses(self):
+        kind, k, fields = read_wire(b"MESSAGE HELLO 0 7 3.0:3 finite 0.1\n")
+        assert (kind, k, fields) == ("HELLO", 0, [7, "3.0:3", True, 0.1])
 
     def test_well_formed_signal_parses(self):
         kind, k, (C, g) = read_wire(b"MESSAGE SIGNAL 4 2.5 3 0.5 0.25 1.0\n")

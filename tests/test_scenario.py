@@ -85,7 +85,7 @@ class TestSynthBaseload:
 
     def test_constant_anchors_give_flat_curve(self):
         g = TimeGrid(24.0, 96)
-        p = synth_baseload(g, 0.7, 0.7, 0.7, (4, 36, 52))
+        p = synth_baseload(SynthParams(0.7, 0.7, 0.7, (4, 36, 52)), g)
         assert np.allclose(p.values, 0.7, atol=1e-12)
 
     def test_seam_continuity(self):
@@ -96,7 +96,7 @@ class TestSynthBaseload:
 
     def test_rejects_negative_levels(self):
         with pytest.raises(ValueError):
-            synth_baseload(CANONICAL_GRID, 1.0, -0.1, 0.5, (4, 36, 52))
+            synth_baseload(SynthParams(1.0, -0.1, 0.5, (4, 36, 52)), CANONICAL_GRID)
 
     def test_nonstandard_grid(self):
         g = TimeGrid(24.0, 48)
@@ -109,6 +109,12 @@ class TestSynthBaseload:
         """The scaled default peak slots collide on very small grids."""
         with pytest.raises(ValueError, match=rf"baseload.synth.peak_slots .* {slots}-slot"):
             default_baseload(TimeGrid(2.0, slots))
+
+    @pytest.mark.parametrize("peak_slots, slots", [((0, 2, 2), 4), ((4, 36, 200), 96),
+                                                   ((-1, 10, 16), 96)])
+    def test_explicit_peak_slots_are_checked(self, peak_slots, slots):
+        with pytest.raises(ValueError, match=rf"baseload.synth.peak_slots .* {slots}-slot"):
+            synth_baseload(SynthParams(peak_slots=peak_slots), TimeGrid(24.0, slots))
 
 
 class TestCsvLoader:
