@@ -12,7 +12,9 @@ Message kinds:
 - ``ASSIGN <load_id> <grid_digest>``      coordinator acknowledgment
 - ``SIGNAL <C> <S> v1..vS``               broadcast signal and fleet weight C > 0
 - ``PROFILEUPDATE <load_id> <stay> <S> v1..vS``
-- ``STOP <reason>``                       termination broadcast
+- ``STOP <reason>``                       termination broadcast: ``Tolerance``,
+                                        ``FixedPoint`` or ``MaxIter`` ends the run,
+                                        any other reason aborts it
 
 In HELLO an agent states its load's kind and weight c (``repr``).  The
 coordinator refuses, with ``STOP`` and an error before iteration 1, an
@@ -32,6 +34,14 @@ did not change replies without re-solving; the update is the in-process
 one, so a session reproduces the in-process run.  Iterations are barrier
 synchronized: the signal for iteration k+1 is only sent after all n
 profile updates for iteration k have been received.
+
+A repeated signal or profile is re-sent as the same bytes without being
+encoded again: the coordinator encodes the signal only when it differs
+from the last one it sent, and an agent its profile only when it differs
+from its last reply.  On receipt, a profile whose text repeats the
+previous line's on that connection reuses its parsed Profile.  This state
+lives per session and per connection.  An agent exits 0 after a STOP that
+ends the run and 1 after a refusal or an abort such as ``AgentLost``.
 """
 
 from __future__ import annotations
@@ -45,8 +55,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .core import Profile, TimeGrid
-from .engine import (ConfigurationError, EngineConfig, LoadSpec, Trajectory,
-                     coordinate, fleet_weight, update_loads)
+from .engine import (ConfigurationError, EngineConfig, LoadSpec, Termination,
+                     Trajectory, coordinate, fleet_weight, update_loads)
 
 __all__ = [
     "ProtocolError",
@@ -81,8 +91,8 @@ def grid_digest(grid: TimeGrid) -> str:
     return f"{grid.horizon_hours!r}:{grid.slots}"
 
 
-def _encode_floats(values) -> str:
-    return " ".join(repr(float(v)) for v in values)
+def _encode_floats(values: np.ndarray) -> str:
+    return " ".join(map(repr, values.tolist()))
 
 
 def _send(fh, kind: str, iteration: int, payload: str = "") -> None:
@@ -124,15 +134,27 @@ def _profile(fields: List[str], grid: TimeGrid) -> Profile:
 # Header field parsers per message kind; SIGNAL and PROFILEUPDATE end in a profile.
 _HEADERS = {"HELLO": (int, str, _finite, _weight), "ASSIGN": (int, str),
             "SIGNAL": (_weight,),
-            "PROFILEUPDATE": (int, _probability), "STOP": ()}
+            "PROFILEUPDATE": (int, _probability), "STOP": (str,)}
 
 
-def _recv(fh, expect: Sequence[str], grid: TimeGrid) -> Tuple[str, int, list]:
+def _stop_reason(termination: Termination) -> str:
+    """STOP's reason for a run that ended by `termination`, e.g. FixedPoint."""
+    return termination.value.title().replace("_", "")
+
+
+# The reasons of a STOP that ends a completed run; any other is an abort.
+_RUN_ENDED = frozenset(_stop_reason(t) for t in Termination)
+
+
+def _recv(fh, expect: Sequence[str], grid: TimeGrid,
+          last: Optional[dict] = None) -> Tuple[str, int, list]:
     """Read one message of an expected kind: (kind, iteration, fields).
 
     The fields are the kind's header values, followed by the profile for
     SIGNAL and PROFILEUPDATE.  Any malformed part, a non-ASCII byte
-    included, raises ProtocolError.
+    included, raises ProtocolError.  `last` is the connection's dict, kept
+    for the session: a profile whose tokens equal the previous profile's
+    on that connection reuses its parsed Profile.
     """
     try:
         line = fh.readline()
@@ -154,7 +176,11 @@ def _recv(fh, expect: Sequence[str], grid: TimeGrid) -> Tuple[str, int, list]:
             raise ValueError(f"{kind} needs {len(header)} header fields")
         fields = [parse(v) for parse, v in zip(header, payload)]
         if kind in ("SIGNAL", "PROFILEUPDATE"):
-            fields.append(_profile(payload[len(header):], grid))
+            tokens = payload[len(header):]
+            last = {} if last is None else last
+            if tokens != last.get("tokens"):
+                last["tokens"], last["profile"] = tokens, _profile(tokens, grid)
+            fields.append(last["profile"])
     except ValueError as exc:
         raise ProtocolError(f"malformed {kind} message ({exc}): {line!r}") from None
     return kind, iteration, fields
@@ -211,14 +237,20 @@ def serve_coordinator(b: Profile, roster: Sequence[RosterEntry], cfg: EngineConf
             _send(fh, "ASSIGN", 0, f"{load_id} {digest}")
             conns[load_id] = fh
 
+        received = {i: {} for i in ids}     # each connection's last profile
+        signal, payload = None, ""          # the last signal sent
+
         def exchange(k, g, X):
-            payload = f"{float(C)!r} {grid.slots} {_encode_floats(g.values)}"
+            nonlocal signal, payload
+            if g.values.tobytes() != signal:
+                signal = g.values.tobytes()
+                payload = f"{float(C)!r} {grid.slots} {_encode_floats(g.values)}"
             for i in ids:
                 _send(conns[i], "SIGNAL", k, payload)
             X_new, stay = np.empty_like(X), 1.0
             for pos, i in enumerate(ids):
                 _, it, (sender, stay_i, x_new) = _recv(conns[i], ["PROFILEUPDATE"],
-                                                       grid)
+                                                       grid, received[i])
                 if it != k:
                     raise ProtocolError(f"profile update for iteration {it}, expected {k}")
                 if sender != i:
@@ -239,9 +271,8 @@ def serve_coordinator(b: Profile, roster: Sequence[RosterEntry], cfg: EngineConf
                     pass
             raise AgentLostError(f"agent lost mid-session: {exc}") from exc
 
-        reason = traj.terminated_by.value.title().replace("_", "")  # e.g. FixedPoint
         for fh in conns.values():
-            _send(fh, "STOP", len(traj.records), reason)
+            _send(fh, "STOP", len(traj.records), _stop_reason(traj.terminated_by))
         return traj
     finally:
         for conn, fh in accepted:
@@ -254,15 +285,20 @@ def serve_coordinator(b: Profile, roster: Sequence[RosterEntry], cfg: EngineConf
 
 
 def _connect_with_retry(endpoint: Tuple[str, int], timeout: float) -> socket.socket:
-    """Connect, retrying while the coordinator is still starting up."""
+    """Connect, retrying while the coordinator is still starting up.
+
+    The pause after a refusal starts at 1 ms and doubles up to 50 ms.
+    """
     deadline = time.monotonic() + timeout
+    pause = 0.001
     while True:
         try:
             return socket.create_connection(endpoint, timeout=timeout)
         except ConnectionRefusedError:
             if time.monotonic() >= deadline:
                 raise
-            time.sleep(0.05)
+            time.sleep(pause)
+            pause = min(2 * pause, 0.05)
 
 
 def run_agent(load: LoadSpec, master_seed: int, endpoint: Tuple[str, int],
@@ -273,7 +309,10 @@ def run_agent(load: LoadSpec, master_seed: int, endpoint: Tuple[str, int],
     `engine.update_loads`, the in-process runs' update, and reply with the
     new profile and the probability that the load kept its previous
     profile.  The update's memo lives for the session, so a round that
-    repeats the last signal and profile reuses their solve.
+    repeats the last signal and profile reuses their solve, and a
+    repeated signal or profile is neither parsed nor encoded again.
+    Returns 0 after a STOP that ends the run (TOLERANCE, FIXED_POINT or
+    MAX_ITER) and 1 after a refusal or an aborted session.
     """
     grid = load.grid
     digest = grid_digest(grid)
@@ -291,15 +330,19 @@ def run_agent(load: LoadSpec, master_seed: int, endpoint: Tuple[str, int],
         X = np.zeros((1, grid.slots))
         member_idx: List[Optional[int]] = [None]
         memo: dict = {}
+        received: dict = {}                 # the last signal's profile
+        reply, reply_text = None, ""        # the last profile sent
         while True:
-            kind, k, fields = _recv(fh, ["SIGNAL", "STOP"], grid)
+            kind, k, fields = _recv(fh, ["SIGNAL", "STOP"], grid, received)
             if kind == "STOP":
-                return 0
+                return 0 if fields[0] in _RUN_ENDED else 1
             C, g = fields
             X, stay, _, _ = update_loads([load], g, C, X, member_idx, master_seed,
                                        k, memo)
+            if X[0].tobytes() != reply:
+                reply, reply_text = X[0].tobytes(), _encode_floats(X[0])
             _send(fh, "PROFILEUPDATE", k,
-                  f"{load.id} {stay!r} {grid.slots} {_encode_floats(X[0])}")
+                  f"{load.id} {stay!r} {grid.slots} {reply_text}")
     finally:
         try:
             fh.close()

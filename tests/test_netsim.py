@@ -1,6 +1,7 @@
 import io
 import math
 import socket
+import sys
 import threading
 
 import numpy as np
@@ -12,9 +13,10 @@ from conftest import random_base, random_convex_set, random_pulse_set
 from valleyfill.core import Profile, TimeGrid
 from valleyfill.engine import (ConfigurationError, EngineConfig, LoadSpec,
                                run)
+from valleyfill import netsim
 from valleyfill.netsim import (_HEADERS, AgentLostError, ProtocolError,
-                               RosterEntry, _connect_with_retry, _recv,
-                               grid_digest, run_agent, serve_coordinator)
+                               RosterEntry, _connect_with_retry, _encode_floats,
+                               _recv, grid_digest, run_agent, serve_coordinator)
 
 
 def free_endpoint():
@@ -26,10 +28,14 @@ def free_endpoint():
 
 
 def networked_run(loads, b, cfg, timeout=10.0):
-    """Coordinator in this thread, one agent thread per load."""
+    """Coordinator and one agent per load in threads; every agent must exit 0."""
     endpoint = free_endpoint()
     roster = [RosterEntry(spec.id, spec.is_finite, spec.c) for spec in loads]
     result = {}
+    statuses = {}
+
+    def agent(spec):
+        statuses[spec.id] = run_agent(spec, cfg.master_seed, endpoint, timeout=timeout)
 
     def coordinate():
         try:
@@ -42,9 +48,7 @@ def networked_run(loads, b, cfg, timeout=10.0):
     coord.start()
     agents = []
     for spec in loads:
-        t = threading.Thread(target=run_agent,
-                             args=(spec, cfg.master_seed, endpoint),
-                             kwargs={"timeout": timeout})
+        t = threading.Thread(target=agent, args=(spec,))
         t.start()
         agents.append(t)
     coord.join(timeout=60)
@@ -52,6 +56,7 @@ def networked_run(loads, b, cfg, timeout=10.0):
         t.join(timeout=60)
     if "error" in result:
         raise result["error"]
+    assert statuses == {spec.id: 0 for spec in loads}
     return result["traj"]
 
 
@@ -256,6 +261,44 @@ class TestFailureModes:
         coord.join(timeout=30)
         assert isinstance(result.get("error"), AgentLostError)
 
+    def test_surviving_agent_of_an_aborted_session_exits_1(self):
+        """STOP AgentLost ends the session, but not as a completed run."""
+        rng = np.random.default_rng(13)
+        g = TimeGrid(6.0, 12)
+        endpoint = free_endpoint()
+        roster = [RosterEntry(0, False, 2.0), RosterEntry(1, False, 2.0)]
+        b = random_base(rng, g)
+        result, status = {}, {}
+
+        def coordinate():
+            try:
+                serve_coordinator(b, roster, EngineConfig(max_iterations=100),
+                                  endpoint, timeout=10.0)
+            except Exception as exc:
+                result["error"] = exc
+
+        def survive():
+            status[0] = run_agent(LoadSpec(0, random_convex_set(rng, g), c=2.0),
+                                  0, endpoint, timeout=10.0)
+
+        coord = threading.Thread(target=coordinate)
+        coord.start()
+        survivor = threading.Thread(target=survive)
+        survivor.start()
+        # agent 1 handshakes correctly, then vanishes after the first SIGNAL
+        conn = _connect_with_retry(endpoint, timeout=10.0)
+        fh = conn.makefile("rw", encoding="ascii", newline="\n")
+        fh.write(f"MESSAGE HELLO 0 1 {grid_digest(g)} convex 2.0\n")
+        fh.flush()
+        assert fh.readline().startswith("MESSAGE ASSIGN")
+        assert fh.readline().startswith("MESSAGE SIGNAL")
+        fh.close()
+        conn.close()
+        coord.join(timeout=30)
+        survivor.join(timeout=30)
+        assert isinstance(result.get("error"), AgentLostError)
+        assert status == {0: 1}
+
     @pytest.mark.parametrize("line", [
         "MESSAGE HELLO 0",
         "MESSAGE HELLO 0 abc x",
@@ -374,3 +417,122 @@ class TestWireParsing:
         kind, k, (C, g) = read_wire(b"MESSAGE SIGNAL 4 2.5 3 0.5 0.25 1.0\n")
         assert (kind, k, C) == ("SIGNAL", 4, 2.5)
         assert g.values.tolist() == [0.5, 0.25, 1.0]
+
+    def test_repeated_profile_reuses_its_parse(self):
+        """Per connection, equal profile tokens give the same Profile; new text is checked."""
+        last = {}
+        fh = io.StringIO("MESSAGE SIGNAL 1 2.5 3 0.5 0.25 1.0\n"
+                         "MESSAGE SIGNAL 2 3.5 3 0.5 0.25 1.0\n"
+                         "MESSAGE SIGNAL 3 2.5 3 0.5 0.25 2.0\n"
+                         "MESSAGE SIGNAL 4 2.5 3 0.5 0.25 nonsense\n")
+        _, _, (_, g1) = _recv(fh, ["SIGNAL"], WIRE_GRID, last)
+        _, _, (C2, g2) = _recv(fh, ["SIGNAL"], WIRE_GRID, last)
+        assert g2 is g1 and C2 == 3.5
+        _, _, (_, g3) = _recv(fh, ["SIGNAL"], WIRE_GRID, last)
+        assert g3 is not g1 and g3.values.tolist() == [0.5, 0.25, 2.0]
+        with pytest.raises(ProtocolError):
+            _recv(fh, ["SIGNAL"], WIRE_GRID, last)
+
+
+def old_encoding(values):
+    """The per-element form the wire has always carried."""
+    return " ".join(repr(float(v)) for v in values)
+
+
+finite_float64 = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, sys.float_info.min / 3,
+                     sys.float_info.max, -sys.float_info.max]))
+
+
+class TestEncoding:
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(finite_float64, min_size=1, max_size=24))
+    def test_encoder_is_the_per_element_repr_and_parses_back(self, values):
+        a = np.array(values, dtype=np.float64)
+        text = _encode_floats(a)
+        assert text == old_encoding(a)
+        line = f"MESSAGE SIGNAL 1 2.5 {a.size} {text}\n"
+        _, _, (_, g) = _recv(io.StringIO(line), ["SIGNAL"], TimeGrid(1.0, a.size))
+        assert g.values.tobytes() == a.tobytes()
+
+    def test_session_bytes_and_encodings(self, monkeypatch):
+        """Every line is the old encoding; each side encodes only a changed payload."""
+        rng = np.random.default_rng(12)
+        g = TimeGrid(4.0, 8)
+        loads = [LoadSpec(0, random_convex_set(rng, g)),
+                 LoadSpec(1, random_pulse_set(rng, g, m_max=3)),
+                 LoadSpec(2, random_pulse_set(rng, g, m_max=3))]
+        b = random_base(rng, g)
+        cfg = EngineConfig(max_iterations=50, master_seed=3, stop_on_epsilon=False)
+        sent, encoded = [], []
+        send, encode = netsim._send, netsim._encode_floats
+
+        class Recorder:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def write(self, text):
+                sent.append((threading.get_ident(), text))
+                self.fh.write(text)
+
+            def flush(self):
+                self.fh.flush()
+
+        def counted_encode(values):
+            encoded.append(threading.get_ident())
+            return encode(values)
+
+        monkeypatch.setattr(netsim, "_send", lambda fh, *args: send(Recorder(fh), *args))
+        monkeypatch.setattr(netsim, "_encode_floats", counted_encode)
+        net = networked_run(loads, b, cfg)
+        assert_trajectories_equivalent(net, run(loads, b, cfg))
+
+        payloads = {}       # sender thread -> its float payloads, in order
+        signaller = None
+        for sender, text in sent:
+            kind = text.split()[1]
+            if kind not in ("SIGNAL", "PROFILEUPDATE"):
+                continue
+            if kind == "SIGNAL":
+                signaller = sender
+            _, k, fields = _recv(io.StringIO(text), [kind], g)
+            *header, profile = fields
+            rebuilt = " ".join(["MESSAGE", kind, str(k), *map(repr, header),
+                                str(g.slots), old_encoding(profile.values)]) + "\n"
+            assert text == rebuilt
+            payloads.setdefault(sender, []).append(profile.values.tobytes())
+        assert len(payloads) == 1 + len(loads)
+        for sender, values in payloads.items():
+            # the coordinator sends each round's signal to every agent
+            per_round = len(loads) if sender == signaller else 1
+            assert len(values) == per_round * len(net.records)
+            changes = sum(v != prev for v, prev in zip(values, [None] + values))
+            assert encoded.count(sender) == changes
+        # the session has rounds that repeat the last signal
+        assert encoded.count(signaller) < len(net.records)
+
+
+class FakeClock:
+    """`time` for `_connect_with_retry`: sleeping advances the clock and is recorded."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.pauses = []
+
+    def monotonic(self):
+        return self.now
+
+    def sleep(self, seconds):
+        self.pauses.append(seconds)
+        self.now += seconds
+
+
+class TestConnectRetry:
+    def test_pauses_double_up_to_50_ms_until_the_deadline(self, monkeypatch):
+        clock = FakeClock()
+        monkeypatch.setattr(netsim, "time", clock)
+        with pytest.raises(ConnectionRefusedError):
+            _connect_with_retry(free_endpoint(), timeout=0.3)
+        assert clock.pauses == [0.001 * 2**i for i in range(6)] + [0.05] * 5
+        assert clock.now >= 0.3
