@@ -7,8 +7,8 @@ theory-verification oracles, and an in-process or networked
 coordinator/agent runner.
 """
 
-from .core import (Objective, ObjectiveKind, Profile, TimeGrid, aggregate,
-                   inner, norm, norm2)
+from .core import (Objective, ObjectiveKind, Profile, TimeGrid, aggregate, norm,
+                   norm2)
 from .engine import EngineConfig, LoadSpec, Termination, Trajectory, run
 from .feasible import (ConvexChargeSet, Distribution, FinitePulseSet,
                        hull_minimize, make_pulse_set, project_convex, sample)

@@ -20,7 +20,6 @@ __all__ = [
     "OracleTooLargeError",
     "NashReport",
     "BoundReport",
-    "best_response",
     "is_nash",
     "brute_force_optimum",
     "suboptimality_gap_check",
@@ -67,22 +66,6 @@ def _check_membership(xs: Sequence[Profile], sets: Sequence[FinitePulseSet]) -> 
     for i, (x, s) in enumerate(zip(xs, sets)):
         if s.member_index(x) is None:
             raise ValueError(f"load {i}: profile is not a member of its set")
-
-
-def best_response(i: int, xs: Sequence[Profile], b: Profile,
-                  pulse_set: FinitePulseSet) -> Tuple[int, float]:
-    """Exhaustive argmin over members y of <b + sum_{j != i} x_j, y>.
-
-    Equal member energies make this equivalent to minimizing the full-game
-    cost <b + sum_j x_j, x_i>.  Ties break toward the lowest index.
-    """
-    if pulse_set.member_index(xs[i]) is None:
-        raise ValueError(f"load {i}: profile is not a member of its set")
-    others = aggregate(b, [x for j, x in enumerate(xs) if j != i])
-    dt = b.grid.dt
-    scores = dt * (pulse_set.members @ others.values)
-    idx = int(np.argmin(scores))
-    return idx, float(scores[idx])
 
 
 def is_nash(xs: Sequence[Profile], sets: Sequence[FinitePulseSet], b: Profile,

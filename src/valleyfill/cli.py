@@ -23,11 +23,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import analysis, netsim
-from .core import (Objective, ObjectiveKind, Profile, TimeGrid, aggregate, norm2,
-                   profile_to_csv)
-from .engine import EngineConfig, LoadSpec, Trajectory, run, trajectory_to_csv
+from .core import (Objective, ObjectiveKind, Profile, TimeGrid, aggregate, norm,
+                   norm2)
+from .engine import EngineConfig, LoadSpec, Trajectory, run
 from .scenario import (BaseLoadSpec, FleetSpec, HeterogeneitySpec, SynthParams,
-                       build_case_study, fleet_manifest_csv)
+                       build_case_study)
 
 __all__ = ["main", "load_manifest", "cmd_run", "cmd_experiment", "cmd_analyze"]
 
@@ -101,24 +101,38 @@ def load_manifest(path: Optional[str], overrides: argparse.Namespace) -> Manifes
     return Manifest(**parts)
 
 
+def _number(value) -> float:
+    """A JSON number as a float; booleans and strings are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError("must be a number")
+    return float(value)
+
+
+def _integer(value) -> int:
+    """A JSON integer; booleans, strings and floats are not integers."""
+    if isinstance(value, bool):
+        raise TypeError("must be an integer")
+    return operator.index(value)
+
+
 def _pair(value) -> Tuple[float, float]:
     lo, hi = value
-    return (float(lo), float(hi))
+    return (_number(lo), _number(hi))
 
 
 def _window(value) -> Tuple[int, int]:
     first, last = value
-    return (operator.index(first), operator.index(last))
+    return (_integer(first), _integer(last))
 
 
 def _peak_slots(value) -> Tuple[int, int, int]:
     evening, valley, morning = value
-    return (operator.index(evening), operator.index(valley), operator.index(morning))
+    return (_integer(evening), _integer(valley), _integer(morning))
 
 
 def _jitter(value) -> Tuple[float, float]:
     """A jitter j stands for the multiplier range (1 - j, 1 + j)."""
-    j = float(value)
+    j = _number(value)
     if not 0.0 <= j < 1.0:
         raise ValueError(f"must be in [0, 1), got {value!r}")
     return (1.0 - j, 1.0 + j)
@@ -172,8 +186,8 @@ def _section(cls, section, keys: dict, where: str):
         raise InputError(f"bad {where}: {exc}") from None
 
 
-_GRID_KEYS = {"horizon_hours": ("horizon_hours", float),
-              "slots": ("slots", operator.index)}
+_GRID_KEYS = {"horizon_hours": ("horizon_hours", _number),
+              "slots": ("slots", _integer)}
 
 _HETEROGENEITY_KEYS = {"rate_jitter": ("rate_range", _jitter),
                        "rate_range": ("rate_range", _pair),
@@ -189,23 +203,23 @@ def _heterogeneity(section) -> Optional[HeterogeneitySpec]:
 
 
 # Fleet keys, README's names and FleetSpec's, with the field each sets.
-_FLEET_KEYS = {"households": ("households", operator.index),
-               "penetration": ("penetration", float),
-               "charger_kw": ("ev_rate", float), "ev_rate": ("ev_rate", float),
-               "charge_hours": ("ev_duration_hours", float),
-               "ev_duration_hours": ("ev_duration_hours", float),
+_FLEET_KEYS = {"households": ("households", _integer),
+               "penetration": ("penetration", _number),
+               "charger_kw": ("ev_rate", _number), "ev_rate": ("ev_rate", _number),
+               "charge_hours": ("ev_duration_hours", _number),
+               "ev_duration_hours": ("ev_duration_hours", _number),
                "start_window": ("start_window", _window),
                "heterogeneity": ("heterogeneity", _heterogeneity)}
 
-_SYNTH_KEYS = {"evening_peak_kw": ("evening_peak_kw", float),
-               "morning_peak_kw": ("morning_peak_kw", float),
-               "valley_kw": ("valley_kw", float),
+_SYNTH_KEYS = {"evening_peak_kw": ("evening_peak_kw", _number),
+               "morning_peak_kw": ("morning_peak_kw", _number),
+               "valley_kw": ("valley_kw", _number),
                "peak_slots": ("peak_slots", _peak_slots)}
 
 _BASELOAD_KEYS = {"csv": ("csv_path", _text),
                   "synth": ("synth", lambda s: _section(SynthParams, s, _SYNTH_KEYS,
                                                         "baseload.synth")),
-                  "per_household_scale": ("per_household_scale", float)}
+                  "per_household_scale": ("per_household_scale", _number)}
 
 
 def _baseload(section) -> BaseLoadSpec:
@@ -218,12 +232,12 @@ def _baseload(section) -> BaseLoadSpec:
         raise InputError(f"bad baseload: {exc}") from None
 
 
-_ENGINE_KEYS = {"epsilon": ("epsilon", float),
-                "max_iterations": ("max_iterations", operator.index),
-                "master_seed": ("master_seed", operator.index)}
+_ENGINE_KEYS = {"epsilon": ("epsilon", _number),
+                "max_iterations": ("max_iterations", _integer),
+                "master_seed": ("master_seed", _integer)}
 
 _OBJECTIVE_KEYS = {"kind": ("kind", ObjectiveKind),
-                   "target": ("target", lambda v: np.array(v, dtype=float))}
+                   "target": ("target", lambda v: np.array([_number(x) for x in v]))}
 
 _EMIT_KEYS = {key: (key, _flag) for key in ("trajectory", "profiles", "report")}
 
@@ -312,7 +326,12 @@ def _write_artifacts(manifest: Manifest, loads: Sequence[LoadSpec], base: Profil
     os.makedirs(out, exist_ok=True)
     emit = manifest.emit
     if traj is not None and emit["trajectory"]:
-        trajectory_to_csv(traj, os.path.join(out, "trajectory.csv"))
+        _write_csv(os.path.join(out, "trajectory.csv"),
+                   ["k", "signal_norm", "objective", "escape_probability",
+                    "expected_next_objective", "profiles_changed"],
+                   ([rec.k, repr(norm(rec.g)), repr(rec.objective),
+                     repr(rec.escape_probability), repr(rec.expected_next_objective),
+                     rec.profiles_changed] for rec in traj.records))
     if traj is not None and emit["profiles"]:
         profiles_to_csv(loads, traj.final_profiles,
                         os.path.join(out, "final_profiles.csv"))
@@ -403,12 +422,14 @@ def cmd_experiment(args) -> int:
         for s, seed in enumerate(seeds):
             b, base, loads = _scenario(manifest, seed, pen)
             if not loads:
+                agg += b.values
                 continue
-            cfg = dataclasses.replace(manifest.engine, master_seed=seed)
+            # only a fixed point stops a sweep's run early: escape 0 after it is exact
+            cfg = dataclasses.replace(manifest.engine, master_seed=seed,
+                                      stop_on_epsilon=False)
             traj = run(loads, base, cfg)
             for rec in traj.records:
                 escapes[s, rec.k - 1] = rec.escape_probability
-            # records may stop early at a fixed point: escape stays 0
             agg += aggregate(b, traj.final_profiles).values
         escape_rows += [[repr(pen), str(k + 1), repr(float(mean))]
                         for k, mean in enumerate(escapes.mean(axis=0))]
@@ -432,6 +453,10 @@ def cmd_analyze(args) -> int:
     manifest = load_manifest(args.manifest, args)
     _, base, loads = _scenario(manifest)
     profiles = profiles_from_csv(args.profiles, manifest.grid)
+    ids = {spec.id for spec in loads}
+    for load_id in profiles:
+        if load_id not in ids:
+            raise InputError(f"load {load_id}: not in the scenario")
     sets = [spec.constraint for spec in loads]
     xs = []
     status = 0
@@ -494,8 +519,17 @@ def cmd_fleet_gen(args) -> int:
     b, _, loads = _scenario(manifest)
     out = manifest.out
     os.makedirs(out, exist_ok=True)
-    fleet_manifest_csv(loads, os.path.join(out, "fleet.csv"))
-    profile_to_csv(b, os.path.join(out, "baseload.csv"))
+    rows = []
+    for spec in loads:  # EVs charge at a positive rate, so every member has a start
+        s = spec.constraint
+        rows.append([spec.id, repr(s.rate_bound), repr(s.energy / s.rate_bound),
+                     int(np.flatnonzero(s.members[0])[0]),
+                     int(np.flatnonzero(s.members[-1])[0]), s.m])
+    _write_csv(os.path.join(out, "fleet.csv"),
+               ["id", "rate_kw", "duration_hours", "first_start_slot",
+                "last_start_slot", "members"], rows)
+    _write_csv(os.path.join(out, "baseload.csv"), ["slot", "value_kw"],
+               ([t, repr(float(v))] for t, v in enumerate(b.values)))
     return 0
 
 

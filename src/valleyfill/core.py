@@ -11,7 +11,6 @@ ascending slot index order so results are bit-reproducible.
 
 from __future__ import annotations
 
-import csv
 import enum
 import math
 from dataclasses import dataclass
@@ -25,11 +24,9 @@ __all__ = [
     "Profile",
     "ObjectiveKind",
     "Objective",
-    "inner",
     "norm2",
     "norm",
     "aggregate",
-    "profile_to_csv",
 ]
 
 
@@ -124,19 +121,13 @@ def _check_same_grid(*profiles: Profile) -> TimeGrid:
     return grid
 
 
-def inner(f: Profile, g: Profile) -> float:
-    """Discretized inner product dt * sum_t f_t g_t  (kW^2*h)."""
-    _check_same_grid(f, g)
-    return f.grid.dt * float(np.dot(f.values, g.values))
-
-
 def norm2(f: Profile) -> float:
-    """Squared l2 norm <f, f>  (kW^2*h)."""
-    return inner(f, f)
+    """Squared l2 norm dt * sum_t f_t^2  (kW^2*h)."""
+    return f.grid.dt * float(np.dot(f.values, f.values))
 
 
 def norm(f: Profile) -> float:
-    """l2 norm sqrt(<f, f>)."""
+    """l2 norm sqrt(norm2(f))."""
     return math.sqrt(norm2(f))
 
 
@@ -156,11 +147,3 @@ def aggregate(b: Profile, xs) -> Profile:
         total += row
     return Profile(total, b.grid)
 
-
-def profile_to_csv(p: Profile, path) -> None:
-    """Write `slot,value_kw` rows; values round-trip 64-bit floats exactly."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["slot", "value_kw"])
-        for t, v in enumerate(p.values):
-            w.writerow([t, repr(float(v))])

@@ -32,7 +32,6 @@ networked agent updating its one load reproduces the in-process run.
 
 from __future__ import annotations
 
-import csv
 import enum
 import math
 import operator
@@ -43,8 +42,7 @@ import numpy as np
 
 from .core import GridMismatchError, Profile, TimeGrid, aggregate, norm, norm2
 from .feasible import (ConvexChargeSet, Distribution, FinitePulseSet,
-                       SolverError, hull_minimize, project_convex, sample,
-                       stay_probability)
+                       SolverError, hull_minimize, project_convex, sample)
 
 __all__ = [
     "ConfigurationError",
@@ -62,7 +60,6 @@ __all__ = [
     "coordinate",
     "update_loads",
     "run",
-    "trajectory_to_csv",
 ]
 
 
@@ -484,7 +481,7 @@ def update_loads(loads: Sequence[LoadSpec], g: Profile, C: float, X: np.ndarray,
             w = theta.weights
             j = int(w.argmax())
             pinned = j if w[j] == 1.0 and not w[:j].any() else None
-            stay = 0.0 if prev is None else stay_probability(theta, prev)
+            stay = 0.0 if prev is None else float(w[prev])
             memo[key] = (theta, pinned, stay, *_finite_moments(theta, pulse_set))
         solved.append((positions, pulse_set, memo[key]))
         if memo[key][1] is None:  # theta pins no member, so these loads draw
@@ -524,14 +521,3 @@ def run(loads: Sequence[LoadSpec], b: Profile, cfg: EngineConfig) -> Trajectory:
                       lambda k, g, X: update_loads(loads, g, C, X, member_idx,
                                                    cfg.master_seed, k, memo))
 
-
-def trajectory_to_csv(traj: Trajectory, path) -> None:
-    """One row per iteration (k, ||g||, objective, diagnostics, changed loads)."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["k", "signal_norm", "objective", "escape_probability",
-                    "expected_next_objective", "profiles_changed"])
-        for rec in traj.records:
-            w.writerow([rec.k, repr(norm(rec.g)), repr(rec.objective),
-                        repr(rec.escape_probability),
-                        repr(rec.expected_next_objective), rec.profiles_changed])

@@ -3,7 +3,10 @@
 Two feasible-set representations: a convex box-and-energy polytope
 (projection via dual bisection) and an explicit finite set of admissible
 profiles (hull minimization via the min-norm-point active-set method,
-plus inverse-CDF sampling over the resulting hull weights).
+plus inverse-CDF sampling over the resulting hull weights).  A finite set
+records the rate bound, energy and squared norm its members share
+(assumptions A1, A3 and A4); `make_pulse_set` builds sets that meet them,
+and construction does not re-check them.
 """
 
 from __future__ import annotations
@@ -22,13 +25,10 @@ __all__ = [
     "ConvexChargeSet",
     "FinitePulseSet",
     "Distribution",
-    "ValidationReport",
     "make_pulse_set",
-    "validate_A1A4",
     "project_convex",
     "hull_minimize",
     "sample",
-    "stay_probability",
     "SNAP_TOLERANCE",
 ]
 
@@ -96,9 +96,9 @@ class FinitePulseSet:
 
     `members` is an (m, S) array; every row is one admissible profile.
     `energy` (kWh), `sqnorm` (kW^2*h) and `rate_bound` (kW) record the
-    common constants the members are supposed to share; conformance is
-    checked by :func:`validate_A1A4`, not enforced at construction, so that
-    deliberately perturbed sets can be built and reported on.
+    common constants the members are supposed to share.  Construction
+    does not check that they do, so deliberately perturbed sets can be
+    built.
     """
 
     def __init__(self, members: np.ndarray, grid: TimeGrid, energy: float,
@@ -177,17 +177,6 @@ class Distribution:
         return self.weights.shape[0]
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    """Max deviations from A1/A3/A4 over all members; A2 is report-only."""
-
-    ok: bool
-    max_rate_excess: float       # A1: max |y_t| - rate_bound over members
-    max_energy_deviation: float  # A3: max |dt*sum(y) - energy|, relative
-    max_sqnorm_deviation: float  # A4: max |norm2(y) - sqnorm|, relative
-    max_ramp_rate: float         # max slot-to-slot difference per hour (never enforced)
-
-
 def make_pulse_set(rate: float, duration_hours: float,
                    allowed_start_slots: Sequence[int], grid: TimeGrid) -> FinitePulseSet:
     """Constant-rate pulse set: one member per allowed start slot.
@@ -220,25 +209,6 @@ def make_pulse_set(rate: float, duration_hours: float,
         sqnorm=rate * rate * duration_hours,
         rate_bound=abs(rate),
     )
-
-
-def validate_A1A4(pulse_set: FinitePulseSet, tol: float) -> ValidationReport:
-    """Check A1/A3/A4 on every member within tol; report-only, never raises."""
-    y = pulse_set.members
-    dt = pulse_set.grid.dt
-    rate_excess = float(np.max(np.abs(y)) - pulse_set.rate_bound)
-    energies = dt * np.sum(y, axis=1)
-    scale_e = 1 + abs(pulse_set.energy)
-    energy_dev = float(np.max(np.abs(energies - pulse_set.energy))) / scale_e
-    sqnorms = dt * np.sum(y * y, axis=1)
-    scale_n = 1 + abs(pulse_set.sqnorm)
-    sqnorm_dev = float(np.max(np.abs(sqnorms - pulse_set.sqnorm))) / scale_n
-    if pulse_set.grid.slots > 1:
-        ramp = float(np.max(np.abs(np.diff(y, axis=1)))) / dt
-    else:
-        ramp = 0.0
-    ok = rate_excess <= tol and energy_dev <= tol and sqnorm_dev <= tol
-    return ValidationReport(ok, rate_excess, energy_dev, sqnorm_dev, ramp)
 
 
 def project_convex(z: Profile, charge_set: ConvexChargeSet) -> Profile:
@@ -402,9 +372,3 @@ def sample(theta: Distribution, u):
     idx = np.minimum(np.searchsorted(cum, draws, side="right"), theta.m - 1)
     return int(idx) if idx.ndim == 0 else idx
 
-
-def stay_probability(theta: Distribution, prev_index: int) -> float:
-    """Probability that a load keeps its previous member profile."""
-    if not (0 <= prev_index < theta.m):
-        raise IndexError(f"prev_index {prev_index} out of range for m={theta.m}")
-    return float(theta.weights[prev_index])

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -33,7 +33,6 @@ __all__ = [
     "load_baseload_csv",
     "build_fleet",
     "build_case_study",
-    "fleet_manifest_csv",
 ]
 
 CANONICAL_GRID = TimeGrid(horizon_hours=24.0, slots=96)
@@ -220,17 +219,3 @@ def build_case_study(spec: FleetSpec, base: BaseLoadSpec,
                 grid)
     return b, build_fleet(spec, grid, seed)
 
-
-def fleet_manifest_csv(loads: Sequence[LoadSpec], path) -> None:
-    """Per-EV id, rate bound, duration, start window and member count."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["id", "rate_kw", "duration_hours", "first_start_slot",
-                    "last_start_slot", "members"])
-        for spec in loads:
-            s = spec.constraint
-            duration = s.energy / s.rate_bound if s.rate_bound else 0.0
-            nz = [int(np.flatnonzero(s.members[k])[0]) if np.any(s.members[k]) else 0
-                  for k in (0, s.m - 1)]
-            w.writerow([spec.id, repr(s.rate_bound), repr(duration),
-                        nz[0], nz[1], s.m])

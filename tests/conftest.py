@@ -3,15 +3,18 @@
 Oracles here deliberately take a different computational path than the
 library code they check: exhaustive active-set enumeration for the
 projection, support-set enumeration and simplex grid search for the hull
-minimizer, and outcome enumeration for conditional expectations.
+minimizer, outcome enumeration for conditional expectations, a per-load
+rebuild of the others' aggregate for best responses, and per-member sums
+for the A1-A4 assumptions finite sets are built to meet.
 """
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from valleyfill.core import Profile
+from valleyfill.core import Profile, aggregate
 from valleyfill.feasible import ConvexChargeSet, FinitePulseSet
 
 
@@ -46,6 +49,54 @@ def random_pulse_set(rng, grid, m_max=6, signed=False):
 
 def random_base(rng, grid, lo=0.0, hi=2.0):
     return Profile(rng.uniform(lo, hi, grid.slots), grid)
+
+
+# ---------------------------------------------------------------------------
+# finite-set oracles: A1-A4 conformance and exhaustive best responses
+
+@dataclass(frozen=True)
+class ValidationReport:
+    """Max deviations from A1/A3/A4 over all members; A2 is report-only."""
+
+    ok: bool
+    max_rate_excess: float       # A1: max |y_t| - rate_bound over members
+    max_energy_deviation: float  # A3: max |dt*sum(y) - energy|, relative
+    max_sqnorm_deviation: float  # A4: max |norm2(y) - sqnorm|, relative
+    max_ramp_rate: float         # max slot-to-slot difference per hour (never enforced)
+
+
+def validate_A1A4(pulse_set, tol):
+    """Check A1/A3/A4 on every member within tol; report-only, never raises."""
+    y = pulse_set.members
+    dt = pulse_set.grid.dt
+    rate_excess = float(np.max(np.abs(y)) - pulse_set.rate_bound)
+    energies = dt * np.sum(y, axis=1)
+    scale_e = 1 + abs(pulse_set.energy)
+    energy_dev = float(np.max(np.abs(energies - pulse_set.energy))) / scale_e
+    sqnorms = dt * np.sum(y * y, axis=1)
+    scale_n = 1 + abs(pulse_set.sqnorm)
+    sqnorm_dev = float(np.max(np.abs(sqnorms - pulse_set.sqnorm))) / scale_n
+    if pulse_set.grid.slots > 1:
+        ramp = float(np.max(np.abs(np.diff(y, axis=1)))) / dt
+    else:
+        ramp = 0.0
+    ok = rate_excess <= tol and energy_dev <= tol and sqnorm_dev <= tol
+    return ValidationReport(ok, rate_excess, energy_dev, sqnorm_dev, ramp)
+
+
+def best_response(i, xs, b, pulse_set):
+    """Exhaustive argmin over members y of <b + sum_{j != i} x_j, y>.
+
+    Equal member energies make this equivalent to minimizing the full-game
+    cost <b + sum_j x_j, x_i>.  Ties break toward the lowest index.
+    Returns (member index, its score).
+    """
+    if pulse_set.member_index(xs[i]) is None:
+        raise ValueError(f"load {i}: profile is not a member of its set")
+    others = aggregate(b, [x for j, x in enumerate(xs) if j != i])
+    scores = b.grid.dt * (pulse_set.members @ others.values)
+    idx = int(np.argmin(scores))
+    return idx, float(scores[idx])
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,11 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_base, random_pulse_set
-from valleyfill.analysis import (OracleTooLargeError, best_response,
-                                 brute_force_optimum,
+from conftest import best_response, random_base, random_pulse_set
+from valleyfill.analysis import (OracleTooLargeError, brute_force_optimum,
                                  convex_stationarity_residual, is_nash,
                                  subopt_ratio_bound, suboptimality_gap_check)
-from valleyfill.core import Profile, TimeGrid, aggregate, inner, norm2
+from valleyfill.core import Profile, TimeGrid, aggregate, norm2
 from valleyfill.engine import EngineConfig, LoadSpec, Termination, run
 from valleyfill.feasible import FinitePulseSet
 
@@ -111,7 +110,7 @@ class TestIsNash:
         gaps, costs = [], []
         for i, (x, s) in enumerate(zip(xs, own)):
             others = aggregate(b, xs[:i] + xs[i + 1:])
-            costs.append(inner(others, x))
+            costs.append(g.dt * float(np.dot(others.values, x.values)))
             gaps.append(costs[-1] - best_response(i, xs, b, s)[1])
         worst = max(gaps)
         slack = 1e-9 * max(abs(c) for c in costs)

@@ -272,6 +272,20 @@ class TestAnalyze:
         status = main(["analyze", str(profiles), "--manifest", manifest])
         assert status == 2
 
+    def test_profile_of_unknown_load_exits_2(self, tmp_path, capsys):
+        """A profiles file with more loads than the scenario names the first extra id."""
+        out = tmp_path / "out"
+        assert main(["run", "--manifest", write_manifest(tmp_path),
+                     "--out", str(out)]) == 0
+        smaller = write_manifest(tmp_path, {"fleet": {"penetration": 0.1}},
+                                 name="smaller.json")
+        status = main(["analyze", str(out / "final_profiles.csv"),
+                       "--manifest", smaller])
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.err == "error: load 1: not in the scenario\n"
+        assert captured.out == ""
+
     def test_unknown_check_exits_2(self, tmp_path, capsys):
         manifest = write_manifest(tmp_path)
         grid, (b, loads) = small_scenario()
@@ -395,7 +409,8 @@ class TestExperiment:
         for s, seed in enumerate((2, 3)):  # the manifest's master_seed is 2
             b, loads, objective = track_game(seed)
             traj = run(loads, objective.effective_base(b),
-                       EngineConfig(max_iterations=30, master_seed=seed))
+                       EngineConfig(max_iterations=30, master_seed=seed,
+                                    stop_on_epsilon=False))
             for rec in traj.records:
                 escapes[s, rec.k - 1] = rec.escape_probability
             physical += aggregate(b, traj.final_profiles).values / 2
@@ -405,6 +420,44 @@ class TestExperiment:
         profile_rows = read_rows(out / "profile_sweep.csv")[1:]
         assert [float(row[1]) for row in profile_rows] == \
             pytest.approx(physical, rel=1e-12)
+
+    def test_escape_sweep_reads_zero_only_from_the_fixed_point(self, tmp_path):
+        """Sweeps run past the signal-change rule: escape 0 means a fixed point."""
+        manifest = write_manifest(tmp_path, {"grid": {"slots": 96},
+                                             "fleet": {"households": 4,
+                                                       "penetration": 0.5,
+                                                       "start_window": [0, 80]},
+                                             "engine": {"max_iterations": 15,
+                                                        "master_seed": 0}})
+        out = tmp_path / "out"
+        assert main(["experiment", "escape-sweep", "--manifest", manifest,
+                     "--out", str(out), "--penetrations", "0.5", "--seeds", "1"]) == 0
+        b, loads = build_case_study(FleetSpec(households=4, penetration=0.5),
+                                    BaseLoadSpec(synth=SynthParams()), TimeGrid(24.0, 96))
+        assert run(loads, b, EngineConfig(max_iterations=15, master_seed=0)
+                   ).terminated_by is Termination.TOLERANCE
+        traj = run(loads, b, EngineConfig(max_iterations=15, master_seed=0,
+                                          stop_on_epsilon=False))
+        assert traj.terminated_by is Termination.FIXED_POINT
+        fixed_k = traj.records[-1].k
+        escapes = [float(row[2]) for row in read_rows(out / "escape_sweep.csv")[1:]]
+        assert len(escapes) == 15 and fixed_k < 15
+        assert all(e > 0.0 for e in escapes[:fixed_k - 1])
+        assert escapes[fixed_k - 1:] == [0.0] * (15 - fixed_k + 1)
+
+    def test_profile_sweep_without_evs_is_the_base_load(self, tmp_path):
+        """At penetration 0 the mean aggregate is fleet-gen's base load, bit for bit."""
+        manifest = write_manifest(tmp_path)
+        assert main(["fleet-gen", "--manifest", manifest,
+                     "--out", str(tmp_path / "fleet")]) == 0
+        assert main(["experiment", "profile-sweep", "--manifest", manifest,
+                     "--out", str(tmp_path / "sweep"), "--penetrations", "0,0.3",
+                     "--seeds", "1"]) == 0
+        sweep = read_rows(tmp_path / "sweep" / "profile_sweep.csv")
+        base = read_rows(tmp_path / "fleet" / "baseload.csv")
+        assert sweep[0][1] == "mean_aggregate_kw_pen_0.0"
+        assert [row[1] for row in sweep[1:]] == [row[1] for row in base[1:]]
+        assert float(base[1][1]) > 0.0
 
     @pytest.mark.parametrize("name,table", [("escape-sweep", "escape_sweep.csv"),
                                             ("profile-sweep", "profile_sweep.csv")])
@@ -542,6 +595,12 @@ class TestFleetGen:
         {"objective": {"kind": "track"}},
         {"objective": {"kind": "track", "target": [1.0, 2.0]}},
         {"outdir": "x"},
+        # numbers must be JSON numbers: no strings, and booleans are not numbers
+        {"fleet": {"penetration": "0.5"}},
+        {"fleet": {"households": True}},
+        {"engine": {"epsilon": True}},
+        {"grid": {"horizon_hours": "24"}},
+        {"fleet": {"start_window": [True, 80]}},
         "[1, 2]",
         "{not json",
     ], ids=["unknown-key", "unknown-jitter-key", "two-rate-keys",
@@ -553,7 +612,9 @@ class TestFleetGen:
             "engine-not-object", "unknown-engine-key", "epsilon-zero",
             "unknown-grid-key", "unknown-emit-key", "emit-not-bool",
             "unknown-objective-kind", "track-without-target",
-            "target-off-grid", "unknown-top-level-key", "manifest-not-object",
+            "target-off-grid", "unknown-top-level-key", "penetration-string",
+            "households-bool", "epsilon-bool", "horizon-string",
+            "window-bool", "manifest-not-object",
             "manifest-not-json"])
     def test_bad_fleet_key_exits_2(self, tmp_path, capsys, manifest):
         """Every manifest section, not only `fleet`: a bad one exits 2."""

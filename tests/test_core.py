@@ -1,5 +1,6 @@
 import ast
 import importlib
+import json
 from pathlib import Path
 
 import numpy as np
@@ -8,9 +9,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import valleyfill
+from valleyfill.cli import main
 from valleyfill.core import (GridMismatchError, Objective, ObjectiveKind,
-                             Profile, TimeGrid, aggregate, inner, norm2,
-                             profile_to_csv)
+                             Profile, TimeGrid, aggregate, norm2)
 
 
 def grid(T=24.0, S=96):
@@ -61,49 +62,24 @@ class TestProfile:
             p.values[0] = 1.0
 
     def test_csv_round_trip(self, tmp_path):
+        """`fleet-gen` writes one household's CSV base load back bit for bit."""
         g = TimeGrid(3.0, 4)
         p = Profile(np.array([0.1, 1.0 / 3.0, 2.5, 0.0]), g)
-        path = tmp_path / "p.csv"
-        profile_to_csv(p, path)
+        source = tmp_path / "source.csv"
+        source.write_text("slot,kw_per_household\n" + "".join(
+            f"{t},{v!r}\n" for t, v in enumerate(p.values.tolist())))
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({
+            "grid": {"horizon_hours": 3.0, "slots": 4},
+            "fleet": {"households": 1, "penetration": 0.0},
+            "baseload": {"csv": str(source)}}))
+        assert main(["fleet-gen", "--manifest", str(manifest),
+                     "--out", str(tmp_path)]) == 0
+        path = tmp_path / "baseload.csv"
         assert path.read_text().splitlines()[0] == "slot,value_kw"
         slots, values = np.loadtxt(path, delimiter=",", skiprows=1).T
         assert np.array_equal(slots, np.arange(4))
         assert Profile(values, g) == p
-
-
-class TestInner:
-    def test_zero(self):
-        g = TimeGrid(4.0, 4)
-        z = Profile.zeros(g)
-        assert inner(z, z) == 0.0
-
-    def test_ones_give_horizon(self):
-        g = grid()
-        ones = Profile.constant(1.0, g)
-        assert inner(ones, ones) == pytest.approx(24.0, rel=1e-12)
-
-    def test_hand_arithmetic(self):
-        g = TimeGrid(1.0, 2)  # dt = 0.5
-        f = Profile(np.array([1.0, 2.0]), g)
-        h = Profile(np.array([3.0, 4.0]), g)
-        # per-slot summation oracle
-        expected = g.dt * sum(a * b for a, b in zip(f.values, h.values))
-        assert inner(f, h) == pytest.approx(5.5, abs=1e-12)
-        assert inner(f, h) == pytest.approx(expected, rel=1e-15)
-
-    def test_grid_mismatch(self):
-        f = Profile.zeros(TimeGrid(1.0, 2))
-        h = Profile.zeros(TimeGrid(1.0, 3))
-        with pytest.raises(GridMismatchError):
-            inner(f, h)
-
-    @given(st.lists(st.floats(-10, 10), min_size=4, max_size=4),
-           st.lists(st.floats(-10, 10), min_size=4, max_size=4))
-    def test_cauchy_schwarz(self, a, b):
-        g = TimeGrid(2.0, 4)
-        f = Profile(np.array(a), g)
-        h = Profile(np.array(b), g)
-        assert inner(f, h) ** 2 <= norm2(f) * norm2(h) + 1e-9
 
 
 class TestNorm2:
@@ -141,6 +117,12 @@ class TestAggregate:
         b = Profile(np.array([1.0, 1.0]), g)
         xs = [Profile(np.array([0.0, 1.0]), g), Profile(np.array([2.0, 0.0]), g)]
         assert np.array_equal(aggregate(b, xs).values, [3.0, 2.0])
+
+    def test_grid_mismatch(self):
+        f = Profile.zeros(TimeGrid(1.0, 2))
+        h = Profile.zeros(TimeGrid(1.0, 3))
+        with pytest.raises(GridMismatchError):
+            aggregate(f, [h])
 
     def test_order_independent(self):
         rng = np.random.default_rng(0)

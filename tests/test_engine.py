@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -10,13 +11,14 @@ import valleyfill.engine as engine
 from conftest import (expected_objective_enumeration, random_base,
                       random_convex_set, random_pulse_set)
 from valleyfill.analysis import is_nash
+from valleyfill.cli import main
 from valleyfill.core import (GridMismatchError, Profile, TimeGrid, aggregate,
                              norm)
 from valleyfill.engine import (ConfigurationError, EngineConfig, LoadSpec,
                                Termination, convex_load_update,
                                coordinator_signal, finite_load_update,
                                fleet_weight, load_draw, load_draws, run,
-                               trajectory_to_csv, update_loads)
+                               update_loads)
 from valleyfill.feasible import (FinitePulseSet, SolverError,
                                  make_pulse_set, sample)
 from valleyfill.scenario import (BaseLoadSpec, FleetSpec, SynthParams,
@@ -565,14 +567,19 @@ class TestAggregationEquivalence:
 
 class TestTrajectoryCsv:
     def test_round_numbers_and_files(self, tmp_path):
-        rng = np.random.default_rng(95)
-        g = grid()
-        loads = mixed_fleet(rng, g, 1, 1)
-        b = random_base(rng, g)
-        traj = run(loads, b, EngineConfig(max_iterations=4,
-                                          stop_on_epsilon=False))
-        path = tmp_path / "traj.csv"
-        trajectory_to_csv(traj, path)
+        """`run` writes one trajectory row per record of the same run."""
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({
+            "grid": {"horizon_hours": 6.0, "slots": 12},
+            "fleet": {"households": 4, "penetration": 0.5, "charge_hours": 1.0,
+                      "start_window": [0, 8]},
+            "engine": {"max_iterations": 4, "master_seed": 95}}))
+        assert main(["run", "--manifest", str(manifest), "--out", str(tmp_path)]) == 0
+        b, loads = build_case_study(
+            FleetSpec(households=4, penetration=0.5, ev_duration_hours=1.0,
+                      start_window=(0, 8)), BaseLoadSpec(synth=SynthParams()), grid())
+        traj = run(loads, b, EngineConfig(max_iterations=4, master_seed=95))
+        path = tmp_path / "trajectory.csv"
         lines = path.read_text().strip().splitlines()
         assert lines[0] == ("k,signal_norm,objective,escape_probability,"
                             "expected_next_objective,profiles_changed")

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from conftest import (hull_oracle_grid, hull_oracle_supports, hull_q,
-                      projection_oracle, random_convex_set, random_pulse_set)
+                      projection_oracle, random_convex_set, random_pulse_set,
+                      validate_A1A4)
 from valleyfill.core import Profile, TimeGrid, norm, norm2
 from valleyfill.feasible import (ConvexChargeSet, Distribution, FinitePulseSet,
                                  InfeasibleSetError, hull_minimize,
-                                 make_pulse_set, project_convex, sample,
-                                 stay_probability, validate_A1A4)
+                                 make_pulse_set, project_convex, sample)
 
 
 def canonical_grid():
@@ -330,19 +330,3 @@ class TestSample:
         for k, p in enumerate(theta.weights):
             sigma = math.sqrt(n * p * (1 - p))
             assert abs(counts[k] - n * p) <= 3 * sigma
-
-
-class TestStayProbability:
-    def test_degenerate(self):
-        assert stay_probability(Distribution.degenerate(3, 1), 1) == 1.0
-
-    def test_lookup(self):
-        assert stay_probability(Distribution(np.array([0.7, 0.3])), 0) == 0.7
-
-    def test_uniform(self):
-        theta = Distribution(np.full(4, 0.25))
-        assert stay_probability(theta, 2) == 0.25
-
-    def test_out_of_range(self):
-        with pytest.raises(IndexError):
-            stay_probability(Distribution(np.array([1.0])), 1)

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
+from conftest import validate_A1A4
+from valleyfill.cli import main
 from valleyfill.core import TimeGrid
-from valleyfill.feasible import validate_A1A4
 from valleyfill.scenario import (CANONICAL_GRID, CANONICAL_PEAK_SLOTS,
                                  BaseLoadError, BaseLoadSpec,
                                  FleetSpec, HeterogeneitySpec, SynthParams,
                                  build_case_study, build_fleet,
-                                 default_baseload, fleet_manifest_csv,
+                                 default_baseload,
                                  load_baseload_csv, synth_baseload)
 
 
@@ -195,8 +196,11 @@ class TestCaseStudy:
 class TestManifest:
     def test_manifest_columns(self, tmp_path):
         fleet = build_fleet(FleetSpec(households=10, penetration=0.2))
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text('{"fleet": {"households": 10, "penetration": 0.2}}')
+        assert main(["fleet-gen", "--manifest", str(manifest),
+                     "--out", str(tmp_path)]) == 0
         path = tmp_path / "fleet.csv"
-        fleet_manifest_csv(fleet, path)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "id,rate_kw,duration_hours,first_start_slot,last_start_slot,members"
         assert len(lines) == 1 + len(fleet)
