@@ -93,15 +93,14 @@ def is_nash(xs: Sequence[Profile], sets: Sequence[FinitePulseSet], b: Profile,
 
 
 def brute_force_optimum(sets: Sequence[FinitePulseSet], b: Profile,
-                        cap: int = ENUMERATION_CAP,
                         ) -> Tuple[Tuple[int, ...], float]:
     """Exact global optimum of norm2(b + sum_i x_i) by enumeration."""
     total = 1
     for s in sets:
         total *= s.m
-        if total > cap:
+        if total > ENUMERATION_CAP:
             raise OracleTooLargeError(
-                f"product space has more than {cap} selections"
+                f"product space has more than {ENUMERATION_CAP} selections"
             )
     dt = b.grid.dt
     best_value = math.inf
@@ -154,8 +153,8 @@ def convex_stationarity_residual(loads, xs: Sequence[Profile], b: Profile) -> fl
     g = coordinator_signal(aggregate(b, list(xs)), C)
     total = 0.0
     for spec, x in zip(loads, xs):
-        proj = convex_load_update(g, x, spec.constraint, spec.c)
-        total += norm2(Profile(x.values - proj.values, b.grid))
+        proj = convex_load_update(g.values, x.values, spec.constraint, spec.c)
+        total += norm2(Profile(x.values - proj, b.grid))
     return math.sqrt(total)
 
 

@@ -71,7 +71,7 @@ def load_manifest(path: Optional[str], overrides: argparse.Namespace) -> Manifes
         with open(path) as fh:
             try:
                 user = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # also an integer past Python's digit limit
                 raise InputError(f"manifest {path} is not JSON: {exc}") from None
         if not isinstance(user, dict):
             raise InputError(f"manifest must be an object, got {user!r}")
@@ -102,17 +102,21 @@ def load_manifest(path: Optional[str], overrides: argparse.Namespace) -> Manifes
 
 
 def _number(value) -> float:
-    """A JSON number as a float; booleans and strings are not numbers."""
+    """A finite JSON number as a float; booleans, strings, NaN and ±Infinity are not."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError("must be a number")
+    if not math.isfinite(value):  # an integer past float range raises OverflowError
+        raise ValueError("must be finite")
     return float(value)
 
 
 def _integer(value) -> int:
-    """A JSON integer; booleans, strings and floats are not integers."""
+    """A JSON integer within float range; booleans, strings and floats are not integers."""
     if isinstance(value, bool):
         raise TypeError("must be an integer")
-    return operator.index(value)
+    value = operator.index(value)
+    _number(value)  # finite as a float
+    return value
 
 
 def _pair(value) -> Tuple[float, float]:
@@ -172,7 +176,7 @@ def _fields(section, keys: dict, where: str) -> dict:
             out[field] = convert(value)
         except InputError:
             raise
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"bad {where}.{key} {value!r}: {exc}") from None
     return out
 

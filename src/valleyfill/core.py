@@ -52,6 +52,12 @@ class TimeGrid:
         """Slot width in hours."""
         return self.horizon_hours / self.slots
 
+    def check_rows(self, *rows) -> None:
+        """Raise GridMismatchError unless every row holds one value per slot."""
+        if any(np.shape(row) != (self.slots,) for row in rows):
+            raise GridMismatchError(f"rows of shapes {[np.shape(r) for r in rows]} "
+                                    f"on a {self.slots}-slot grid")
+
 
 @dataclass(frozen=True)
 class Profile:

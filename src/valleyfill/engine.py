@@ -192,9 +192,8 @@ def _hash_constants(init: int, mult: int, n: int) -> Tuple[np.ndarray, np.ndarra
     return (np.array(xors, np.uint32)[:, None], np.array(mults, np.uint32)[:, None])
 
 
-# mix_entropy makes 4 + 12 + 4 * (words - 4) hashmix calls.
-_MAX_WORDS = 16
-_HASH_A = _hash_constants(0x43B0D7E5, 0x931E8875, 4 * _MAX_WORDS)
+# mix_entropy makes 4 + 12 hashmix calls on a key of at most 4 words.
+_HASH_A = _hash_constants(0x43B0D7E5, 0x931E8875, 4 * _POOL)
 _HASH_B = _hash_constants(0x8B51F9DD, 0x58F38DED, 2 * _POOL)
 
 
@@ -221,26 +220,22 @@ def _mulhi64(a: np.ndarray, b: int) -> np.ndarray:
 def _seeded_uniforms(entropy: np.ndarray) -> np.ndarray:
     """First `Generator.random()` of `PCG64(SeedSequence(e))` for each column e.
 
-    `entropy` is an (L, N) uint32 array, one seed's words per column.
+    `entropy` is a (4, N) uint32 array, one seed's words per column; a seed
+    shorter than SeedSequence's 4-word pool is padded with zeros, as
+    mix_entropy pads it.
     SeedSequence.mix_entropy and generate_state(4, uint64) run as array
     arithmetic over the columns; so do PCG64's seeding (state = 0,
     inc = seq << 1 | 1; step; state += seed; step) and one output step
     (step, then XSL-RR).  128-bit values are (hi, lo) uint64 pairs.
     """
-    n_words, n = entropy.shape
     xa, ma = _HASH_A
-    pool = np.zeros((_POOL, n), np.uint32)  # a short key hashes zeros
-    pool[:n_words] = entropy[:_POOL]
-    pool = _hashmix(pool, xa[:_POOL], ma[:_POOL])
+    pool = _hashmix(entropy, xa[:_POOL], ma[:_POOL])
     t = _POOL
     for src in range(_POOL):
         # the source word is fixed while it is mixed into the other three
         dst = [d for d in range(_POOL) if d != src]
         pool[dst] = _mix(pool[dst], _hashmix(pool[src], xa[t:t + 3], ma[t:t + 3]))
         t += 3
-    for src in range(_POOL, n_words):
-        pool = _mix(pool, _hashmix(entropy[src], xa[t:t + _POOL], ma[t:t + _POOL]))
-        t += _POOL
     state = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], *_HASH_B).astype(np.uint64)
     seed_hi, seed_lo, seq_hi, seq_lo = state[0::2] | (state[1::2] << np.uint64(32))
     one, mult_lo = np.uint64(1), np.uint64(_PCG_MULT_LO)
@@ -260,39 +255,25 @@ def _seeded_uniforms(entropy: np.ndarray) -> np.ndarray:
     return (out >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
 
 
-def _batched_draws(ids: np.ndarray, head: List[int], tail: List[int]) -> np.ndarray:
-    """`_seeded_uniforms` for keys head + words(id) + tail, ids grouped by width."""
-    out = np.empty(len(ids))
-    wide = ids > np.uint64(_MASK32)
-    for sel, id_words in ((~wide, 1), (wide, 2)):
-        part = ids[sel]
-        if not part.size:
-            continue
-        entropy = np.empty((len(head) + id_words + len(tail), part.size), np.uint32)
-        entropy[:len(head)] = np.array(head, np.uint32)[:, None]
-        entropy[len(head)] = part & np.uint64(_MASK32)
-        if id_words == 2:
-            entropy[len(head) + 1] = part >> np.uint64(32)
-        entropy[len(head) + id_words:] = np.array(tail, np.uint32)[:, None]
-        out[sel] = _seeded_uniforms(entropy)
-    return out
-
-
 def load_draws(master_seed: int, ids, k: int) -> np.ndarray:
     """`load_draw(master_seed, id, k)` for each id in `ids`, bit for bit, as an array.
 
-    Batches of `_BATCH_MIN_KEYS` or more ids in [0, 2**64) run one
-    vectorised SeedSequence + PCG64 pass (`_batched_draws`).  Smaller
-    batches, other ids and keys of more than `_MAX_WORDS` words take
-    `load_draw` per key.
+    Batches of `_BATCH_MIN_KEYS` or more keys that runs make, ids in
+    [0, 2**32) whose (seed, id, k) words fit SeedSequence's 4-word pool,
+    run one vectorised SeedSequence + PCG64 pass (`_seeded_uniforms`).
+    Smaller batches and batches with any other key take `load_draw` per
+    key.
     """
     if len(ids) >= _BATCH_MIN_KEYS:
         arr = np.asarray(ids)
         head = _words(master_seed & 0xFFFFFFFFFFFFFFFF)
-        tail = _words(k)
-        if (arr.dtype.kind in "iu" and arr.min() >= 0
-                and len(head) + 2 + len(tail) <= _MAX_WORDS):
-            return _batched_draws(arr.astype(np.uint64), head, tail)
+        key = head + [0] + _words(k)
+        if (arr.dtype.kind in "iu" and arr.min() >= 0 and arr.max() <= _MASK32
+                and len(key) <= _POOL):
+            key += [0] * (_POOL - len(key))
+            entropy = np.array(key, np.uint32)[:, None].repeat(arr.size, axis=1)
+            entropy[len(head)] = arr
+            return _seeded_uniforms(entropy)
     return np.array([load_draw(master_seed, i, k) for i in ids], dtype=np.float64)
 
 
@@ -303,39 +284,34 @@ def coordinator_signal(d: Profile, C: float) -> Profile:
     return Profile(d.values / C, d.grid)
 
 
-def convex_load_update(g: Profile, x_prev: Profile, charge_set: ConvexChargeSet,
-                       c_i: float) -> Profile:
-    """argmin over the set of 2*c_i*<g, x> + norm2(x - x_prev).
+def convex_load_update(g: np.ndarray, x_prev: np.ndarray, charge_set: ConvexChargeSet,
+                       c_i: float) -> np.ndarray:
+    """argmin over the set of 2*c_i*<g, x> + norm2(x - x_prev), as a row.
 
-    Completing the square reduces this to projecting x_prev - c_i*g.
+    g and x_prev are rows on the set's grid.  Completing the square
+    reduces this to projecting x_prev - c_i*g.
     """
-    z = Profile(x_prev.values - c_i * g.values, g.grid)
-    return project_convex(z, charge_set)
+    charge_set.grid.check_rows(g, x_prev)
+    return project_convex(x_prev - c_i * g, charge_set)
 
 
-def finite_load_update(g: Profile, C: float, x_prev: Profile,
+def finite_load_update(g: np.ndarray, C: float, x_prev: np.ndarray,
                        pulse_set: FinitePulseSet, c_i: float,
                        start: Optional[int] = None) -> Distribution:
     """Sampling distribution of a finite load: hull-minimize against the exact leave-one-out signal.
 
+    g and x_prev are rows on the set's grid.
     h = (g*C - x_prev) / (C - c_i) equals (b + sum_{j != i} x_j) / sum_{j != i} c_j.
-    `start` is x_prev's member index when the caller knows it (see
-    `hull_minimize`).
+    `start` is x_prev's member index, or None when x_prev is not a member
+    (see `hull_minimize`).
     """
     if C <= c_i:
         raise ConfigurationError(
             f"need C > c_i (got C={C}, c_i={c_i}); a single finite load is not schedulable"
         )
-    h = Profile((g.values * C - x_prev.values) / (C - c_i), g.grid)
-    _, theta = hull_minimize(h, x_prev, c_i, pulse_set, start=start)
-    return theta
-
-
-def _finite_moments(theta: Distribution,
-                    pulse_set: FinitePulseSet) -> Tuple[np.ndarray, float]:
-    """(E[x], E[norm2(x)] - norm2(E[x])) for x ~ theta; members share norm2(x) = Y."""
-    mean = theta.weights @ pulse_set.members
-    return mean, pulse_set.sqnorm - pulse_set.grid.dt * float(np.dot(mean, mean))
+    pulse_set.grid.check_rows(g, x_prev)
+    return hull_minimize((g * C - x_prev) / (C - c_i), x_prev, c_i, pulse_set,
+                         start=start)
 
 
 def _expected_objective(b: Profile, mean, variance: float) -> float:
@@ -439,14 +415,14 @@ def update_loads(loads: Sequence[LoadSpec], g: Profile, C: float, X: np.ndarray,
     signal clears the memo.  Draws and sampling run every call, so a
     fresh {} per call gives the same results bit for bit.
     """
-    grid = g.grid
-    signal = (C, g.values.tobytes())
+    gv = g.values
+    signal = (C, gv.tobytes())
     if memo.get("signal") != signal:
         memo.clear()
         memo["signal"] = signal
     X_new = np.empty_like(X)
     stays = [1.0] * len(loads)
-    mean = np.zeros(grid.slots)
+    mean = np.zeros(gv.shape)
     variance = 0.0
     groups: dict = {}
     for i, spec in enumerate(loads):
@@ -454,14 +430,9 @@ def update_loads(loads: Sequence[LoadSpec], g: Profile, C: float, X: np.ndarray,
             groups.setdefault((id(spec.constraint), spec.c, member_idx[i]), []).append(i)
             continue
         row = X[i].tobytes()
-        hit = memo.get(i)
-        if hit is not None and hit[0] == row:
-            x_new = hit[1]
-        else:
-            x_new = convex_load_update(g, Profile(X[i], grid), spec.constraint,
-                                       spec.c).values
-            memo[i] = (row, x_new)
-        X_new[i] = x_new
+        if memo.get(i, (None,))[0] != row:
+            memo[i] = (row, convex_load_update(gv, X[i], spec.constraint, spec.c))
+        x_new = X_new[i] = memo[i][1]
         stays[i] = 1.0 if np.array_equal(x_new, X[i]) else 0.0
         mean += x_new
     solved = []
@@ -471,9 +442,9 @@ def update_loads(loads: Sequence[LoadSpec], g: Profile, C: float, X: np.ndarray,
         pulse_set = spec.constraint
         if key not in memo:
             prev = key[2]
-            x_prev = Profile.zeros(grid) if prev is None else pulse_set.member(prev)
+            x_prev = np.zeros(gv.shape) if prev is None else pulse_set.members[prev]
             try:
-                theta = finite_load_update(g, C, x_prev, pulse_set, spec.c, start=prev)
+                theta = finite_load_update(gv, C, x_prev, pulse_set, spec.c, start=prev)
             except SolverError as exc:
                 raise SolverError(f"iteration {k}, loads "
                                   f"{[loads[i].id for i in positions]}: {exc}",
@@ -482,7 +453,10 @@ def update_loads(loads: Sequence[LoadSpec], g: Profile, C: float, X: np.ndarray,
             j = int(w.argmax())
             pinned = j if w[j] == 1.0 and not w[:j].any() else None
             stay = 0.0 if prev is None else float(w[prev])
-            memo[key] = (theta, pinned, stay, *_finite_moments(theta, pulse_set))
+            # E[x] and E[norm2(x)] - norm2(E[x]) for x ~ theta; members share norm2(x) = Y
+            mean_g = w @ pulse_set.members
+            memo[key] = (theta, pinned, stay, mean_g,
+                         pulse_set.sqnorm - pulse_set.grid.dt * float(np.dot(mean_g, mean_g)))
         solved.append((positions, pulse_set, memo[key]))
         if memo[key][1] is None:  # theta pins no member, so these loads draw
             drawn.extend(positions)
@@ -493,10 +467,9 @@ def update_loads(loads: Sequence[LoadSpec], g: Profile, C: float, X: np.ndarray,
     for positions, pulse_set, (theta, pinned, stay, mean_g, variance_g) in solved:
         if pinned is None:
             idx = sample(theta, u[positions]).tolist()
-            X_new[positions] = pulse_set.members[idx]
         else:
             idx = [pinned] * len(positions)
-            X_new[positions] = pulse_set.members[pinned]
+        X_new[positions] = pulse_set.members[idx]
         for i, j in zip(positions, idx):
             member_idx[i] = j
             stays[i] = stay

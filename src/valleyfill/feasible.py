@@ -7,17 +7,21 @@ plus inverse-CDF sampling over the resulting hull weights).  A finite set
 records the rate bound, energy and squared norm its members share
 (assumptions A1, A3 and A4); `make_pulse_set` builds sets that meet them,
 and construction does not re-check them.
+
+The solvers run inside the engine's load update, so they take and return
+float64 rows on their set's grid, not `Profile`s; a row of any other
+shape raises GridMismatchError.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import GridMismatchError, Profile, TimeGrid
+from .core import Profile, TimeGrid
 
 __all__ = [
     "InfeasibleSetError",
@@ -211,25 +215,23 @@ def make_pulse_set(rate: float, duration_hours: float,
     )
 
 
-def project_convex(z: Profile, charge_set: ConvexChargeSet) -> Profile:
-    """Euclidean projection of z onto the box-and-energy set.
+def project_convex(z: np.ndarray, charge_set: ConvexChargeSet) -> np.ndarray:
+    """Euclidean projection of the row z onto the box-and-energy set.
 
     KKT form: x_t = clip(z_t - lam, 0, caps_t) with the scalar dual lam
     found by bisection; the energy dt*sum(x) is monotone nonincreasing in
     lam, which makes bisection safe.
     """
-    if z.grid != charge_set.grid:
-        raise GridMismatchError("profile and constraint set on different grids")
+    charge_set.grid.check_rows(z)
     caps = charge_set.caps.values
     dt = charge_set.grid.dt
-    zv = z.values
     target = charge_set.energy
 
     def energy_at(lam: float) -> float:
-        return dt * float(np.sum(np.clip(zv - lam, 0.0, caps)))
+        return dt * float(np.sum(np.clip(z - lam, 0.0, caps)))
 
-    lo = float(np.min(zv) - np.max(caps) - 1.0)
-    hi = float(np.max(zv) + 1.0)
+    lo = float(np.min(z) - np.max(caps) - 1.0)
+    hi = float(np.max(z) + 1.0)
     tol = 1e-12 * max(abs(target), 1.0)
     lam = 0.0
     for _ in range(200):
@@ -241,7 +243,7 @@ def project_convex(z: Profile, charge_set: ConvexChargeSet) -> Profile:
             lo = lam
         else:
             hi = lam
-    x = np.clip(zv - lam, 0.0, caps)
+    x = np.clip(z - lam, 0.0, caps)
     # Exact energy: distribute the residual over the strictly interior slots.
     residual = target - dt * float(np.sum(x))
     interior = (x > 0) & (x < caps)
@@ -249,18 +251,12 @@ def project_convex(z: Profile, charge_set: ConvexChargeSet) -> Profile:
     if n_int > 0:
         x[interior] += residual / (dt * n_int)
         x = np.clip(x, 0.0, caps)
-    return Profile(x, z.grid)
+    return x
 
 
-def _hull_objective(z: np.ndarray, h: np.ndarray, x_prev: np.ndarray,
-                    c_i: float, dt: float) -> float:
-    diff = z - x_prev
-    return dt * (2.0 * c_i * float(np.dot(h, z)) + float(np.dot(diff, diff)))
-
-
-def hull_minimize(h: Profile, x_prev: Profile, c_i: float,
+def hull_minimize(h: np.ndarray, x_prev: np.ndarray, c_i: float,
                   pulse_set: FinitePulseSet, start: Optional[int] = None,
-                  ) -> Tuple[Profile, Distribution]:
+                  ) -> Distribution:
     """Minimize Q(z) = 2*c_i*<h, z> + norm2(z - x_prev) over the member hull.
 
     Completing the square turns this into projecting p = x_prev - c_i*h
@@ -268,26 +264,22 @@ def hull_minimize(h: Profile, x_prev: Profile, c_i: float,
     corral of members, minimize exactly over its affine hull, and drop
     members whose weight would go negative.  Vertex ties break toward the
     lowest index.  Stops when the duality gap drops below 1e-8 * (1 + |Q|).
-    Returns the minimizer together with hull weights whose expectation
-    realizes it; a minimizer within SNAP_TOLERANCE of a member in profile
-    norm collapses to the degenerate distribution on the nearest member
-    (equal member norms force degeneracy there).
+    Returns hull weights theta whose expectation `theta.weights @ members`
+    is the minimizer; a minimizer within SNAP_TOLERANCE of a member in
+    profile norm collapses to the degenerate distribution on the nearest
+    member (equal member norms force degeneracy there).
 
-    The corral starts from member `start`; by default from x_prev's own
-    member index when x_prev is a member (fixed points then terminate in
-    one gap evaluation), else from the member with the lowest Q value.
-    Callers that know x_prev's index pass it to skip the membership scan.
+    The corral starts from member `start`, which is x_prev's member index
+    (fixed points then terminate in one gap evaluation), or None when
+    x_prev is not a member: then from the member with the lowest Q value.
     """
-    if h.grid != pulse_set.grid or x_prev.grid != pulse_set.grid:
-        raise GridMismatchError("profiles and pulse set on different grids")
+    pulse_set.grid.check_rows(h, x_prev)
     Y = pulse_set.members
     m = pulse_set.m
     dt = pulse_set.grid.dt
-    hv, pv = h.values, x_prev.values
-    A = Y - (pv - c_i * hv)         # minimize ||sum_k theta_k A_k||^2
+    p = x_prev - c_i * h
+    A = Y - p                       # minimize ||sum_k theta_k A_k||^2
 
-    if start is None:
-        start = pulse_set.member_index(x_prev)
     if start is None:
         start = int(np.argmin(np.einsum("ks,ks->k", A, A)))
     corral = [start]
@@ -309,7 +301,9 @@ def hull_minimize(h: Profile, x_prev: Profile, c_i: float,
     gap = math.inf
     for _ in range(_HULL_MAX_ITERATIONS):
         xx = float(np.dot(x, x))
-        q = _hull_objective(x + (pv - c_i * hv), hv, pv, c_i, dt)
+        z = x + p                       # the hull point
+        diff = z - x_prev
+        q = dt * (2.0 * c_i * float(np.dot(h, z)) + float(np.dot(diff, diff)))
         gap_tol = 1e-8 * (1.0 + abs(q))
         scores = A @ x
         j = int(np.argmin(scores))
@@ -353,10 +347,8 @@ def hull_minimize(h: Profile, x_prev: Profile, c_i: float,
     dist2 = dt * np.einsum("ks,ks->k", Y - z, Y - z)
     nearest = int(np.argmin(dist2))
     if math.sqrt(max(float(dist2[nearest]), 0.0)) <= SNAP_TOLERANCE:
-        theta = np.zeros(m)
-        theta[nearest] = 1.0
-        z = Y[nearest].copy()
-    return Profile(z, pulse_set.grid), Distribution(theta)
+        return Distribution.degenerate(m, nearest)
+    return Distribution(theta)
 
 
 def sample(theta: Distribution, u):

@@ -239,7 +239,7 @@ def test_criterion_8_solvers_match_independent_oracles():
             energy = rng.uniform(0.1, 0.9) * grid.dt * caps.sum()
             cs = ConvexChargeSet(Profile(caps, grid), energy)
             z = Profile(rng.uniform(-1.0, 3.0, S), grid)
-            x = project_convex(z, cs)
+            x = Profile(project_convex(z.values, cs), grid)
             x_ref, _ = projection_oracle(z, cs)
             assert np.max(np.abs(x.values - x_ref.values)) <= 1e-8, seed
 
@@ -249,9 +249,11 @@ def test_criterion_8_solvers_match_independent_oracles():
             grid = TimeGrid(3.0, int(rng.integers(3, 7)))
             s = random_pulse_set(rng, grid, m_max=6)
             h = Profile(rng.uniform(-1.0, 1.0, grid.slots), grid)
-            x_prev = s.member(int(rng.integers(s.m)))
+            k = int(rng.integers(s.m))
+            x_prev = s.member(k)
             c_i = float(rng.uniform(0.5, 2.0))
-            z, theta = hull_minimize(h, x_prev, c_i, s)
+            theta = hull_minimize(h.values, x_prev.values, c_i, s, start=k)
+            z = Profile(theta.weights @ s.members, grid)
             z_ref, q_ref = hull_oracle_supports(h, x_prev, c_i, s)
             assert np.max(np.abs(z.values - z_ref)) <= 1e-5, seed
             if s.m <= 3:

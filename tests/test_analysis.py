@@ -148,7 +148,7 @@ class TestBruteForce:
         g = grid()
         s = two_pulse_set(g)
         with pytest.raises(OracleTooLargeError):
-            brute_force_optimum([s] * 30, Profile.zeros(g), cap=1000)
+            brute_force_optimum([s] * 30, Profile.zeros(g))
 
 
 class TestGapCheck:
@@ -210,8 +210,8 @@ class TestStationarityResidual:
         loads = [LoadSpec(i, random_convex_set(rng, g)) for i in range(3)]
         b = random_base(rng, g)
         from valleyfill.feasible import project_convex
-        xs = [project_convex(Profile(rng.uniform(0, 2, g.slots), g),
-                             spec.constraint) for spec in loads]
+        xs = [Profile(project_convex(rng.uniform(0, 2, g.slots), spec.constraint), g)
+              for spec in loads]
         assert convex_stationarity_residual(loads, xs, b) > 1e-4
 
 

@@ -603,6 +603,7 @@ class TestFleetGen:
         {"fleet": {"start_window": [True, 80]}},
         "[1, 2]",
         "{not json",
+        '{"fleet": {"households": 1' + "0" * 5000 + "}}",
     ], ids=["unknown-key", "unknown-jitter-key", "two-rate-keys",
             "jitter-out-of-range", "bad-range", "households-not-int",
             "penetration-null", "window-not-pair", "heterogeneity-not-object",
@@ -615,7 +616,7 @@ class TestFleetGen:
             "target-off-grid", "unknown-top-level-key", "penetration-string",
             "households-bool", "epsilon-bool", "horizon-string",
             "window-bool", "manifest-not-object",
-            "manifest-not-json"])
+            "manifest-not-json", "integer-past-digit-limit"])
     def test_bad_fleet_key_exits_2(self, tmp_path, capsys, manifest):
         """Every manifest section, not only `fleet`: a bad one exits 2."""
         if callable(manifest):  # the manifest names a file it needs
@@ -629,5 +630,29 @@ class TestFleetGen:
                      "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["fleet-gen", "run"])
+    @pytest.mark.parametrize("text,key", [
+        ('{"fleet": {"households": 4, "penetration": 1e400}}', "fleet.penetration"),
+        ('{"fleet": {"households": 1' + "0" * 400 + "}}", "fleet.households"),
+        ('{"engine": {"epsilon": Infinity}}', "engine.epsilon"),
+        ('{"engine": {"epsilon": -Infinity}}', "engine.epsilon"),
+        ('{"engine": {"epsilon": NaN}}', "engine.epsilon"),
+        ('{"engine": {"master_seed": 1' + "0" * 400 + "}}", "engine.master_seed"),
+        ('{"grid": {"horizon_hours": 1e400}}', "grid.horizon_hours"),
+        ('{"fleet": {"heterogeneity": {"rate_range": [0.9, Infinity]}}}',
+         "fleet.heterogeneity.rate_range"),
+    ], ids=["penetration-1e400", "households-past-float-range", "epsilon-infinity",
+            "epsilon-minus-infinity", "epsilon-nan", "seed-past-float-range",
+            "horizon-1e400", "range-infinity"])
+    def test_non_finite_number_exits_2(self, tmp_path, capsys, command, text, key):
+        """JSON accepts NaN, Infinity and 1e400; a manifest number must be finite."""
+        (tmp_path / "manifest.json").write_text(text)
+        assert main([command, "--manifest", str(tmp_path / "manifest.json"),
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: bad {key} ")
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()

@@ -79,7 +79,7 @@ class TestLoadDraws:
             assert load_draws(seed, ids, k).tolist() == reference_draws(seed, ids, k)
 
     def test_branches_agree(self, monkeypatch):
-        ids = [0, 1, 7, 2**32 - 1, 2**32, MASK64]
+        ids = [0, 1, 7, 2**31, 2**32 - 1]
         monkeypatch.setattr(engine, "_BATCH_MIN_KEYS", len(ids) + 1)
         scalar = load_draws(3, ids, 9)
         monkeypatch.setattr(engine, "_BATCH_MIN_KEYS", 1)
@@ -90,7 +90,7 @@ class TestLoadDraws:
         n = engine._BATCH_MIN_KEYS
         huge_ids = [2**64 + i for i in range(n)]
         assert load_draws(2, huge_ids, 5).tolist() == reference_draws(2, huge_ids, 5)
-        long_k = 2**(32 * engine._MAX_WORDS)
+        long_k = 2**(32 * engine._POOL)
         assert load_draws(2, range(n), long_k).tolist() == \
             reference_draws(2, range(n), long_k)
 
@@ -121,22 +121,21 @@ class TestConvexLoadUpdate:
         g = grid()
         cs = random_convex_set(rng, g)
         from valleyfill.feasible import project_convex
-        x_prev = project_convex(Profile(rng.uniform(0, 2, g.slots), g), cs)
-        sig = Profile(rng.uniform(0, 1, g.slots), g)
+        x_prev = project_convex(rng.uniform(0, 2, g.slots), cs)
+        sig = rng.uniform(0, 1, g.slots)
         c_i = 1.7
         out = convex_load_update(sig, x_prev, cs, c_i)
-        direct = project_convex(
-            Profile(x_prev.values - c_i * sig.values, g), cs)
-        assert np.array_equal(out.values, direct.values)
+        direct = project_convex(x_prev - c_i * sig, cs)
+        assert np.array_equal(out, direct)
 
     def test_zero_signal_fixed_point(self):
         rng = np.random.default_rng(12)
         g = grid()
         cs = random_convex_set(rng, g)
         from valleyfill.feasible import project_convex
-        x_prev = project_convex(Profile(rng.uniform(0, 2, g.slots), g), cs)
-        out = convex_load_update(Profile.zeros(g), x_prev, cs, 2.0)
-        assert np.allclose(out.values, x_prev.values, atol=1e-9)
+        x_prev = project_convex(rng.uniform(0, 2, g.slots), cs)
+        out = convex_load_update(np.zeros(g.slots), x_prev, cs, 2.0)
+        assert np.allclose(out, x_prev, atol=1e-9)
 
 
 class TestFiniteLoadUpdate:
@@ -144,9 +143,9 @@ class TestFiniteLoadUpdate:
         rng = np.random.default_rng(13)
         g = grid()
         ps = random_pulse_set(rng, g)
-        sig = Profile.zeros(g)
+        sig = np.zeros(g.slots)
         with pytest.raises(ConfigurationError):
-            finite_load_update(sig, ps.energy, ps.member(0), ps, ps.energy)
+            finite_load_update(sig, ps.energy, ps.members[0], ps, ps.energy)
 
     def test_leave_one_out_signal(self):
         # the internal signal must equal (b + sum_{j != i} x_j)/(C - c_i):
@@ -161,9 +160,9 @@ class TestFiniteLoadUpdate:
         x_prev = Profile.zeros(g)
         sig = coordinator_signal(aggregate(b, [x_prev]), C)
         from valleyfill.feasible import hull_minimize
-        h_direct = Profile(b.values / (C - c_i), g)
-        _, theta_direct = hull_minimize(h_direct, x_prev, c_i, ps)
-        theta = finite_load_update(sig, C, x_prev, ps, c_i)
+        h_direct = b.values / (C - c_i)
+        theta_direct = hull_minimize(h_direct, x_prev.values, c_i, ps)
+        theta = finite_load_update(sig.values, C, x_prev.values, ps, c_i)
         x_new = ps.member(sample(theta, 0.3))
         assert np.allclose(theta.weights, theta_direct.weights, atol=1e-12)
         assert ps.member_index(x_new) is not None
@@ -174,8 +173,8 @@ class TestFiniteLoadUpdate:
         ps = random_pulse_set(rng, g, m_max=5)
         b = random_base(rng, g)
         sig = coordinator_signal(aggregate(b, [ps.member(0)]), ps.energy + 2.0)
-        theta = finite_load_update(sig, ps.energy + 2.0, ps.member(0),
-                                   ps, ps.energy)
+        theta = finite_load_update(sig.values, ps.energy + 2.0, ps.members[0],
+                                   ps, ps.energy, start=0)
         x_new = ps.member(sample(theta, 0.999999))
         k = ps.member_index(x_new)
         assert k is not None
@@ -506,7 +505,8 @@ class TestSupermartingale:
                                                 master_seed=master_seed,
                                                 stop_on_epsilon=False)).final_profiles
             assert rec.g == coordinator_signal(aggregate(b, xs), C)
-            thetas = [finite_load_update(rec.g, C, x, spec.constraint, spec.c)
+            thetas = [finite_load_update(rec.g.values, C, x.values, spec.constraint,
+                                         spec.c, start=spec.constraint.member_index(x))
                       for spec, x in zip(loads, xs)]
             expected = expected_objective_enumeration(b, xs, thetas, sets)
             assert rec.expected_next_objective == \
@@ -633,9 +633,9 @@ class TestGroupedWork:
             return g
 
         def traced_solve(h, x_prev, c_i, pulse_set, **kwargs):
-            z, theta = solve(h, x_prev, c_i, pulse_set, **kwargs)
+            theta = solve(h, x_prev, c_i, pulse_set, **kwargs)
             events.append(("solve", (id(pulse_set), c_i, kwargs.get("start")), theta))
-            return z, theta
+            return theta
 
         def traced_draws(master_seed, ids, k):
             events.append(("draws", [int(i) for i in ids], k))
@@ -680,9 +680,9 @@ class TestGroupedWork:
                 assert n_solves == 0
                 assert keys <= set(thetas)
                 quiet_rounds += 1
-            # the membership scan runs only while no previous member is known
+            # the engine passes each group's previous member: it never scans
             scans = sum(e[0] == "scan" for e in per_k[k])
-            assert scans == (len(keys) if k == 1 else 0)
+            assert scans == 0
             # at most one batched draw call, keyed by this iteration
             calls = [e for e in per_k[k] if e[0] == "draws"]
             assert len(calls) <= 1

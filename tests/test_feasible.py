@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (hull_oracle_grid, hull_oracle_supports, hull_q,
                       projection_oracle, random_convex_set, random_pulse_set,
                       validate_A1A4)
-from valleyfill.core import Profile, TimeGrid, norm, norm2
+from valleyfill.core import GridMismatchError, Profile, TimeGrid, norm, norm2
 from valleyfill.feasible import (ConvexChargeSet, Distribution, FinitePulseSet,
                                  InfeasibleSetError, hull_minimize,
                                  make_pulse_set, project_convex, sample)
@@ -118,7 +120,7 @@ class TestProjectConvex:
         g = TimeGrid(4.0, 4)
         cs = ConvexChargeSet(Profile(np.full(4, 2.0), g), energy=4.0)
         z = Profile(np.full(4, 1.0), g)  # energy = 4, inside the box
-        assert np.allclose(project_convex(z, cs).values, z.values, atol=1e-10)
+        assert np.allclose(project_convex(z.values, cs), z.values, atol=1e-10)
 
     def test_hyperplane_only(self):
         g = TimeGrid(4.0, 4)
@@ -128,13 +130,13 @@ class TestProjectConvex:
         z = Profile(rng.uniform(0.5, 2.0, 4), g)
         shift = (g.dt * z.values.sum() - 6.0) / (g.dt * 4)
         expected = z.values - shift
-        assert np.allclose(project_convex(z, cs).values, expected, atol=1e-9)
+        assert np.allclose(project_convex(z.values, cs), expected, atol=1e-9)
 
     def test_two_slot_brute_force(self):
         g = TimeGrid(2.0, 2)  # dt = 1
         cs = ConvexChargeSet(Profile(np.array([1.0, 1.0]), g), energy=1.0)
         z = Profile(np.array([2.0, 0.0]), g)
-        x = project_convex(z, cs)
+        x = Profile(project_convex(z.values, cs), g)
         # brute force over the 1-D feasible segment x0 in [0,1], x1 = 1 - x0
         ts = np.linspace(0, 1, 100001)
         d2 = (ts - 2.0) ** 2 + (1 - ts) ** 2
@@ -148,7 +150,7 @@ class TestProjectConvex:
         for _ in range(20):
             cs = random_convex_set(rng, g)
             z = Profile(rng.normal(0, 2, 96), g)
-            x = project_convex(z, cs)
+            x = Profile(project_convex(z.values, cs), g)
             energy = g.dt * x.values.sum()
             assert energy == pytest.approx(cs.energy, rel=1e-10)
             assert np.all(x.values >= 0) and np.all(x.values <= cs.caps.values + 1e-12)
@@ -159,8 +161,8 @@ class TestProjectConvex:
         for _ in range(20):
             cs = random_convex_set(rng, g)
             z = Profile(rng.normal(0, 2, 12), g)
-            x1 = project_convex(z, cs)
-            x2 = project_convex(x1, cs)
+            x1 = Profile(project_convex(z.values, cs), g)
+            x2 = Profile(project_convex(x1.values, cs), g)
             assert norm(Profile(x1.values - x2.values, g)) <= 1e-10
 
     def test_matches_active_set_oracle(self):
@@ -170,10 +172,16 @@ class TestProjectConvex:
             g = TimeGrid(float(S), S)
             cs = random_convex_set(rng, g)
             z = Profile(rng.normal(0, 2, S), g)
-            x = project_convex(z, cs)
+            x = Profile(project_convex(z.values, cs), g)
             _, oracle_d2 = projection_oracle(z, cs)
             d2 = norm2(Profile(x.values - z.values, g))
             assert d2 == pytest.approx(oracle_d2, abs=1e-8)
+
+
+def hull_point(h, x_prev, c_i, ps, **kwargs):
+    """hull_minimize on the Profiles' rows: (its minimizer as a Profile, theta)."""
+    theta = hull_minimize(h.values, x_prev.values, c_i, ps, **kwargs)
+    return Profile(theta.weights @ ps.members, ps.grid), theta
 
 
 class TestHullMinimize:
@@ -181,31 +189,52 @@ class TestHullMinimize:
         g = TimeGrid(8.0, 8)
         ps = make_pulse_set(1.0, 2.0, [0, 3, 6], g)
         x_prev = ps.member(1)
-        z, theta = hull_minimize(Profile.zeros(g), x_prev, 1.0, ps)
+        z, theta = hull_point(Profile.zeros(g), x_prev, 1.0, ps, start=1)
         assert theta.weights.tolist() == [0.0, 1.0, 0.0]
         assert z == x_prev
 
     def test_single_member(self):
         g = TimeGrid(8.0, 8)
         ps = make_pulse_set(1.0, 2.0, [4], g)
-        z, theta = hull_minimize(Profile(np.ones(8), g), Profile.zeros(g), 2.0, ps)
+        z, theta = hull_point(Profile(np.ones(8), g), Profile.zeros(g), 2.0, ps)
         assert theta.weights.tolist() == [1.0]
         assert z == ps.member(0)
 
-    def test_known_start_matches_scan(self):
-        # passing x_prev's member index skips the scan and changes nothing
-        rng = np.random.default_rng(29)
-        for _ in range(100):
-            S = int(rng.integers(2, 13))
-            g = TimeGrid(float(S), S)
-            ps = random_pulse_set(rng, g, m_max=8)
-            k = int(rng.integers(ps.m))
-            h = Profile(rng.normal(0, 1, S), g)
-            c_i = float(rng.uniform(0.2, 3.0))
-            z_scan, theta_scan = hull_minimize(h, ps.member(k), c_i, ps)
-            z, theta = hull_minimize(h, ps.member(k), c_i, ps, start=k)
-            assert np.array_equal(theta.weights, theta_scan.weights)
-            assert np.array_equal(z.values, z_scan.values)
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_warm_start_reaches_the_same_minimizer(self, seed):
+        # from x_prev = member k, warm-starting the corral at k and starting
+        # from the lowest-Q member reach one minimizer
+        rng = np.random.default_rng(seed)
+        S = int(rng.integers(2, 13))
+        g = TimeGrid(float(S), S)
+        ps = random_pulse_set(rng, g, m_max=8)
+        k = int(rng.integers(ps.m))
+        h = rng.normal(0, 1, S)
+        c_i = float(rng.uniform(0.2, 3.0))
+        warm = hull_minimize(h, ps.members[k], c_i, ps, start=k)
+        cold = hull_minimize(h, ps.members[k], c_i, ps, start=None)
+        gap = (warm.weights - cold.weights) @ ps.members
+        assert np.max(np.abs(gap)) <= 1e-7
+
+    def test_minimizer_is_theta_expectation_after_snap(self):
+        g = TimeGrid(8.0, 8)
+        ps = make_pulse_set(1.0, 2.0, [0, 3, 6], g)
+        theta = hull_minimize(np.zeros(8), ps.members[1], 1.0, ps, start=1)
+        assert np.array_equal(theta.weights @ ps.members, ps.members[1])
+
+    @pytest.mark.parametrize("bad", [np.zeros(7), np.zeros(9), np.zeros((1, 8)),
+                                     np.float64(0.0)])
+    def test_wrong_length_row_rejected(self, bad):
+        g = TimeGrid(8.0, 8)
+        ps = make_pulse_set(1.0, 2.0, [0, 3, 6], g)
+        cs = ConvexChargeSet(Profile(np.full(8, 2.0), g), energy=4.0)
+        with pytest.raises(GridMismatchError):
+            project_convex(bad, cs)
+        with pytest.raises(GridMismatchError):
+            hull_minimize(bad, ps.members[0], 1.0, ps)
+        with pytest.raises(GridMismatchError):
+            hull_minimize(np.zeros(8), bad, 1.0, ps)
 
     def test_two_member_closed_form(self):
         rng = np.random.default_rng(3)
@@ -217,7 +246,7 @@ class TestHullMinimize:
             h = Profile(rng.normal(0, 1, 4), g)
             x_prev = Profile(rng.normal(0, 1, 4), g)
             c_i = float(rng.uniform(0.2, 3.0))
-            _, theta = hull_minimize(h, x_prev, c_i, ps)
+            _, theta = hull_point(h, x_prev, c_i, ps)
             # scalar calculus along the segment y0 + t (y1 - y0)
             y0, y1 = ps.members
             d = y1 - y0
@@ -238,7 +267,7 @@ class TestHullMinimize:
             h = Profile(rng.normal(0, 1, S), g)
             x_prev = Profile(rng.normal(0, 1, S), g)
             c_i = float(rng.uniform(0.2, 3.0))
-            z, theta = hull_minimize(h, x_prev, c_i, ps)
+            z, theta = hull_point(h, x_prev, c_i, ps)
             q = hull_q(z.values, h.values, x_prev.values, c_i, g.dt)
             _, oracle_q = hull_oracle_supports(h, x_prev, c_i, ps)
             assert q == pytest.approx(oracle_q, abs=1e-5)
@@ -252,7 +281,7 @@ class TestHullMinimize:
             h = Profile(rng.normal(0, 1, S), g)
             x_prev = Profile(rng.normal(0, 1, S), g)
             c_i = float(rng.uniform(0.2, 3.0))
-            z, _ = hull_minimize(h, x_prev, c_i, ps)
+            z, _ = hull_point(h, x_prev, c_i, ps)
             q = hull_q(z.values, h.values, x_prev.values, c_i, g.dt)
             _, oracle_q = hull_oracle_grid(h, x_prev, c_i, ps)
             assert q <= oracle_q + 1e-5
@@ -264,7 +293,7 @@ class TestHullMinimize:
             ps = random_pulse_set(rng, g, m_max=5)
             h = Profile(rng.normal(0, 1, 6), g)
             x_prev = Profile(rng.normal(0, 1, 6), g)
-            z, theta = hull_minimize(h, x_prev, 1.0, ps)
+            z, theta = hull_point(h, x_prev, 1.0, ps)
             expectation = theta.weights @ ps.members
             assert norm(Profile(z.values - expectation, g)) <= 1e-7
 
@@ -276,7 +305,7 @@ class TestHullMinimize:
             ps = random_pulse_set(rng, g, m_max=5)
             h = Profile(rng.normal(0, 1, 6), g)
             x_prev = Profile(rng.normal(0, 1, 6), g)
-            z, theta = hull_minimize(h, x_prev, 1.0, ps)
+            z, theta = hull_point(h, x_prev, 1.0, ps)
             dists = [norm(Profile(z.values - ps.members[k], g)) for k in range(ps.m)]
             if min(dists) <= 1e-7:
                 assert np.count_nonzero(theta.weights) == 1
