@@ -142,15 +142,6 @@ class FinitePulseSet:
         hits = np.flatnonzero(np.all(self.members == x.values, axis=1))
         return int(hits[0]) if hits.size else None
 
-    def scaled(self, factor: float) -> "FinitePulseSet":
-        """The set {factor * y : y in members}; models aggregated identical loads."""
-        return FinitePulseSet(
-            self.members * factor, self.grid,
-            energy=self.energy * factor,
-            sqnorm=self.sqnorm * factor * factor,
-            rate_bound=self.rate_bound * abs(factor),
-        )
-
 
 @dataclass(frozen=True)
 class Distribution:

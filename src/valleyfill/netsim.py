@@ -42,10 +42,13 @@ from its last reply.  On receipt, a profile whose text repeats the
 previous line's on that connection reuses its parsed Profile.  This state
 lives per session and per connection.  An agent exits 0 after a STOP that
 ends the run and 1 after a refusal or an abort such as ``AgentLost``.
+Every connection, and the coordinator's listening socket, is closed on
+every exit path.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import socket
 import time
@@ -186,6 +189,19 @@ def _recv(fh, expect: Sequence[str], grid: TimeGrid,
     return kind, iteration, fields
 
 
+@contextlib.contextmanager
+def _open(conn: socket.socket, timeout: float):
+    """The connection's ASCII line file; on exit closes it, then the socket."""
+    with conn:
+        conn.settimeout(timeout)
+        fh = conn.makefile("rw", encoding="ascii", newline="\n")
+        try:
+            yield fh
+        finally:
+            with contextlib.suppress(OSError):
+                fh.close()
+
+
 def serve_coordinator(b: Profile, roster: Sequence[RosterEntry], cfg: EngineConfig,
                       endpoint: Tuple[str, int],
                       timeout: float = DEFAULT_TIMEOUT) -> Trajectory:
@@ -204,19 +220,13 @@ def serve_coordinator(b: Profile, roster: Sequence[RosterEntry], cfg: EngineConf
     grid = b.grid
     digest = grid_digest(grid)
 
-    server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-    server.bind(endpoint)
-    server.listen(len(roster))
-    server.settimeout(timeout)
-    accepted: List[Tuple[socket.socket, object]] = []
-    conns: Dict[int, object] = {}
-    try:
+    with contextlib.ExitStack() as stack:
+        server = stack.enter_context(socket.create_server(endpoint,
+                                                          backlog=len(roster)))
+        server.settimeout(timeout)
+        conns: Dict[int, object] = {}
         while len(conns) < len(roster):
-            conn, _ = server.accept()
-            conn.settimeout(timeout)
-            fh = conn.makefile("rw", encoding="ascii", newline="\n")
-            accepted.append((conn, fh))
+            fh = stack.enter_context(_open(server.accept()[0], timeout))
             _, _, (load_id, agent_digest, finite, c) = _recv(fh, ["HELLO"], grid)
             if load_id in conns:
                 _send(fh, "STOP", 0, "DuplicateId")
@@ -265,23 +275,13 @@ def serve_coordinator(b: Profile, roster: Sequence[RosterEntry], cfg: EngineConf
                               len(roster), cfg, exchange)
         except (socket.timeout, AgentLostError) as exc:
             for fh in conns.values():
-                try:
+                with contextlib.suppress(OSError):
                     _send(fh, "STOP", 0, "AgentLost")
-                except OSError:
-                    pass
             raise AgentLostError(f"agent lost mid-session: {exc}") from exc
 
         for fh in conns.values():
             _send(fh, "STOP", len(traj.records), _stop_reason(traj.terminated_by))
         return traj
-    finally:
-        for conn, fh in accepted:
-            try:
-                fh.close()
-                conn.close()
-            except OSError:
-                pass
-        server.close()
 
 
 def _connect_with_retry(endpoint: Tuple[str, int], timeout: float) -> socket.socket:
@@ -316,9 +316,7 @@ def run_agent(load: LoadSpec, master_seed: int, endpoint: Tuple[str, int],
     """
     grid = load.grid
     digest = grid_digest(grid)
-    conn = _connect_with_retry(endpoint, timeout)
-    fh = conn.makefile("rw", encoding="ascii", newline="\n")
-    try:
+    with _open(_connect_with_retry(endpoint, timeout), timeout) as fh:
         load_kind = "finite" if load.is_finite else "convex"
         _send(fh, "HELLO", 0, f"{load.id} {digest} {load_kind} {float(load.c)!r}")
         kind, _, fields = _recv(fh, ["ASSIGN", "STOP"], grid)
@@ -343,9 +341,3 @@ def run_agent(load: LoadSpec, master_seed: int, endpoint: Tuple[str, int],
                 reply, reply_text = X[0].tobytes(), _encode_floats(X[0])
             _send(fh, "PROFILEUPDATE", k,
                   f"{load.id} {stay!r} {grid.slots} {reply_text}")
-    finally:
-        try:
-            fh.close()
-            conn.close()
-        except OSError:
-            pass

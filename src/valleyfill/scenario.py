@@ -122,8 +122,6 @@ def synth_baseload(p: SynthParams, grid: TimeGrid) -> Profile:
         s0, v0 = anchors[a]
         s1, v1 = anchors[(a + 1) % n]
         span = (s1 - s0) % slots
-        if span == 0:
-            span = slots
         for step in range(span):
             t = (s0 + step) % slots
             u = step / span

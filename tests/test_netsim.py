@@ -299,6 +299,48 @@ class TestFailureModes:
         assert isinstance(result.get("error"), AgentLostError)
         assert status == {0: 1}
 
+    def test_endpoint_is_free_after_a_refusal_and_an_abort(self):
+        """A failed session releases its endpoint: the next coordinator binds at once."""
+        rng = np.random.default_rng(14)
+        g = TimeGrid(6.0, 12)
+        endpoint = free_endpoint()
+        roster = [RosterEntry(0, False, 2.0)]
+        b = random_base(rng, g)
+
+        def fails_with(error, client):
+            result = {}
+
+            def coordinate():
+                try:
+                    serve_coordinator(b, roster, EngineConfig(max_iterations=100),
+                                      endpoint, timeout=10.0)
+                except Exception as exc:
+                    result["error"] = exc
+
+            coord = threading.Thread(target=coordinate)
+            coord.start()
+            client()
+            coord.join(timeout=30)
+            assert isinstance(result.get("error"), error)
+            # binding succeeds, so only the wait for an agent can time out
+            with pytest.raises(socket.timeout):
+                serve_coordinator(b, roster, EngineConfig(), endpoint, timeout=0.2)
+
+        def refused_agent():
+            load = LoadSpec(0, random_convex_set(rng, g), c=1.5)
+            assert run_agent(load, 0, endpoint, timeout=10.0) == 1
+
+        def vanishing_agent():
+            with _connect_with_retry(endpoint, timeout=10.0) as conn, \
+                    conn.makefile("rw", encoding="ascii", newline="\n") as fh:
+                fh.write(f"MESSAGE HELLO 0 0 {grid_digest(g)} convex 2.0\n")
+                fh.flush()
+                assert fh.readline().startswith("MESSAGE ASSIGN")
+                assert fh.readline().startswith("MESSAGE SIGNAL")
+
+        fails_with(ConfigurationError, refused_agent)   # STOP RosterMismatch
+        fails_with(AgentLostError, vanishing_agent)     # STOP AgentLost
+
     @pytest.mark.parametrize("line", [
         "MESSAGE HELLO 0",
         "MESSAGE HELLO 0 abc x",
