@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,26 +40,12 @@ class NashReport:
     worst_violation: float       # kW^2*h; max positive best-response gap
     violating_load: Optional[int]
 
-    def to_text(self) -> str:
-        return (f"is_equilibrium={self.is_equilibrium}\n"
-                f"worst_violation={self.worst_violation!r}\n"
-                f"violating_load={self.violating_load}\n")
-
 
 @dataclass(frozen=True)
 class BoundReport:
     absolute_bound: float        # 2*sum(Y) for nonnegative members (4*sum(Y) signed)
     ratio_bound: float
     optimum_lower_bound: float   # flat-profile lower bound on norm2 of the optimum
-
-    def to_text(self) -> str:
-        return (f"absolute_bound={self.absolute_bound!r}\n"
-                f"ratio_bound={self.ratio_bound!r}\n"
-                f"optimum_lower_bound={self.optimum_lower_bound!r}\n")
-
-    def csv_row(self) -> List[str]:
-        return [repr(self.absolute_bound), repr(self.ratio_bound),
-                repr(self.optimum_lower_bound)]
 
 
 def _check_membership(xs: Sequence[Profile], sets: Sequence[FinitePulseSet]) -> None:

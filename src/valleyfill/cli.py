@@ -409,7 +409,7 @@ def cmd_experiment(args) -> int:
             _, base, loads = _scenario(manifest, penetration=pen)
             report = analysis.subopt_ratio_bound(
                 [s.constraint for s in loads], base)
-            rows.append([repr(pen)] + report.csv_row())
+            rows.append([repr(v) for v in (pen, *dataclasses.astuple(report))])
         _write_csv(os.path.join(out, "bound_sweep.csv"),
                    ["penetration", "absolute_bound", "ratio_bound",
                     "optimum_lower_bound"], rows)
@@ -449,6 +449,11 @@ def cmd_experiment(args) -> int:
     return 0
 
 
+def _print_fields(report) -> None:
+    for field in dataclasses.fields(report):
+        print(f"{field.name}={getattr(report, field.name)!r}")
+
+
 def cmd_analyze(args) -> int:
     checks = set(args.checks.split(",")) if args.checks else {"nash", "ratio"}
     unknown = sorted(checks - set(CHECKS))
@@ -480,7 +485,7 @@ def cmd_analyze(args) -> int:
         value = norm2(aggregate(base, xs))
         tol = 1e-9 * (1 + abs(value))
         report = analysis.is_nash(xs, sets, base, tol)
-        print(report.to_text(), end="")
+        _print_fields(report)
         if not report.is_equilibrium:
             status = 1
     if "gap" in checks:
@@ -492,7 +497,7 @@ def cmd_analyze(args) -> int:
         except analysis.OracleTooLargeError:
             print("gap=skipped (instance too large to enumerate)")
     if "ratio" in checks:
-        print(analysis.subopt_ratio_bound(sets, base).to_text(), end="")
+        _print_fields(analysis.subopt_ratio_bound(sets, base))
     return status
 
 

@@ -22,6 +22,7 @@ __all__ = [
     "GridMismatchError",
     "TimeGrid",
     "Profile",
+    "values_key",
     "ObjectiveKind",
     "Objective",
     "norm2",
@@ -89,10 +90,16 @@ class Profile:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Profile):
             return NotImplemented
-        return self.grid == other.grid and np.array_equal(self.values, other.values)
+        return self.grid == other.grid and values_key(self.values) == values_key(other.values)
 
     def __hash__(self):
-        return hash((self.grid, self.values.tobytes()))
+        return hash((self.grid, values_key(self.values)))
+
+
+def values_key(values: np.ndarray) -> bytes:
+    """Identity key of float64 values: adding 0.0 folds -0.0 into 0.0, so finite
+    arrays of one shape have equal keys exactly when they compare equal."""
+    return (values + 0.0).tobytes()
 
 
 class ObjectiveKind(enum.Enum):

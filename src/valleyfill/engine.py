@@ -324,20 +324,20 @@ def _expected_objective(b: Profile, mean, variance: float) -> float:
     return b.grid.dt * float(np.dot(d, d)) + variance
 
 
-def fleet_weight(fleet: Sequence[Tuple[int, bool, float]]) -> float:
-    """C = sum_i c_i of a fleet given as (id, finite, c_i) per load.
+def fleet_weight(fleet: Sequence) -> float:
+    """C = sum_i c_i of a fleet of `LoadSpec`s or `netsim.RosterEntry`s.
 
     Raises ConfigurationError for an empty fleet, duplicate ids, or a
     finite load without other weight to average against (C <= c_i).
     """
-    ids = [load_id for load_id, _, _ in fleet]
+    ids = [load.id for load in fleet]
     if not ids or len(set(ids)) != len(ids):
         raise ConfigurationError(f"need one or more loads with unique ids, got "
                                  f"{len(set(ids))} distinct ids for {len(ids)} loads")
-    C = sum(c for _, _, c in fleet)
-    for load_id, finite, c in fleet:
-        if finite and C <= c:
-            raise ConfigurationError(f"finite load {load_id} needs C > c_i")
+    C = sum(load.c for load in fleet)
+    for load in fleet:
+        if load.is_finite and C <= load.c:
+            raise ConfigurationError(f"finite load {load.id} needs C > c_i")
     return C
 
 
@@ -442,9 +442,9 @@ def update_loads(loads: Sequence[LoadSpec], g: Profile, C: float, X: np.ndarray,
         pulse_set = spec.constraint
         if key not in memo:
             prev = key[2]
-            x_prev = np.zeros(gv.shape) if prev is None else pulse_set.members[prev]
             try:
-                theta = finite_load_update(gv, C, x_prev, pulse_set, spec.c, start=prev)
+                theta = finite_load_update(gv, C, X[positions[0]], pulse_set, spec.c,
+                                           start=prev)
             except SolverError as exc:
                 raise SolverError(f"iteration {k}, loads "
                                   f"{[loads[i].id for i in positions]}: {exc}",
@@ -484,7 +484,7 @@ def run(loads: Sequence[LoadSpec], b: Profile, cfg: EngineConfig) -> Trajectory:
     `b` is the game's base: the base load, or for a Track objective
     `Objective.effective_base(b)`.
     """
-    C = fleet_weight([(spec.id, spec.is_finite, spec.c) for spec in loads])
+    C = fleet_weight(loads)
     for spec in loads:
         if spec.grid != b.grid:
             raise GridMismatchError(f"load {spec.id} is on a different grid")

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import Profile, TimeGrid
+from .core import Profile, TimeGrid, values_key
 
 __all__ = [
     "InfeasibleSetError",
@@ -98,7 +98,8 @@ class ConvexChargeSet:
 class FinitePulseSet:
     """Explicit finite set of admissible profiles with common energy and norm.
 
-    `members` is an (m, S) array; every row is one admissible profile.
+    `members` is an (m, S) array of distinct rows, each one admissible
+    profile, stored with -0.0 folded into 0.0.
     `energy` (kWh), `sqnorm` (kW^2*h) and `rate_bound` (kW) record the
     common constants the members are supposed to share.  Construction
     does not check that they do, so deliberately perturbed sets can be
@@ -107,21 +108,20 @@ class FinitePulseSet:
 
     def __init__(self, members: np.ndarray, grid: TimeGrid, energy: float,
                  sqnorm: float, rate_bound: float):
-        members = np.asarray(members, dtype=np.float64)
+        members = np.ascontiguousarray(members, dtype=np.float64)
         if members.ndim != 2 or members.shape[1] != grid.slots:
             raise ValueError(f"members must be (m, {grid.slots}), got {members.shape}")
         if members.shape[0] < 1:
             raise ValueError("at least one member required")
         if not np.all(np.isfinite(members)):
             raise ValueError("member values must be finite")
-        seen = set()
-        for k in range(members.shape[0]):
-            key = members[k].tobytes()
-            if key in seen:
-                raise ValueError(f"duplicate member at index {k}")
-            seen.add(key)
-        members = members.copy()
+        # a copy with -0.0 folded as in `values_key`, so each row's bytes are its key
+        members = members + 0.0
         members.flags.writeable = False
+        self._index = {}
+        for k, row in enumerate(members):
+            if self._index.setdefault(row.tobytes(), k) != k:
+                raise ValueError(f"duplicate member at index {k}")
         self.members = members
         self.grid = grid
         self.energy = float(energy)
@@ -136,11 +136,10 @@ class FinitePulseSet:
         return Profile(self.members[k], self.grid)
 
     def member_index(self, x: Profile) -> Optional[int]:
-        """Index of the first member equal to x in every slot, or None."""
+        """Index of the member equal to x in every slot, or None."""
         if x.grid != self.grid:
             return None
-        hits = np.flatnonzero(np.all(self.members == x.values, axis=1))
-        return int(hits[0]) if hits.size else None
+        return self._index.get(values_key(x.values))
 
 
 @dataclass(frozen=True)

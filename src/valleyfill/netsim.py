@@ -86,7 +86,7 @@ class RosterEntry:
     """What the coordinator knows about one agent: id, kind and weight."""
 
     id: int
-    finite: bool
+    is_finite: bool
     c: float
 
 
@@ -214,7 +214,7 @@ def serve_coordinator(b: Profile, roster: Sequence[RosterEntry], cfg: EngineConf
     the in-process run bit for bit, escape probabilities included; its
     expected next objectives are NaN.
     """
-    C = fleet_weight([(entry.id, entry.finite, entry.c) for entry in roster])
+    C = fleet_weight(roster)
     entries = {entry.id: entry for entry in roster}
     ids = list(entries)
     grid = b.grid
@@ -240,7 +240,7 @@ def serve_coordinator(b: Profile, roster: Sequence[RosterEntry], cfg: EngineConf
                     f"agent {load_id} grid digest {agent_digest!r} != session {digest!r}"
                 )
             entry = entries[load_id]
-            if (finite, c) != (entry.finite, entry.c):
+            if (finite, c) != (entry.is_finite, entry.c):
                 _send(fh, "STOP", 0, "RosterMismatch")
                 raise ConfigurationError(f"agent {load_id} (finite={finite}, c={c!r}) "
                                          f"does not match its roster entry {entry}")
@@ -271,7 +271,7 @@ def serve_coordinator(b: Profile, roster: Sequence[RosterEntry], cfg: EngineConf
             return X_new, stay, 0.0, float("nan")
 
         try:
-            traj = coordinate(b, C, all(entry.finite for entry in roster),
+            traj = coordinate(b, C, all(entry.is_finite for entry in roster),
                               len(roster), cfg, exchange)
         except (socket.timeout, AgentLostError) as exc:
             for fh in conns.values():

@@ -93,7 +93,7 @@ def test_criterion_2_finite_runs_reach_equilibrium():
             assert traj.terminated_by == Termination.FIXED_POINT, seed
             report = is_nash(traj.final_profiles,
                              [spec.constraint for spec in loads], b, 1e-9)
-            assert report.is_equilibrium, (seed, report.to_text())
+            assert report.is_equilibrium, (seed, report)
         assert time.monotonic() - start < 60.0
 
 

@@ -7,7 +7,8 @@ import pytest
 
 from test_netsim import free_endpoint
 from valleyfill import netsim
-from valleyfill.analysis import brute_force_optimum
+from valleyfill.analysis import (brute_force_optimum, is_nash, subopt_ratio_bound,
+                                 suboptimality_gap_check)
 from valleyfill.cli import main, profiles_from_csv, profiles_to_csv
 from valleyfill.core import (Objective, ObjectiveKind, Profile, TimeGrid,
                              aggregate, norm2)
@@ -245,9 +246,22 @@ class TestAnalyze:
                        "--checks", "nash,gap,ratio"])
         captured = capsys.readouterr()
         assert status == 0, captured.err
-        assert "is_equilibrium=True" in captured.out
-        assert "gap_ok=True" in captured.out
-        assert "ratio_bound=" in captured.out
+        # one name=repr(value) line per report field, from the library's results
+        xs = [s.member(k) for s, k in zip(sets, choice)]
+        value = norm2(aggregate(b, xs))
+        nash = is_nash(xs, sets, b, 1e-9 * (1 + abs(value)))
+        gap, gap_bound, _ = suboptimality_gap_check(xs, sets, b)
+        bounds = subopt_ratio_bound(sets, b)
+        assert captured.out == (
+            f"is_equilibrium=True\n"
+            f"worst_violation={nash.worst_violation!r}\n"
+            f"violating_load=None\n"
+            f"gap={gap!r}\n"
+            f"gap_bound={gap_bound!r}\n"
+            f"gap_ok=True\n"
+            f"absolute_bound={bounds.absolute_bound!r}\n"
+            f"ratio_bound={bounds.ratio_bound!r}\n"
+            f"optimum_lower_bound={bounds.optimum_lower_bound!r}\n")
 
     def test_non_member_profile_names_the_load(self, tmp_path, capsys):
         manifest = write_manifest(tmp_path)

@@ -61,6 +61,13 @@ class TestProfile:
         with pytest.raises(ValueError):
             p.values[0] = 1.0
 
+    def test_signed_zeros_are_equal_and_hash_equal(self):
+        g = TimeGrid(1.0, 2)
+        a, b = Profile(np.array([0.0, 1.0]), g), Profile(np.array([-0.0, 1.0]), g)
+        assert a == b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+
     def test_csv_round_trip(self, tmp_path):
         """`fleet-gen` writes one household's CSV base load back bit for bit."""
         g = TimeGrid(3.0, 4)

@@ -231,7 +231,7 @@ class TestUpdateLoads:
                 else random_convex_set(rng, g) for _ in range(n_sets)]
         ids = rng.choice(2**40, size=n, replace=False).tolist()
         loads = [LoadSpec(i, sets[int(rng.integers(n_sets))]) for i in ids]
-        C = fleet_weight([(spec.id, spec.is_finite, spec.c) for spec in loads])
+        C = fleet_weight(loads)
         b = random_base(rng, g)
         X = np.zeros((n, g.slots))
         fleet_idx = [None] * n
@@ -262,7 +262,7 @@ class TestUpdateLoads:
         sets = [random_pulse_set(rng, g, m_max=3) if rng.random() < 0.7
                 else random_convex_set(rng, g) for _ in range(n_sets)]
         loads = [LoadSpec(i, sets[int(rng.integers(n_sets))]) for i in range(n)]
-        C = fleet_weight([(spec.id, spec.is_finite, spec.c) for spec in loads])
+        C = fleet_weight(loads)
         b = random_base(rng, g)
         X = np.zeros((n, g.slots))
         fleet_idx = [None] * n
@@ -304,7 +304,7 @@ class TestSignalMemo:
             g = grid()
             loads = mixed_fleet(rng, g, n_convex, n_finite)
             b = random_base(rng, g)
-            C = fleet_weight([(spec.id, spec.is_finite, spec.c) for spec in loads])
+            C = fleet_weight(loads)
             # convex rows need up to ~150 rounds to stop moving bit for bit
             cfg = EngineConfig(max_iterations=150, master_seed=master_seed,
                                stop_on_epsilon=False)
@@ -530,7 +530,7 @@ class TestFixedPoint:
             hits += 1
             report = is_nash(traj.final_profiles,
                              [spec.constraint for spec in loads], b, 1e-9)
-            assert report.is_equilibrium, report.to_text()
+            assert report.is_equilibrium, report
         assert hits >= 8
 
     def test_fixed_point_escape_probability_zero(self):

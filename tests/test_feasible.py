@@ -44,6 +44,11 @@ class TestMakePulseSet:
         with pytest.raises(ValueError, match="duplicate"):
             FinitePulseSet(np.ones((2, 4)), g, 4.0, 4.0, 1.0)
 
+    def test_members_differing_in_the_sign_of_a_zero_are_duplicates(self):
+        """Such members compare equal, so `member_index` could never return the second."""
+        with pytest.raises(ValueError, match="duplicate member at index 1"):
+            FinitePulseSet([[0.0, 1.0], [-0.0, 1.0]], TimeGrid(2.0, 2), 1.0, 1.0, 1.0)
+
 
 class TestMemberIndex:
     @staticmethod
@@ -54,12 +59,16 @@ class TestMemberIndex:
         return None
 
     def test_matches_row_loop_on_near_duplicates(self):
+        signed_hits = 0
         for seed in range(300):
             rng = np.random.default_rng(seed)
             S = int(rng.integers(1, 9))
             g = TimeGrid(float(S), S)
             spread = float(rng.choice([0.0, 1e-12, 1e-6, 1e-3]))
             base = rng.uniform(0.0, 2.0, S)
+            signed = seed % 3 == 0
+            if signed:
+                base[0] = 0.0   # the member equal to base holds 0.0 in slot 0
             # members within a few spreads of each other
             members = base + rng.uniform(-3.0, 3.0, (int(rng.integers(1, 7)), S)) \
                 * max(spread, 1e-9)
@@ -69,7 +78,12 @@ class TestMemberIndex:
                 x = Profile(ps.members[int(rng.integers(ps.m))], g)
             else:
                 x = Profile(base + rng.uniform(-1.5, 1.5, S) * spread, g)
+            if signed:
+                # the query holds -0.0 wherever it holds a zero
+                x = Profile(np.where(x.values == 0.0, -0.0, x.values), g)
+                signed_hits += ps.member_index(x) is not None
             assert ps.member_index(x) == self.row_loop(ps, x), seed
+        assert signed_hits > 0
 
     def test_other_grid_is_not_a_member(self):
         ps = make_pulse_set(1.0, 1.0, [0, 2], TimeGrid(4.0, 4))
