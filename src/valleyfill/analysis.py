@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -48,10 +48,21 @@ class BoundReport:
     optimum_lower_bound: float   # flat-profile lower bound on norm2 of the optimum
 
 
-def _check_membership(xs: Sequence[Profile], sets: Sequence[FinitePulseSet]) -> None:
+def _first_holders(xs: Sequence[Profile], sets: Sequence[FinitePulseSet]) -> List[int]:
+    """First load holding each (set object, member), in load order; ValueError on a non-member."""
+    first = {}
     for i, (x, s) in enumerate(zip(xs, sets)):
-        if s.member_index(x) is None:
+        k = s.member_index(x)
+        if k is None:
             raise ValueError(f"load {i}: profile is not a member of its set")
+        first.setdefault((id(s), k), i)
+    return list(first.values())
+
+
+def _distinct_sets(sets: Sequence[FinitePulseSet]) -> List[int]:
+    """First load of each distinct set object, in load order."""
+    seen = {}
+    return [seen.setdefault(id(s), i) for i, s in enumerate(sets) if id(s) not in seen]
 
 
 def is_nash(xs: Sequence[Profile], sets: Sequence[FinitePulseSet], b: Profile,
@@ -59,18 +70,21 @@ def is_nash(xs: Sequence[Profile], sets: Sequence[FinitePulseSet], b: Profile,
     """Check the best-response condition for every load within tol.
 
     Each load's others' aggregate is the load-order total minus its own
-    profile, so the check costs O(n*m*S).  The first load with the largest
-    gap is named.
+    profile.  Loads holding the same member of the same set object share
+    that aggregate, and so their gap, which is computed once on the
+    group's first load: the check costs O(n*S) plus O(m*S) per distinct
+    (set, member) pair held.  The first load with the largest gap is named.
     """
-    _check_membership(xs, sets)
+    holders = _first_holders(xs, sets)  # before `aggregate`, which checks grids
     dt = b.grid.dt
     total = aggregate(b, xs).values
     worst = 0.0
     violator = None
-    for i, (x, s) in enumerate(zip(xs, sets)):
-        others = total - x.values
-        current = dt * float(np.dot(others, x.values))
-        best = float(np.min(dt * (s.members @ others)))
+    for i in holders:
+        x = xs[i].values
+        others = total - x
+        current = dt * float(np.dot(others, x))
+        best = float(np.min(dt * (sets[i].members @ others)))
         gap = current - best
         if gap > worst:
             worst = gap
@@ -119,11 +133,11 @@ def suboptimality_gap_check(x_s: Sequence[Profile], sets: Sequence[FinitePulseSe
     The bound is 2*sum(Y_i) when all members are nonnegative, 4*sum(Y_i)
     otherwise.
     """
-    _check_membership(x_s, sets)
+    _first_holders(x_s, sets)
     _, optimum = brute_force_optimum(sets, b)
     value = norm2(aggregate(b, list(x_s)))
     gap = value - optimum
-    nonnegative = all(np.all(s.members >= 0) for s in sets)
+    nonnegative = all(np.all(sets[i].members >= 0) for i in _distinct_sets(sets))
     bound = (2.0 if nonnegative else 4.0) * sum(s.sqnorm for s in sets)
     return gap, bound, gap <= bound + 1e-9
 
@@ -152,8 +166,8 @@ def subopt_ratio_bound(sets: Sequence[FinitePulseSet], b: Profile) -> BoundRepor
     bound.  Requires nonnegative members; degenerate instances with zero
     mean aggregate are rejected.
     """
-    for i, s in enumerate(sets):
-        if np.any(s.members < 0):
+    for i in _distinct_sets(sets):
+        if (sets[i].members < 0).any():
             raise ValueError(f"set {i} has negative members; ratio bound needs nonnegative profiles")
     T = b.grid.horizon_hours
     total_energy = b.grid.dt * float(np.sum(b.values)) + sum(s.energy for s in sets)

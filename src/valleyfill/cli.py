@@ -10,8 +10,10 @@ left to external tools.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
+import itertools
 import json
 import math
 import operator
@@ -297,26 +299,35 @@ def profiles_to_csv(loads: Sequence[LoadSpec], profiles: Sequence[Profile],
 
 
 def profiles_from_csv(path, grid: TimeGrid) -> Dict[int, Profile]:
-    """Profiles by load id from `id,v1..vS` rows.
+    """Profiles by load id from `id,v1..vS` rows; blank lines are skipped.
 
-    A row that does not parse, has the wrong length or repeats an id
-    raises InputError naming its line.
+    Values parse with `np.loadtxt`, 64 lines a call, which rejects digit
+    separators, non-ASCII digits and quotes.  A row that does not parse, has
+    the wrong length, holds a non-finite value or repeats an id raises
+    InputError naming its line.
     """
     out: Dict[int, Profile] = {}
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        for row in reader:
-            if not row:
-                continue
-            try:
-                load_id = int(row[0])
-                profile = Profile(np.array([float(v) for v in row[1:]]), grid)
-            except ValueError as exc:
-                raise InputError(f"{path} line {reader.line_num}: {exc}") from None
-            if load_id in out:
-                raise InputError(f"{path} line {reader.line_num}: "
-                                 f"load {load_id} appears twice")
-            out[load_id] = profile
+        lines = ((n, line.rstrip("\r\n").partition(",")) for n, line in enumerate(fh, 1)
+                 if line.strip("\r\n"))
+        while chunk := list(itertools.islice(lines, 64)):  # bounds the parse's memory
+            tails = [tail for _, (_, _, tail) in chunk]
+            rows = [None] * len(chunk)  # None: parse the line alone, to name it
+            if all(tails):  # loadtxt would skip an empty tail
+                with contextlib.suppress(ValueError):
+                    rows = np.loadtxt(tails, delimiter=",", comments=None, ndmin=2)
+            for (n, (head, _, tail)), row in zip(chunk, rows):
+                try:
+                    load_id = int(head)
+                    if row is None:
+                        row = (np.loadtxt([tail], delimiter=",", comments=None, ndmin=1)
+                               if tail else np.empty(0))
+                    profile = Profile(row, grid)
+                except ValueError as exc:
+                    raise InputError(f"{path} line {n}: {exc}") from None
+                if load_id in out:
+                    raise InputError(f"{path} line {n}: load {load_id} appears twice")
+                out[load_id] = profile
     return out
 
 

@@ -4,16 +4,21 @@ Oracles here deliberately take a different computational path than the
 library code they check: exhaustive active-set enumeration for the
 projection, support-set enumeration and simplex grid search for the hull
 minimizer, outcome enumeration for conditional expectations, a per-load
-rebuild of the others' aggregate for best responses, and per-member sums
-for the A1-A4 assumptions finite sets are built to meet.
+rebuild of the others' aggregate for best responses, per-member sums
+for the A1-A4 assumptions finite sets are built to meet, a per-load loop
+for the Nash check, and a `csv.reader` loop with `float` per value for the
+profiles reader.
 """
 
+import csv
 import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from valleyfill.analysis import NashReport
+from valleyfill.cli import InputError
 from valleyfill.core import Profile, aggregate
 from valleyfill.feasible import ConvexChargeSet, FinitePulseSet
 
@@ -52,7 +57,8 @@ def random_base(rng, grid, lo=0.0, hi=2.0):
 
 
 # ---------------------------------------------------------------------------
-# finite-set oracles: A1-A4 conformance and exhaustive best responses
+# finite-set oracles: A1-A4 conformance, exhaustive best responses and the
+# per-load Nash check
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -97,6 +103,49 @@ def best_response(i, xs, b, pulse_set):
     scores = b.grid.dt * (pulse_set.members @ others.values)
     idx = int(np.argmin(scores))
     return idx, float(scores[idx])
+
+
+def is_nash_per_load(xs, sets, b, tol):
+    """`analysis.is_nash` as one m*S product per load, not per held member."""
+    for i, (x, s) in enumerate(zip(xs, sets)):
+        if s.member_index(x) is None:
+            raise ValueError(f"load {i}: profile is not a member of its set")
+    dt = b.grid.dt
+    total = aggregate(b, xs).values
+    worst = 0.0
+    violator = None
+    for i, (x, s) in enumerate(zip(xs, sets)):
+        others = total - x.values
+        current = dt * float(np.dot(others, x.values))
+        best = float(np.min(dt * (s.members @ others)))
+        gap = current - best
+        if gap > worst:
+            worst = gap
+            violator = i
+    return NashReport(worst <= tol, worst, violator if worst > tol else None)
+
+
+# ---------------------------------------------------------------------------
+# profiles reader oracle: one `csv.reader` row and one `float` per value at a time
+
+def profiles_from_csv_per_row(path, grid):
+    """`cli.profiles_from_csv` as a `csv.reader` loop; InputError names the line."""
+    out = {}
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        for row in reader:
+            if not row:
+                continue
+            try:
+                load_id = int(row[0])
+                profile = Profile(np.array([float(v) for v in row[1:]]), grid)
+            except ValueError as exc:
+                raise InputError(f"{path} line {reader.line_num}: {exc}") from None
+            if load_id in out:
+                raise InputError(f"{path} line {reader.line_num}: "
+                                 f"load {load_id} appears twice")
+            out[load_id] = profile
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from conftest import best_response, random_base, random_pulse_set
-from valleyfill.analysis import (OracleTooLargeError, brute_force_optimum,
+from conftest import best_response, is_nash_per_load, random_base, random_pulse_set
+from valleyfill.analysis import (NashReport, OracleTooLargeError, brute_force_optimum,
                                  convex_stationarity_residual, is_nash,
                                  subopt_ratio_bound, suboptimality_gap_check)
 from valleyfill.core import Profile, TimeGrid, aggregate, norm2
@@ -122,6 +122,64 @@ class TestIsNash:
             event(f"equilibrium: {report.is_equilibrium}")
         if not report.is_equilibrium:
             assert gaps[report.violating_load] >= worst - slack
+
+    def test_empty_fleet_is_nash(self):
+        g = grid()
+        b = random_base(np.random.default_rng(3), g)
+        assert is_nash([], [], b, 0.0) == NashReport(True, 0.0, None)
+        assert is_nash_per_load([], [], b, 0.0) == NashReport(True, 0.0, None)
+
+    def test_single_load_matches_per_load_oracle(self):
+        g = grid()
+        s = two_pulse_set(g)
+        b = Profile(np.array([5.0, 5.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]), g)
+        report = is_nash([s.member(0)], [s], b, 0.0)
+        assert report == is_nash_per_load([s.member(0)], [s], b, 0.0)
+        # moving off the loaded slots saves <b, member 0> = 10*dt
+        assert report == NashReport(False, 10 * g.dt, 0)
+
+    def test_tied_gaps_name_the_first_load(self):
+        """Loads 1-3 stack on member 0 of two equal set objects and tie."""
+        g = grid()
+        s, t = two_pulse_set(g), two_pulse_set(g)
+        xs = [s.member(1), t.member(0), s.member(0), t.member(0)]
+        own = [s, t, s, t]
+        report = is_nash(xs, own, Profile.zeros(g), 0.0)
+        assert report == is_nash_per_load(xs, own, Profile.zeros(g), 0.0)
+        assert report == NashReport(False, 2 * g.dt, 1)
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 24),
+           n_sets=st.integers(1, 3), copies=st.integers(0, 2), signed=st.booleans(),
+           negative_zeros=st.booleans(), tol_scale=st.sampled_from([0.0, 0.5, 1.0]))
+    def test_equals_per_load_oracle(self, seed, n, n_sets, copies, signed,
+                                    negative_zeros, tol_scale):
+        """Grouping loads by (set object, held member) changes no bit of the report."""
+        rng = np.random.default_rng(seed)
+        g = TimeGrid(float(rng.integers(1, 13)), int(rng.integers(2, 13)))
+        sets = [random_pulse_set(rng, g, m_max=4, signed=signed) for _ in range(n_sets)]
+        # equal copies are distinct objects, so they form groups of their own
+        sets += [FinitePulseSet(s.members, g, s.energy, s.sqnorm, s.rate_bound)
+                 for s in sets[:copies]]
+        own = [sets[int(rng.integers(len(sets)))] for _ in range(n)]
+        xs = []
+        for s in own:
+            row = s.members[int(rng.integers(s.m))]
+            if negative_zeros:  # a member still, as membership folds -0.0 into 0.0
+                row = np.where((row == 0.0) & (rng.random(g.slots) < 0.5), -0.0, row)
+            xs.append(Profile(row, g))
+        b = random_base(rng, g)
+        tol = tol_scale * is_nash_per_load(xs, own, b, 0.0).worst_violation
+        report = is_nash(xs, own, b, tol)
+        expected = is_nash_per_load(xs, own, b, tol)
+        assert report == expected
+        assert report.worst_violation.hex() == expected.worst_violation.hex()
+        event(f"loads: {min(n, 2)}{'+' if n > 2 else ''}")
+        v = report.violating_load
+        if v is not None and any(
+                xs[j] == xs[v] and np.array_equal(own[j].members, own[v].members)
+                for j in range(v + 1, n)):
+            event("worst gap tied with a later load")
 
 
 class TestBruteForce:

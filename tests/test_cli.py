@@ -1,15 +1,22 @@
 import csv
 import json
+import os
+import re
+import tempfile
 import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import profiles_from_csv_per_row
 from test_netsim import free_endpoint
 from valleyfill import netsim
 from valleyfill.analysis import (brute_force_optimum, is_nash, subopt_ratio_bound,
                                  suboptimality_gap_check)
-from valleyfill.cli import main, profiles_from_csv, profiles_to_csv
+from valleyfill.cli import InputError, main, profiles_from_csv, profiles_to_csv
 from valleyfill.core import (Objective, ObjectiveKind, Profile, TimeGrid,
                              aggregate, norm2)
 from valleyfill.engine import EngineConfig, Termination, run
@@ -359,6 +366,136 @@ class TestAnalyze:
         captured = capsys.readouterr()
         assert status == 0, captured.out + captured.err
         assert "is_equilibrium=True" in captured.out
+
+
+def line_named(parse, path, grid):
+    """The line number in the InputError that parse(path, grid) raises."""
+    with pytest.raises(InputError) as info:
+        parse(path, grid)
+    return int(re.search(r" line (\d+): ", str(info.value)).group(1))
+
+
+# Each corruption edits the fields of row i of a list of rows, in place.
+CORRUPTIONS = {
+    "non-numeric value": lambda rows, i: rows[i].__setitem__(2, "x"),
+    "short row": lambda rows, i: rows[i].pop(),
+    "long row": lambda rows, i: rows[i].append("1.0"),
+    "id only": lambda rows, i: rows[i].__delitem__(slice(1, None)),
+    "empty value": lambda rows, i: rows[i].__setitem__(1, ""),
+    "blank value": lambda rows, i: rows[i].__setitem__(1, " "),
+    "repeated id": lambda rows, i: rows[i].__setitem__(0, rows[i - 1 if i else 1][0]),
+    "id 1.0": lambda rows, i: rows[i].__setitem__(0, "1.0"),
+    "comment line": lambda rows, i: rows[i].__setitem__(0, "#" + rows[i][0]),
+    "nan": lambda rows, i: rows[i].__setitem__(3, "nan"),
+    "inf": lambda rows, i: rows[i].__setitem__(1, "inf"),
+    "1e400": lambda rows, i: rows[i].__setitem__(2, "1e400"),
+}
+
+
+class TestProfilesCsv:
+    """`profiles_from_csv` against the `csv.reader` loop it replaced."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(ids=st.lists(st.integers(-10**9, 10**9), unique=True, max_size=8),
+           slots=st.integers(1, 6), data=st.data())
+    def test_written_files_parse_bit_for_bit(self, ids, slots, data):
+        """`profiles_to_csv` output, its LF copy and a copy with blank lines."""
+        grid = TimeGrid(24.0, slots)
+        value = st.floats(allow_nan=False, allow_infinity=False)
+        rows = [data.draw(st.lists(value, min_size=slots, max_size=slots)) for _ in ids]
+        expected = [(i, np.array(row).tobytes()) for i, row in zip(ids, rows)]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "profiles.csv")
+            profiles_to_csv([SimpleNamespace(id=i) for i in ids],
+                            [Profile(np.array(row), grid) for row in rows], path)
+            with open(path, newline="") as fh:
+                lines = fh.read().splitlines(keepends=True)
+            blank = data.draw(st.lists(st.tuples(st.integers(0, len(lines)),
+                                                 st.sampled_from(["\r\n", "\n"])),
+                                       max_size=4))
+            with_blanks = list(lines)
+            for at, ending in sorted(blank, reverse=True):
+                with_blanks.insert(at, ending)
+            for text in ("".join(lines), "".join(lines).replace("\r\n", "\n"),
+                         "".join(with_blanks)):
+                with open(path, "w", newline="") as fh:
+                    fh.write(text)
+                for parse in (profiles_from_csv, profiles_from_csv_per_row):
+                    parsed = parse(path, grid)
+                    assert [(i, p.values.tobytes()) for i, p in parsed.items()] == expected
+
+    @pytest.mark.parametrize("ending", ["\r\n", "\n"])
+    def test_long_files_parse_like_the_oracle(self, tmp_path, ending):
+        """Past the reader's 64-line chunks, with blank lines across their ends."""
+        grid = TimeGrid(24.0, 5)
+        rng = np.random.default_rng(5)
+        values = rng.choice([0.0, -0.0, 3.3, 1e-310, rng.uniform(-1e3, 1e3)], (1000, 5))
+        lines = [",".join([str(i)] + [repr(float(v)) for v in row]) + ending
+                 for i, row in enumerate(values)]
+        for at in (900, 128, 127, 65, 64, 63, 0):
+            lines.insert(at, ending)
+        path = tmp_path / "profiles.csv"
+        path.write_bytes("".join(lines).encode())
+        parsed = profiles_from_csv(path, grid)
+        assert [(i, p.values.tobytes()) for i, p in parsed.items()] == [
+            (i, p.values.tobytes()) for i, p in profiles_from_csv_per_row(path, grid).items()]
+        assert np.array_equal(np.array([p.values for p in parsed.values()]), values)
+
+    @pytest.mark.parametrize("kind", sorted(CORRUPTIONS))
+    def test_each_corruption_names_the_oracles_line(self, tmp_path, kind):
+        """One corrupted row, at either end of the reader's 64-line chunks."""
+        grid = TimeGrid(24.0, 4)
+        path = tmp_path / "profiles.csv"
+        for i in (0, 1, 63, 64, 65, 128, 299):
+            rows = [[str(j)] + [repr(0.5 * (j + t)) for t in range(4)] for j in range(300)]
+            CORRUPTIONS[kind](rows, i)
+            path.write_text("".join(",".join(row) + "\r\n" for row in rows))
+            expected = line_named(profiles_from_csv_per_row, path, grid)
+            # row 0's repeated id is row 1's, so the repeat shows on line 2
+            assert expected == (2 if (kind, i) == ("repeated id", 0) else i + 1)
+            assert line_named(profiles_from_csv, path, grid) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.sampled_from([5, 300]), data=st.data(),
+           ending=st.sampled_from(["\r\n", "\n"]))
+    def test_corrupted_files_name_the_oracles_line(self, n, data, ending):
+        edits = data.draw(st.dictionaries(st.integers(0, n - 1),
+                                          st.sampled_from(sorted(CORRUPTIONS)),
+                                          min_size=1, max_size=3))
+        blank = data.draw(st.lists(st.integers(0, n), max_size=3))
+        grid = TimeGrid(24.0, 4)
+        rows = [[str(i)] + [repr(0.5 * (i + t)) for t in range(4)] for i in range(n)]
+        for i, kind in edits.items():  # one corruption per corrupted row
+            CORRUPTIONS[kind](rows, i)
+        lines = [",".join(row) + ending for row in rows]
+        for at in sorted(blank, reverse=True):
+            lines.insert(at, ending)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "profiles.csv")
+            with open(path, "w", newline="") as fh:
+                fh.write("".join(lines))
+            assert (line_named(profiles_from_csv, path, grid)
+                    == line_named(profiles_from_csv_per_row, path, grid))
+
+    @pytest.mark.parametrize("spelling", ["1_0", "\u0661", "\uff11", '"1.0"'],
+                             ids=["digit-separator", "arabic-indic-digit",
+                                  "fullwidth-digit", "quoted"])
+    def test_spellings_only_float_accepts_exit_2_naming_the_line(self, tmp_path, capsys,
+                                                                 spelling):
+        """Values `loadtxt` rejects that the `csv.reader` loop parsed."""
+        manifest = write_manifest(tmp_path)
+        grid, (b, loads) = small_scenario()
+        rows = [[str(spec.id)] + [repr(float(v)) for v in spec.constraint.members[0]]
+                for spec in loads]
+        rows[1][3] = spelling
+        profiles = tmp_path / "profiles.csv"
+        profiles.write_text("".join(",".join(row) + "\n" for row in rows), encoding="utf-8")
+        profiles_from_csv_per_row(profiles, grid)  # the old reader took it
+        status = main(["analyze", str(profiles), "--manifest", manifest])
+        err = capsys.readouterr().err
+        assert status == 2
+        assert err.startswith(f"error: {profiles} line 2: ")
+        assert "Traceback" not in err
 
 
 class TestExperiment:
