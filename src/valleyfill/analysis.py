@@ -13,7 +13,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .core import Profile, aggregate, norm2
-from .engine import convex_load_update, coordinator_signal
+from .engine import convex_load_update, coordinator_signal, fleet_weight
 from .feasible import FinitePulseSet
 
 __all__ = [
@@ -147,10 +147,11 @@ def convex_stationarity_residual(loads, xs: Sequence[Profile], b: Profile) -> fl
 
     Each load's fixed-point condition is x_i = Proj_i(x_i - c_i * g) with
     g the broadcast signal at x; the residual is the root sum of squared
-    per-load violations, zero exactly at stationary points.
+    per-load violations, zero exactly at stationary points.  C is the
+    engine's `fleet_weight`, so a fleet that `run` rejects raises the
+    same ConfigurationError.
     """
-    C = sum(spec.c for spec in loads)
-    g = coordinator_signal(aggregate(b, list(xs)), C)
+    g = coordinator_signal(aggregate(b, list(xs)), fleet_weight(loads))
     total = 0.0
     for spec, x in zip(loads, xs):
         proj = convex_load_update(g.values, x.values, spec.constraint, spec.c)

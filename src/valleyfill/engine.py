@@ -1,28 +1,31 @@
 """Iterative coordinator/load protocol for both update rules and both transports.
 
 `coordinate` is the one coordinator loop: in-process runs and networked
-sessions pass it a transport callable that returns every load's update.
+sessions pass it the fleet and a transport callable that returns every
+load's update, and it works out the fleet's weight C, its size and
+whether every load is finite.
 Inside the loop the fleet state is an (n, S) array, one load per row;
 `Profile`s are built only for the records' signals and the final
 profiles.  Each iteration sums one aggregate in load order, which gives
 both that iteration's objective and the next signal.  The loop plays the
 game on the base it is given; a caller with a Track objective passes
 `Objective.effective_base(b)`.  The escape probability is one minus the
-product of the loads' stay probabilities, which `update_loads` returns.
+product of the loads' stay probabilities, which the update returns.
 
-`update_loads` is the one load update, for a whole fleet in process and
-for one load in a networked agent.  Convex loads update by projection
-(`convex_load_update`).  Finite loads update in two phases.  First each
-group of loads sharing (constraint, c, previous member) solves the hull
-once, since the loads share their sampling distribution theta, and finds
-whether theta pins one member.  Then the loads of the groups theta does
-not pin draw in one `load_draws` call, in load order, and each group
-samples theta with its loads' draws.
+`LoadUpdate` is the one load update, for a whole fleet in process and
+for one load in a networked agent; one instance serves one run and keeps
+its state: each load's member index and the signal memo.  Convex loads
+update by projection (`convex_load_update`).  Finite loads update in two
+phases.  First each group of loads sharing (constraint, c, previous
+member) solves the hull once, since the loads share their sampling
+distribution theta, and finds whether theta pins one member.  Then the
+loads of the groups theta does not pin draw in one `load_draws` call, in
+load order, and each group samples theta with its loads' draws.
 A load's theta or projection depends only on the signal (C, g) and its
-previous profile, so the caller keeps one memo per run: while g repeats
-bit for bit, as it does in every round after one in which no profile
-moved, the groups' thetas and the unmoved convex loads' projections are
-reused, and only the draws and sampling run again.
+previous profile, so while g repeats bit for bit, as it does in every
+round after one in which no profile moved, the memo reuses the groups'
+thetas and the unmoved convex loads' projections, and only the draws and
+sampling run again.
 Per-load randomness comes from a counter-based stream keyed by
 (master_seed, load id, iteration) (`load_draw` defines it; `load_draws`
 reproduces it bit for bit in one vectorised pass), so trajectories are
@@ -58,7 +61,7 @@ __all__ = [
     "finite_load_update",
     "fleet_weight",
     "coordinate",
-    "update_loads",
+    "LoadUpdate",
     "run",
 ]
 
@@ -67,13 +70,32 @@ class ConfigurationError(ValueError):
     """Invalid engine configuration, surfaced before iteration 1."""
 
 
+def _integer(value, what: str) -> int:
+    """`value` as an int; a bool or a non-integer raises ConfigurationError."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ConfigurationError(f"{what} must be an integer, got {value!r}")
+
+
+def _finite_positive(value) -> bool:
+    """Whether `value` is a finite number > 0; a bool is not a number here."""
+    try:
+        return not isinstance(value, bool) and math.isfinite(value) and value > 0
+    except (TypeError, OverflowError):
+        return False
+
+
 @dataclass(frozen=True)
 class LoadSpec:
     """One elastic load: its constraint set and update weight c_i.
 
     The id is a non-negative integer: it keys the load's draws.  The
-    default weight is the load's total energy request (c_i = X_i), which
-    equalizes per-load convergence speed.
+    weight is a finite number > 0; the default is the load's total energy
+    request (c_i = X_i), which equalizes per-load convergence speed.
+    A bad id or weight raises ConfigurationError.
     """
 
     id: int
@@ -81,12 +103,18 @@ class LoadSpec:
     c: Optional[float] = None
 
     def __post_init__(self):
+        if type(self.id) is not int:  # a plain int needs no conversion
+            object.__setattr__(self, "id", _integer(self.id, "load id"))
         if self.id < 0:
             raise ConfigurationError(f"load id {self.id} is negative; ids must be >= 0")
         if self.c is None:
             object.__setattr__(self, "c", self.constraint.energy)
-        if not (self.c > 0):
-            raise ConfigurationError(f"load {self.id}: c must be positive, got {self.c}")
+        # set-up builds one spec per load: the common case, a float in
+        # (0, inf), skips the general check
+        if not (type(self.c) is float and 0.0 < self.c < math.inf
+                or _finite_positive(self.c)):
+            raise ConfigurationError(
+                f"load {self.id}: c must be finite and positive, got {self.c!r}")
 
     @property
     def is_finite(self) -> bool:
@@ -99,6 +127,12 @@ class LoadSpec:
 
 @dataclass(frozen=True)
 class EngineConfig:
+    """Run settings; a bad value raises ConfigurationError when it is built.
+
+    epsilon is a finite number > 0, max_iterations an integer >= 1 and
+    master_seed an integer; bools are not integers here.
+    """
+
     epsilon: float = 1e-6
     max_iterations: int = 1000
     master_seed: int = 0
@@ -109,8 +143,12 @@ class EngineConfig:
     stop_on_epsilon: bool = True
 
     def __post_init__(self):
-        if not (self.epsilon > 0):
-            raise ConfigurationError(f"epsilon must be positive, got {self.epsilon}")
+        if not _finite_positive(self.epsilon):
+            raise ConfigurationError(
+                f"epsilon must be finite and positive, got {self.epsilon!r}")
+        object.__setattr__(self, "max_iterations",
+                           _integer(self.max_iterations, "max_iterations"))
+        object.__setattr__(self, "master_seed", _integer(self.master_seed, "master_seed"))
         if self.max_iterations < 1:
             raise ConfigurationError("max_iterations must be >= 1")
 
@@ -341,23 +379,27 @@ def fleet_weight(fleet: Sequence) -> float:
     return C
 
 
-def coordinate(b: Profile, C: float, all_finite: bool, n: int,
-               cfg: EngineConfig, exchange: Callable) -> Trajectory:
+def coordinate(b: Profile, fleet: Sequence, cfg: EngineConfig,
+               exchange: Callable) -> Trajectory:
     """The coordinator loop, shared by every transport.
 
-    Starting from n zero profiles, each iteration broadcasts
-    g = (b + sum_i x_i) / C through exchange(k, g, X), where X is the
-    (n, S) array of current profiles.  The exchange returns the new array,
-    stay = P{x^(k) = x^(k-1)} as the product of the loads' stay
-    probabilities (see `update_loads`) in load order, and the sums
-    `_expected_objective` takes (NaN where the transport lacks them).
+    `fleet` holds the loads' `LoadSpec`s or `netsim.RosterEntry`s, in
+    load order; C is their `fleet_weight`.  Starting from zero profiles,
+    each iteration broadcasts g = (b + sum_i x_i) / C through
+    exchange(k, C, g, X), where X is the (n, S) array of current profiles.
+    The exchange returns the new array, stay = P{x^(k) = x^(k-1)} as the
+    product of the loads' stay probabilities (see `LoadUpdate`) in load
+    order, and the sums `_expected_objective` takes (NaN where the
+    transport lacks them).
     The factors lie in [0, 1], so stay is 1.0 exactly when each factor is.
     Stops on the signal-change rule (k > 2 and ||g^(k-1) - g^(k-2)|| < eps),
     on an exact fixed point when every load is finite and keeps its
     profile with probability 1, or at max_iterations.
     """
+    C = fleet_weight(fleet)
+    all_finite = all(load.is_finite for load in fleet)
     grid = b.grid
-    X = np.zeros((n, grid.slots))
+    X = np.zeros((len(fleet), grid.slots))
     d = aggregate(b, X)
     records: List[IterationRecord] = []
     g_prev: Optional[Profile] = None
@@ -365,7 +407,7 @@ def coordinate(b: Profile, C: float, all_finite: bool, n: int,
 
     for k in range(1, cfg.max_iterations + 1):
         g = coordinator_signal(d, C)
-        X_new, stay, mean, variance = exchange(k, g, X)
+        X_new, stay, mean, variance = exchange(k, C, g, X)
         changed = int(np.count_nonzero(np.any(X_new != X, axis=1)))
         if cfg.record_diagnostics:
             escape = 1.0 - stay
@@ -389,93 +431,104 @@ def coordinate(b: Profile, C: float, all_finite: bool, n: int,
     return Trajectory(records, [Profile(x, grid) for x in X], terminated)
 
 
-def update_loads(loads: Sequence[LoadSpec], g: Profile, C: float, X: np.ndarray,
-                 member_idx: List[Optional[int]], master_seed: int, k: int,
-                 memo: dict) -> Tuple[np.ndarray, float, np.ndarray, float]:
-    """Iteration k's update of `loads`, whose current profiles are the rows of X.
+class LoadUpdate:
+    """The load update of one run of `loads`, as an exchange: update(k, C, g, X).
 
-    C is the whole fleet's weight; `loads` may be part of the fleet.
-    Convex loads project.  Finite loads sharing (constraint, c, previous
-    member) share theta, so each such group solves the hull once.  A group
-    whose theta puts weight 1.0 on one member takes it without a draw
-    (inverse-CDF sampling picks it for every u); the loads of the other
-    groups draw in one `load_draws` call, in load order.  `member_idx`
-    (None before a finite load's first member) is updated in place.
+    Iteration k's update of `loads`, whose current profiles are the rows
+    of X.  C is the whole fleet's weight; `loads` may be part of the
+    fleet.  Convex loads project.  Finite loads sharing (constraint, c,
+    previous member) share theta, so each such group solves the hull once.
+    A group whose theta puts weight 1.0 on one member takes it without a
+    draw (inverse-CDF sampling picks it for every u); the loads of the
+    other groups draw in one `load_draws` call, in load order.
     Returns the new profiles, stay = P{x^(k) = x^(k-1)} as the load-order
     product of the loads' stay probabilities, and the sums of the loads'
     means and variances that `_expected_objective` takes.  A SolverError
     is re-raised naming k and the group's load ids.
 
-    `memo` is the caller's dict for the whole run of these `loads`.  It
+    The update keeps the run's state.  `member_idx` holds each load's
+    member index (None before a finite load's first member).  The memo
     keeps the results computed under one signal (C, g): each group's
     theta and the quantities derived from it, and each convex row's
     projection with the row it projected.  While the signal repeats bit
     for bit, a group with a stored theta and a convex row equal to its
     stored row reuse them instead of re-solving or re-projecting; a new
-    signal clears the memo.  Draws and sampling run every call, so a
-    fresh {} per call gives the same results bit for bit.
+    signal clears the memo.  Draws and sampling run every call, so an
+    update whose memo is cleared before each call gives the same results
+    bit for bit.
     """
-    gv = g.values
-    signal = (C, gv.tobytes())
-    if memo.get("signal") != signal:
-        memo.clear()
-        memo["signal"] = signal
-    X_new = np.empty_like(X)
-    stays = [1.0] * len(loads)
-    mean = np.zeros(gv.shape)
-    variance = 0.0
-    groups: dict = {}
-    for i, spec in enumerate(loads):
-        if spec.is_finite:
-            groups.setdefault((id(spec.constraint), spec.c, member_idx[i]), []).append(i)
-            continue
-        row = X[i].tobytes()
-        if memo.get(i, (None,))[0] != row:
-            memo[i] = (row, convex_load_update(gv, X[i], spec.constraint, spec.c))
-        x_new = X_new[i] = memo[i][1]
-        stays[i] = 1.0 if np.array_equal(x_new, X[i]) else 0.0
-        mean += x_new
-    solved = []
-    drawn: List[int] = []
-    for key, positions in groups.items():
-        spec = loads[positions[0]]
-        pulse_set = spec.constraint
-        if key not in memo:
-            prev = key[2]
-            try:
-                theta = finite_load_update(gv, C, X[positions[0]], pulse_set, spec.c,
-                                           start=prev)
-            except SolverError as exc:
-                raise SolverError(f"iteration {k}, loads "
-                                  f"{[loads[i].id for i in positions]}: {exc}",
-                                  gap=exc.gap) from exc
-            w = theta.weights
-            j = int(w.argmax())
-            pinned = j if w[j] == 1.0 and not w[:j].any() else None
-            stay = 0.0 if prev is None else float(w[prev])
-            # E[x] and E[norm2(x)] - norm2(E[x]) for x ~ theta; members share norm2(x) = Y
-            mean_g = w @ pulse_set.members
-            memo[key] = (theta, pinned, stay, mean_g,
-                         pulse_set.sqnorm - pulse_set.grid.dt * float(np.dot(mean_g, mean_g)))
-        solved.append((positions, pulse_set, memo[key]))
-        if memo[key][1] is None:  # theta pins no member, so these loads draw
-            drawn.extend(positions)
-    if drawn:
-        drawn.sort()
-        u = np.empty(len(loads))
-        u[drawn] = load_draws(master_seed, [loads[i].id for i in drawn], k)
-    for positions, pulse_set, (theta, pinned, stay, mean_g, variance_g) in solved:
-        if pinned is None:
-            idx = sample(theta, u[positions]).tolist()
-        else:
-            idx = [pinned] * len(positions)
-        X_new[positions] = pulse_set.members[idx]
-        for i, j in zip(positions, idx):
-            member_idx[i] = j
-            stays[i] = stay
-        mean += len(positions) * mean_g
-        variance += len(positions) * variance_g
-    return X_new, math.prod(stays), mean, variance
+
+    def __init__(self, loads: Sequence[LoadSpec], master_seed: int):
+        self.loads = loads
+        self.master_seed = master_seed
+        self.member_idx: List[Optional[int]] = [None] * len(loads)
+        self._signal: Optional[Tuple[float, bytes]] = None
+        self._memo: dict = {}
+
+    def __call__(self, k: int, C: float, g: Profile,
+                 X: np.ndarray) -> Tuple[np.ndarray, float, np.ndarray, float]:
+        loads, member_idx, memo = self.loads, self.member_idx, self._memo
+        gv = g.values
+        signal = (C, gv.tobytes())
+        if self._signal != signal:
+            memo.clear()
+            self._signal = signal
+        X_new = np.empty_like(X)
+        stays = [1.0] * len(loads)
+        mean = np.zeros(gv.shape)
+        variance = 0.0
+        groups: dict = {}
+        for i, spec in enumerate(loads):
+            if spec.is_finite:
+                groups.setdefault((id(spec.constraint), spec.c, member_idx[i]), []).append(i)
+                continue
+            row = X[i].tobytes()
+            if memo.get(i, (None,))[0] != row:
+                memo[i] = (row, convex_load_update(gv, X[i], spec.constraint, spec.c))
+            x_new = X_new[i] = memo[i][1]
+            stays[i] = 1.0 if np.array_equal(x_new, X[i]) else 0.0
+            mean += x_new
+        solved = []
+        drawn: List[int] = []
+        for key, positions in groups.items():
+            spec = loads[positions[0]]
+            pulse_set = spec.constraint
+            if key not in memo:
+                prev = key[2]
+                try:
+                    theta = finite_load_update(gv, C, X[positions[0]], pulse_set, spec.c,
+                                               start=prev)
+                except SolverError as exc:
+                    raise SolverError(f"iteration {k}, loads "
+                                      f"{[loads[i].id for i in positions]}: {exc}",
+                                      gap=exc.gap) from exc
+                w = theta.weights
+                j = int(w.argmax())
+                pinned = j if w[j] == 1.0 and not w[:j].any() else None
+                stay = 0.0 if prev is None else float(w[prev])
+                # E[x] and E[norm2(x)] - norm2(E[x]) for x ~ theta; members share norm2(x) = Y
+                mean_g = w @ pulse_set.members
+                memo[key] = (theta, pinned, stay, mean_g,
+                             pulse_set.sqnorm - pulse_set.grid.dt * float(np.dot(mean_g, mean_g)))
+            solved.append((positions, pulse_set, memo[key]))
+            if memo[key][1] is None:  # theta pins no member, so these loads draw
+                drawn.extend(positions)
+        if drawn:
+            drawn.sort()
+            u = np.empty(len(loads))
+            u[drawn] = load_draws(self.master_seed, [loads[i].id for i in drawn], k)
+        for positions, pulse_set, (theta, pinned, stay, mean_g, variance_g) in solved:
+            if pinned is None:
+                idx = sample(theta, u[positions]).tolist()
+            else:
+                idx = [pinned] * len(positions)
+            X_new[positions] = pulse_set.members[idx]
+            for i, j in zip(positions, idx):
+                member_idx[i] = j
+                stays[i] = stay
+            mean += len(positions) * mean_g
+            variance += len(positions) * variance_g
+        return X_new, math.prod(stays), mean, variance
 
 
 def run(loads: Sequence[LoadSpec], b: Profile, cfg: EngineConfig) -> Trajectory:
@@ -484,13 +537,7 @@ def run(loads: Sequence[LoadSpec], b: Profile, cfg: EngineConfig) -> Trajectory:
     `b` is the game's base: the base load, or for a Track objective
     `Objective.effective_base(b)`.
     """
-    C = fleet_weight(loads)
     for spec in loads:
         if spec.grid != b.grid:
             raise GridMismatchError(f"load {spec.id} is on a different grid")
-    member_idx: List[Optional[int]] = [None] * len(loads)
-    memo: dict = {}
-    return coordinate(b, C, all(spec.is_finite for spec in loads), len(loads), cfg,
-                      lambda k, g, X: update_loads(loads, g, C, X, member_idx,
-                                                   cfg.master_seed, k, memo))
-
+    return coordinate(b, loads, cfg, LoadUpdate(loads, cfg.master_seed))

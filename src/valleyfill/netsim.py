@@ -28,12 +28,12 @@ profile.  Networked records thus carry escape probabilities, but a NaN
 expected next objective: agents send no sampling distributions.
 
 The coordinator runs the engine's shared loop, `engine.coordinate`, and
-each agent the engine's load update, `engine.update_loads`, for its one
-load, with one memo for the session, so an agent whose signal and profile
-did not change replies without re-solving; the update is the in-process
-one, so a session reproduces the in-process run.  Iterations are barrier
-synchronized: the signal for iteration k+1 is only sent after all n
-profile updates for iteration k have been received.
+each agent one `engine.LoadUpdate` of its one load for the session, which
+keeps the load's member index and signal memo, so an agent whose signal
+and profile did not change replies without re-solving; the update is the
+in-process one, so a session reproduces the in-process run.  Iterations
+are barrier synchronized: the signal for iteration k+1 is only sent after
+all n profile updates for iteration k have been received.
 
 A repeated signal or profile is re-sent as the same bytes without being
 encoded again: the coordinator encodes the signal only when it differs
@@ -59,7 +59,7 @@ import numpy as np
 
 from .core import Profile, TimeGrid
 from .engine import (ConfigurationError, EngineConfig, LoadSpec, Termination,
-                     Trajectory, coordinate, fleet_weight, update_loads)
+                     LoadUpdate, Trajectory, coordinate, fleet_weight)
 
 __all__ = [
     "ProtocolError",
@@ -214,7 +214,7 @@ def serve_coordinator(b: Profile, roster: Sequence[RosterEntry], cfg: EngineConf
     the in-process run bit for bit, escape probabilities included; its
     expected next objectives are NaN.
     """
-    C = fleet_weight(roster)
+    fleet_weight(roster)  # a bad roster fails before the socket opens
     entries = {entry.id: entry for entry in roster}
     ids = list(entries)
     grid = b.grid
@@ -250,7 +250,7 @@ def serve_coordinator(b: Profile, roster: Sequence[RosterEntry], cfg: EngineConf
         received = {i: {} for i in ids}     # each connection's last profile
         signal, payload = None, ""          # the last signal sent
 
-        def exchange(k, g, X):
+        def exchange(k, C, g, X):
             nonlocal signal, payload
             if g.values.tobytes() != signal:
                 signal = g.values.tobytes()
@@ -271,8 +271,7 @@ def serve_coordinator(b: Profile, roster: Sequence[RosterEntry], cfg: EngineConf
             return X_new, stay, 0.0, float("nan")
 
         try:
-            traj = coordinate(b, C, all(entry.is_finite for entry in roster),
-                              len(roster), cfg, exchange)
+            traj = coordinate(b, roster, cfg, exchange)
         except (socket.timeout, AgentLostError) as exc:
             for fh in conns.values():
                 with contextlib.suppress(OSError):
@@ -305,12 +304,12 @@ def run_agent(load: LoadSpec, master_seed: int, endpoint: Tuple[str, int],
               timeout: float = DEFAULT_TIMEOUT) -> int:
     """Single-load agent state machine; returns a process exit status.
 
-    Per iteration: receive the signal, update the one load with
-    `engine.update_loads`, the in-process runs' update, and reply with the
-    new profile and the probability that the load kept its previous
-    profile.  The update's memo lives for the session, so a round that
-    repeats the last signal and profile reuses their solve, and a
-    repeated signal or profile is neither parsed nor encoded again.
+    Per iteration: receive the signal, update the one load with one
+    `engine.LoadUpdate` for the session, the in-process runs' update, and
+    reply with the new profile and the probability that the load kept its
+    previous profile.  The update's memo lives for the session, so a
+    round that repeats the last signal and profile reuses their solve, and
+    a repeated signal or profile is neither parsed nor encoded again.
     Returns 0 after a STOP that ends the run (TOLERANCE, FIXED_POINT or
     MAX_ITER) and 1 after a refusal or an aborted session.
     """
@@ -326,8 +325,7 @@ def run_agent(load: LoadSpec, master_seed: int, endpoint: Tuple[str, int],
             raise ProtocolError(f"handshake refused: {fields!r}")
 
         X = np.zeros((1, grid.slots))
-        member_idx: List[Optional[int]] = [None]
-        memo: dict = {}
+        update = LoadUpdate([load], master_seed)
         received: dict = {}                 # the last signal's profile
         reply, reply_text = None, ""        # the last profile sent
         while True:
@@ -335,8 +333,7 @@ def run_agent(load: LoadSpec, master_seed: int, endpoint: Tuple[str, int],
             if kind == "STOP":
                 return 0 if fields[0] in _RUN_ENDED else 1
             C, g = fields
-            X, stay, _, _ = update_loads([load], g, C, X, member_idx, master_seed,
-                                       k, memo)
+            X, stay, _, _ = update(k, C, g, X)
             if X[0].tobytes() != reply:
                 reply, reply_text = X[0].tobytes(), _encode_floats(X[0])
             _send(fh, "PROFILEUPDATE", k,

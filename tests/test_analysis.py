@@ -10,7 +10,8 @@ from valleyfill.analysis import (NashReport, OracleTooLargeError, brute_force_op
                                  convex_stationarity_residual, is_nash,
                                  subopt_ratio_bound, suboptimality_gap_check)
 from valleyfill.core import Profile, TimeGrid, aggregate, norm2
-from valleyfill.engine import EngineConfig, LoadSpec, Termination, run
+from valleyfill.engine import (ConfigurationError, EngineConfig, LoadSpec,
+                               Termination, run)
 from valleyfill.feasible import FinitePulseSet
 
 
@@ -271,6 +272,15 @@ class TestStationarityResidual:
         xs = [Profile(project_convex(rng.uniform(0, 2, g.slots), spec.constraint), g)
               for spec in loads]
         assert convex_stationarity_residual(loads, xs, b) > 1e-4
+
+    def test_rejects_duplicate_ids_as_run_does(self):
+        rng = np.random.default_rng(48)
+        g = TimeGrid(6.0, 12)
+        from conftest import random_convex_set
+        loads = [LoadSpec(0, random_convex_set(rng, g)) for _ in range(2)]
+        xs = [Profile.zeros(g)] * 2
+        with pytest.raises(ConfigurationError, match="unique ids"):
+            convex_stationarity_residual(loads, xs, random_base(rng, g))
 
 
 class TestRatioBound:

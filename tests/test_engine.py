@@ -15,10 +15,9 @@ from valleyfill.cli import main
 from valleyfill.core import (GridMismatchError, Profile, TimeGrid, aggregate,
                              norm)
 from valleyfill.engine import (ConfigurationError, EngineConfig, LoadSpec,
-                               Termination, convex_load_update,
+                               LoadUpdate, Termination, convex_load_update,
                                coordinator_signal, finite_load_update,
-                               fleet_weight, load_draw, load_draws, run,
-                               update_loads)
+                               fleet_weight, load_draw, load_draws, run)
 from valleyfill.feasible import (FinitePulseSet, SolverError,
                                  make_pulse_set, sample)
 from valleyfill.scenario import (BaseLoadSpec, FleetSpec, SynthParams,
@@ -215,6 +214,14 @@ def mixed_fleet(rng, g, n_convex, n_finite):
     return loads
 
 
+def fresh_memo(update):
+    """`update` with its memo cleared before every call: the reference for memo reuse."""
+    def call(*args):
+        update._memo.clear()
+        return update(*args)
+    return call
+
+
 class TestUpdateLoads:
     """A networked agent updates its one load; the fleet's rows must not differ."""
 
@@ -234,18 +241,16 @@ class TestUpdateLoads:
         C = fleet_weight(loads)
         b = random_base(rng, g)
         X = np.zeros((n, g.slots))
-        fleet_idx = [None] * n
-        single_idx = [[None] for _ in loads]
+        fleet = LoadUpdate(loads, master_seed)
+        singles = [LoadUpdate([spec], master_seed) for spec in loads]
         for k in range(1, 7):
             sig = coordinator_signal(aggregate(b, X), C)
-            X_fleet, stay, _, _ = update_loads(loads, sig, C, X, fleet_idx,
-                                               master_seed, k, {})
+            X_fleet, stay, _, _ = fresh_memo(fleet)(k, C, sig, X)
             stays = []
-            for i, spec in enumerate(loads):
-                x_i, stay_i, _, _ = update_loads([spec], sig, C, X[i:i + 1],
-                                                 single_idx[i], master_seed, k, {})
+            for i, single in enumerate(singles):
+                x_i, stay_i, _, _ = fresh_memo(single)(k, C, sig, X[i:i + 1])
                 assert x_i[0].tobytes() == X_fleet[i].tobytes()
-                assert single_idx[i] == [fleet_idx[i]]
+                assert single.member_idx == [fleet.member_idx[i]]
                 stays.append(stay_i)
             assert stay == math.prod(stays)
             X = X_fleet
@@ -265,20 +270,16 @@ class TestUpdateLoads:
         C = fleet_weight(loads)
         b = random_base(rng, g)
         X = np.zeros((n, g.slots))
-        fleet_idx = [None] * n
-        single_idx = [[None] for _ in loads]
-        memos = [{} for _ in loads]
+        fleet = LoadUpdate(loads, master_seed)
+        singles = [LoadUpdate([spec], master_seed) for spec in loads]
         for k in range(1, 16):
             sig = coordinator_signal(aggregate(b, X), C)
-            X_fleet, stay, _, _ = update_loads(loads, sig, C, X, fleet_idx,
-                                               master_seed, k, {})
+            X_fleet, stay, _, _ = fresh_memo(fleet)(k, C, sig, X)
             stays = []
-            for i, spec in enumerate(loads):
-                x_i, stay_i, _, _ = update_loads([spec], sig, C, X[i:i + 1],
-                                                 single_idx[i], master_seed, k,
-                                                 memos[i])
+            for i, single in enumerate(singles):
+                x_i, stay_i, _, _ = single(k, C, sig, X[i:i + 1])
                 assert x_i[0].tobytes() == X_fleet[i].tobytes()
-                assert single_idx[i] == [fleet_idx[i]]
+                assert single.member_idx == [fleet.member_idx[i]]
                 stays.append(stay_i)
             assert stay == math.prod(stays)
             X = X_fleet
@@ -304,21 +305,12 @@ class TestSignalMemo:
             g = grid()
             loads = mixed_fleet(rng, g, n_convex, n_finite)
             b = random_base(rng, g)
-            C = fleet_weight(loads)
             # convex rows need up to ~150 rounds to stop moving bit for bit
             cfg = EngineConfig(max_iterations=150, master_seed=master_seed,
                                stop_on_epsilon=False)
-
-            def coordinate_with(memo_for_call):
-                member_idx = [None] * len(loads)
-                return engine.coordinate(
-                    b, C, n_convex == 0, len(loads), cfg,
-                    lambda k, sig, X: update_loads(loads, sig, C, X, member_idx,
-                                                   master_seed, k, memo_for_call()))
-
-            memo = {}
-            kept = coordinate_with(lambda: memo)
-            fresh = coordinate_with(dict)
+            kept = engine.coordinate(b, loads, cfg, LoadUpdate(loads, master_seed))
+            fresh = engine.coordinate(b, loads, cfg,
+                                      fresh_memo(LoadUpdate(loads, master_seed)))
             assert record_bytes(kept) == record_bytes(fresh)
             gs = [r.g.values.tobytes() for r in kept.records]
             quiet = sum(a == b for a, b in zip(gs, gs[1:]))
@@ -396,6 +388,52 @@ class TestRunValidation:
             EngineConfig(epsilon=0.0)
         with pytest.raises(ConfigurationError):
             EngineConfig(max_iterations=0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("max_iterations", 2.5), ("max_iterations", True), ("max_iterations", "3"),
+        ("master_seed", 1.5), ("master_seed", True), ("master_seed", None),
+        ("epsilon", math.inf), ("epsilon", math.nan), ("epsilon", True),
+        ("epsilon", "1e-6"),
+    ])
+    def test_bad_config_field_rejected_when_built(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            EngineConfig(**{field: value})
+
+    @pytest.mark.parametrize("load_id", [1.0, True, "1", None])
+    def test_non_integer_id_rejected_when_built(self, load_id):
+        s = random_convex_set(np.random.default_rng(35), grid())
+        with pytest.raises(ConfigurationError, match="load id"):
+            LoadSpec(load_id, s)
+
+    @pytest.mark.parametrize("c", [math.inf, math.nan, -1.0, 0, True, "1", 10**400])
+    def test_bad_weight_rejected_when_built(self, c):
+        s = random_convex_set(np.random.default_rng(36), grid())
+        with pytest.raises(ConfigurationError, match="c must be finite and positive"):
+            LoadSpec(0, s, c=c)
+
+    def test_integer_fields_keep_their_values(self):
+        s = random_convex_set(np.random.default_rng(37), grid())
+        spec = LoadSpec(np.int64(3), s, c=2)
+        assert type(spec.id) is int and spec.id == 3 and spec.c == 2
+        cfg = EngineConfig(max_iterations=np.int32(4), master_seed=-5, epsilon=1)
+        assert (cfg.max_iterations, cfg.master_seed, cfg.epsilon) == (4, -5, 1)
+
+    def test_coordinate_rejects_duplicate_ids_before_exchanging(self):
+        rng = np.random.default_rng(38)
+        g = grid()
+        loads = [LoadSpec(0, random_convex_set(rng, g)),
+                 LoadSpec(0, random_convex_set(rng, g))]
+        calls = []
+        with pytest.raises(ConfigurationError, match="unique ids"):
+            engine.coordinate(Profile.zeros(g), loads, EngineConfig(),
+                              lambda *args: calls.append(args))
+        assert calls == []
+
+    def test_grid_checked_before_fleet(self):
+        rng = np.random.default_rng(39)
+        loads = [LoadSpec(0, random_convex_set(rng, TimeGrid(6.0, 12)))] * 2
+        with pytest.raises(GridMismatchError):
+            run(loads, Profile.zeros(TimeGrid(6.0, 24)), EngineConfig())
 
 
 class TestRunDeterminism:

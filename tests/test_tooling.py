@@ -1,0 +1,49 @@
+"""Checks that keep perfbench's tracer and the README's example in step with the package."""
+
+import importlib
+import importlib.util
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def load_tracing():
+    """perfbench/tracing.py, loaded by path: perfbench is not a package."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracing",
+                                                  ROOT / "perfbench" / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestTracedNames:
+    """The tracer skips a name it cannot find: its metrics would read 0, with no error."""
+
+    def test_every_traced_function_resolves(self):
+        tracing = load_tracing()
+        assert tracing.TRACED_FUNCTIONS
+        missing = [(module_name, attr) for module_name, attr in tracing.TRACED_FUNCTIONS
+                   if not callable(getattr(importlib.import_module(module_name), attr,
+                                           None))]
+        assert missing == []
+
+    def test_every_traced_method_resolves(self):
+        tracing = load_tracing()
+        assert tracing.TRACED_METHODS
+        missing = []
+        for module_name, cls_name, attr in tracing.TRACED_METHODS:
+            cls = getattr(importlib.import_module(module_name), cls_name, None)
+            if cls is None or not callable(vars(cls).get(attr)):
+                missing.append((module_name, cls_name, attr))
+        assert missing == []
+
+
+def test_readme_quick_start_runs(capsys):
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Library quick start", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+    exec(compile(code, "README.md", "exec"), {})
+    terminated_by, objective = capsys.readouterr().out.split()
+    assert terminated_by.startswith("Termination.")
+    assert float(objective) > 0
