@@ -20,6 +20,7 @@ __all__ = [
     "OracleTooLargeError",
     "NashReport",
     "BoundReport",
+    "nash_report",
     "is_nash",
     "brute_force_optimum",
     "suboptimality_gap_check",
@@ -48,15 +49,12 @@ class BoundReport:
     optimum_lower_bound: float   # flat-profile lower bound on norm2 of the optimum
 
 
-def _first_holders(xs: Sequence[Profile], sets: Sequence[FinitePulseSet]) -> List[int]:
-    """First load holding each (set object, member), in load order; ValueError on a non-member."""
-    first = {}
-    for i, (x, s) in enumerate(zip(xs, sets)):
-        k = s.member_index(x)
-        if k is None:
-            raise ValueError(f"load {i}: profile is not a member of its set")
-        first.setdefault((id(s), k), i)
-    return list(first.values())
+def _member_indices(xs: Sequence[Profile], sets: Sequence[FinitePulseSet]) -> List[int]:
+    """Index of each load's member in its set; ValueError on the first non-member."""
+    idx = [s.member_index(x) for x, s in zip(xs, sets)]
+    if None in idx:
+        raise ValueError(f"load {idx.index(None)}: profile is not a member of its set")
+    return idx
 
 
 def _distinct_sets(sets: Sequence[FinitePulseSet]) -> List[int]:
@@ -65,24 +63,25 @@ def _distinct_sets(sets: Sequence[FinitePulseSet]) -> List[int]:
     return [seen.setdefault(id(s), i) for i, s in enumerate(sets) if id(s) not in seen]
 
 
-def is_nash(xs: Sequence[Profile], sets: Sequence[FinitePulseSet], b: Profile,
-            tol: float) -> NashReport:
+def nash_report(sets: Sequence[FinitePulseSet], member_idx: Sequence[int],
+                total: Profile, tol: float) -> NashReport:
     """Check the best-response condition for every load within tol.
 
-    Each load's others' aggregate is the load-order total minus its own
-    profile.  Loads holding the same member of the same set object share
-    that aggregate, and so their gap, which is computed once on the
-    group's first load: the check costs O(n*S) plus O(m*S) per distinct
-    (set, member) pair held.  The first load with the largest gap is named.
+    Load i holds member `member_idx[i]` of `sets[i]`; `total` is the
+    load-order aggregate, base included.  Loads holding one member of one
+    set object share others' aggregate `total - x`, so their gap is computed
+    once, on the group's first load: O(n*S) plus O(m*S) per distinct (set,
+    member) pair held.  The first load with the largest gap is named.
     """
-    holders = _first_holders(xs, sets)  # before `aggregate`, which checks grids
-    dt = b.grid.dt
-    total = aggregate(b, xs).values
+    first = {}
+    for i, (s, k) in enumerate(zip(sets, member_idx)):
+        first.setdefault((id(s), k), i)
+    dt = total.grid.dt
     worst = 0.0
     violator = None
-    for i in holders:
-        x = xs[i].values
-        others = total - x
+    for i in first.values():
+        x = sets[i].members[member_idx[i]]
+        others = total.values - x
         current = dt * float(np.dot(others, x))
         best = float(np.min(dt * (sets[i].members @ others)))
         gap = current - best
@@ -90,6 +89,13 @@ def is_nash(xs: Sequence[Profile], sets: Sequence[FinitePulseSet], b: Profile,
             worst = gap
             violator = i
     return NashReport(worst <= tol, worst, violator if worst > tol else None)
+
+
+def is_nash(xs: Sequence[Profile], sets: Sequence[FinitePulseSet], b: Profile,
+            tol: float) -> NashReport:
+    """`nash_report` of profiles xs on base b; a non-member raises ValueError
+    before `aggregate` checks grids."""
+    return nash_report(sets, _member_indices(xs, sets), aggregate(b, xs), tol)
 
 
 def brute_force_optimum(sets: Sequence[FinitePulseSet], b: Profile,
@@ -133,7 +139,7 @@ def suboptimality_gap_check(x_s: Sequence[Profile], sets: Sequence[FinitePulseSe
     The bound is 2*sum(Y_i) when all members are nonnegative, 4*sum(Y_i)
     otherwise.
     """
-    _first_holders(x_s, sets)
+    _member_indices(x_s, sets)
     _, optimum = brute_force_optimum(sets, b)
     value = norm2(aggregate(b, list(x_s)))
     gap = value - optimum

@@ -479,23 +479,25 @@ def cmd_analyze(args) -> int:
             raise InputError(f"load {load_id}: not in the scenario")
     sets = [spec.constraint for spec in loads]
     xs = []
+    idx = []
     status = 0
     for spec in loads:
         if spec.id not in profiles:
             raise InputError(f"load {spec.id}: missing profile")
         x = profiles[spec.id]
-        if spec.constraint.member_index(x) is None:
+        xs.append(x)
+        idx.append(spec.constraint.member_index(x))
+        if idx[-1] is None:
             print(f"load {spec.id}: profile is not an admissible member",
                   file=sys.stderr)
             status = 1
-        xs.append(x)
     if status or not loads:
         return status
 
     if "nash" in checks:
-        value = norm2(aggregate(base, xs))
-        tol = 1e-9 * (1 + abs(value))
-        report = analysis.is_nash(xs, sets, base, tol)
+        total = aggregate(base, xs)
+        tol = 1e-9 * (1 + abs(norm2(total)))
+        report = analysis.nash_report(sets, idx, total, tol)
         _print_fields(report)
         if not report.is_equilibrium:
             status = 1

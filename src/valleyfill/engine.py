@@ -88,6 +88,28 @@ def _finite_positive(value) -> bool:
         return False
 
 
+def _flag(value, what: str) -> bool:
+    """`value` as a bool; a numpy bool converts, anything else raises ConfigurationError."""
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    raise ConfigurationError(f"{what} must be a bool, got {value!r}")
+
+
+def _check_load(load) -> None:
+    """Check a frozen `LoadSpec`'s or `netsim.RosterEntry`'s id and weight.
+
+    The id must be an integer >= 0 (stored as an int) and c a finite
+    number > 0; otherwise ConfigurationError.
+    """
+    if type(load.id) is not int:  # a plain int needs no conversion
+        object.__setattr__(load, "id", _integer(load.id, "load id"))
+    if load.id < 0:
+        raise ConfigurationError(f"load id {load.id} is negative; ids must be >= 0")
+    if not _finite_positive(load.c):
+        raise ConfigurationError(
+            f"load {load.id}: c must be finite and positive, got {load.c!r}")
+
+
 @dataclass(frozen=True)
 class LoadSpec:
     """One elastic load: its constraint set and update weight c_i.
@@ -103,18 +125,13 @@ class LoadSpec:
     c: Optional[float] = None
 
     def __post_init__(self):
-        if type(self.id) is not int:  # a plain int needs no conversion
-            object.__setattr__(self, "id", _integer(self.id, "load id"))
-        if self.id < 0:
-            raise ConfigurationError(f"load id {self.id} is negative; ids must be >= 0")
         if self.c is None:
             object.__setattr__(self, "c", self.constraint.energy)
-        # set-up builds one spec per load: the common case, a float in
-        # (0, inf), skips the general check
-        if not (type(self.c) is float and 0.0 < self.c < math.inf
-                or _finite_positive(self.c)):
-            raise ConfigurationError(
-                f"load {self.id}: c must be finite and positive, got {self.c!r}")
+        # set-up builds one spec per load: the common case, an int id >= 0
+        # and a float weight in (0, inf), skips the general check
+        if not (type(self.id) is int and self.id >= 0
+                and type(self.c) is float and 0.0 < self.c < math.inf):
+            _check_load(self)
 
     @property
     def is_finite(self) -> bool:
@@ -129,8 +146,9 @@ class LoadSpec:
 class EngineConfig:
     """Run settings; a bad value raises ConfigurationError when it is built.
 
-    epsilon is a finite number > 0, max_iterations an integer >= 1 and
-    master_seed an integer; bools are not integers here.
+    epsilon is a finite number > 0, max_iterations an integer >= 1,
+    master_seed an integer (bools are not integers here), and
+    record_diagnostics and stop_on_epsilon bools.
     """
 
     epsilon: float = 1e-6
@@ -151,6 +169,8 @@ class EngineConfig:
         object.__setattr__(self, "master_seed", _integer(self.master_seed, "master_seed"))
         if self.max_iterations < 1:
             raise ConfigurationError("max_iterations must be >= 1")
+        for name in ("record_diagnostics", "stop_on_epsilon"):
+            object.__setattr__(self, name, _flag(getattr(self, name), name))
 
 
 @dataclass

@@ -49,7 +49,6 @@ every exit path.
 from __future__ import annotations
 
 import contextlib
-import math
 import socket
 import time
 from dataclasses import dataclass
@@ -59,7 +58,8 @@ import numpy as np
 
 from .core import Profile, TimeGrid
 from .engine import (ConfigurationError, EngineConfig, LoadSpec, Termination,
-                     LoadUpdate, Trajectory, coordinate, fleet_weight)
+                     LoadUpdate, Trajectory, _check_load, _finite_positive, _flag,
+                     coordinate, fleet_weight)
 
 __all__ = [
     "ProtocolError",
@@ -83,11 +83,20 @@ class AgentLostError(RuntimeError):
 
 @dataclass(frozen=True)
 class RosterEntry:
-    """What the coordinator knows about one agent: id, kind and weight."""
+    """What the coordinator knows about one agent: id, kind and weight.
+
+    The id and weight follow `LoadSpec`'s rules and is_finite is a bool;
+    a bad entry raises ConfigurationError.
+    """
 
     id: int
     is_finite: bool
     c: float
+
+    def __post_init__(self):
+        _check_load(self)
+        object.__setattr__(self, "is_finite",
+                           _flag(self.is_finite, f"load {self.id}: is_finite"))
 
 
 def grid_digest(grid: TimeGrid) -> str:
@@ -115,7 +124,7 @@ def _probability(text: str) -> float:
 
 def _weight(text: str) -> float:
     c = float(text)
-    if not (math.isfinite(c) and c > 0):
+    if not _finite_positive(c):
         raise ValueError(f"weight {text} is not finite and positive")
     return c
 

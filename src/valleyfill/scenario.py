@@ -11,6 +11,7 @@ synthetic curve and checks its peak slots and levels for every caller.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -148,13 +149,17 @@ def load_baseload_csv(path, grid: TimeGrid) -> Profile:
             line += 1
             if count >= grid.slots:
                 raise BaseLoadError(f"{path}: line {line}: more rows than the {grid.slots}-slot grid")
+            if len(row) != 2:
+                raise BaseLoadError(f"{path}: line {line}: expected 2 fields, got {row!r}")
             try:
                 slot = int(row[0])
                 kw = float(row[1])
-            except (ValueError, IndexError):
+            except ValueError:
                 raise BaseLoadError(f"{path}: line {line}: unparsable row {row!r}") from None
             if slot != count:
                 raise BaseLoadError(f"{path}: line {line}: expected slot {count}, got {slot}")
+            if not math.isfinite(kw):
+                raise BaseLoadError(f"{path}: line {line}: value {row[1]!r} is not finite")
             if kw < 0:
                 raise BaseLoadError(f"{path}: line {line}: negative value {kw}")
             values[count] = kw

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import best_response, is_nash_per_load, random_base, random_pulse_set
 from valleyfill.analysis import (NashReport, OracleTooLargeError, brute_force_optimum,
-                                 convex_stationarity_residual, is_nash,
+                                 convex_stationarity_residual, is_nash, nash_report,
                                  subopt_ratio_bound, suboptimality_gap_check)
 from valleyfill.core import Profile, TimeGrid, aggregate, norm2
 from valleyfill.engine import (ConfigurationError, EngineConfig, LoadSpec,
@@ -64,6 +64,30 @@ class TestBestResponse:
         s = two_pulse_set(g)
         with pytest.raises(ValueError):
             best_response(0, [Profile.constant(0.5, g)], Profile.zeros(g), s)
+
+
+nash_cases = given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 24),
+                   n_sets=st.integers(1, 3), copies=st.integers(0, 2),
+                   signed=st.booleans(), negative_zeros=st.booleans(),
+                   tol_scale=st.sampled_from([0.0, 0.5, 1.0]))
+
+
+def nash_case(seed, n, n_sets, copies, signed, negative_zeros):
+    """n loads holding random members of random sets, and a random base."""
+    rng = np.random.default_rng(seed)
+    g = TimeGrid(float(rng.integers(1, 13)), int(rng.integers(2, 13)))
+    sets = [random_pulse_set(rng, g, m_max=4, signed=signed) for _ in range(n_sets)]
+    # equal copies are distinct objects, so they form groups of their own
+    sets += [FinitePulseSet(s.members, g, s.energy, s.sqnorm, s.rate_bound)
+             for s in sets[:copies]]
+    own = [sets[int(rng.integers(len(sets)))] for _ in range(n)]
+    xs = []
+    for s in own:
+        row = s.members[int(rng.integers(s.m))]
+        if negative_zeros:  # a member still, as membership folds -0.0 into 0.0
+            row = np.where((row == 0.0) & (rng.random(g.slots) < 0.5), -0.0, row)
+        xs.append(Profile(row, g))
+    return xs, own, random_base(rng, g)
 
 
 class TestIsNash:
@@ -150,26 +174,11 @@ class TestIsNash:
         assert report == NashReport(False, 2 * g.dt, 1)
 
     @settings(max_examples=300, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 24),
-           n_sets=st.integers(1, 3), copies=st.integers(0, 2), signed=st.booleans(),
-           negative_zeros=st.booleans(), tol_scale=st.sampled_from([0.0, 0.5, 1.0]))
+    @nash_cases
     def test_equals_per_load_oracle(self, seed, n, n_sets, copies, signed,
                                     negative_zeros, tol_scale):
         """Grouping loads by (set object, held member) changes no bit of the report."""
-        rng = np.random.default_rng(seed)
-        g = TimeGrid(float(rng.integers(1, 13)), int(rng.integers(2, 13)))
-        sets = [random_pulse_set(rng, g, m_max=4, signed=signed) for _ in range(n_sets)]
-        # equal copies are distinct objects, so they form groups of their own
-        sets += [FinitePulseSet(s.members, g, s.energy, s.sqnorm, s.rate_bound)
-                 for s in sets[:copies]]
-        own = [sets[int(rng.integers(len(sets)))] for _ in range(n)]
-        xs = []
-        for s in own:
-            row = s.members[int(rng.integers(s.m))]
-            if negative_zeros:  # a member still, as membership folds -0.0 into 0.0
-                row = np.where((row == 0.0) & (rng.random(g.slots) < 0.5), -0.0, row)
-            xs.append(Profile(row, g))
-        b = random_base(rng, g)
+        xs, own, b = nash_case(seed, n, n_sets, copies, signed, negative_zeros)
         tol = tol_scale * is_nash_per_load(xs, own, b, 0.0).worst_violation
         report = is_nash(xs, own, b, tol)
         expected = is_nash_per_load(xs, own, b, tol)
@@ -181,6 +190,21 @@ class TestIsNash:
                 xs[j] == xs[v] and np.array_equal(own[j].members, own[v].members)
                 for j in range(v + 1, n)):
             event("worst gap tied with a later load")
+
+    @settings(max_examples=300, deadline=None)
+    @nash_cases
+    def test_report_from_member_indices_equals_per_load_oracle(
+            self, seed, n, n_sets, copies, signed, negative_zeros, tol_scale):
+        """The kernel on held member indices and the load-order aggregate
+        reports what the per-load loop reports on the profiles, bit for bit."""
+        xs, own, b = nash_case(seed, n, n_sets, copies, signed, negative_zeros)
+        tol = tol_scale * is_nash_per_load(xs, own, b, 0.0).worst_violation
+        idx = [s.member_index(x) for x, s in zip(xs, own)]
+        report = nash_report(own, idx, aggregate(b, xs), tol)
+        expected = is_nash_per_load(xs, own, b, tol)
+        assert report == expected
+        assert report.worst_violation.hex() == expected.worst_violation.hex()
+        event(f"loads: {min(n, 2)}{'+' if n > 2 else ''}")
 
 
 class TestBruteForce:

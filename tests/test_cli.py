@@ -20,6 +20,7 @@ from valleyfill.cli import InputError, main, profiles_from_csv, profiles_to_csv
 from valleyfill.core import (Objective, ObjectiveKind, Profile, TimeGrid,
                              aggregate, norm2)
 from valleyfill.engine import EngineConfig, Termination, run
+from valleyfill.feasible import FinitePulseSet
 from valleyfill.scenario import (BaseLoadSpec, FleetSpec, SynthParams,
                                  build_case_study, default_baseload)
 
@@ -339,6 +340,27 @@ class TestAnalyze:
         assert status == 2
         assert err.startswith("error: ") and "line 2" in err
         assert "Traceback" not in err
+
+    def test_each_profile_is_looked_up_once(self, tmp_path, monkeypatch):
+        """`analyze` finds each load's member once and hands the indices on
+        to the Nash check, which looks nothing up again."""
+        out = tmp_path / "out"
+        manifest = write_manifest(tmp_path, {"fleet": {"households": 20,
+                                                       "penetration": 0.5}})
+        assert main(["run", "--manifest", manifest, "--out", str(out)]) == 0
+        n = len(profiles_from_csv(out / "final_profiles.csv", TimeGrid(24.0, 24)))
+        calls = []
+        lookup = FinitePulseSet.member_index
+
+        def counted(self, x):
+            calls.append(x)
+            return lookup(self, x)
+
+        monkeypatch.setattr(FinitePulseSet, "member_index", counted)
+        status = main(["analyze", str(out / "final_profiles.csv"), "--manifest", manifest,
+                       "--checks", "nash,ratio"])
+        assert status in (0, 1)
+        assert n == 10 and len(calls) == n
 
     def test_round_trip_of_run_output(self, tmp_path):
         out = tmp_path / "out"

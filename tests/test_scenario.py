@@ -167,6 +167,20 @@ class TestCsvLoader:
         with pytest.raises(BaseLoadError, match="line 3.*unparsable"):
             load_baseload_csv(self.write(tmp_path, rows), g)
 
+    @pytest.mark.parametrize("row", ["1,1.0,9", "1", "1,1.0,"])
+    def test_row_of_other_than_two_fields(self, tmp_path, row):
+        g = TimeGrid(2.0, 4)
+        rows = ["0,1.0", row, "2,1.0", "3,1.0"]
+        with pytest.raises(BaseLoadError, match="line 3.*expected 2 fields"):
+            load_baseload_csv(self.write(tmp_path, rows), g)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+    def test_value_not_finite(self, tmp_path, value):
+        g = TimeGrid(2.0, 4)
+        rows = ["0,1.0", "1,1.0", f"2,{value}", "3,1.0"]
+        with pytest.raises(BaseLoadError, match=f"line 4: value '{value}' is not finite"):
+            load_baseload_csv(self.write(tmp_path, rows), g)
+
 
 class TestCaseStudy:
     def test_base_scales_with_households(self):
