@@ -232,10 +232,7 @@ def _baseload(section) -> BaseLoadSpec:
     fields = _fields(section, _BASELOAD_KEYS, "baseload")
     if "csv_path" in fields:  # a CSV takes precedence over the default synth
         fields.pop("synth", None)
-    try:
-        return BaseLoadSpec(**fields)
-    except ValueError as exc:
-        raise InputError(f"bad baseload: {exc}") from None
+    return BaseLoadSpec(**fields)  # the default synth leaves exactly one source
 
 
 _ENGINE_KEYS = {"epsilon": ("epsilon", _number),

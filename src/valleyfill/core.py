@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -35,18 +36,34 @@ class GridMismatchError(ValueError):
     """Raised when profiles on different time grids are combined."""
 
 
+def _finite_positive(value) -> bool:
+    """Whether `value` is a finite number > 0; a bool is not a number here."""
+    try:
+        return (not isinstance(value, (bool, np.bool_)) and math.isfinite(value)
+                and value > 0)
+    except (TypeError, OverflowError):
+        return False
+
+
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform discretization of [0, T] into `slots` slots of width `dt` hours."""
+    """Uniform discretization of [0, T] into `slots` slots of width `dt` hours.
+
+    horizon_hours is a finite number > 0 and slots an integer >= 1, stored
+    as an int; bools are neither.  A bad value raises ValueError.
+    """
 
     horizon_hours: float
     slots: int
 
     def __post_init__(self):
-        if not (self.horizon_hours > 0 and math.isfinite(self.horizon_hours)):
-            raise ValueError(f"horizon_hours must be positive, got {self.horizon_hours}")
-        if self.slots < 1:
-            raise ValueError(f"slots must be >= 1, got {self.slots}")
+        if not _finite_positive(self.horizon_hours):
+            raise ValueError(f"horizon_hours must be a finite number > 0, "
+                             f"got {self.horizon_hours!r}")
+        slots = self.slots
+        if isinstance(slots, bool) or not isinstance(slots, numbers.Integral) or slots < 1:
+            raise ValueError(f"slots must be an integer >= 1, got {slots!r}")
+        object.__setattr__(self, "slots", int(slots))
 
     @property
     def dt(self) -> float:

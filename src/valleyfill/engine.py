@@ -14,18 +14,20 @@ product of the loads' stay probabilities, which the update returns.
 
 `LoadUpdate` is the one load update, for a whole fleet in process and
 for one load in a networked agent; one instance serves one run and keeps
-its state: each load's member index and the signal memo.  Convex loads
-update by projection (`convex_load_update`).  Finite loads update in two
-phases.  First each group of loads sharing (constraint, c, previous
-member) solves the hull once, since the loads share their sampling
-distribution theta, and finds whether theta pins one member.  Then the
-loads of the groups theta does not pin draw in one `load_draws` call, in
-load order, and each group samples theta with its loads' draws.
-A load's theta or projection depends only on the signal (C, g) and its
-previous profile, so while g repeats bit for bit, as it does in every
-round after one in which no profile moved, the memo reuses the groups'
-thetas and the unmoved convex loads' projections, and only the draws and
-sampling run again.
+its state: each load's member index and the signal memo.
+One rule decides what the update computes: a load's update depends only
+on the signal (C, g), its set object, its weight c and its state, which
+is its member index for a finite load and its row for a convex load.
+Loads that agree on all four share one update, so the memo keys each
+result by (set, c, state) under one signal.  Convex loads update by
+projection (`convex_load_update`), once per key.  Finite loads update in
+two phases.  First each key's group solves the hull once for its
+sampling distribution theta, and finds whether theta pins one member.
+Then the loads of the groups theta does not pin draw in one `load_draws`
+call, in load order, and each group samples theta with its loads' draws.
+While g repeats bit for bit, as it does in every round after one in
+which no profile moved, the memo keeps its results, and only the draws
+and sampling run again; a new signal clears it.
 Per-load randomness comes from a counter-based stream keyed by
 (master_seed, load id, iteration) (`load_draw` defines it; `load_draws`
 reproduces it bit for bit in one vectorised pass), so trajectories are
@@ -43,7 +45,8 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .core import GridMismatchError, Profile, TimeGrid, aggregate, norm, norm2
+from .core import (GridMismatchError, Profile, TimeGrid, _finite_positive, aggregate,
+                   norm, norm2)
 from .feasible import (ConvexChargeSet, Distribution, FinitePulseSet,
                        SolverError, hull_minimize, project_convex, sample)
 
@@ -78,14 +81,6 @@ def _integer(value, what: str) -> int:
         except TypeError:
             pass
     raise ConfigurationError(f"{what} must be an integer, got {value!r}")
-
-
-def _finite_positive(value) -> bool:
-    """Whether `value` is a finite number > 0; a bool is not a number here."""
-    try:
-        return not isinstance(value, bool) and math.isfinite(value) and value > 0
-    except (TypeError, OverflowError):
-        return False
 
 
 def _flag(value, what: str) -> bool:
@@ -456,8 +451,11 @@ class LoadUpdate:
 
     Iteration k's update of `loads`, whose current profiles are the rows
     of X.  C is the whole fleet's weight; `loads` may be part of the
-    fleet.  Convex loads project.  Finite loads sharing (constraint, c,
-    previous member) share theta, so each such group solves the hull once.
+    fleet.  A load's update depends only on the signal (C, g), its set
+    object, its weight c and its state: its member index for a finite
+    load, its row for a convex load.  Loads that share (set, c, state)
+    share one update: convex loads project once per key, and finite loads
+    of one key share theta, so each such group solves the hull once.
     A group whose theta puts weight 1.0 on one member takes it without a
     draw (inverse-CDF sampling picks it for every u); the loads of the
     other groups draw in one `load_draws` call, in load order.
@@ -468,11 +466,11 @@ class LoadUpdate:
 
     The update keeps the run's state.  `member_idx` holds each load's
     member index (None before a finite load's first member).  The memo
-    keeps the results computed under one signal (C, g): each group's
-    theta and the quantities derived from it, and each convex row's
-    projection with the row it projected.  While the signal repeats bit
-    for bit, a group with a stored theta and a convex row equal to its
-    stored row reuse them instead of re-solving or re-projecting; a new
+    keeps the results computed under one signal (C, g), keyed by
+    (id(set), c, state) with a convex row's state as its bytes: each
+    group's theta and the quantities derived from it, and each convex
+    key's projection.  While the signal repeats bit for bit, a stored key
+    reuses its result instead of re-solving or re-projecting; a new
     signal clears the memo.  Draws and sampling run every call, so an
     update whose memo is cleared before each call gives the same results
     bit for bit.
@@ -502,10 +500,10 @@ class LoadUpdate:
             if spec.is_finite:
                 groups.setdefault((id(spec.constraint), spec.c, member_idx[i]), []).append(i)
                 continue
-            row = X[i].tobytes()
-            if memo.get(i, (None,))[0] != row:
-                memo[i] = (row, convex_load_update(gv, X[i], spec.constraint, spec.c))
-            x_new = X_new[i] = memo[i][1]
+            key = (id(spec.constraint), spec.c, X[i].tobytes())
+            if key not in memo:
+                memo[key] = convex_load_update(gv, X[i], spec.constraint, spec.c)
+            x_new = X_new[i] = memo[key]
             stays[i] = 1.0 if np.array_equal(x_new, X[i]) else 0.0
             mean += x_new
         solved = []

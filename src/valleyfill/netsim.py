@@ -56,10 +56,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import Profile, TimeGrid
+from .core import Profile, TimeGrid, _finite_positive
 from .engine import (ConfigurationError, EngineConfig, LoadSpec, Termination,
-                     LoadUpdate, Trajectory, _check_load, _finite_positive, _flag,
-                     coordinate, fleet_weight)
+                     LoadUpdate, Trajectory, _check_load, _flag, coordinate,
+                     fleet_weight)
 
 __all__ = [
     "ProtocolError",
@@ -107,11 +107,8 @@ def _encode_floats(values: np.ndarray) -> str:
     return " ".join(map(repr, values.tolist()))
 
 
-def _send(fh, kind: str, iteration: int, payload: str = "") -> None:
-    line = f"MESSAGE {kind} {iteration}"
-    if payload:
-        line += f" {payload}"
-    fh.write(line + "\n")
+def _send(fh, kind: str, iteration: int, payload: str) -> None:
+    fh.write(f"MESSAGE {kind} {iteration} {payload}\n")
     fh.flush()
 
 

@@ -17,7 +17,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .core import Profile, TimeGrid
+from .core import Profile, TimeGrid, _finite_positive
 from .engine import LoadSpec
 from .feasible import FinitePulseSet, make_pulse_set
 
@@ -49,15 +49,28 @@ class HeterogeneitySpec:
     """Bounded per-EV jitter; multipliers are drawn uniformly per EV.
 
     Duration multipliers snap to a whole number of slots so A1-A4 stay
-    exact for every EV.
+    exact for every EV.  Each range (lo, hi) needs finite 0 < lo <= hi;
+    otherwise ValueError.
     """
 
     rate_range: Tuple[float, float] = (1.0, 1.0)
     duration_range: Tuple[float, float] = (1.0, 1.0)
 
+    def __post_init__(self):
+        for name in ("rate_range", "duration_range"):
+            lo, hi = getattr(self, name)
+            if not (_finite_positive(lo) and _finite_positive(hi) and lo <= hi):
+                raise ValueError(f"{name} must be finite with 0 < lo <= hi, "
+                                 f"got {[lo, hi]}")
+
 
 @dataclass(frozen=True)
 class FleetSpec:
+    """An EV fleet; ev_rate (kW) and ev_duration_hours are finite and > 0.
+
+    A bad value raises ValueError.
+    """
+
     households: int
     penetration: float
     ev_rate: float = 3.3               # kW
@@ -70,6 +83,10 @@ class FleetSpec:
             raise ValueError("penetration must be nonnegative")
         if self.households < 0:
             raise ValueError("households must be nonnegative")
+        for name in ("ev_rate", "ev_duration_hours"):
+            if not _finite_positive(getattr(self, name)):
+                raise ValueError(f"{name} must be finite and positive, "
+                                 f"got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)

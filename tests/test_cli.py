@@ -233,6 +233,15 @@ class TestNetworked:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    def test_agent_of_an_unknown_load_exits_2(self, tmp_path, capsys, monkeypatch):
+        def connect(*args, **kwargs):
+            raise AssertionError("an unknown load reached the transport")
+
+        monkeypatch.setattr(netsim, "run_agent", connect)
+        assert main(["agent", "--manifest", write_manifest(tmp_path),
+                     "--load-id", "99"]) == 2
+        assert capsys.readouterr().err == "error: load id 99 not in scenario\n"
+
 
 class TestAnalyze:
     def write_profiles(self, path, rows):
@@ -284,6 +293,39 @@ class TestAnalyze:
         assert status == 1
         assert f"load {rows[1][0]}: profile is not an admissible member" \
             in captured.err
+
+    def test_gap_past_the_enumeration_cap_is_skipped(self, tmp_path, capsys):
+        """Twenty canonical EVs have 81**20 selections: `gap` skips and exits 0."""
+        manifest = tmp_path / "twenty.json"
+        manifest.write_text(json.dumps({"fleet": {"households": 20,
+                                                  "penetration": 1.0}}))
+        _, loads = build_case_study(FleetSpec(households=20, penetration=1.0),
+                                    BaseLoadSpec(synth=SynthParams()))
+        profiles = tmp_path / "profiles.csv"
+        self.write_profiles(profiles, [(spec.id, spec.constraint.members[0])
+                                       for spec in loads])
+        status = main(["analyze", str(profiles), "--manifest", str(manifest),
+                       "--checks", "gap"])
+        assert status == 0
+        assert capsys.readouterr().out == \
+            "gap=skipped (instance too large to enumerate)\n"
+
+    def test_failing_gap_exits_1(self, tmp_path, capsys):
+        """Three EVs all at their first start are further from optimal than the bound."""
+        manifest = three_ev_manifest(tmp_path, "flatten")
+        b, loads, _ = track_game()  # the raw base is the flatten game's base
+        sets = [spec.constraint for spec in loads]
+        xs = [s.member(0) for s in sets]
+        gap, gap_bound, ok = suboptimality_gap_check(xs, sets, b)
+        assert not ok
+        profiles = tmp_path / "profiles.csv"
+        self.write_profiles(profiles, [(spec.id, x.values)
+                                       for spec, x in zip(loads, xs)])
+        status = main(["analyze", str(profiles), "--manifest", manifest,
+                       "--checks", "gap"])
+        assert status == 1
+        assert capsys.readouterr().out == \
+            f"gap={gap!r}\ngap_bound={gap_bound!r}\ngap_ok=False\n"
 
     def test_missing_profile_rejected(self, tmp_path, capsys):
         manifest = write_manifest(tmp_path)
@@ -804,6 +846,26 @@ class TestFleetGen:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("fleet,message", [
+        ({"charger_kw": 0}, "bad fleet: ev_rate must be finite and positive"),
+        ({"charge_hours": 0}, "bad fleet: ev_duration_hours must be finite and positive"),
+        ({"heterogeneity": {"rate_range": [-2, -1]}},
+         "bad fleet.heterogeneity: rate_range must be finite with 0 < lo <= hi"),
+        ({"heterogeneity": {"rate_range": [1.2, 0.8]}},
+         "bad fleet.heterogeneity: rate_range must be finite with 0 < lo <= hi"),
+        ({"heterogeneity": {"rate_range": [0, 0]}},
+         "bad fleet.heterogeneity: rate_range must be finite with 0 < lo <= hi"),
+        ({"heterogeneity": {"duration_range": [0, 1]}},
+         "bad fleet.heterogeneity: duration_range must be finite with 0 < lo <= hi"),
+    ], ids=["charger-zero", "hours-zero", "rates-negative", "rates-reversed",
+            "rates-zero", "durations-from-zero"])
+    def test_bad_rate_or_range_names_the_setting(self, tmp_path, capsys, fleet, message):
+        manifest = write_manifest(tmp_path, {"fleet": fleet})
+        assert main(["fleet-gen", "--manifest", manifest,
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}, got ")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["fleet-gen", "run"])

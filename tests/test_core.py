@@ -1,6 +1,7 @@
 import ast
 import importlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +46,25 @@ class TestTimeGrid:
             TimeGrid(0.0, 96)
         with pytest.raises(ValueError):
             TimeGrid(24.0, 0)
+
+    @pytest.mark.parametrize("slots", [96.0, 96.5, True, np.True_, "96", None, -1],
+                             ids=["float", "fraction", "bool", "numpy-bool", "string",
+                                  "none", "negative"])
+    def test_slots_must_be_an_integer_when_built(self, slots):
+        with pytest.raises(ValueError, match="slots must be an integer >= 1"):
+            TimeGrid(24.0, slots)
+
+    @pytest.mark.parametrize("hours", [True, np.True_, "24", None, -1.0, math.inf,
+                                       math.nan, 10**400],
+                             ids=["bool", "numpy-bool", "string", "none", "negative",
+                                  "inf", "nan", "past-float-range"])
+    def test_horizon_must_be_a_finite_positive_number_when_built(self, hours):
+        with pytest.raises(ValueError, match="horizon_hours must be a finite number > 0"):
+            TimeGrid(hours, 96)
+
+    def test_numpy_integer_slots_are_stored_as_int(self):
+        g = TimeGrid(24.0, np.int64(96))
+        assert type(g.slots) is int and g == TimeGrid(24.0, 96)
 
 
 class TestProfile:

@@ -203,11 +203,13 @@ class TestMixedFleetEscape:
             assert traj.records[k - 1].escape_probability == 1.0
 
 
-def mixed_fleet(rng, g, n_convex, n_finite):
+def mixed_fleet(rng, g, n_convex, n_finite, share_convex=False):
+    """Convex loads, then finite ones; `share_convex` gives the convex loads one set."""
     loads = []
     next_id = 0
+    shared = random_convex_set(rng, g) if share_convex else None
     for _ in range(n_convex):
-        loads.append(LoadSpec(next_id, random_convex_set(rng, g)))
+        loads.append(LoadSpec(next_id, shared or random_convex_set(rng, g)))
         next_id += 1
     for _ in range(n_finite):
         loads.append(LoadSpec(next_id, random_pulse_set(rng, g, m_max=5)))
@@ -292,6 +294,25 @@ def record_bytes(traj):
             [x.values.tobytes() for x in traj.final_profiles], traj.terminated_by)
 
 
+def test_records_without_diagnostics_differ_only_in_nan_diagnostics():
+    rng = np.random.default_rng(11)
+    g = grid()
+    loads = mixed_fleet(rng, g, 2, 5)
+    b = random_base(rng, g)
+    fields = dict(max_iterations=40, master_seed=9, stop_on_epsilon=False)
+    on = run(loads, b, EngineConfig(**fields))
+    off = run(loads, b, EngineConfig(**fields, record_diagnostics=False))
+    assert all(math.isnan(r.escape_probability) and math.isnan(r.expected_next_objective)
+               for r in off.records)
+    assert not any(math.isnan(r.escape_probability) for r in on.records)
+
+    def without_diagnostics(traj):
+        records, finals, terminated = record_bytes(traj)
+        return [r[:3] + r[5:] for r in records], finals, terminated
+
+    assert without_diagnostics(off) == without_diagnostics(on)
+
+
 class TestSignalMemo:
     """Reusing updates while the signal repeats changes no bit of a run."""
 
@@ -299,12 +320,14 @@ class TestSignalMemo:
         quiet_runs = []
 
         @settings(max_examples=25, deadline=None)
-        @given(seed=st.integers(0, 2**32 - 1), n_convex=st.integers(0, 2),
-               n_finite=st.integers(2, 8), master_seed=st.integers(0, MASK64))
-        def prop(seed, n_convex, n_finite, master_seed):
+        @given(seed=st.integers(0, 2**32 - 1), n_convex=st.integers(0, 3),
+               n_finite=st.integers(2, 8), master_seed=st.integers(0, MASK64),
+               share_convex=st.booleans())
+        def prop(seed, n_convex, n_finite, master_seed, share_convex):
             rng = np.random.default_rng(seed)
             g = grid()
-            loads = mixed_fleet(rng, g, n_convex, n_finite)
+            # convex loads sharing a set share the memo's (set, c, row) keys
+            loads = mixed_fleet(rng, g, n_convex, n_finite, share_convex)
             b = random_base(rng, g)
             # convex rows need up to ~150 rounds to stop moving bit for bit
             cfg = EngineConfig(max_iterations=150, master_seed=master_seed,
@@ -347,6 +370,27 @@ class TestSignalMemo:
             assert signals[k - 1].values.tobytes() == signals[k - 2].values.tobytes()
             assert k not in calls
         assert 1 in calls
+
+    def test_identical_convex_loads_project_once_per_signal(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        g = grid()
+        loads = mixed_fleet(rng, g, 4, 2, share_convex=True)
+        b = random_base(rng, g)
+        signals, calls = [], []
+        update = engine.convex_load_update
+        monkeypatch.setattr(engine, "convex_load_update",
+                            lambda *args: calls.append(len(signals)) or update(*args))
+        signal = engine.coordinator_signal
+        monkeypatch.setattr(engine, "coordinator_signal",
+                            lambda *args: signals.append(signal(*args)) or signals[-1])
+        traj = run(loads, b, EngineConfig(max_iterations=30, stop_on_epsilon=False))
+        monkeypatch.undo()
+        # the four rows start equal and stay equal (criterion 6), so they share one key
+        assert len({x.values.tobytes() for x in traj.final_profiles[:4]}) == 1
+        new_signal = [k for k in range(1, len(signals) + 1)
+                      if k == 1 or signals[k - 1].values.tobytes()
+                      != signals[k - 2].values.tobytes()]
+        assert calls == new_signal
 
 
 class TestRunValidation:
@@ -412,7 +456,8 @@ class TestRunValidation:
         with pytest.raises(ConfigurationError, match="load id"):
             RosterEntry(load_id, False, 1.0)
 
-    @pytest.mark.parametrize("c", [math.inf, math.nan, -1.0, 0, True, "1", 10**400])
+    @pytest.mark.parametrize("c", [math.inf, math.nan, -1.0, 0, True, np.True_, "1",
+                                   10**400])
     def test_bad_weight_rejected_when_built(self, c):
         s = random_convex_set(np.random.default_rng(36), grid())
         with pytest.raises(ConfigurationError, match="c must be finite and positive"):

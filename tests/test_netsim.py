@@ -350,6 +350,70 @@ class TestFailureModes:
         fails_with(ConfigurationError, refused_agent)   # STOP RosterMismatch
         fails_with(AgentLostError, vanishing_agent)     # STOP AgentLost
 
+    def test_duplicate_hello_is_refused(self):
+        rng = np.random.default_rng(15)
+        g = TimeGrid(6.0, 12)
+        endpoint = free_endpoint()
+        roster = [RosterEntry(0, False, 2.0), RosterEntry(1, False, 2.0)]
+        result = {}
+
+        def coordinate():
+            try:
+                serve_coordinator(random_base(rng, g), roster, EngineConfig(),
+                                  endpoint, timeout=10.0)
+            except Exception as exc:
+                result["error"] = exc
+
+        coord = threading.Thread(target=coordinate)
+        coord.start()
+        hello = f"MESSAGE HELLO 0 0 {grid_digest(g)} convex 2.0\n"
+        with _connect_with_retry(endpoint, timeout=10.0) as first, \
+                first.makefile("rw", encoding="ascii", newline="\n") as fh:
+            fh.write(hello)
+            fh.flush()
+            assert fh.readline().startswith("MESSAGE ASSIGN 0 0 ")
+            with _connect_with_retry(endpoint, timeout=10.0) as second, \
+                    second.makefile("rw", encoding="ascii", newline="\n") as fh2:
+                fh2.write(hello)
+                fh2.flush()
+                assert fh2.readline() == "MESSAGE STOP 0 DuplicateId\n"
+                coord.join(timeout=30)
+        assert isinstance(result.get("error"), ConfigurationError)
+        assert "duplicate load id 0" in str(result["error"])
+
+    @pytest.mark.parametrize("iteration,sender,message", [
+        (2, 0, "profile update for iteration 2, expected 1"),
+        (1, 7, "update from 7 on connection 0"),
+    ], ids=["wrong-iteration", "wrong-sender"])
+    def test_misaddressed_update_is_protocol_error(self, iteration, sender, message):
+        rng = np.random.default_rng(16)
+        g = TimeGrid(6.0, 12)
+        endpoint = free_endpoint()
+        roster = [RosterEntry(0, False, 2.0)]
+        result = {}
+
+        def coordinate():
+            try:
+                serve_coordinator(random_base(rng, g), roster, EngineConfig(),
+                                  endpoint, timeout=10.0)
+            except Exception as exc:
+                result["error"] = exc
+
+        coord = threading.Thread(target=coordinate)
+        coord.start()
+        with _connect_with_retry(endpoint, timeout=10.0) as conn, \
+                conn.makefile("rw", encoding="ascii", newline="\n") as fh:
+            fh.write(f"MESSAGE HELLO 0 0 {grid_digest(g)} convex 2.0\n")
+            fh.flush()
+            assert fh.readline().startswith("MESSAGE ASSIGN")
+            assert fh.readline().startswith("MESSAGE SIGNAL 1 ")
+            fh.write(f"MESSAGE PROFILEUPDATE {iteration} {sender} 1.0 "
+                     f"{g.slots} {_encode_floats(np.zeros(g.slots))}\n")
+            fh.flush()
+            coord.join(timeout=30)
+        assert isinstance(result.get("error"), ProtocolError)
+        assert message in str(result["error"])
+
     @pytest.mark.parametrize("line", [
         "MESSAGE HELLO 0",
         "MESSAGE HELLO 0 abc x",

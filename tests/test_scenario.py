@@ -62,6 +62,19 @@ class TestHeterogeneity:
         assert doubled.energy == pytest.approx(2.0 * base.energy, rel=1e-12)
         assert doubled.sqnorm == pytest.approx(4.0 * base.sqnorm, rel=1e-12)
 
+    @pytest.mark.parametrize("field", ["ev_rate", "ev_duration_hours"])
+    @pytest.mark.parametrize("value", [0.0, -3.3, np.inf, np.nan, True])
+    def test_rate_and_duration_checked_when_built(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite and positive"):
+            FleetSpec(households=1, penetration=1.0, **{field: value})
+
+    @pytest.mark.parametrize("field", ["rate_range", "duration_range"])
+    @pytest.mark.parametrize("pair", [(-2.0, -1.0), (1.2, 0.8), (0.0, 0.0),
+                                      (0.0, 1.0), (0.9, np.inf), (np.nan, 1.0)])
+    def test_ranges_checked_when_built(self, field, pair):
+        with pytest.raises(ValueError, match=f"{field} must be finite with 0 < lo <= hi"):
+            HeterogeneitySpec(**{field: pair})
+
     def test_long_pulse_shrinks_window(self):
         spec = FleetSpec(households=1, penetration=1.0, ev_duration_hours=5.0)
         s = build_fleet(spec)[0].constraint
