@@ -16,7 +16,6 @@ import dataclasses
 import itertools
 import json
 import math
-import operator
 import os
 import sys
 from dataclasses import dataclass
@@ -25,8 +24,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import analysis, netsim
-from .core import (Objective, ObjectiveKind, Profile, TimeGrid, aggregate, norm,
-                   norm2)
+from .core import (Objective, ObjectiveKind, Profile, TimeGrid, _flag, _integer,
+                   _number, _number_text, aggregate, norm, norm2)
 from .engine import EngineConfig, LoadSpec, Trajectory, run
 from .scenario import (BaseLoadSpec, FleetSpec, HeterogeneitySpec, SynthParams,
                        build_case_study)
@@ -103,37 +102,20 @@ def load_manifest(path: Optional[str], overrides: argparse.Namespace) -> Manifes
     return Manifest(**parts)
 
 
-def _number(value) -> float:
-    """A finite JSON number as a float; booleans, strings, NaN and ±Infinity are not."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError("must be a number")
-    if not math.isfinite(value):  # an integer past float range raises OverflowError
-        raise ValueError("must be finite")
-    return float(value)
-
-
-def _integer(value) -> int:
-    """A JSON integer within float range; booleans, strings and floats are not integers."""
-    if isinstance(value, bool):
-        raise TypeError("must be an integer")
-    value = operator.index(value)
-    _number(value)  # finite as a float
+def _json_integer(value) -> int:
+    """An integer by core's rule that is, as every manifest number, finite as a float."""
+    value = _integer(value)
+    _number(value)
     return value
 
 
-def _pair(value) -> Tuple[float, float]:
-    lo, hi = value
-    return (_number(lo), _number(hi))
-
-
-def _window(value) -> Tuple[int, int]:
-    first, last = value
-    return (_integer(first), _integer(last))
-
-
-def _peak_slots(value) -> Tuple[int, int, int]:
-    evening, valley, morning = value
-    return (_integer(evening), _integer(valley), _integer(morning))
+def _list_of(rule, length: int):
+    """A converter of a JSON list of `length` values, each by `rule`, to a tuple."""
+    def convert(value) -> tuple:
+        if not isinstance(value, list) or len(value) != length:
+            raise ValueError(f"must be a list of {length} values")
+        return tuple(map(rule, value))
+    return convert
 
 
 def _jitter(value) -> Tuple[float, float]:
@@ -147,12 +129,6 @@ def _jitter(value) -> Tuple[float, float]:
 def _text(value) -> str:
     if not isinstance(value, str):
         raise TypeError("must be a string")
-    return value
-
-
-def _flag(value) -> bool:
-    if not isinstance(value, bool):
-        raise TypeError("must be true or false")
     return value
 
 
@@ -178,7 +154,7 @@ def _fields(section, keys: dict, where: str) -> dict:
             out[field] = convert(value)
         except InputError:
             raise
-        except (TypeError, ValueError, OverflowError) as exc:
+        except (TypeError, ValueError) as exc:
             raise InputError(f"bad {where}.{key} {value!r}: {exc}") from None
     return out
 
@@ -193,12 +169,12 @@ def _section(cls, section, keys: dict, where: str):
 
 
 _GRID_KEYS = {"horizon_hours": ("horizon_hours", _number),
-              "slots": ("slots", _integer)}
+              "slots": ("slots", _json_integer)}
 
 _HETEROGENEITY_KEYS = {"rate_jitter": ("rate_range", _jitter),
-                       "rate_range": ("rate_range", _pair),
+                       "rate_range": ("rate_range", _list_of(_number, 2)),
                        "duration_jitter": ("duration_range", _jitter),
-                       "duration_range": ("duration_range", _pair)}
+                       "duration_range": ("duration_range", _list_of(_number, 2))}
 
 
 def _heterogeneity(section) -> Optional[HeterogeneitySpec]:
@@ -209,18 +185,18 @@ def _heterogeneity(section) -> Optional[HeterogeneitySpec]:
 
 
 # Fleet keys, README's names and FleetSpec's, with the field each sets.
-_FLEET_KEYS = {"households": ("households", _integer),
+_FLEET_KEYS = {"households": ("households", _json_integer),
                "penetration": ("penetration", _number),
                "charger_kw": ("ev_rate", _number), "ev_rate": ("ev_rate", _number),
                "charge_hours": ("ev_duration_hours", _number),
                "ev_duration_hours": ("ev_duration_hours", _number),
-               "start_window": ("start_window", _window),
+               "start_window": ("start_window", _list_of(_json_integer, 2)),
                "heterogeneity": ("heterogeneity", _heterogeneity)}
 
 _SYNTH_KEYS = {"evening_peak_kw": ("evening_peak_kw", _number),
                "morning_peak_kw": ("morning_peak_kw", _number),
                "valley_kw": ("valley_kw", _number),
-               "peak_slots": ("peak_slots", _peak_slots)}
+               "peak_slots": ("peak_slots", _list_of(_json_integer, 3))}
 
 _BASELOAD_KEYS = {"csv": ("csv_path", _text),
                   "synth": ("synth", lambda s: _section(SynthParams, s, _SYNTH_KEYS,
@@ -232,12 +208,15 @@ def _baseload(section) -> BaseLoadSpec:
     fields = _fields(section, _BASELOAD_KEYS, "baseload")
     if "csv_path" in fields:  # a CSV takes precedence over the default synth
         fields.pop("synth", None)
-    return BaseLoadSpec(**fields)  # the default synth leaves exactly one source
+    try:  # the default synth leaves exactly one source
+        return BaseLoadSpec(**fields)
+    except ValueError as exc:
+        raise InputError(f"bad baseload: {exc}") from None
 
 
 _ENGINE_KEYS = {"epsilon": ("epsilon", _number),
-                "max_iterations": ("max_iterations", _integer),
-                "master_seed": ("master_seed", _integer)}
+                "max_iterations": ("max_iterations", _json_integer),
+                "master_seed": ("master_seed", _json_integer)}
 
 _OBJECTIVE_KEYS = {"kind": ("kind", ObjectiveKind),
                    "target": ("target", lambda v: np.array([_number(x) for x in v]))}
@@ -315,7 +294,7 @@ def profiles_from_csv(path, grid: TimeGrid) -> Dict[int, Profile]:
                     rows = np.loadtxt(tails, delimiter=",", comments=None, ndmin=2)
             for (n, (head, _, tail)), row in zip(chunk, rows):
                 try:
-                    load_id = int(head)
+                    load_id = int(_number_text(head))
                     if row is None:
                         row = (np.loadtxt([tail], delimiter=",", comments=None, ndmin=1)
                                if tail else np.empty(0))
@@ -393,7 +372,7 @@ def _penetrations(text: Optional[str]) -> List[float]:
     levels = []
     for entry in text.split(","):
         try:
-            level = float(entry)
+            level = float(_number_text(entry))
         except ValueError:
             level = math.nan
         if not (math.isfinite(level) and level >= 0):
@@ -430,11 +409,10 @@ def cmd_experiment(args) -> int:
     mean_aggregates: List[np.ndarray] = []
     for pen in penetrations:
         escapes = np.zeros((len(seeds), iterations))
-        agg = np.zeros(manifest.grid.slots)
+        ev_sum = np.zeros(manifest.grid.slots)  # over seeds, of each seed's EV sum
         for s, seed in enumerate(seeds):
             b, base, loads = _scenario(manifest, seed, pen)
             if not loads:
-                agg += b.values
                 continue
             # only a fixed point stops a sweep's run early: escape 0 after it is exact
             cfg = dataclasses.replace(manifest.engine, master_seed=seed,
@@ -442,10 +420,11 @@ def cmd_experiment(args) -> int:
             traj = run(loads, base, cfg)
             for rec in traj.records:
                 escapes[s, rec.k - 1] = rec.escape_probability
-            agg += aggregate(b, traj.final_profiles).values
+            ev_sum += aggregate(Profile.zeros(b.grid), traj.final_profiles).values
         escape_rows += [[repr(pen), str(k + 1), repr(float(mean))]
                         for k, mean in enumerate(escapes.mean(axis=0))]
-        mean_aggregates.append(agg / len(seeds))
+        # b does not depend on the seed, so it is added once, exactly
+        mean_aggregates.append(b.values + ev_sum / len(seeds))
     if args.name == "escape-sweep":
         _write_csv(os.path.join(out, "escape_sweep.csv"),
                    ["penetration", "k", "mean_escape_probability"], escape_rows)

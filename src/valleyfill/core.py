@@ -7,13 +7,15 @@ Units are fixed throughout the package: rates in kW, time in hours,
 energy in kWh, squared norms in kW^2*h.  All integrals are discretized
 as left-Riemann sums on a uniform grid, and every reduction runs in
 ascending slot index order so results are bit-reproducible.
+The package's value rules live here too, one per input kind: `_number`,
+`_integer`, `_flag` and, for numbers written as text, `_number_text`.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-import numbers
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -36,34 +38,88 @@ class GridMismatchError(ValueError):
     """Raised when profiles on different time grids are combined."""
 
 
-def _finite_positive(value) -> bool:
-    """Whether `value` is a finite number > 0; a bool is not a number here."""
+# Python's and numpy's integer and float types; a numpy bool is neither.
+_REAL_TYPES = (int, float, np.integer, np.floating)
+
+
+def _number(value) -> float:
+    """`value` as a float, if it is a finite integer or float (numpy's too).
+
+    Bools (numpy's too) and strings are not numbers: TypeError.  NaN,
+    ±inf and an integer past float range: ValueError.
+    """
+    if isinstance(value, bool) or not isinstance(value, _REAL_TYPES):
+        raise TypeError("must be a number")
     try:
-        return (not isinstance(value, (bool, np.bool_)) and math.isfinite(value)
-                and value > 0)
-    except (TypeError, OverflowError):
-        return False
+        number = float(value)
+    except OverflowError as exc:  # an integer past float range
+        raise ValueError(str(exc)) from None
+    if not math.isfinite(number):
+        raise ValueError("must be finite")
+    return number
+
+
+def _integer(value) -> int:
+    """`value` as an int, if `operator.index` accepts it and it is not a bool."""
+    if isinstance(value, (bool, np.bool_)):
+        raise TypeError("must be an integer")
+    return operator.index(value)
+
+
+def _flag(value) -> bool:
+    """`value` as a bool, if it is a bool or a numpy bool."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise TypeError("must be true or false")
+    return bool(value)
+
+
+def _checked(rule, value):
+    """`rule(value)`, or None where the rule rejects `value`."""
+    try:
+        return rule(value)
+    except (TypeError, ValueError):
+        return None
+
+
+def _finite_positive(value) -> bool:
+    """Whether `value` is a number by `_number`'s rule and > 0."""
+    number = _checked(_number, value)
+    return number is not None and number > 0
+
+
+def _number_text(text: str) -> str:
+    """`text`, if it writes its numbers as `np.loadtxt` reads them.
+
+    Python's `int` and `float` also read digit separators (``1_0``) and
+    non-ASCII digits, which `np.loadtxt` rejects; so does this check, with
+    ValueError.  Past it, `int` and `float` read `text` as `np.loadtxt` does.
+    """
+    if "_" in text or not text.isascii():
+        raise ValueError("numbers are written in ASCII without digit separators")
+    return text
 
 
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform discretization of [0, T] into `slots` slots of width `dt` hours.
 
-    horizon_hours is a finite number > 0 and slots an integer >= 1, stored
-    as an int; bools are neither.  A bad value raises ValueError.
+    horizon_hours is a number > 0 by `_number`'s rule, stored as a float,
+    and slots an integer >= 1 by `_integer`'s, stored as an int.  A bad
+    value raises ValueError.
     """
 
     horizon_hours: float
     slots: int
 
     def __post_init__(self):
-        if not _finite_positive(self.horizon_hours):
+        horizon, slots = _checked(_number, self.horizon_hours), _checked(_integer, self.slots)
+        if horizon is None or horizon <= 0:
             raise ValueError(f"horizon_hours must be a finite number > 0, "
                              f"got {self.horizon_hours!r}")
-        slots = self.slots
-        if isinstance(slots, bool) or not isinstance(slots, numbers.Integral) or slots < 1:
-            raise ValueError(f"slots must be an integer >= 1, got {slots!r}")
-        object.__setattr__(self, "slots", int(slots))
+        if slots is None or slots < 1:
+            raise ValueError(f"slots must be an integer >= 1, got {self.slots!r}")
+        object.__setattr__(self, "horizon_hours", horizon)
+        object.__setattr__(self, "slots", slots)
 
     @property
     def dt(self) -> float:

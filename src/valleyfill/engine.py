@@ -45,8 +45,8 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .core import (GridMismatchError, Profile, TimeGrid, _finite_positive, aggregate,
-                   norm, norm2)
+from .core import (GridMismatchError, Profile, TimeGrid, _finite_positive, _flag,
+                   _integer, aggregate, norm, norm2)
 from .feasible import (ConvexChargeSet, Distribution, FinitePulseSet,
                        SolverError, hull_minimize, project_convex, sample)
 
@@ -73,21 +73,14 @@ class ConfigurationError(ValueError):
     """Invalid engine configuration, surfaced before iteration 1."""
 
 
-def _integer(value, what: str) -> int:
-    """`value` as an int; a bool or a non-integer raises ConfigurationError."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ConfigurationError(f"{what} must be an integer, got {value!r}")
-
-
-def _flag(value, what: str) -> bool:
-    """`value` as a bool; a numpy bool converts, anything else raises ConfigurationError."""
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    raise ConfigurationError(f"{what} must be a bool, got {value!r}")
+def _setting(rule, value, what: str):
+    """`rule(value)` for core's `_integer` or `_flag`; a value the rule rejects
+    raises ConfigurationError naming `what`."""
+    try:
+        return rule(value)
+    except TypeError:
+        kind = "an integer" if rule is _integer else "a bool"
+        raise ConfigurationError(f"{what} must be {kind}, got {value!r}") from None
 
 
 def _check_load(load) -> None:
@@ -97,7 +90,7 @@ def _check_load(load) -> None:
     number > 0; otherwise ConfigurationError.
     """
     if type(load.id) is not int:  # a plain int needs no conversion
-        object.__setattr__(load, "id", _integer(load.id, "load id"))
+        object.__setattr__(load, "id", _setting(_integer, load.id, "load id"))
     if load.id < 0:
         raise ConfigurationError(f"load id {load.id} is negative; ids must be >= 0")
     if not _finite_positive(load.c):
@@ -141,9 +134,9 @@ class LoadSpec:
 class EngineConfig:
     """Run settings; a bad value raises ConfigurationError when it is built.
 
-    epsilon is a finite number > 0, max_iterations an integer >= 1,
-    master_seed an integer (bools are not integers here), and
-    record_diagnostics and stop_on_epsilon bools.
+    By core's rules, epsilon is a number > 0, max_iterations an integer
+    >= 1, master_seed an integer, and record_diagnostics and
+    stop_on_epsilon flags.
     """
 
     epsilon: float = 1e-6
@@ -159,13 +152,11 @@ class EngineConfig:
         if not _finite_positive(self.epsilon):
             raise ConfigurationError(
                 f"epsilon must be finite and positive, got {self.epsilon!r}")
-        object.__setattr__(self, "max_iterations",
-                           _integer(self.max_iterations, "max_iterations"))
-        object.__setattr__(self, "master_seed", _integer(self.master_seed, "master_seed"))
+        for name, rule in (("max_iterations", _integer), ("master_seed", _integer),
+                           ("record_diagnostics", _flag), ("stop_on_epsilon", _flag)):
+            object.__setattr__(self, name, _setting(rule, getattr(self, name), name))
         if self.max_iterations < 1:
             raise ConfigurationError("max_iterations must be >= 1")
-        for name in ("record_diagnostics", "stop_on_epsilon"):
-            object.__setattr__(self, name, _flag(getattr(self, name), name))
 
 
 @dataclass

@@ -56,9 +56,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import Profile, TimeGrid, _finite_positive
+from .core import Profile, TimeGrid, _finite_positive, _flag, _number_text
 from .engine import (ConfigurationError, EngineConfig, LoadSpec, Termination,
-                     LoadUpdate, Trajectory, _check_load, _flag, coordinate,
+                     LoadUpdate, Trajectory, _check_load, _setting, coordinate,
                      fleet_weight)
 
 __all__ = [
@@ -96,10 +96,11 @@ class RosterEntry:
     def __post_init__(self):
         _check_load(self)
         object.__setattr__(self, "is_finite",
-                           _flag(self.is_finite, f"load {self.id}: is_finite"))
+                           _setting(_flag, self.is_finite, f"load {self.id}: is_finite"))
 
 
 def grid_digest(grid: TimeGrid) -> str:
+    """`horizon:slots`; equal grids have equal digests (the horizon is a float)."""
     return f"{grid.horizon_hours!r}:{grid.slots}"
 
 
@@ -160,10 +161,11 @@ def _recv(fh, expect: Sequence[str], grid: TimeGrid,
     """Read one message of an expected kind: (kind, iteration, fields).
 
     The fields are the kind's header values, followed by the profile for
-    SIGNAL and PROFILEUPDATE.  Any malformed part, a non-ASCII byte
-    included, raises ProtocolError.  `last` is the connection's dict, kept
-    for the session: a profile whose tokens equal the previous profile's
-    on that connection reuses its parsed Profile.
+    SIGNAL and PROFILEUPDATE.  Any malformed part, a non-ASCII byte or a
+    digit separator (core's `_number_text`) included, raises ProtocolError.
+    `last` is the connection's dict, kept for the session: a profile whose
+    tokens equal the previous profile's on that connection reuses its
+    parsed Profile.
     """
     try:
         line = fh.readline()
@@ -180,6 +182,7 @@ def _recv(fh, expect: Sequence[str], grid: TimeGrid,
     header = _HEADERS[kind]
     payload = parts[3:]
     try:
+        _number_text(line)
         iteration = int(parts[2])
         if len(payload) < len(header):
             raise ValueError(f"{kind} needs {len(header)} header fields")

@@ -17,7 +17,8 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .core import Profile, TimeGrid, _finite_positive
+from .core import (Profile, TimeGrid, _checked, _finite_positive, _integer, _number,
+                   _number_text)
 from .engine import LoadSpec
 from .feasible import FinitePulseSet, make_pulse_set
 
@@ -44,6 +45,14 @@ class BaseLoadError(ValueError):
     """Malformed base-load file; the message names the offending line."""
 
 
+def _set_nonnegative(spec, name: str, rule, kind: str) -> None:
+    """Store `spec.name` as `rule` converts it; ValueError unless that is >= 0."""
+    value = _checked(rule, getattr(spec, name))
+    if value is None or value < 0:
+        raise ValueError(f"{name} must be {kind} >= 0, got {getattr(spec, name)!r}")
+    object.__setattr__(spec, name, value)
+
+
 @dataclass(frozen=True)
 class HeterogeneitySpec:
     """Bounded per-EV jitter; multipliers are drawn uniformly per EV.
@@ -66,9 +75,12 @@ class HeterogeneitySpec:
 
 @dataclass(frozen=True)
 class FleetSpec:
-    """An EV fleet; ev_rate (kW) and ev_duration_hours are finite and > 0.
+    """An EV fleet of round(households * penetration) EVs.
 
-    A bad value raises ValueError.
+    households is an integer >= 0 by core's `_integer` rule (stored as an
+    int), penetration a number >= 0 by `_number`'s (stored as a float),
+    and ev_rate (kW) and ev_duration_hours finite numbers > 0.  A bad value
+    raises ValueError.
     """
 
     households: int
@@ -79,10 +91,8 @@ class FleetSpec:
     heterogeneity: Optional[HeterogeneitySpec] = None
 
     def __post_init__(self):
-        if self.penetration < 0:
-            raise ValueError("penetration must be nonnegative")
-        if self.households < 0:
-            raise ValueError("households must be nonnegative")
+        _set_nonnegative(self, "households", _integer, "an integer")
+        _set_nonnegative(self, "penetration", _number, "a finite number")
         for name in ("ev_rate", "ev_duration_hours"):
             if not _finite_positive(getattr(self, name)):
                 raise ValueError(f"{name} must be finite and positive, "
@@ -102,7 +112,11 @@ class SynthParams:
 
 @dataclass(frozen=True)
 class BaseLoadSpec:
-    """Per-household base load source plus scaling (kW per household)."""
+    """Per-household base load source plus scaling (kW per household).
+
+    Exactly one source is given, and per_household_scale is a number >= 0
+    by core's `_number` rule (stored as a float); otherwise ValueError.
+    """
 
     csv_path: Optional[str] = None
     synth: Optional[SynthParams] = None
@@ -111,6 +125,7 @@ class BaseLoadSpec:
     def __post_init__(self):
         if (self.csv_path is None) == (self.synth is None):
             raise ValueError("exactly one of csv_path or synth must be given")
+        _set_nonnegative(self, "per_household_scale", _number, "a finite number")
 
 
 def synth_baseload(p: SynthParams, grid: TimeGrid) -> Profile:
@@ -169,8 +184,8 @@ def load_baseload_csv(path, grid: TimeGrid) -> Profile:
             if len(row) != 2:
                 raise BaseLoadError(f"{path}: line {line}: expected 2 fields, got {row!r}")
             try:
-                slot = int(row[0])
-                kw = float(row[1])
+                slot = int(_number_text(row[0]))
+                kw = float(_number_text(row[1]))
             except ValueError:
                 raise BaseLoadError(f"{path}: line {line}: unparsable row {row!r}") from None
             if slot != count:

@@ -367,7 +367,8 @@ class TestAnalyze:
         lambda rows: rows[1].__setitem__(3, "x"),
         lambda rows: rows[1].pop(),
         lambda rows: rows[1].__setitem__(0, rows[0][0]),
-    ], ids=["non-numeric-value", "short-row", "repeated-id"])
+        lambda rows: rows[1].__setitem__(0, "0_" + rows[1][0]),
+    ], ids=["non-numeric-value", "short-row", "repeated-id", "separator-in-id"])
     def test_malformed_profiles_exit_2_naming_the_line(self, tmp_path, capsys,
                                                        corrupt):
         manifest = write_manifest(tmp_path)
@@ -661,18 +662,20 @@ class TestExperiment:
         assert escapes[fixed_k - 1:] == [0.0] * (15 - fixed_k + 1)
 
     def test_profile_sweep_without_evs_is_the_base_load(self, tmp_path):
-        """At penetration 0 the mean aggregate is fleet-gen's base load, bit for bit."""
+        """At penetration 0 the mean aggregate is fleet-gen's base load, bit for
+        bit, whatever the number of seeds."""
         manifest = write_manifest(tmp_path)
         assert main(["fleet-gen", "--manifest", manifest,
                      "--out", str(tmp_path / "fleet")]) == 0
-        assert main(["experiment", "profile-sweep", "--manifest", manifest,
-                     "--out", str(tmp_path / "sweep"), "--penetrations", "0,0.3",
-                     "--seeds", "1"]) == 0
-        sweep = read_rows(tmp_path / "sweep" / "profile_sweep.csv")
         base = read_rows(tmp_path / "fleet" / "baseload.csv")
-        assert sweep[0][1] == "mean_aggregate_kw_pen_0.0"
-        assert [row[1] for row in sweep[1:]] == [row[1] for row in base[1:]]
         assert float(base[1][1]) > 0.0
+        for seeds in ("1", "3", "7"):
+            assert main(["experiment", "profile-sweep", "--manifest", manifest,
+                         "--out", str(tmp_path / seeds), "--penetrations", "0,0.3",
+                         "--seeds", seeds]) == 0
+            sweep = read_rows(tmp_path / seeds / "profile_sweep.csv")
+            assert sweep[0][1] == "mean_aggregate_kw_pen_0.0"
+            assert [row[1] for row in sweep[1:]] == [row[1] for row in base[1:]]
 
     @pytest.mark.parametrize("name,table", [("escape-sweep", "escape_sweep.csv"),
                                             ("profile-sweep", "profile_sweep.csv")])
@@ -705,7 +708,7 @@ class TestExperiment:
         assert captured.err == f"error: --seeds must be >= 1, got {seeds}\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("levels", ["0.2,x", "-0.5"])
+    @pytest.mark.parametrize("levels", ["0.2,x", "-0.5", "0_5"])
     def test_bad_penetrations_exit_2(self, tmp_path, capsys, levels):
         out = tmp_path / "out"
         assert main(["experiment", "bound-sweep", "--manifest",
@@ -866,6 +869,15 @@ class TestFleetGen:
         assert main(["fleet-gen", "--manifest", manifest,
                      "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith(f"error: {message}, got ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["fleet-gen", "run"])
+    def test_negative_household_scale_exits_2(self, tmp_path, capsys, command):
+        manifest = write_manifest(tmp_path, {"baseload": {"per_household_scale": -1}})
+        assert main([command, "--manifest", manifest,
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: bad baseload: per_household_scale must be a finite number >= 0")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["fleet-gen", "run"])

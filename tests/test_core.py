@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 import valleyfill
 from valleyfill.cli import main
 from valleyfill.core import (GridMismatchError, Objective, ObjectiveKind,
-                             Profile, TimeGrid, aggregate, norm2)
+                             Profile, TimeGrid, _flag, _integer, _number,
+                             _number_text, aggregate, norm2)
 
 
 def grid(T=24.0, S=96):
@@ -34,6 +35,62 @@ class TestPublicNames:
                  if isinstance(node, ast.ImportFrom) for alias in node.names]
         assert names
         assert [n for n in names if not hasattr(valleyfill, n)] == []
+
+
+# The values on which the package's former copies of each rule disagreed.
+RULE_VALUES = [np.int64(3), np.True_, 2.5, True, 10**400, "3"]
+RULE_IDS = ["numpy-int", "numpy-bool", "fraction", "bool", "past-float-range",
+            "string"]
+
+
+class TestValueRules:
+    """core's one rule per input kind; a result's type is part of the rule."""
+
+    @staticmethod
+    def check(rule, value, expected):
+        if isinstance(expected, type):
+            with pytest.raises(expected):
+                rule(value)
+        else:
+            result = rule(value)
+            assert result == expected and type(result) is type(expected)
+
+    @pytest.mark.parametrize("value,expected", zip(
+        RULE_VALUES, [3.0, TypeError, 2.5, TypeError, ValueError, TypeError]),
+        ids=RULE_IDS)
+    def test_number(self, value, expected):
+        self.check(_number, value, expected)
+
+    @pytest.mark.parametrize("value,expected", zip(
+        RULE_VALUES, [3, TypeError, TypeError, TypeError, 10**400, TypeError]),
+        ids=RULE_IDS)
+    def test_integer(self, value, expected):
+        self.check(_integer, value, expected)
+
+    @pytest.mark.parametrize("value,expected", zip(
+        RULE_VALUES, [TypeError, True, TypeError, True, TypeError, TypeError]),
+        ids=RULE_IDS)
+    def test_flag(self, value, expected):
+        self.check(_flag, value, expected)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
+                             ids=["nan", "inf", "minus-inf"])
+    def test_number_is_finite(self, value):
+        with pytest.raises(ValueError, match="must be finite"):
+            _number(value)
+
+    @pytest.mark.parametrize("text", ["1_0", "0_4", "\u0661", "1.5e+3 2"])
+    def test_number_text_is_what_loadtxt_reads(self, text):
+        """Past the check, Python's int and float read what np.loadtxt reads."""
+        try:
+            loadtxt = np.loadtxt([text], comments=None, ndmin=1).tolist()
+        except ValueError:
+            loadtxt = None
+        try:
+            checked = [float(t) for t in _number_text(text).split()]
+        except ValueError:
+            checked = None
+        assert checked == loadtxt
 
 
 class TestTimeGrid:
@@ -65,6 +122,11 @@ class TestTimeGrid:
     def test_numpy_integer_slots_are_stored_as_int(self):
         g = TimeGrid(24.0, np.int64(96))
         assert type(g.slots) is int and g == TimeGrid(24.0, 96)
+
+    def test_integer_horizon_is_stored_as_float(self):
+        g = TimeGrid(24, 96)
+        assert type(g.horizon_hours) is float and g == TimeGrid(24.0, 96)
+        assert hash(g) == hash(TimeGrid(24.0, 96))
 
 
 class TestProfile:

@@ -110,10 +110,26 @@ class TestEquivalence:
         assert_trajectories_equivalent(net, local)
 
 
+    def test_equal_grids_of_other_number_types(self):
+        """A session on TimeGrid(24.0, 4) serves loads built on TimeGrid(24, 4)."""
+        rng = np.random.default_rng(21)
+        g_agent = TimeGrid(24, 4)
+        loads = [LoadSpec(0, random_convex_set(rng, g_agent)),
+                 LoadSpec(1, random_pulse_set(rng, g_agent, m_max=3)),
+                 LoadSpec(2, random_pulse_set(rng, g_agent, m_max=3))]
+        b = random_base(rng, TimeGrid(24.0, 4))
+        cfg = EngineConfig(max_iterations=20, master_seed=5)
+        assert_trajectories_equivalent(networked_run(loads, b, cfg), run(loads, b, cfg))
+
+
 class TestHandshake:
     def test_grid_digest_format(self):
         assert grid_digest(TimeGrid(24.0, 96)) == "24.0:96"
         assert grid_digest(TimeGrid(24.0, 96)) != grid_digest(TimeGrid(24.0, 48))
+
+    def test_equal_grids_have_equal_digests(self):
+        assert TimeGrid(24, 96) == TimeGrid(24.0, 96)
+        assert grid_digest(TimeGrid(24, 96)) == grid_digest(TimeGrid(24.0, 96))
 
     def test_grid_mismatch_refused(self):
         rng = np.random.default_rng(5)
@@ -517,9 +533,16 @@ class TestWireParsing:
         b"MESSAGE HELLO 0 0 3.0:3 pulse 2.5\n",
         b"MESSAGE HELLO 0 0 3.0:3 convex 0.0\n",
         b"MESSAGE HELLO 0 0 3.0:3 convex\n",
+        # Python's int and float read digit separators; np.loadtxt does not
+        b"MESSAGE SIGNAL 1_0 2.0 3 1_0 0.5 0.5\n",
+        b"MESSAGE SIGNAL 1 2.0 0_3 0.5 0.5 0.5\n",
+        b"MESSAGE SIGNAL 1 2_0.5 3 0.5 0.5 0.5\n",
+        b"MESSAGE PROFILEUPDATE 1 0 0.5 3 0.5 0.5 1_0\n",
     ], ids=["nan-weight", "negative-weight", "infinite-weight", "non-ascii-value",
             "non-ascii-stop", "hello-unknown-kind", "hello-zero-weight",
-            "hello-no-weight"])
+            "hello-no-weight", "separator-in-iteration-and-value",
+            "separator-in-slot-count", "separator-in-weight",
+            "separator-in-update-value"])
     def test_bad_signal_is_protocol_error(self, data):
         with pytest.raises(ProtocolError):
             read_wire(data)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -67,6 +69,23 @@ class TestHeterogeneity:
     def test_rate_and_duration_checked_when_built(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be finite and positive"):
             FleetSpec(households=1, penetration=1.0, **{field: value})
+
+    @pytest.mark.parametrize("field,value", [
+        ("households", 2.5), ("households", True), ("households", -1),
+        ("households", "4"), ("penetration", math.nan), ("penetration", math.inf),
+        ("penetration", -0.5), ("penetration", np.True_),
+    ], ids=["households-fraction", "households-bool", "households-negative",
+            "households-string", "penetration-nan", "penetration-inf",
+            "penetration-negative", "penetration-numpy-bool"])
+    def test_households_and_penetration_checked_when_built(self, field, value):
+        kind = "an integer" if field == "households" else "a finite number"
+        with pytest.raises(ValueError, match=f"{field} must be {kind} >= 0, got "):
+            FleetSpec(**{"households": 4, "penetration": 1.0, field: value})
+
+    def test_checked_counts_are_stored_as_int_and_float(self):
+        spec = FleetSpec(households=np.int64(4), penetration=1)
+        assert (type(spec.households), type(spec.penetration)) == (int, float)
+        assert len(build_fleet(spec)) == 4
 
     @pytest.mark.parametrize("field", ["rate_range", "duration_range"])
     @pytest.mark.parametrize("pair", [(-2.0, -1.0), (1.2, 0.8), (0.0, 0.0),
@@ -180,6 +199,15 @@ class TestCsvLoader:
         with pytest.raises(BaseLoadError, match="line 3.*unparsable"):
             load_baseload_csv(self.write(tmp_path, rows), g)
 
+    @pytest.mark.parametrize("row", ["1,1_0", "0_1,1.0", "1,\u0661"],
+                             ids=["separator-in-value", "separator-in-slot",
+                                  "non-ascii-digit"])
+    def test_numbers_np_loadtxt_rejects_are_unparsable(self, tmp_path, row):
+        g = TimeGrid(2.0, 4)
+        rows = ["0,1.0", row, "2,1.0", "3,1.0"]
+        with pytest.raises(BaseLoadError, match="line 3.*unparsable"):
+            load_baseload_csv(self.write(tmp_path, rows), g)
+
     @pytest.mark.parametrize("row", ["1,1.0,9", "1", "1,1.0,"])
     def test_row_of_other_than_two_fields(self, tmp_path, row):
         g = TimeGrid(2.0, 4)
@@ -212,6 +240,13 @@ class TestCaseStudy:
                                     grid=g)
         assert fleet == []
         assert np.allclose(b.values, [10.0, 20.0, 5.0, 0.0])
+
+    @pytest.mark.parametrize("scale", [-1, math.nan, math.inf, True, "1"],
+                             ids=["negative", "nan", "inf", "bool", "string"])
+    def test_scale_checked_when_built(self, scale):
+        with pytest.raises(ValueError,
+                           match="per_household_scale must be a finite number >= 0"):
+            BaseLoadSpec(synth=SynthParams(), per_household_scale=scale)
 
     def test_spec_requires_exactly_one_source(self):
         with pytest.raises(ValueError):
