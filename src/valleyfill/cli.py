@@ -25,7 +25,7 @@ import numpy as np
 
 from . import analysis, netsim
 from .core import (Objective, ObjectiveKind, Profile, TimeGrid, _flag, _integer,
-                   _number, _number_text, aggregate, norm, norm2)
+                   _items, _number, _number_text, aggregate, norm, norm2)
 from .engine import EngineConfig, LoadSpec, Trajectory, run
 from .scenario import (BaseLoadSpec, FleetSpec, HeterogeneitySpec, SynthParams,
                        build_case_study)
@@ -109,15 +109,6 @@ def _json_integer(value) -> int:
     return value
 
 
-def _list_of(rule, length: int):
-    """A converter of a JSON list of `length` values, each by `rule`, to a tuple."""
-    def convert(value) -> tuple:
-        if not isinstance(value, list) or len(value) != length:
-            raise ValueError(f"must be a list of {length} values")
-        return tuple(map(rule, value))
-    return convert
-
-
 def _jitter(value) -> Tuple[float, float]:
     """A jitter j stands for the multiplier range (1 - j, 1 + j)."""
     j = _number(value)
@@ -172,9 +163,9 @@ _GRID_KEYS = {"horizon_hours": ("horizon_hours", _number),
               "slots": ("slots", _json_integer)}
 
 _HETEROGENEITY_KEYS = {"rate_jitter": ("rate_range", _jitter),
-                       "rate_range": ("rate_range", _list_of(_number, 2)),
+                       "rate_range": ("rate_range", _items(_number, 2)),
                        "duration_jitter": ("duration_range", _jitter),
-                       "duration_range": ("duration_range", _list_of(_number, 2))}
+                       "duration_range": ("duration_range", _items(_number, 2))}
 
 
 def _heterogeneity(section) -> Optional[HeterogeneitySpec]:
@@ -190,13 +181,13 @@ _FLEET_KEYS = {"households": ("households", _json_integer),
                "charger_kw": ("ev_rate", _number), "ev_rate": ("ev_rate", _number),
                "charge_hours": ("ev_duration_hours", _number),
                "ev_duration_hours": ("ev_duration_hours", _number),
-               "start_window": ("start_window", _list_of(_json_integer, 2)),
+               "start_window": ("start_window", _items(_json_integer, 2)),
                "heterogeneity": ("heterogeneity", _heterogeneity)}
 
 _SYNTH_KEYS = {"evening_peak_kw": ("evening_peak_kw", _number),
                "morning_peak_kw": ("morning_peak_kw", _number),
                "valley_kw": ("valley_kw", _number),
-               "peak_slots": ("peak_slots", _list_of(_json_integer, 3))}
+               "peak_slots": ("peak_slots", _items(_json_integer, 3))}
 
 _BASELOAD_KEYS = {"csv": ("csv_path", _text),
                   "synth": ("synth", lambda s: _section(SynthParams, s, _SYNTH_KEYS,
@@ -531,16 +522,24 @@ def cmd_fleet_gen(args) -> int:
     return 0
 
 
+def _numeric_option(convert):
+    """An argparse type: `convert`, int or float, of text `_number_text` passes."""
+    def parse(text: str):
+        return convert(_number_text(text))
+    parse.__name__ = convert.__name__  # as argparse names the type on an error
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="valleyfill")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
         p.add_argument("--manifest", help="JSON manifest file")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--iterations", type=int, default=None)
-        p.add_argument("--epsilon", type=float, default=None)
-        p.add_argument("--penetration", type=float, default=None)
+        p.add_argument("--seed", type=_numeric_option(int), default=None)
+        p.add_argument("--iterations", type=_numeric_option(int), default=None)
+        p.add_argument("--epsilon", type=_numeric_option(float), default=None)
+        p.add_argument("--penetration", type=_numeric_option(float), default=None)
         p.add_argument("--out", default=None)
 
     p = sub.add_parser("run", help="run a scenario and emit artifacts")
@@ -550,7 +549,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment", help="seeded sweeps producing CSV tables")
     p.add_argument("name", choices=["escape-sweep", "profile-sweep", "bound-sweep"])
     p.add_argument("--penetrations", help="comma-separated penetration levels")
-    p.add_argument("--seeds", type=int, default=10)
+    p.add_argument("--seeds", type=_numeric_option(int), default=10)
     common(p)
     p.set_defaults(func=cmd_experiment)
 
@@ -567,7 +566,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("agent", help="run one networked load agent")
     p.add_argument("--endpoint", default="127.0.0.1:7421")
-    p.add_argument("--load-id", type=int, required=True)
+    p.add_argument("--load-id", type=_numeric_option(int), required=True)
     common(p)
     p.set_defaults(func=cmd_agent)
 

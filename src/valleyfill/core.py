@@ -8,7 +8,8 @@ energy in kWh, squared norms in kW^2*h.  All integrals are discretized
 as left-Riemann sums on a uniform grid, and every reduction runs in
 ascending slot index order so results are bit-reproducible.
 The package's value rules live here too, one per input kind: `_number`,
-`_integer`, `_flag` and, for numbers written as text, `_number_text`.
+`_integer`, `_flag` and, for numbers written as text, `_number_text`;
+`_field` checks and stores every spec field by one of them.
 """
 
 from __future__ import annotations
@@ -73,18 +74,34 @@ def _flag(value) -> bool:
     return bool(value)
 
 
-def _checked(rule, value):
-    """`rule(value)`, or None where the rule rejects `value`."""
+def _items(rule, count: int, ordered: bool = False):
+    """A rule: a list or tuple of `count` values by `rule`, as a tuple; with
+    `ordered`, a nondecreasing one."""
+    def convert(value) -> tuple:
+        items = tuple(map(rule, value)) if isinstance(value, (list, tuple)) else ()
+        if len(items) != count or ordered and list(items) != sorted(items):
+            raise ValueError(f"must be a list of {count} values")
+        return items
+    return convert
+
+
+def _field(spec, name: str, rule, want: str, ge=None, gt=None, error=ValueError,
+           label: Optional[str] = None) -> None:
+    """Store the frozen `spec`'s field `name` as `rule` converts it.
+
+    `rule` is one of the value rules here, or `_items` of one; the result,
+    or each of its items, must be >= ge and > gt where they are given, or
+    `error` is raised: ``<label, by default name> must be <want>, got <value!r>``.
+    """
+    value = getattr(spec, name)
     try:
-        return rule(value)
+        result = rule(value)
+        low = min(result) if type(result) is tuple else result
+        if ge is not None and low < ge or gt is not None and low <= gt:
+            raise ValueError
     except (TypeError, ValueError):
-        return None
-
-
-def _finite_positive(value) -> bool:
-    """Whether `value` is a number by `_number`'s rule and > 0."""
-    number = _checked(_number, value)
-    return number is not None and number > 0
+        raise error(f"{label or name} must be {want}, got {value!r}") from None
+    object.__setattr__(spec, name, result)
 
 
 def _number_text(text: str) -> str:
@@ -112,14 +129,8 @@ class TimeGrid:
     slots: int
 
     def __post_init__(self):
-        horizon, slots = _checked(_number, self.horizon_hours), _checked(_integer, self.slots)
-        if horizon is None or horizon <= 0:
-            raise ValueError(f"horizon_hours must be a finite number > 0, "
-                             f"got {self.horizon_hours!r}")
-        if slots is None or slots < 1:
-            raise ValueError(f"slots must be an integer >= 1, got {self.slots!r}")
-        object.__setattr__(self, "horizon_hours", horizon)
-        object.__setattr__(self, "slots", slots)
+        _field(self, "horizon_hours", _number, "a finite number > 0", gt=0)
+        _field(self, "slots", _integer, "an integer >= 1", ge=1)
 
     @property
     def dt(self) -> float:

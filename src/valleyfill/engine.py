@@ -45,8 +45,8 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .core import (GridMismatchError, Profile, TimeGrid, _finite_positive, _flag,
-                   _integer, aggregate, norm, norm2)
+from .core import (GridMismatchError, Profile, TimeGrid, _field, _flag, _integer,
+                   _number, aggregate, norm, norm2)
 from .feasible import (ConvexChargeSet, Distribution, FinitePulseSet,
                        SolverError, hull_minimize, project_convex, sample)
 
@@ -73,29 +73,16 @@ class ConfigurationError(ValueError):
     """Invalid engine configuration, surfaced before iteration 1."""
 
 
-def _setting(rule, value, what: str):
-    """`rule(value)` for core's `_integer` or `_flag`; a value the rule rejects
-    raises ConfigurationError naming `what`."""
-    try:
-        return rule(value)
-    except TypeError:
-        kind = "an integer" if rule is _integer else "a bool"
-        raise ConfigurationError(f"{what} must be {kind}, got {value!r}") from None
-
-
 def _check_load(load) -> None:
     """Check a frozen `LoadSpec`'s or `netsim.RosterEntry`'s id and weight.
 
     The id must be an integer >= 0 (stored as an int) and c a finite
-    number > 0; otherwise ConfigurationError.
+    number > 0 (stored as a float); otherwise ConfigurationError.
     """
-    if type(load.id) is not int:  # a plain int needs no conversion
-        object.__setattr__(load, "id", _setting(_integer, load.id, "load id"))
-    if load.id < 0:
-        raise ConfigurationError(f"load id {load.id} is negative; ids must be >= 0")
-    if not _finite_positive(load.c):
-        raise ConfigurationError(
-            f"load {load.id}: c must be finite and positive, got {load.c!r}")
+    _field(load, "id", _integer, "an integer >= 0", ge=0, error=ConfigurationError,
+           label="load id")
+    _field(load, "c", _number, "finite and positive", gt=0, error=ConfigurationError,
+           label=f"load {load.id}: c")
 
 
 @dataclass(frozen=True)
@@ -149,14 +136,12 @@ class EngineConfig:
     stop_on_epsilon: bool = True
 
     def __post_init__(self):
-        if not _finite_positive(self.epsilon):
-            raise ConfigurationError(
-                f"epsilon must be finite and positive, got {self.epsilon!r}")
-        for name, rule in (("max_iterations", _integer), ("master_seed", _integer),
-                           ("record_diagnostics", _flag), ("stop_on_epsilon", _flag)):
-            object.__setattr__(self, name, _setting(rule, getattr(self, name), name))
-        if self.max_iterations < 1:
-            raise ConfigurationError("max_iterations must be >= 1")
+        error = ConfigurationError
+        _field(self, "epsilon", _number, "finite and positive", gt=0, error=error)
+        _field(self, "max_iterations", _integer, "an integer >= 1", ge=1, error=error)
+        _field(self, "master_seed", _integer, "an integer", error=error)
+        for name in ("record_diagnostics", "stop_on_epsilon"):
+            _field(self, name, _flag, "a bool", error=error)
 
 
 @dataclass

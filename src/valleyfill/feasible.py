@@ -257,7 +257,8 @@ def hull_minimize(h: np.ndarray, x_prev: np.ndarray, c_i: float,
     Returns hull weights theta whose expectation `theta.weights @ members`
     is the minimizer; a minimizer within SNAP_TOLERANCE of a member in
     profile norm collapses to the degenerate distribution on the nearest
-    member (equal member norms force degeneracy there).
+    member (equal member norms force degeneracy there).  Weights that
+    are not a distribution raise SolverError.
 
     The corral starts from member `start`, which is x_prev's member index
     (fixed points then terminate in one gap evaluation), or None when
@@ -338,7 +339,10 @@ def hull_minimize(h: np.ndarray, x_prev: np.ndarray, c_i: float,
     nearest = int(np.argmin(dist2))
     if math.sqrt(max(float(dist2[nearest]), 0.0)) <= SNAP_TOLERANCE:
         return Distribution.degenerate(m, nearest)
-    return Distribution(theta)
+    try:
+        return Distribution(theta)
+    except ValueError as exc:  # the corral's weights are not a distribution
+        raise SolverError(f"hull minimization: {exc}", gap=gap) from None
 
 
 def sample(theta: Distribution, u):

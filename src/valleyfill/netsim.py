@@ -56,10 +56,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import Profile, TimeGrid, _finite_positive, _flag, _number_text
+from .core import Profile, TimeGrid, _field, _flag, _number_text
 from .engine import (ConfigurationError, EngineConfig, LoadSpec, Termination,
-                     LoadUpdate, Trajectory, _check_load, _setting, coordinate,
-                     fleet_weight)
+                     LoadUpdate, Trajectory, _check_load, coordinate, fleet_weight)
 
 __all__ = [
     "ProtocolError",
@@ -95,8 +94,8 @@ class RosterEntry:
 
     def __post_init__(self):
         _check_load(self)
-        object.__setattr__(self, "is_finite",
-                           _setting(_flag, self.is_finite, f"load {self.id}: is_finite"))
+        _field(self, "is_finite", _flag, "a bool", error=ConfigurationError,
+               label=f"load {self.id}: is_finite")
 
 
 def grid_digest(grid: TimeGrid) -> str:
@@ -122,7 +121,7 @@ def _probability(text: str) -> float:
 
 def _weight(text: str) -> float:
     c = float(text)
-    if not _finite_positive(c):
+    if not 0.0 < c < np.inf:
         raise ValueError(f"weight {text} is not finite and positive")
     return c
 

@@ -5,7 +5,7 @@ The canonical case study uses a 24 h horizon in 96 slots of 15 minutes,
 the start of the horizon, latest start 4 h before the end).  The bundled
 synthetic residential curve stands in for utility trace data; the CSV
 loader accepts real per-household traces.  `synth_baseload` builds every
-synthetic curve and checks its peak slots and levels for every caller.
+synthetic curve and checks its peak slots against the grid for every caller.
 """
 
 from __future__ import annotations
@@ -17,8 +17,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .core import (Profile, TimeGrid, _checked, _finite_positive, _integer, _number,
-                   _number_text)
+from .core import Profile, TimeGrid, _field, _integer, _items, _number, _number_text
 from .engine import LoadSpec
 from .feasible import FinitePulseSet, make_pulse_set
 
@@ -45,12 +44,9 @@ class BaseLoadError(ValueError):
     """Malformed base-load file; the message names the offending line."""
 
 
-def _set_nonnegative(spec, name: str, rule, kind: str) -> None:
-    """Store `spec.name` as `rule` converts it; ValueError unless that is >= 0."""
-    value = _checked(rule, getattr(spec, name))
-    if value is None or value < 0:
-        raise ValueError(f"{name} must be {kind} >= 0, got {getattr(spec, name)!r}")
-    object.__setattr__(spec, name, value)
+_RANGE = _items(_number, 2, ordered=True)
+_WINDOW = _items(_integer, 2, ordered=True)
+_PEAK_SLOTS = _items(_integer, 3)
 
 
 @dataclass(frozen=True)
@@ -58,8 +54,8 @@ class HeterogeneitySpec:
     """Bounded per-EV jitter; multipliers are drawn uniformly per EV.
 
     Duration multipliers snap to a whole number of slots so A1-A4 stay
-    exact for every EV.  Each range (lo, hi) needs finite 0 < lo <= hi;
-    otherwise ValueError.
+    exact for every EV.  Each range (lo, hi) is two numbers by core's
+    `_number` rule with 0 < lo <= hi, stored as floats; otherwise ValueError.
     """
 
     rate_range: Tuple[float, float] = (1.0, 1.0)
@@ -67,10 +63,7 @@ class HeterogeneitySpec:
 
     def __post_init__(self):
         for name in ("rate_range", "duration_range"):
-            lo, hi = getattr(self, name)
-            if not (_finite_positive(lo) and _finite_positive(hi) and lo <= hi):
-                raise ValueError(f"{name} must be finite with 0 < lo <= hi, "
-                                 f"got {[lo, hi]}")
+            _field(self, name, _RANGE, "finite with 0 < lo <= hi", gt=0)
 
 
 @dataclass(frozen=True)
@@ -78,9 +71,9 @@ class FleetSpec:
     """An EV fleet of round(households * penetration) EVs.
 
     households is an integer >= 0 by core's `_integer` rule (stored as an
-    int), penetration a number >= 0 by `_number`'s (stored as a float),
-    and ev_rate (kW) and ev_duration_hours finite numbers > 0.  A bad value
-    raises ValueError.
+    int), penetration a number >= 0 by `_number`'s, ev_rate (kW) and
+    ev_duration_hours numbers > 0, and start_window two integers 0 <=
+    first <= last; otherwise ValueError (`build_fleet` checks the window fits).
     """
 
     households: int
@@ -91,16 +84,19 @@ class FleetSpec:
     heterogeneity: Optional[HeterogeneitySpec] = None
 
     def __post_init__(self):
-        _set_nonnegative(self, "households", _integer, "an integer")
-        _set_nonnegative(self, "penetration", _number, "a finite number")
+        _field(self, "households", _integer, "an integer >= 0", ge=0)
+        _field(self, "penetration", _number, "a finite number >= 0", ge=0)
         for name in ("ev_rate", "ev_duration_hours"):
-            if not _finite_positive(getattr(self, name)):
-                raise ValueError(f"{name} must be finite and positive, "
-                                 f"got {getattr(self, name)!r}")
+            _field(self, name, _number, "finite and positive", gt=0)
+        _field(self, "start_window", _WINDOW, "two integers 0 <= first <= last", ge=0)
 
 
 @dataclass(frozen=True)
 class SynthParams:
+    """Synthetic curve anchors: levels (kW per household), numbers >= 0 by
+    core's `_number` rule, and peak_slots, None or three integers; otherwise
+    ValueError.  `synth_baseload` checks the slots against its grid."""
+
     evening_peak_kw: float = 1.1
     morning_peak_kw: float = 1.0
     valley_kw: float = 0.9
@@ -108,6 +104,12 @@ class SynthParams:
     # places them at CANONICAL_PEAK_SLOTS scaled to the grid.  The horizon
     # starts in the evening, so the valley falls before dawn.
     peak_slots: Optional[Tuple[int, int, int]] = None
+
+    def __post_init__(self):
+        for name in ("evening_peak_kw", "morning_peak_kw", "valley_kw"):
+            _field(self, name, _number, "a finite number >= 0", ge=0)
+        if self.peak_slots is not None:
+            _field(self, "peak_slots", _PEAK_SLOTS, "three integers")
 
 
 @dataclass(frozen=True)
@@ -125,7 +127,7 @@ class BaseLoadSpec:
     def __post_init__(self):
         if (self.csv_path is None) == (self.synth is None):
             raise ValueError("exactly one of csv_path or synth must be given")
-        _set_nonnegative(self, "per_household_scale", _number, "a finite number")
+        _field(self, "per_household_scale", _number, "a finite number >= 0", ge=0)
 
 
 def synth_baseload(p: SynthParams, grid: TimeGrid) -> Profile:
@@ -135,11 +137,9 @@ def synth_baseload(p: SynthParams, grid: TimeGrid) -> Profile:
     `p.peak_slots` (by default CANONICAL_PEAK_SLOTS scaled to the grid)
     and interpolates between consecutive anchors with a half-cosine ramp;
     the curve wraps around the horizon seam.  The slots must be three
-    distinct slots of the grid and the levels nonnegative.
+    distinct slots of the grid.
     """
     levels = (p.evening_peak_kw, p.valley_kw, p.morning_peak_kw)
-    if min(levels) < 0:
-        raise ValueError("anchor levels must be nonnegative")
     peak_slots = p.peak_slots
     if peak_slots is None:
         scale = grid.slots / CANONICAL_GRID.slots
@@ -214,8 +214,6 @@ def _ev_pulse_set(spec: FleetSpec, grid: TimeGrid, ev_index: int,
         duration = dur_slots * grid.dt
     first, last = spec.start_window
     duration_slots = round(duration / grid.dt)
-    if first < 0 or last < first:
-        raise ValueError(f"start_window {spec.start_window} is invalid")
     # jittered durations may overrun the nominal window; shrink it per EV
     last = min(last, grid.slots - duration_slots)
     if last < first:

@@ -133,6 +133,22 @@ class TestRun:
             texts.append((out / "final_profiles.csv").read_text())
         assert texts[0] != texts[1]
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "--seed"], ["run", "--iterations"], ["agent", "--load-id"],
+        ["experiment", "escape-sweep", "--seeds"], ["run", "--epsilon"],
+        ["run", "--penetration"]], ids=lambda argv: argv[-1])
+    @pytest.mark.parametrize("text", ["1_0", "\u0663"], ids=["separator", "arabic-indic"])
+    def test_numeric_flags_read_numbers_as_loadtxt_does(self, tmp_path, capsys, argv,
+                                                        text):
+        """Python's int and float read `1_0` and non-ASCII digits; no flag does."""
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as info:
+            main(argv + [text, "--manifest", write_manifest(tmp_path), "--out", str(out)])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {argv[-1]}: invalid " in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_every_section_accepted(self, tmp_path):
         manifest = write_manifest(tmp_path, {
             "baseload": {"synth": {"valley_kw": 0.5, "peak_slots": [4, 10, 16]},

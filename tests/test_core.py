@@ -14,6 +14,11 @@ from valleyfill.cli import main
 from valleyfill.core import (GridMismatchError, Objective, ObjectiveKind,
                              Profile, TimeGrid, _flag, _integer, _number,
                              _number_text, aggregate, norm2)
+from valleyfill.engine import ConfigurationError, EngineConfig, LoadSpec
+from valleyfill.feasible import make_pulse_set
+from valleyfill.netsim import RosterEntry
+from valleyfill.scenario import (BaseLoadSpec, FleetSpec, HeterogeneitySpec,
+                                 SynthParams)
 
 
 def grid(T=24.0, S=96):
@@ -91,6 +96,100 @@ class TestValueRules:
         except ValueError:
             checked = None
         assert checked == loadtxt
+
+
+PULSES = make_pulse_set(1.0, 1.0, [0, 1], TimeGrid(4.0, 4))
+LOAD = {"id": 0, "constraint": PULSES, "c": 1.0}
+ENTRY = {"id": 0, "is_finite": True, "c": 1.0}
+FLEET = {"households": 4, "penetration": 0.5, "start_window": (0, 80)}
+# Every checked spec field: (class, valid arguments, field, rule, lower
+# bound as (operator, value) or None, item count of a tuple field or None).
+CHECKED_FIELDS = [
+    (TimeGrid, {"horizon_hours": 24.0, "slots": 96}, "horizon_hours", "number",
+     (">", 0), None),
+    (TimeGrid, {"horizon_hours": 24.0, "slots": 96}, "slots", "integer", (">=", 1), None),
+    (EngineConfig, {}, "epsilon", "number", (">", 0), None),
+    (EngineConfig, {}, "max_iterations", "integer", (">=", 1), None),
+    (EngineConfig, {}, "master_seed", "integer", None, None),
+    (EngineConfig, {}, "record_diagnostics", "flag", None, None),
+    (EngineConfig, {}, "stop_on_epsilon", "flag", None, None),
+    (LoadSpec, LOAD, "id", "integer", (">=", 0), None),
+    (LoadSpec, LOAD, "c", "number", (">", 0), None),
+    (RosterEntry, ENTRY, "id", "integer", (">=", 0), None),
+    (RosterEntry, ENTRY, "c", "number", (">", 0), None),
+    (RosterEntry, ENTRY, "is_finite", "flag", None, None),
+    (FleetSpec, FLEET, "households", "integer", (">=", 0), None),
+    (FleetSpec, FLEET, "penetration", "number", (">=", 0), None),
+    (FleetSpec, FLEET, "ev_rate", "number", (">", 0), None),
+    (FleetSpec, FLEET, "ev_duration_hours", "number", (">", 0), None),
+    (FleetSpec, FLEET, "start_window", "integer", (">=", 0), 2),
+    (HeterogeneitySpec, {"rate_range": (1.0, 1.0)}, "rate_range", "number", (">", 0), 2),
+    (HeterogeneitySpec, {"duration_range": (1.0, 1.0)}, "duration_range", "number",
+     (">", 0), 2),
+    (BaseLoadSpec, {"synth": SynthParams(), "per_household_scale": 1.0},
+     "per_household_scale", "number", (">=", 0), None),
+    (SynthParams, {"evening_peak_kw": 1.1}, "evening_peak_kw", "number", (">=", 0), None),
+    (SynthParams, {"morning_peak_kw": 1.0}, "morning_peak_kw", "number", (">=", 0), None),
+    (SynthParams, {"valley_kw": 0.9}, "valley_kw", "number", (">=", 0), None),
+    (SynthParams, {"peak_slots": (4, 36, 52)}, "peak_slots", "integer", None, 3),
+]
+CONFIGURATION_SPECS = (EngineConfig, LoadSpec, RosterEntry)
+# What each rule rejects among the values a manifest or a caller may pass.
+REJECTED = {
+    "number": [True, np.True_, "1", None, math.nan, math.inf, -math.inf, 10**400],
+    "integer": [True, np.True_, "1", None, math.nan, math.inf, -math.inf],
+    "flag": ["1", None, math.nan, math.inf, -math.inf, 10**400],
+}
+
+
+def below(rule, bound):
+    """Values of `rule`'s kind that the lower bound rejects."""
+    op, low = bound
+    if rule == "integer":
+        return st.integers(max_value=low if op == ">" else low - 1)
+    return st.floats(max_value=low, allow_nan=False).filter(
+        lambda x: x < low or op == ">")
+
+
+def passing(rule, bound):
+    """numpy values that the rule and the bound accept."""
+    if rule == "flag":
+        return st.booleans().map(np.bool_)
+    low = 0 if bound is None else bound[1] + 1
+    ints = st.integers(low, 10**6).map(np.int64)
+    if rule == "integer":
+        return ints
+    return ints | st.floats(low, 1e6).map(np.float64)
+
+
+class TestCheckedFields:
+    """Every spec field goes through core's one field check."""
+
+    @given(st.data())
+    def test_rejected_values_raise_the_specs_error_naming_the_field(self, data):
+        cls, args, field, rule, bound, count = data.draw(st.sampled_from(CHECKED_FIELDS))
+        bad = st.sampled_from(REJECTED[rule])
+        if bound is not None:
+            bad = bad | below(rule, bound)
+        value = data.draw(bad)
+        if count is not None:  # one bad item among valid ones
+            value = (value,) + args[field][1:]
+        error = ConfigurationError if cls in CONFIGURATION_SPECS else ValueError
+        with pytest.raises(ValueError) as info:
+            cls(**{**args, field: value})
+        assert type(info.value) is error
+        assert f"{field} must be " in str(info.value)
+
+    @given(st.data())
+    def test_numpy_values_are_stored_as_python_values(self, data):
+        cls, args, field, rule, bound, count = data.draw(st.sampled_from(CHECKED_FIELDS))
+        value = data.draw(passing(rule, bound))
+        spec = cls(**{**args, field: value if count is None else (value,) * count})
+        stored = getattr(spec, field)
+        python_type = {"number": float, "integer": int, "flag": bool}[rule]
+        items = stored if count is not None else (stored,)
+        assert [type(item) for item in items] == [python_type] * len(items)
+        assert items == (value,) * len(items)
 
 
 class TestTimeGrid:

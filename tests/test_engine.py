@@ -7,6 +7,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import valleyfill.engine as engine
+import valleyfill.feasible as feasible
 
 from conftest import (expected_objective_enumeration, random_base,
                       random_convex_set, random_pulse_set)
@@ -424,9 +425,10 @@ class TestRunValidation:
         rng = np.random.default_rng(34)
         g = grid()
         constraint = random_pulse_set(rng, g) if finite else random_convex_set(rng, g)
-        with pytest.raises(ConfigurationError, match="load id -1 "):
+        message = r"^load id must be an integer >= 0, got -1$"
+        with pytest.raises(ConfigurationError, match=message):
             LoadSpec(-1, constraint)
-        with pytest.raises(ConfigurationError, match="load id -1 "):
+        with pytest.raises(ConfigurationError, match=message):
             RosterEntry(-1, finite, 1.0)
         assert LoadSpec(0, constraint).id == 0
 
@@ -707,6 +709,26 @@ class TestSolverErrorContext:
         assert "iteration 2" in str(info.value)
         assert "loads [0, 1, 2]" in str(info.value)
         assert info.value.gap == 0.25
+
+    def test_weights_that_are_no_distribution_name_iteration_and_group(
+            self, tmp_path, capsys, monkeypatch):
+        """A corral solve that zeroes every weight fails as a SolverError."""
+        def zeros(K, rhs, rcond=None):
+            return np.zeros(len(rhs)), None, None, None
+
+        monkeypatch.setattr(feasible.np.linalg, "lstsq", zeros)
+        message = ("iteration 1, loads [0, 1]: hull minimization: "
+                   "weights sum to 0.0, expected 1")
+        b, loads = build_case_study(FleetSpec(households=4, penetration=0.5),
+                                    BaseLoadSpec(synth=SynthParams()), seed=0)
+        with pytest.raises(SolverError) as info:
+            run(loads, b, EngineConfig(max_iterations=5))
+        assert str(info.value) == message
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text('{"fleet": {"households": 4, "penetration": 0.5}}')
+        assert main(["run", "--manifest", str(manifest),
+                     "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestGroupedWork:

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -130,6 +131,20 @@ class TestSynthBaseload:
     def test_rejects_negative_levels(self):
         with pytest.raises(ValueError):
             synth_baseload(SynthParams(1.0, -0.1, 0.5, (4, 36, 52)), CANONICAL_GRID)
+
+    @pytest.mark.parametrize("field,value", [
+        ("peak_slots", (4.5, 36, 52)), ("peak_slots", (True, 36, 52)),
+        ("valley_kw", math.nan), ("evening_peak_kw", "1"), ("morning_peak_kw", -0.5),
+    ], ids=["slot-fraction", "slot-bool", "valley-nan", "peak-string",
+            "morning-negative"])
+    def test_params_checked_when_built(self, tmp_path, capsys, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be "):
+            SynthParams(**{field: value})
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"baseload": {"synth": {field: value}}}))
+        assert main(["fleet-gen", "--manifest", str(manifest),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("error: bad baseload.synth")
 
     def test_nonstandard_grid(self):
         g = TimeGrid(24.0, 48)
