@@ -49,14 +49,6 @@ class BoundReport:
     optimum_lower_bound: float   # flat-profile lower bound on norm2 of the optimum
 
 
-def _member_indices(xs: Sequence[Profile], sets: Sequence[FinitePulseSet]) -> List[int]:
-    """Index of each load's member in its set; ValueError on the first non-member."""
-    idx = [s.member_index(x) for x, s in zip(xs, sets)]
-    if None in idx:
-        raise ValueError(f"load {idx.index(None)}: profile is not a member of its set")
-    return idx
-
-
 def _distinct_sets(sets: Sequence[FinitePulseSet]) -> List[int]:
     """First load of each distinct set object, in load order."""
     seen = {}
@@ -95,7 +87,10 @@ def is_nash(xs: Sequence[Profile], sets: Sequence[FinitePulseSet], b: Profile,
             tol: float) -> NashReport:
     """`nash_report` of profiles xs on base b; a non-member raises ValueError
     before `aggregate` checks grids."""
-    return nash_report(sets, _member_indices(xs, sets), aggregate(b, xs), tol)
+    idx = [s.member_index(x) for x, s in zip(xs, sets)]
+    if None in idx:
+        raise ValueError(f"load {idx.index(None)}: profile is not a member of its set")
+    return nash_report(sets, idx, aggregate(b, xs), tol)
 
 
 def brute_force_optimum(sets: Sequence[FinitePulseSet], b: Profile,
@@ -131,18 +126,17 @@ def brute_force_optimum(sets: Sequence[FinitePulseSet], b: Profile,
     return best_choice, best_value
 
 
-def suboptimality_gap_check(x_s: Sequence[Profile], sets: Sequence[FinitePulseSet],
-                            b: Profile) -> Tuple[float, float, bool]:
+def suboptimality_gap_check(sets: Sequence[FinitePulseSet], b: Profile,
+                            total: Profile) -> Tuple[float, float, bool]:
     """Gap of a stationary profile against the enumerated optimum vs 2/4*sum(Y).
 
-    The caller is responsible for stationarity of x_s (assert via is_nash).
+    `total` is the load-order aggregate of the loads' member profiles, base
+    included; the caller checks membership and stationarity (via is_nash).
     The bound is 2*sum(Y_i) when all members are nonnegative, 4*sum(Y_i)
     otherwise.
     """
-    _member_indices(x_s, sets)
     _, optimum = brute_force_optimum(sets, b)
-    value = norm2(aggregate(b, list(x_s)))
-    gap = value - optimum
+    gap = norm2(total) - optimum
     nonnegative = all(np.all(sets[i].members >= 0) for i in _distinct_sets(sets))
     bound = (2.0 if nonnegative else 4.0) * sum(s.sqnorm for s in sets)
     return gap, bound, gap <= bound + 1e-9

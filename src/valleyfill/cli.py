@@ -461,8 +461,8 @@ def cmd_analyze(args) -> int:
     if status or not loads:
         return status
 
+    total = aggregate(base, xs)
     if "nash" in checks:
-        total = aggregate(base, xs)
         tol = 1e-9 * (1 + abs(norm2(total)))
         report = analysis.nash_report(sets, idx, total, tol)
         _print_fields(report)
@@ -470,7 +470,7 @@ def cmd_analyze(args) -> int:
             status = 1
     if "gap" in checks:
         try:
-            gap, bound, ok = analysis.suboptimality_gap_check(xs, sets, base)
+            gap, bound, ok = analysis.suboptimality_gap_check(sets, base, total)
             print(f"gap={gap!r}\ngap_bound={bound!r}\ngap_ok={ok}")
             if not ok:
                 status = 1

@@ -440,7 +440,8 @@ class LoadUpdate:
     means and variances that `_expected_objective` takes.  A SolverError
     is re-raised naming k and the group's load ids.
 
-    The update keeps the run's state.  `member_idx` holds each load's
+    The update reads each load's kind, set and weight when it is built,
+    and keeps the run's state.  `member_idx` holds each load's
     member index (None before a finite load's first member).  The memo
     keeps the results computed under one signal (C, g), keyed by
     (id(set), c, state) with a convex row's state as its bytes: each
@@ -456,6 +457,11 @@ class LoadUpdate:
         self.loads = loads
         self.master_seed = master_seed
         self.member_idx: List[Optional[int]] = [None] * len(loads)
+        # (position, set, c, id(set)) of each load, split by kind
+        self._convex, self._finite = [], []
+        for i, spec in enumerate(loads):
+            s = spec.constraint
+            (self._finite if spec.is_finite else self._convex).append((i, s, spec.c, id(s)))
         self._signal: Optional[Tuple[float, bytes]] = None
         self._memo: dict = {}
 
@@ -471,26 +477,24 @@ class LoadUpdate:
         stays = [1.0] * len(loads)
         mean = np.zeros(gv.shape)
         variance = 0.0
-        groups: dict = {}
-        for i, spec in enumerate(loads):
-            if spec.is_finite:
-                groups.setdefault((id(spec.constraint), spec.c, member_idx[i]), []).append(i)
-                continue
-            key = (id(spec.constraint), spec.c, X[i].tobytes())
+        for i, charge_set, c, set_id in self._convex:
+            key = (set_id, c, X[i].tobytes())
             if key not in memo:
-                memo[key] = convex_load_update(gv, X[i], spec.constraint, spec.c)
+                memo[key] = convex_load_update(gv, X[i], charge_set, c)
             x_new = X_new[i] = memo[key]
             stays[i] = 1.0 if np.array_equal(x_new, X[i]) else 0.0
             mean += x_new
+        groups: dict = {}
+        for i, _, c, set_id in self._finite:
+            groups.setdefault((set_id, c, member_idx[i]), []).append(i)
         solved = []
         drawn: List[int] = []
         for key, positions in groups.items():
-            spec = loads[positions[0]]
-            pulse_set = spec.constraint
+            pulse_set = loads[positions[0]].constraint
             if key not in memo:
-                prev = key[2]
+                _, c, prev = key
                 try:
-                    theta = finite_load_update(gv, C, X[positions[0]], pulse_set, spec.c,
+                    theta = finite_load_update(gv, C, X[positions[0]], pulse_set, c,
                                                start=prev)
                 except SolverError as exc:
                     raise SolverError(f"iteration {k}, loads "

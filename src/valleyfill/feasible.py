@@ -152,9 +152,10 @@ class Distribution:
         w = np.asarray(self.weights, dtype=np.float64)
         if w.ndim != 1 or w.shape[0] < 1:
             raise ValueError("weights must be a nonempty vector")
-        if np.any(w < 0):
-            raise ValueError("weights must be nonnegative")
-        if abs(float(np.sum(w)) - 1.0) > 1e-12:
+        # written so that NaN fails both checks
+        if not (w >= 0).all():
+            raise ValueError("weights must be nonnegative numbers, not NaN")
+        if not abs(float(np.sum(w)) - 1.0) <= 1e-12:
             raise ValueError(f"weights sum to {np.sum(w)}, expected 1")
         w = w.copy()
         w.flags.writeable = False

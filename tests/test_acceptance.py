@@ -17,7 +17,7 @@ from conftest import (hull_oracle_grid, hull_oracle_supports, hull_q,
 from test_netsim import assert_trajectories_equivalent, networked_run
 from valleyfill.analysis import (convex_stationarity_residual, is_nash,
                                  subopt_ratio_bound, suboptimality_gap_check)
-from valleyfill.core import Profile, TimeGrid
+from valleyfill.core import Profile, TimeGrid, aggregate
 from valleyfill.engine import (EngineConfig, LoadSpec, Termination, run)
 from valleyfill.feasible import (ConvexChargeSet, Distribution,
                                  hull_minimize, project_convex, sample)
@@ -112,8 +112,8 @@ def test_criterion_3_stationary_gap_within_bound():
                                               stop_on_epsilon=False))
             assert traj.terminated_by == Termination.FIXED_POINT, seed
             sets = [spec.constraint for spec in loads]
-            gap, bound, ok = suboptimality_gap_check(traj.final_profiles,
-                                                     sets, b)
+            gap, bound, ok = suboptimality_gap_check(
+                sets, b, aggregate(b, traj.final_profiles))
             assert bound == pytest.approx(2.0 * sum(s.sqnorm for s in sets))
             assert ok, (seed, gap, bound)
         # signed members fall back to the looser factor-4 bound
@@ -130,8 +130,8 @@ def test_criterion_3_stationary_gap_within_bound():
                                               master_seed=seed,
                                               stop_on_epsilon=False))
             assert traj.terminated_by == Termination.FIXED_POINT, seed
-            gap, bound, ok = suboptimality_gap_check(traj.final_profiles,
-                                                     sets, b)
+            gap, bound, ok = suboptimality_gap_check(
+                sets, b, aggregate(b, traj.final_profiles))
             assert bound == pytest.approx(4.0 * sum(s.sqnorm for s in sets))
             assert ok, (seed, gap, bound)
             signed_checked += 1

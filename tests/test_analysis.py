@@ -109,6 +109,12 @@ class TestIsNash:
         assert report.worst_violation == pytest.approx(2 * g.dt)
         assert report.violating_load in (0, 1)
 
+    def test_rejects_non_member(self):
+        g = grid()
+        s = two_pulse_set(g)
+        with pytest.raises(ValueError, match="^load 1: profile is not a member"):
+            is_nash([s.member(0), Profile.constant(0.3, g)], [s, s], Profile.zeros(g), 1e-9)
+
     def test_brute_force_optimum_is_nash(self):
         rng = np.random.default_rng(7)
         g = grid()
@@ -254,8 +260,8 @@ class TestGapCheck:
             if traj.terminated_by != Termination.FIXED_POINT:
                 continue
             sets = [spec.constraint for spec in loads]
-            gap, bound, ok = suboptimality_gap_check(traj.final_profiles,
-                                                     sets, b)
+            gap, bound, ok = suboptimality_gap_check(
+                sets, b, aggregate(b, traj.final_profiles))
             assert ok
             assert gap >= -1e-9
             assert bound == pytest.approx(2.0 * sum(s.sqnorm for s in sets))
@@ -272,17 +278,10 @@ class TestGapCheck:
             sets = [spec.constraint for spec in loads]
             if all(np.all(s.members >= 0) for s in sets):
                 continue
-            gap, bound, ok = suboptimality_gap_check(traj.final_profiles,
-                                                     sets, b)
+            gap, bound, ok = suboptimality_gap_check(
+                sets, b, aggregate(b, traj.final_profiles))
             assert ok
             assert bound == pytest.approx(4.0 * sum(s.sqnorm for s in sets))
-
-    def test_rejects_non_member(self):
-        g = grid()
-        s = two_pulse_set(g)
-        with pytest.raises(ValueError):
-            suboptimality_gap_check([Profile.constant(0.3, g)], [s],
-                                    Profile.zeros(g))
 
 
 class TestStationarityResidual:

@@ -283,7 +283,7 @@ class TestAnalyze:
         xs = [s.member(k) for s, k in zip(sets, choice)]
         value = norm2(aggregate(b, xs))
         nash = is_nash(xs, sets, b, 1e-9 * (1 + abs(value)))
-        gap, gap_bound, _ = suboptimality_gap_check(xs, sets, b)
+        gap, gap_bound, _ = suboptimality_gap_check(sets, b, aggregate(b, xs))
         bounds = subopt_ratio_bound(sets, b)
         assert captured.out == (
             f"is_equilibrium=True\n"
@@ -332,7 +332,7 @@ class TestAnalyze:
         b, loads, _ = track_game()  # the raw base is the flatten game's base
         sets = [spec.constraint for spec in loads]
         xs = [s.member(0) for s in sets]
-        gap, gap_bound, ok = suboptimality_gap_check(xs, sets, b)
+        gap, gap_bound, ok = suboptimality_gap_check(sets, b, aggregate(b, xs))
         assert not ok
         profiles = tmp_path / "profiles.csv"
         self.write_profiles(profiles, [(spec.id, x.values)
@@ -402,7 +402,8 @@ class TestAnalyze:
 
     def test_each_profile_is_looked_up_once(self, tmp_path, monkeypatch):
         """`analyze` finds each load's member once and hands the indices on
-        to the Nash check, which looks nothing up again."""
+        to the Nash check and the aggregate on to the gap check, which look
+        nothing up again."""
         out = tmp_path / "out"
         manifest = write_manifest(tmp_path, {"fleet": {"households": 20,
                                                        "penetration": 0.5}})
@@ -416,10 +417,13 @@ class TestAnalyze:
             return lookup(self, x)
 
         monkeypatch.setattr(FinitePulseSet, "member_index", counted)
-        status = main(["analyze", str(out / "final_profiles.csv"), "--manifest", manifest,
-                       "--checks", "nash,ratio"])
-        assert status in (0, 1)
-        assert n == 10 and len(calls) == n
+        assert n == 10
+        for checks in ("nash,ratio", "nash,gap,ratio", "gap"):
+            calls.clear()
+            status = main(["analyze", str(out / "final_profiles.csv"), "--manifest",
+                           manifest, "--checks", checks])
+            assert status in (0, 1)
+            assert len(calls) == n, checks
 
     def test_round_trip_of_run_output(self, tmp_path):
         out = tmp_path / "out"

@@ -168,7 +168,9 @@ class TestCheckedFields:
     @given(st.data())
     def test_rejected_values_raise_the_specs_error_naming_the_field(self, data):
         cls, args, field, rule, bound, count = data.draw(st.sampled_from(CHECKED_FIELDS))
-        bad = st.sampled_from(REJECTED[rule])
+        # c=None is LoadSpec's documented default (see the next test)
+        default = (None,) if (cls, field) == (LoadSpec, "c") else ()
+        bad = st.sampled_from([v for v in REJECTED[rule] if v not in default])
         if bound is not None:
             bad = bad | below(rule, bound)
         value = data.draw(bad)
@@ -179,6 +181,10 @@ class TestCheckedFields:
             cls(**{**args, field: value})
         assert type(info.value) is error
         assert f"{field} must be " in str(info.value)
+
+    def test_load_weight_defaults_to_the_sets_energy(self):
+        assert LoadSpec(0, PULSES).c == PULSES.energy
+        assert LoadSpec(0, PULSES, None).c == PULSES.energy
 
     @given(st.data())
     def test_numpy_values_are_stored_as_python_values(self, data):

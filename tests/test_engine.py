@@ -393,6 +393,25 @@ class TestSignalMemo:
                       != signals[k - 2].values.tobytes()]
         assert calls == new_signal
 
+    def test_load_kinds_are_read_once_per_run(self, monkeypatch):
+        """The update reads each load's kind when it is built, not per iteration."""
+        rng = np.random.default_rng(13)
+        g = grid()
+        loads = mixed_fleet(rng, g, 10, 10)
+        b = random_base(rng, g)
+        reads = []
+        kind = LoadSpec.is_finite.fget
+        monkeypatch.setattr(LoadSpec, "is_finite",
+                            property(lambda spec: reads.append(spec.id) or kind(spec)))
+        counts = []
+        for iterations in (1, 5, 20):
+            reads.clear()
+            traj = run(loads, b, EngineConfig(max_iterations=iterations,
+                                              stop_on_epsilon=False))
+            assert len(traj.records) == iterations
+            counts.append(len(reads))
+        assert counts[0] == counts[1] == counts[2]
+
 
 class TestRunValidation:
     def test_empty_fleet(self):

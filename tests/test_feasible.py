@@ -331,6 +331,9 @@ class TestDistribution:
             Distribution(np.array([0.5, 0.6]))
         with pytest.raises(ValueError):
             Distribution(np.array([-0.1, 1.1]))
+        for weights in ([np.nan, 1.0], [np.nan]):
+            with pytest.raises(ValueError):
+                Distribution(np.array(weights))
 
     def test_degenerate(self):
         d = Distribution.degenerate(4, 2)
