@@ -2,11 +2,12 @@
 
 Two feasible-set representations: a convex box-and-energy polytope
 (projection via dual bisection) and an explicit finite set of admissible
-profiles (hull minimization via the min-norm-point active-set method,
-plus inverse-CDF sampling over the resulting hull weights).  A finite set
-records the rate bound, energy and squared norm its members share
-(assumptions A1, A3 and A4); `make_pulse_set` builds sets that meet them,
-and construction does not re-check them.
+profiles (hull minimization by Wolfe's min-norm-point method, run on the
+members' Gram matrix that each set caches, plus inverse-CDF sampling over
+the resulting hull weights).  A finite set records the rate bound, energy
+and squared norm its members share (assumptions A1, A3 and A4);
+`make_pulse_set` builds sets that meet them, and construction does not
+re-check them.
 
 The solvers run inside the engine's load update, so they take and return
 float64 rows on their set's grid, not `Profile`s; a row of any other
@@ -15,6 +16,7 @@ shape raises GridMismatchError.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -135,9 +137,17 @@ class FinitePulseSet:
     def member(self, k: int) -> Profile:
         return Profile(self.members[k], self.grid)
 
+    @functools.cached_property
+    def gram(self) -> np.ndarray:
+        """The members' Gram matrix Y Y^T (kW^2), summed on first use by einsum,
+        not BLAS, so its bits do not depend on the BLAS thread count."""
+        gram = np.einsum("ks,ls->kl", self.members, self.members)
+        gram.flags.writeable = False
+        return gram
+
     def member_index(self, x: Profile) -> Optional[int]:
         """Index of the member equal to x in every slot, or None."""
-        if x.grid != self.grid:
+        if x.grid is not self.grid and x.grid != self.grid:
             return None
         return self._index.get(values_key(x.values))
 
@@ -251,57 +261,69 @@ def hull_minimize(h: np.ndarray, x_prev: np.ndarray, c_i: float,
     """Minimize Q(z) = 2*c_i*<h, z> + norm2(z - x_prev) over the member hull.
 
     Completing the square turns this into projecting p = x_prev - c_i*h
-    onto the hull, solved by the min-norm-point active-set method: grow a
-    corral of members, minimize exactly over its affine hull, and drop
-    members whose weight would go negative.  Vertex ties break toward the
-    lowest index.  Stops when the duality gap drops below 1e-8 * (1 + |Q|).
-    Returns hull weights theta whose expectation `theta.weights @ members`
-    is the minimizer; a minimizer within SNAP_TOLERANCE of a member in
-    profile norm collapses to the degenerate distribution on the nearest
-    member (equal member norms force degeneracy there).  Weights that
-    are not a distribution raise SolverError.
+    onto the hull, solved by Wolfe's min-norm-point active-set method
+    (Math. Programming 11, 1976): grow a corral of members, minimize
+    exactly over its affine hull, and drop members whose weight would go
+    negative.  The loop runs on m-vectors: from the set's cached Gram
+    G = Y Y^T and the one S-length product r = Y p, member k scores
+    (G w)_k - r_k against the corral weights w, and the duality gap and
+    Q follow without a term in norm2(p).  Each affine minimum is solved
+    in difference form, u = e_0 + sum_k v_k (e_k - e_0), whose matrix
+    (y_k - y_0).(y_l - y_0) holds no p, so it stays well conditioned when
+    p is far from the hull, and u sums to 1 by construction; a system
+    that rounding made singular is solved by least squares.  Vertex ties
+    break toward the lowest index.  Stops when the duality gap drops below
+    1e-8 * (1 + |Q|), or when rounding keeps Q from falling.  Returns hull
+    weights theta whose expectation `theta.weights @ members` is the
+    minimizer; a minimizer within SNAP_TOLERANCE of a member in profile
+    norm collapses to the degenerate distribution on the nearest member
+    (equal member norms force degeneracy there).  Weights that are not a
+    distribution, and a corral system no solver can solve, raise
+    SolverError.
 
     The corral starts from member `start`, which is x_prev's member index
     (fixed points then terminate in one gap evaluation), or None when
     x_prev is not a member: then from the member with the lowest Q value.
     """
     pulse_set.grid.check_rows(h, x_prev)
-    Y = pulse_set.members
+    Y, G = pulse_set.members, pulse_set.gram
     m = pulse_set.m
     dt = pulse_set.grid.dt
     p = x_prev - c_i * h
-    A = Y - p                       # minimize ||sum_k theta_k A_k||^2
+    r = np.einsum("ks,s->k", Y, p)     # without BLAS, as the Gram is
+    xx_prev = float(np.dot(x_prev, x_prev))
 
-    if start is None:
-        start = int(np.argmin(np.einsum("ks,ks->k", A, A)))
+    if start is None:  # norm2(y_k - p), less its constant norm2(p)
+        start = int(np.argmin(G.diagonal() - 2.0 * r))
     corral = [start]
     w = np.array([1.0])
-    x = A[start].copy()
 
     def affine_min(idx):
-        """Exact minimizer of ||u^T A[idx]||^2 with sum(u) = 1."""
-        n = len(idx)
-        K = np.zeros((n + 1, n + 1))
-        K[:n, :n] = A[idx] @ A[idx].T
-        K[:n, n] = 1.0
-        K[n, :n] = 1.0
-        rhs = np.zeros(n + 1)
-        rhs[n] = 1.0
-        u, *_ = np.linalg.lstsq(K, rhs, rcond=None)
-        return u[:n]
+        """Exact minimizer of norm2(sum_k u_k (y_k - p)) over idx with sum(u) = 1."""
+        G_i, r_i = G[idx][:, idx], r[idx]
+        d0 = G_i[0, 0] - G_i[0]                 # (y_0 - y_k).y_0
+        M = G_i[1:, 1:] - G_i[1:, :1] + d0[1:]  # (y_k - y_0).(y_l - y_0)
+        rhs = d0[1:] + (r_i[1:] - r_i[0])      # (y_0 - y_k).(y_0 - p)
+        try:
+            v = np.linalg.solve(M, rhs)
+        except np.linalg.LinAlgError:  # rounding made the corral dependent
+            try:
+                v = np.linalg.lstsq(M, rhs)[0]
+            except np.linalg.LinAlgError as exc:
+                raise SolverError(f"hull minimization: {exc}", gap=gap) from None
+        return np.concatenate(([1.0 - v.sum()], v))
 
-    gap = math.inf
+    gap = q_last = math.inf
     for _ in range(_HULL_MAX_ITERATIONS):
-        xx = float(np.dot(x, x))
-        z = x + p                       # the hull point
-        diff = z - x_prev
-        q = dt * (2.0 * c_i * float(np.dot(h, z)) + float(np.dot(diff, diff)))
-        gap_tol = 1e-8 * (1.0 + abs(q))
-        scores = A @ x
-        j = int(np.argmin(scores))
-        gap = 2.0 * dt * (xx - float(scores[j]))
-        if gap <= gap_tol:
+        scores = w @ G[corral] - r
+        wsw = float(w @ scores[corral])     # w^T G w - w.r over the corral
+        q = dt * (wsw - float(w @ r[corral]) + xx_prev)
+        j = int(scores.argmin())
+        gap = 2.0 * dt * (wsw - float(scores[j]))
+        # a NaN gap stops too, and so does a Q that rounding kept from falling
+        if not gap > 1e-8 * (1.0 + abs(q)) or not q < q_last:
             break
+        q_last = q
         if j not in corral:
             corral.append(j)
             w = np.append(w, 0.0)
@@ -309,22 +331,21 @@ def hull_minimize(h: np.ndarray, x_prev: np.ndarray, c_i: float,
         # a proper convex combination
         while True:
             u = affine_min(corral)
-            if np.all(u > 1e-12):
+            if (u > 1e-12).all():
                 w = u
                 break
             shrink = u < w
             with np.errstate(divide="ignore", invalid="ignore"):
                 steps = np.where(shrink, w / (w - u), np.inf)
-            t = min(1.0, float(np.min(steps)))
+            t = min(1.0, float(steps.min()))
             w = (1.0 - t) * w + t * u
-            keep = w > 1e-12
-            if np.all(keep):
+            keep = ~(w <= 1e-12)            # NaN weights stay, for Distribution to reject
+            if keep.all():
                 w = np.maximum(w, 0.0)
                 break
             corral = [k for k, kept in zip(corral, keep) if kept]
             w = w[keep]
-        w = w / float(np.sum(w))
-        x = w @ A[corral]
+        w = w / float(w.sum())
     else:
         raise SolverError(
             f"hull minimization did not converge in {_HULL_MAX_ITERATIONS} iterations",
@@ -335,10 +356,11 @@ def hull_minimize(h: np.ndarray, x_prev: np.ndarray, c_i: float,
     theta[corral] = w
     z = theta @ Y
 
-    # Snap to a vertex when the minimizer coincides with a member.
-    dist2 = dt * np.einsum("ks,ks->k", Y - z, Y - z)
-    nearest = int(np.argmin(dist2))
-    if math.sqrt(max(float(dist2[nearest]), 0.0)) <= SNAP_TOLERANCE:
+    # Snap to a vertex when the minimizer coincides with a member: the
+    # member nearest z in member space, at its exact distance.
+    nearest = int(np.argmin(G.diagonal() - 2.0 * (scores + r)))
+    diff = Y[nearest] - z
+    if math.sqrt(dt * float(np.dot(diff, diff))) <= SNAP_TOLERANCE:
         return Distribution.degenerate(m, nearest)
     try:
         return Distribution(theta)

@@ -149,6 +149,24 @@ class TestRun:
         assert f"argument {argv[-1]}: invalid " in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_flat_base_far_above_the_members_runs(self, tmp_path, seed):
+        """3 kW per household in every slot puts the hull problem's point far from
+        the 3.3 kW members of the fleet's two EVs; their weights are still found."""
+        base = tmp_path / "flat.csv"
+        base.write_text("slot,kw_per_household\n"
+                        + "".join(f"{t},3.0\n" for t in range(96)))
+        manifest = tmp_path / "flat.json"
+        manifest.write_text(json.dumps({
+            "fleet": {"households": 1000, "penetration": 0.002},
+            "baseload": {"csv": str(base)},
+            "engine": {"max_iterations": 5, "master_seed": seed}}))
+        out = tmp_path / "out"
+        assert main(["run", "--manifest", str(manifest), "--out", str(out)]) == 0
+        assert "n_loads=2\n" in (out / "report.txt").read_text()
+        assert len(read_rows(out / "trajectory.csv")) > 1
+        assert (out / "final_profiles.csv").exists()
+
     def test_every_section_accepted(self, tmp_path):
         manifest = write_manifest(tmp_path, {
             "baseload": {"synth": {"valley_kw": 0.5, "peak_slots": [4, 10, 16]},

@@ -731,13 +731,13 @@ class TestSolverErrorContext:
 
     def test_weights_that_are_no_distribution_name_iteration_and_group(
             self, tmp_path, capsys, monkeypatch):
-        """A corral solve that zeroes every weight fails as a SolverError."""
-        def zeros(K, rhs, rcond=None):
-            return np.zeros(len(rhs)), None, None, None
+        """A corral solve that returns NaN weights fails as a SolverError."""
+        def nans(M, rhs):
+            return np.full(len(rhs), np.nan)
 
-        monkeypatch.setattr(feasible.np.linalg, "lstsq", zeros)
+        monkeypatch.setattr(feasible.np.linalg, "solve", nans)
         message = ("iteration 1, loads [0, 1]: hull minimization: "
-                   "weights sum to 0.0, expected 1")
+                   "weights must be nonnegative numbers, not NaN")
         b, loads = build_case_study(FleetSpec(households=4, penetration=0.5),
                                     BaseLoadSpec(synth=SynthParams()), seed=0)
         with pytest.raises(SolverError) as info:
@@ -748,6 +748,22 @@ class TestSolverErrorContext:
         assert main(["run", "--manifest", str(manifest),
                      "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_corral_system_no_solver_can_solve_names_iteration_and_group(
+            self, monkeypatch):
+        """A LinAlgError from the corral solve and its fallback is a SolverError."""
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(feasible.np.linalg, "solve", singular)
+        monkeypatch.setattr(feasible.np.linalg, "lstsq", singular)
+        b, loads = build_case_study(FleetSpec(households=4, penetration=0.5),
+                                    BaseLoadSpec(synth=SynthParams()), seed=0)
+        with pytest.raises(SolverError) as info:
+            run(loads, b, EngineConfig(max_iterations=5))
+        assert str(info.value) == ("iteration 1, loads [0, 1]: "
+                                   "hull minimization: Singular matrix")
+        assert info.value.gap > 0
 
 
 class TestGroupedWork:

@@ -2,15 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (hull_oracle_grid, hull_oracle_supports, hull_q,
                       projection_oracle, random_convex_set, random_pulse_set,
                       validate_A1A4)
 from valleyfill.core import GridMismatchError, Profile, TimeGrid, norm, norm2
-from valleyfill.feasible import (ConvexChargeSet, Distribution, FinitePulseSet,
-                                 InfeasibleSetError, hull_minimize,
+from valleyfill.feasible import (SNAP_TOLERANCE, ConvexChargeSet, Distribution,
+                                 FinitePulseSet, InfeasibleSetError, hull_minimize,
                                  make_pulse_set, project_convex, sample)
 
 
@@ -198,6 +198,22 @@ def hull_point(h, x_prev, c_i, ps, **kwargs):
     return Profile(theta.weights @ ps.members, ps.grid), theta
 
 
+def assert_as_close_as_oracle(theta, ps, h, x_prev, c_i):
+    """theta's minimizer is as close to p = x_prev - c_i*h as the support oracle's.
+
+    Both distances are dt*norm2(z - p), compared with a relative tolerance.
+    The snap may move a minimizer by up to SNAP_TOLERANCE, which bounds
+    the rest of the allowance.
+    """
+    g = ps.grid
+    oracle_z, _ = hull_oracle_supports(Profile(h, g), Profile(x_prev, g), c_i, ps)
+    p = x_prev - c_i * h
+    d2 = norm2(Profile(theta.weights @ ps.members - p, g))
+    oracle_d2 = norm2(Profile(oracle_z - p, g))
+    snap = 2 * SNAP_TOLERANCE * math.sqrt(oracle_d2) + SNAP_TOLERANCE ** 2
+    assert d2 <= oracle_d2 * (1 + 1e-9) + snap
+
+
 class TestHullMinimize:
     def test_fixed_point_degenerate(self):
         g = TimeGrid(8.0, 8)
@@ -230,6 +246,43 @@ class TestHullMinimize:
         cold = hull_minimize(h, ps.members[k], c_i, ps, start=None)
         gap = (warm.weights - cold.weights) @ ps.members
         assert np.max(np.abs(gap)) <= 1e-7
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), log_shift=st.floats(0.0, 4.0))
+    def test_large_signal_shift_matches_support_oracle(self, seed, log_shift):
+        # members share their energy, so adding a constant to h moves Q by a
+        # constant on the hull and leaves the minimizer where it was; the
+        # oracle solves the unshifted problem
+        rng = np.random.default_rng(seed)
+        S = int(rng.integers(2, 9))
+        ps = random_pulse_set(rng, TimeGrid(float(S), S), m_max=6)
+        h = rng.normal(0, 1, S)
+        x_prev = rng.normal(0, 1, S)
+        c_i = float(rng.uniform(0.2, 3.0))
+        theta = hull_minimize(h + 10.0 ** log_shift * ps.rate_bound, x_prev, c_i, ps)
+        assert_as_close_as_oracle(theta, ps, h, x_prev, c_i)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    # rounding makes a corral system singular (35) and keeps Q from falling
+    # (35 and 2249)
+    @example(seed=35)
+    @example(seed=2249)
+    def test_near_duplicate_members_match_support_oracle(self, seed):
+        # up to 8 members, some of them copies of others moved by 1e-9 to 1e-6
+        rng = np.random.default_rng(seed)
+        S = int(rng.integers(2, 9))
+        m = int(rng.integers(2, 9))
+        rows = list(rng.uniform(0.0, 2.0, (int(rng.integers(1, m)), S)))
+        while len(rows) < m:
+            near = rows[int(rng.integers(len(rows)))]
+            rows.append(near + 10.0 ** rng.uniform(-9, -6) * rng.normal(0, 1, S))
+        ps = FinitePulseSet(np.array(rows), TimeGrid(float(S), S), 1.0, 1.0, 2.0)
+        h = rng.normal(0, 1, S)
+        x_prev = rng.normal(0, 1, S)
+        c_i = float(rng.uniform(0.2, 3.0))
+        theta = hull_minimize(h, x_prev, c_i, ps)
+        assert_as_close_as_oracle(theta, ps, h, x_prev, c_i)
 
     def test_minimizer_is_theta_expectation_after_snap(self):
         g = TimeGrid(8.0, 8)
