@@ -24,8 +24,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import analysis, netsim
-from .core import (Objective, ObjectiveKind, Profile, TimeGrid, _flag, _integer,
-                   _items, _number, _number_text, aggregate, norm, norm2)
+from .core import (Objective, Profile, TimeGrid, _flag, _items, _number, _number_text,
+                   _text, aggregate, norm, norm2)
 from .engine import EngineConfig, LoadSpec, Trajectory, run
 from .scenario import (BaseLoadSpec, FleetSpec, HeterogeneitySpec, SynthParams,
                        build_case_study)
@@ -92,61 +92,49 @@ def load_manifest(path: Optional[str], overrides: argparse.Namespace) -> Manifes
     if getattr(overrides, "out", None) is not None:
         manifest["out"] = overrides.out
     parts = _fields(manifest, _MANIFEST_KEYS, "manifest")
-    objective = parts["objective"]
-    try:
-        if "target" in objective:
-            objective["target"] = Profile(objective["target"], parts["grid"])
-        parts["objective"] = Objective(**objective)
-    except ValueError as exc:
-        raise InputError(f"bad objective: {exc}") from None
+    grid = parts["grid"]
+    target = ("target", lambda v: Profile(_items(_number, grid.slots)(v), grid))
+    parts["objective"] = _section(Objective, parts["objective"],
+                                  {"kind": "kind", "target": target}, "objective")
     return Manifest(**parts)
-
-
-def _json_integer(value) -> int:
-    """An integer by core's rule that is, as every manifest number, finite as a float."""
-    value = _integer(value)
-    _number(value)
-    return value
 
 
 def _jitter(value) -> Tuple[float, float]:
     """A jitter j stands for the multiplier range (1 - j, 1 + j)."""
     j = _number(value)
     if not 0.0 <= j < 1.0:
-        raise ValueError(f"must be in [0, 1), got {value!r}")
+        raise ValueError("must be in [0, 1)")
     return (1.0 - j, 1.0 + j)
-
-
-def _text(value) -> str:
-    if not isinstance(value, str):
-        raise TypeError("must be a string")
-    return value
 
 
 def _fields(section, keys: dict, where: str) -> dict:
     """Convert a manifest section to keyword arguments.
 
-    `keys` maps each accepted key to (field, converter).  Unknown keys,
-    two keys for one field and values the converter rejects raise
-    InputError.
+    `keys` maps each accepted key to the field it sets, whose spec checks
+    the value, or to (field, converter) for a form the spec does not take.
+    A section that is not an object, unknown keys, two keys for one field
+    and values a converter rejects raise InputError; a bad value reads
+    ``bad <where>: <key> must be <want>, got <value>``.
     """
-    if not isinstance(section, dict):
-        raise InputError(f"{where} must be an object, got {section!r}")
+    if not isinstance(section, dict):  # `where` is <section>.<key> or a top-level key
+        parent, _, key = where.rpartition(".")
+        raise InputError(f"bad {parent or 'manifest'}: {key} must be an object, "
+                         f"got {section!r}")
     unknown = sorted(set(section) - set(keys))
     if unknown:
         raise InputError(f"unknown {where} key(s) {unknown}; "
                          f"expected some of {sorted(keys)}")
     out = {}
     for key, value in section.items():
-        field, convert = keys[key]
+        field, convert = (keys[key], None) if isinstance(keys[key], str) else keys[key]
         if field in out:
             raise InputError(f"{where} sets {field} twice (key {key!r})")
         try:
-            out[field] = convert(value)
+            out[field] = value if convert is None else convert(value)
         except InputError:
             raise
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"bad {where}.{key} {value!r}: {exc}") from None
+        except (TypeError, ValueError) as exc:  # core's rules raise `must be <want>`
+            raise InputError(f"bad {where}: {key} {exc}, got {value!r}") from None
     return out
 
 
@@ -159,13 +147,11 @@ def _section(cls, section, keys: dict, where: str):
         raise InputError(f"bad {where}: {exc}") from None
 
 
-_GRID_KEYS = {"horizon_hours": ("horizon_hours", _number),
-              "slots": ("slots", _json_integer)}
+_GRID_KEYS = {key: key for key in ("horizon_hours", "slots")}
 
-_HETEROGENEITY_KEYS = {"rate_jitter": ("rate_range", _jitter),
-                       "rate_range": ("rate_range", _items(_number, 2)),
+_HETEROGENEITY_KEYS = {"rate_jitter": ("rate_range", _jitter), "rate_range": "rate_range",
                        "duration_jitter": ("duration_range", _jitter),
-                       "duration_range": ("duration_range", _items(_number, 2))}
+                       "duration_range": "duration_range"}
 
 
 def _heterogeneity(section) -> Optional[HeterogeneitySpec]:
@@ -176,23 +162,20 @@ def _heterogeneity(section) -> Optional[HeterogeneitySpec]:
 
 
 # Fleet keys, README's names and FleetSpec's, with the field each sets.
-_FLEET_KEYS = {"households": ("households", _json_integer),
-               "penetration": ("penetration", _number),
-               "charger_kw": ("ev_rate", _number), "ev_rate": ("ev_rate", _number),
-               "charge_hours": ("ev_duration_hours", _number),
-               "ev_duration_hours": ("ev_duration_hours", _number),
-               "start_window": ("start_window", _items(_json_integer, 2)),
+_FLEET_KEYS = {"households": "households", "penetration": "penetration",
+               "charger_kw": "ev_rate", "ev_rate": "ev_rate",
+               "charge_hours": "ev_duration_hours",
+               "ev_duration_hours": "ev_duration_hours",
+               "start_window": "start_window",
                "heterogeneity": ("heterogeneity", _heterogeneity)}
 
-_SYNTH_KEYS = {"evening_peak_kw": ("evening_peak_kw", _number),
-               "morning_peak_kw": ("morning_peak_kw", _number),
-               "valley_kw": ("valley_kw", _number),
-               "peak_slots": ("peak_slots", _items(_json_integer, 3))}
+_SYNTH_KEYS = {key: key for key in ("evening_peak_kw", "morning_peak_kw", "valley_kw",
+                                    "peak_slots")}
 
-_BASELOAD_KEYS = {"csv": ("csv_path", _text),
+_BASELOAD_KEYS = {"csv": "csv_path",
                   "synth": ("synth", lambda s: _section(SynthParams, s, _SYNTH_KEYS,
                                                         "baseload.synth")),
-                  "per_household_scale": ("per_household_scale", _number)}
+                  "per_household_scale": "per_household_scale"}
 
 
 def _baseload(section) -> BaseLoadSpec:
@@ -205,23 +188,18 @@ def _baseload(section) -> BaseLoadSpec:
         raise InputError(f"bad baseload: {exc}") from None
 
 
-_ENGINE_KEYS = {"epsilon": ("epsilon", _number),
-                "max_iterations": ("max_iterations", _json_integer),
-                "master_seed": ("master_seed", _json_integer)}
-
-_OBJECTIVE_KEYS = {"kind": ("kind", ObjectiveKind),
-                   "target": ("target", lambda v: np.array([_number(x) for x in v]))}
+_ENGINE_KEYS = {key: key for key in ("epsilon", "max_iterations", "master_seed")}
 
 _EMIT_KEYS = {key: (key, _flag) for key in ("trajectory", "profiles", "report")}
 
 # Top-level keys; the objective's target needs the grid, so load_manifest
-# builds the Objective from these fields.
+# builds the Objective from its section.
 _MANIFEST_KEYS = {
     "grid": ("grid", lambda s: _section(TimeGrid, s, _GRID_KEYS, "grid")),
     "fleet": ("fleet", lambda s: _section(FleetSpec, s, _FLEET_KEYS, "fleet")),
     "baseload": ("baseload", _baseload),
     "engine": ("engine", lambda s: _section(EngineConfig, s, _ENGINE_KEYS, "engine")),
-    "objective": ("objective", lambda s: _fields(s, _OBJECTIVE_KEYS, "objective")),
+    "objective": "objective",
     "out": ("out", _text),
     "emit": ("emit", lambda s: _fields(s, _EMIT_KEYS, "emit")),
 }
@@ -378,8 +356,7 @@ def cmd_experiment(args) -> int:
     penetrations = _penetrations(args.penetrations)
     if args.seeds < 1:
         raise InputError(f"--seeds must be >= 1, got {args.seeds}")
-    out = manifest.out
-    os.makedirs(out, exist_ok=True)
+    out = manifest.out  # made once a sweep has its table, so a failed one leaves none
 
     if args.name == "bound-sweep":
         rows = []
@@ -388,6 +365,7 @@ def cmd_experiment(args) -> int:
             report = analysis.subopt_ratio_bound(
                 [s.constraint for s in loads], base)
             rows.append([repr(v) for v in (pen, *dataclasses.astuple(report))])
+        os.makedirs(out, exist_ok=True)
         _write_csv(os.path.join(out, "bound_sweep.csv"),
                    ["penetration", "absolute_bound", "ratio_bound",
                     "optimum_lower_bound"], rows)
@@ -416,6 +394,7 @@ def cmd_experiment(args) -> int:
                         for k, mean in enumerate(escapes.mean(axis=0))]
         # b does not depend on the seed, so it is added once, exactly
         mean_aggregates.append(b.values + ev_sum / len(seeds))
+    os.makedirs(out, exist_ok=True)
     if args.name == "escape-sweep":
         _write_csv(os.path.join(out, "escape_sweep.csv"),
                    ["penetration", "k", "mean_escape_probability"], escape_rows)

@@ -8,8 +8,8 @@ energy in kWh, squared norms in kW^2*h.  All integrals are discretized
 as left-Riemann sums on a uniform grid, and every reduction runs in
 ascending slot index order so results are bit-reproducible.
 The package's value rules live here too, one per input kind: `_number`,
-`_integer`, `_flag` and, for numbers written as text, `_number_text`;
-`_field` checks and stores every spec field by one of them.
+`_integer`, `_flag`, `_text` and, for numbers written as text,
+`_number_text`; `_field` checks and stores every spec field by one of them.
 """
 
 from __future__ import annotations
@@ -53,18 +53,21 @@ def _number(value) -> float:
         raise TypeError("must be a number")
     try:
         number = float(value)
-    except OverflowError as exc:  # an integer past float range
-        raise ValueError(str(exc)) from None
+    except OverflowError:  # an integer past float range
+        raise ValueError("must be finite") from None
     if not math.isfinite(number):
         raise ValueError("must be finite")
     return number
 
 
 def _integer(value) -> int:
-    """`value` as an int, if `operator.index` accepts it and it is not a bool."""
+    """`value` as an int, if `operator.index` accepts it, it is not a bool and,
+    as every number, it is finite as a float (past float range: ValueError)."""
     if isinstance(value, (bool, np.bool_)):
         raise TypeError("must be an integer")
-    return operator.index(value)
+    value = operator.index(value)
+    _number(value)
+    return value
 
 
 def _flag(value) -> bool:
@@ -72,6 +75,13 @@ def _flag(value) -> bool:
     if not isinstance(value, (bool, np.bool_)):
         raise TypeError("must be true or false")
     return bool(value)
+
+
+def _text(value) -> str:
+    """`value`, if it is a string."""
+    if not isinstance(value, str):
+        raise TypeError("must be a string")
+    return value
 
 
 def _items(rule, count: int, ordered: bool = False):
@@ -89,8 +99,8 @@ def _field(spec, name: str, rule, want: str, ge=None, gt=None, error=ValueError,
            label: Optional[str] = None) -> None:
     """Store the frozen `spec`'s field `name` as `rule` converts it.
 
-    `rule` is one of the value rules here, or `_items` of one; the result,
-    or each of its items, must be >= ge and > gt where they are given, or
+    `rule` is one of the value rules here, `_items` of one, or an enum; the
+    result, or each of its items, must be >= ge and > gt where they are given, or
     `error` is raised: ``<label, by default name> must be <want>, got <value!r>``.
     """
     value = getattr(spec, name)
@@ -193,14 +203,18 @@ class ObjectiveKind(enum.Enum):
 
 @dataclass(frozen=True)
 class Objective:
-    """Flatten the aggregate, or track a target profile (quadratic cost)."""
+    """Flatten the aggregate, or track a target profile (quadratic cost): kind is an
+    ObjectiveKind or its value, and target a Profile exactly with kind track."""
 
     kind: ObjectiveKind = ObjectiveKind.FLATTEN
     target: Optional[Profile] = None
 
     def __post_init__(self):
-        if self.kind is ObjectiveKind.TRACK and self.target is None:
-            raise ValueError("Track objective requires a target profile")
+        _field(self, "kind", ObjectiveKind, "flatten or track")
+        if self.kind is ObjectiveKind.FLATTEN and self.target is not None:
+            raise ValueError(f"kind must be track with a target, got {self.kind.value!r}")
+        if self.kind is ObjectiveKind.TRACK and not isinstance(self.target, Profile):
+            raise ValueError(f"target must be a Profile with kind track, got {self.target!r}")
 
     def effective_base(self, b: Profile) -> Profile:
         """Base load with the target folded in; Track reduces to Flatten on b - target."""

@@ -102,9 +102,9 @@ class LoadSpec:
     def __post_init__(self):
         if self.c is None:
             object.__setattr__(self, "c", self.constraint.energy)
-        # set-up builds one spec per load: the common case, an int id >= 0
-        # and a float weight in (0, inf), skips the general check
-        if not (type(self.id) is int and self.id >= 0
+        # set-up builds one spec per load: the common case, an int id in
+        # [0, 2**32) and a float weight in (0, inf), skips the general check
+        if not (type(self.id) is int and 0 <= self.id < 2**32
                 and type(self.c) is float and 0.0 < self.c < math.inf):
             _check_load(self)
 
@@ -505,7 +505,8 @@ class LoadUpdate:
                 pinned = j if w[j] == 1.0 and not w[:j].any() else None
                 stay = 0.0 if prev is None else float(w[prev])
                 # E[x] and E[norm2(x)] - norm2(E[x]) for x ~ theta; members share norm2(x) = Y
-                mean_g = w @ pulse_set.members
+                # einsum calls no BLAS, so these bits do not depend on its thread count
+                mean_g = np.einsum("k,ks->s", w, pulse_set.members)
                 memo[key] = (theta, pinned, stay, mean_g,
                              pulse_set.sqnorm - pulse_set.grid.dt * float(np.dot(mean_g, mean_g)))
             solved.append((positions, pulse_set, memo[key]))

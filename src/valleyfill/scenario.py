@@ -17,7 +17,8 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .core import Profile, TimeGrid, _field, _integer, _items, _number, _number_text
+from .core import (Profile, TimeGrid, _field, _integer, _items, _number, _number_text,
+                   _text)
 from .engine import LoadSpec
 from .feasible import FinitePulseSet, make_pulse_set
 
@@ -116,8 +117,9 @@ class SynthParams:
 class BaseLoadSpec:
     """Per-household base load source plus scaling (kW per household).
 
-    Exactly one source is given, and per_household_scale is a number >= 0
-    by core's `_number` rule (stored as a float); otherwise ValueError.
+    Exactly one source is given: csv_path, a string by core's `_text` rule,
+    or synth.  per_household_scale is a number >= 0 by core's `_number`
+    rule (stored as a float).  Otherwise ValueError.
     """
 
     csv_path: Optional[str] = None
@@ -125,8 +127,10 @@ class BaseLoadSpec:
     per_household_scale: float = 1.0
 
     def __post_init__(self):
-        if (self.csv_path is None) == (self.synth is None):
-            raise ValueError("exactly one of csv_path or synth must be given")
+        if self.synth is None:
+            _field(self, "csv_path", _text, "a string when synth is None")
+        elif self.csv_path is not None:
+            raise ValueError(f"csv_path must be None with synth, got {self.csv_path!r}")
         _field(self, "per_household_scale", _number, "a finite number >= 0", ge=0)
 
 

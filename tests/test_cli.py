@@ -1,6 +1,10 @@
+import contextlib
 import csv
+import io
 import json
+import math
 import os
+import pathlib
 import re
 import tempfile
 import threading
@@ -21,7 +25,7 @@ from valleyfill.core import (Objective, ObjectiveKind, Profile, TimeGrid,
                              aggregate, norm2)
 from valleyfill.engine import EngineConfig, Termination, run
 from valleyfill.feasible import FinitePulseSet
-from valleyfill.scenario import (BaseLoadSpec, FleetSpec, SynthParams,
+from valleyfill.scenario import (BaseLoadSpec, FleetSpec, HeterogeneitySpec, SynthParams,
                                  build_case_study, default_baseload)
 
 SMALL_MANIFEST = {
@@ -40,7 +44,7 @@ def write_manifest(tmp_path, extra=None, name="manifest.json"):
         else:
             manifest[key] = value
     path = tmp_path / name
-    path.write_text(json.dumps(manifest))
+    path.write_text(json.dumps(manifest, default=lambda v: v.item()))  # numpy scalars
     return str(path)
 
 
@@ -746,6 +750,15 @@ class TestExperiment:
         assert captured.err == f"error: --seeds must be >= 1, got {seeds}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("name", ["bound-sweep", "escape-sweep", "profile-sweep"])
+    def test_fleet_that_cannot_be_built_leaves_no_output(self, tmp_path, capsys, name):
+        """A 30-h charge on a 24-h horizon fails the sweep's first fleet."""
+        out = tmp_path / "out"
+        manifest = write_manifest(tmp_path, {"fleet": {"charge_hours": 30}})
+        assert main(["experiment", name, "--manifest", manifest, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: start_window")
+        assert not out.exists()
+
     @pytest.mark.parametrize("levels", ["0.2,x", "-0.5", "0_5"])
     def test_bad_penetrations_exit_2(self, tmp_path, capsys, levels):
         out = tmp_path / "out"
@@ -755,6 +768,42 @@ class TestExperiment:
         err = capsys.readouterr().err
         assert err.startswith("error: --penetrations") and levels in err
         assert not out.exists()
+
+
+# Every manifest key whose value only its spec checks: (section, key, spec,
+# field, the spec's other arguments as SMALL_MANIFEST gives them, a value
+# below the field's bound or None, the valid items of a list field or None).
+FLEET_ARGS = {"households": 10, "penetration": 0.3, "start_window": (0, 20)}
+SPEC_KEYS = [
+    ("grid", "horizon_hours", TimeGrid, "horizon_hours", {"slots": 24}, 0.0, None),
+    ("grid", "slots", TimeGrid, "slots", {"horizon_hours": 24.0}, 0, None),
+    ("fleet", "households", FleetSpec, "households", FLEET_ARGS, -1, None),
+    ("fleet", "penetration", FleetSpec, "penetration", FLEET_ARGS, -0.5, None),
+    ("fleet", "charger_kw", FleetSpec, "ev_rate", FLEET_ARGS, 0.0, None),
+    ("fleet", "ev_rate", FleetSpec, "ev_rate", FLEET_ARGS, -3.3, None),
+    ("fleet", "charge_hours", FleetSpec, "ev_duration_hours", FLEET_ARGS, 0.0, None),
+    ("fleet", "ev_duration_hours", FleetSpec, "ev_duration_hours", FLEET_ARGS, -4.0, None),
+    ("fleet", "start_window", FleetSpec, "start_window", FLEET_ARGS, -1, [0, 20]),
+    ("fleet.heterogeneity", "rate_range", HeterogeneitySpec, "rate_range", {}, 0.0,
+     [0.8, 1.2]),
+    ("fleet.heterogeneity", "duration_range", HeterogeneitySpec, "duration_range", {},
+     -0.5, [0.8, 1.2]),
+    ("baseload.synth", "evening_peak_kw", SynthParams, "evening_peak_kw", {}, -0.1, None),
+    ("baseload.synth", "morning_peak_kw", SynthParams, "morning_peak_kw", {}, -0.1, None),
+    ("baseload.synth", "valley_kw", SynthParams, "valley_kw", {}, -0.1, None),
+    ("baseload.synth", "peak_slots", SynthParams, "peak_slots", {}, None, [1, 9, 13]),
+    ("baseload", "csv", BaseLoadSpec, "csv_path", {}, None, None),
+    ("baseload", "per_household_scale", BaseLoadSpec, "per_household_scale",
+     {"synth": SynthParams()}, -1.0, None),
+    ("engine", "epsilon", EngineConfig, "epsilon", SMALL_MANIFEST["engine"], 0.0, None),
+    ("engine", "max_iterations", EngineConfig, "max_iterations", {"master_seed": 3}, 0,
+     None),
+    ("engine", "master_seed", EngineConfig, "master_seed", {"max_iterations": 15}, None,
+     None),
+    ("objective", "kind", Objective, "kind", {}, None, None),
+]
+# Values of a wrong kind, not finite, or past float range.
+BAD_VALUES = [True, np.True_, "1", None, math.nan, math.inf, -math.inf, 10**400]
 
 
 class TestFleetGen:
@@ -938,6 +987,36 @@ class TestFleetGen:
         assert main([command, "--manifest", str(tmp_path / "manifest.json"),
                      "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: bad {key} ")
+        section, field = key.rsplit(".", 1)
+        assert err.startswith(f"error: bad {section}: {field} must be ")
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_manifest_rejects_what_the_spec_rejects(self, data):
+        """fleet-gen exits 2 naming the field, and writes nothing, exactly when the
+        spec built directly from the value raises."""
+        where, key, spec, field, args, below, items = data.draw(st.sampled_from(SPEC_KEYS))
+        # a string is a base-load path, which the spec takes
+        values = [v for v in BAD_VALUES if not (key == "csv" and isinstance(v, str))]
+        value = data.draw(st.sampled_from(values + ([] if below is None else [below])))
+        if items is not None and data.draw(st.booleans()):  # one bad item
+            value = [value] + items[1:]
+        try:
+            spec(**{**args, field: value})
+            rejected = False
+        except ValueError:
+            rejected = True
+        extra = {key: value}
+        for name in reversed(where.split(".")):
+            extra = {name: extra}
+        with tempfile.TemporaryDirectory() as tmp:
+            out = os.path.join(tmp, "out")
+            with contextlib.redirect_stderr(io.StringIO()) as err:
+                code = main(["fleet-gen", "--out", out, "--manifest",
+                             write_manifest(pathlib.Path(tmp), extra)])
+            assert (code == 2) == rejected, err.getvalue()
+            if rejected:
+                assert err.getvalue().startswith(f"error: bad {where}: {field} must be ")
+                assert not os.path.exists(out)

@@ -67,7 +67,7 @@ class TestValueRules:
         self.check(_number, value, expected)
 
     @pytest.mark.parametrize("value,expected", zip(
-        RULE_VALUES, [3, TypeError, TypeError, TypeError, 10**400, TypeError]),
+        RULE_VALUES, [3, TypeError, TypeError, TypeError, ValueError, TypeError]),
         ids=RULE_IDS)
     def test_integer(self, value, expected):
         self.check(_integer, value, expected)
@@ -137,7 +137,7 @@ CONFIGURATION_SPECS = (EngineConfig, LoadSpec, RosterEntry)
 # What each rule rejects among the values a manifest or a caller may pass.
 REJECTED = {
     "number": [True, np.True_, "1", None, math.nan, math.inf, -math.inf, 10**400],
-    "integer": [True, np.True_, "1", None, math.nan, math.inf, -math.inf],
+    "integer": [True, np.True_, "1", None, math.nan, math.inf, -math.inf, 10**400],
     "flag": ["1", None, math.nan, math.inf, -math.inf, 10**400],
 }
 
