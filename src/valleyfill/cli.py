@@ -155,7 +155,9 @@ _HETEROGENEITY_KEYS = {"rate_jitter": ("rate_range", _jitter), "rate_range": "ra
 
 
 def _heterogeneity(section) -> Optional[HeterogeneitySpec]:
-    if not section:
+    """None for `{}` (identical EVs, one shared set); a value that is not an
+    object is rejected as any section's is."""
+    if section == {}:
         return None
     return _section(HeterogeneitySpec, section, _HETEROGENEITY_KEYS,
                     "fleet.heterogeneity")
@@ -243,37 +245,53 @@ def profiles_to_csv(loads: Sequence[LoadSpec], profiles: Sequence[Profile],
             w.writerow([spec.id] + [repr(float(v)) for v in p.values])
 
 
-def profiles_from_csv(path, grid: TimeGrid) -> Dict[int, Profile]:
-    """Profiles by load id from `id,v1..vS` rows; blank lines are skipped.
+# Lines one `np.loadtxt` call parses: enough that the per-call cost is
+# small next to the parse, few enough to bound the text held at once.
+_CHUNK_LINES = 4096
 
-    Values parse with `np.loadtxt`, 64 lines a call, which rejects digit
-    separators, non-ASCII digits and quotes.  A row that does not parse, has
-    the wrong length, holds a non-finite value or repeats an id raises
-    InputError naming its line.
+
+def profiles_from_csv(path, grid: TimeGrid) -> Tuple[List[int], np.ndarray]:
+    """Load ids in file order and their values as one (n, S) float64 array,
+    from `id,v1..vS` rows; blank lines are skipped.
+
+    Values parse with `np.loadtxt`, 4096 lines a call, which rejects digit
+    separators, non-ASCII digits and quotes; each call's rows are checked
+    for length and finiteness at once.  Only a chunk that fails is parsed
+    again line by line, so a row that does not parse, has the wrong length,
+    holds a non-finite value or repeats an id raises InputError naming its
+    line.
     """
-    out: Dict[int, Profile] = {}
+    ids: List[int] = []
+    seen = set()
+    blocks = []
     with open(path, newline="") as fh:
         lines = ((n, line.rstrip("\r\n").partition(",")) for n, line in enumerate(fh, 1)
                  if line.strip("\r\n"))
-        while chunk := list(itertools.islice(lines, 64)):  # bounds the parse's memory
+        while chunk := list(itertools.islice(lines, _CHUNK_LINES)):
             tails = [tail for _, (_, _, tail) in chunk]
-            rows = [None] * len(chunk)  # None: parse the line alone, to name it
+            rows = None
             if all(tails):  # loadtxt would skip an empty tail
                 with contextlib.suppress(ValueError):
                     rows = np.loadtxt(tails, delimiter=",", comments=None, ndmin=2)
-            for (n, (head, _, tail)), row in zip(chunk, rows):
+            parsed = (rows is not None and rows.shape == (len(chunk), grid.slots)
+                      and np.isfinite(rows).all())
+            if not parsed:  # each line alone, as a Profile, to name the first bad one
+                rows = np.empty((len(chunk), grid.slots))
+            for k, (n, (head, _, tail)) in enumerate(chunk):
                 try:
                     load_id = int(_number_text(head))
-                    if row is None:
-                        row = (np.loadtxt([tail], delimiter=",", comments=None, ndmin=1)
-                               if tail else np.empty(0))
-                    profile = Profile(row, grid)
+                    if not parsed:
+                        rows[k] = Profile(np.loadtxt([tail], delimiter=",", comments=None,
+                                                     ndmin=1) if tail else np.empty(0),
+                                          grid).values
                 except ValueError as exc:
                     raise InputError(f"{path} line {n}: {exc}") from None
-                if load_id in out:
+                if load_id in seen:
                     raise InputError(f"{path} line {n}: load {load_id} appears twice")
-                out[load_id] = profile
-    return out
+                seen.add(load_id)
+                ids.append(load_id)
+            blocks.append(rows)
+    return ids, np.concatenate(blocks) if blocks else np.empty((0, grid.slots))
 
 
 def _write_artifacts(manifest: Manifest, loads: Sequence[LoadSpec], base: Profile,
@@ -371,6 +389,11 @@ def cmd_experiment(args) -> int:
                     "optimum_lower_bound"], rows)
         return 0
 
+    for pen in penetrations:
+        # a lone EV has no other load to average against, so `run` rejects it
+        if dataclasses.replace(manifest.fleet, penetration=pen).evs == 1:
+            raise InputError(f"--penetrations level {pen!r} gives 1 EV; a sweep's "
+                             f"runs need 0 or at least 2")
     iterations = manifest.engine.max_iterations
     first_seed = manifest.engine.master_seed
     seeds = range(first_seed, first_seed + args.seeds)
@@ -418,21 +441,22 @@ def cmd_analyze(args) -> int:
         raise InputError(f"unknown check(s) {unknown}; expected some of {list(CHECKS)}")
     manifest = load_manifest(args.manifest, args)
     _, base, loads = _scenario(manifest)
-    profiles = profiles_from_csv(args.profiles, manifest.grid)
-    ids = {spec.id for spec in loads}
-    for load_id in profiles:
-        if load_id not in ids:
+    ids, rows = profiles_from_csv(args.profiles, manifest.grid)
+    known = {spec.id for spec in loads}
+    for load_id in ids:
+        if load_id not in known:
             raise InputError(f"load {load_id}: not in the scenario")
+    row_of = {load_id: r for r, load_id in enumerate(ids)}
     sets = [spec.constraint for spec in loads]
-    xs = []
+    order = []  # each load's row, in load order
     idx = []
     status = 0
     for spec in loads:
-        if spec.id not in profiles:
+        r = row_of.get(spec.id)
+        if r is None:
             raise InputError(f"load {spec.id}: missing profile")
-        x = profiles[spec.id]
-        xs.append(x)
-        idx.append(spec.constraint.member_index(x))
+        order.append(r)
+        idx.append(spec.constraint.member_index(rows[r]))
         if idx[-1] is None:
             print(f"load {spec.id}: profile is not an admissible member",
                   file=sys.stderr)
@@ -440,7 +464,7 @@ def cmd_analyze(args) -> int:
     if status or not loads:
         return status
 
-    total = aggregate(base, xs)
+    total = aggregate(base, rows[order])
     if "nash" in checks:
         tol = 1e-9 * (1 + abs(norm2(total)))
         report = analysis.nash_report(sets, idx, total, tol)

@@ -11,7 +11,8 @@ re-check them.
 
 The solvers run inside the engine's load update, so they take and return
 float64 rows on their set's grid, not `Profile`s; a row of any other
-shape raises GridMismatchError.
+shape raises GridMismatchError.  `FinitePulseSet.member_index` takes
+such a row too, or a `Profile`.
 """
 
 from __future__ import annotations
@@ -145,11 +146,20 @@ class FinitePulseSet:
         gram.flags.writeable = False
         return gram
 
-    def member_index(self, x: Profile) -> Optional[int]:
-        """Index of the member equal to x in every slot, or None."""
-        if x.grid is not self.grid and x.grid != self.grid:
-            return None
-        return self._index.get(values_key(x.values))
+    def member_index(self, x: np.ndarray | Profile) -> Optional[int]:
+        """Index of the member equal to x in every slot, or None.
+
+        x is a float64 row on the set's grid, as the solvers take (a row of
+        another shape raises GridMismatchError), or a Profile (on another
+        grid: None).
+        """
+        if isinstance(x, Profile):
+            if x.grid is not self.grid and x.grid != self.grid:
+                return None
+            x = x.values
+        elif x.shape != (self.grid.slots,):  # check_rows' own test costs 1 us a row
+            self.grid.check_rows(x)  # raises
+        return self._index.get(values_key(x))
 
 
 @dataclass(frozen=True)

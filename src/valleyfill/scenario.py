@@ -91,6 +91,11 @@ class FleetSpec:
             _field(self, name, _number, "finite and positive", gt=0)
         _field(self, "start_window", _WINDOW, "two integers 0 <= first <= last", ge=0)
 
+    @property
+    def evs(self) -> int:
+        """The fleet's size, round(households * penetration)."""
+        return round(self.households * self.penetration)
+
 
 @dataclass(frozen=True)
 class SynthParams:
@@ -231,8 +236,8 @@ def _ev_pulse_set(spec: FleetSpec, grid: TimeGrid, ev_index: int,
 
 def build_fleet(spec: FleetSpec, grid: TimeGrid = CANONICAL_GRID,
                 seed: int = 0) -> List[LoadSpec]:
-    """n = round(households * penetration) EVs with c_i = X_i."""
-    n = round(spec.households * spec.penetration)
+    """`spec.evs` EVs with c_i = X_i."""
+    n = spec.evs
     if spec.heterogeneity is None:
         # identical EVs share one constraint object, letting the engine
         # reuse hull solutions across the fleet within an iteration

@@ -17,10 +17,11 @@ from hypothesis import strategies as st
 
 from conftest import profiles_from_csv_per_row
 from test_netsim import free_endpoint
-from valleyfill import netsim
+from valleyfill import cli, netsim
 from valleyfill.analysis import (brute_force_optimum, is_nash, subopt_ratio_bound,
                                  suboptimality_gap_check)
-from valleyfill.cli import InputError, main, profiles_from_csv, profiles_to_csv
+from valleyfill.cli import (_CHUNK_LINES, InputError, load_manifest, main, profiles_from_csv,
+                            profiles_to_csv)
 from valleyfill.core import (Objective, ObjectiveKind, Profile, TimeGrid,
                              aggregate, norm2)
 from valleyfill.engine import EngineConfig, Termination, run
@@ -430,7 +431,7 @@ class TestAnalyze:
         manifest = write_manifest(tmp_path, {"fleet": {"households": 20,
                                                        "penetration": 0.5}})
         assert main(["run", "--manifest", manifest, "--out", str(out)]) == 0
-        n = len(profiles_from_csv(out / "final_profiles.csv", TimeGrid(24.0, 24)))
+        n = len(profiles_from_csv(out / "final_profiles.csv", TimeGrid(24.0, 24))[0])
         calls = []
         lookup = FinitePulseSet.member_index
 
@@ -452,12 +453,43 @@ class TestAnalyze:
         manifest = write_manifest(tmp_path)
         assert main(["run", "--manifest", manifest, "--out", str(out)]) == 0
         grid = TimeGrid(24.0, 24)
-        profiles = profiles_from_csv(out / "final_profiles.csv", grid)
-        assert sorted(profiles) == [0, 1, 2]
+        ids, rows = profiles_from_csv(out / "final_profiles.csv", grid)
+        assert ids == [0, 1, 2] and rows.shape == (3, 24)
         # membership must round trip bit-exactly through the CSV
         _, (b, loads) = small_scenario()
-        for spec in loads:
-            assert spec.constraint.member_index(profiles[spec.id]) is not None
+        for spec, row in zip(loads, rows):
+            assert spec.constraint.member_index(row) is not None
+
+    def test_profiles_built_do_not_grow_with_the_fleet(self, tmp_path, monkeypatch):
+        """`analyze` reads the profiles into one array and checks them there:
+        a 10-EV and a 200-EV fleet build the same number of `Profile`s."""
+        built = []
+        check = Profile.__post_init__
+
+        def counted(self):
+            built.append(self)
+            check(self)
+
+        counts = []
+        for households in (10, 200):
+            manifest = write_manifest(tmp_path, {"fleet": {"households": households,
+                                                           "penetration": 1.0}},
+                                      name=f"fleet_{households}.json")
+            _, loads = build_case_study(FleetSpec(households=households, penetration=1.0,
+                                                  start_window=(0, 20)),
+                                        BaseLoadSpec(synth=SynthParams()),
+                                        TimeGrid(24.0, 24), seed=3)
+            profiles = tmp_path / f"profiles_{households}.csv"
+            self.write_profiles(profiles, [(spec.id, spec.constraint.members[0])
+                                           for spec in loads])
+            monkeypatch.setattr(Profile, "__post_init__", counted)
+            built.clear()
+            status = main(["analyze", str(profiles), "--manifest", manifest,
+                           "--checks", "nash,ratio"])
+            monkeypatch.undo()
+            assert status in (0, 1) and len(loads) == households
+            counts.append(len(built))
+        assert counts[0] == counts[1], counts
 
     def test_track_fixed_point_is_nash(self, tmp_path, capsys):
         """`analyze` checks a `track` equilibrium on b - target."""
@@ -480,6 +512,18 @@ def line_named(parse, path, grid):
     with pytest.raises(InputError) as info:
         parse(path, grid)
     return int(re.search(r" line (\d+): ", str(info.value)).group(1))
+
+
+def parsed_pairs(path, grid):
+    """(id, row bytes) in file order, from `profiles_from_csv`."""
+    ids, rows = profiles_from_csv(path, grid)
+    assert rows.dtype == np.float64 and rows.shape == (len(ids), grid.slots)
+    return [(i, row.tobytes()) for i, row in zip(ids, rows)]
+
+
+def oracle_pairs(path, grid):
+    """(id, row bytes) in file order, from the `csv.reader` oracle."""
+    return [(i, p.values.tobytes()) for i, p in profiles_from_csv_per_row(path, grid).items()]
 
 
 # Each corruption edits the fields of row i of a list of rows, in place.
@@ -527,34 +571,34 @@ class TestProfilesCsv:
                          "".join(with_blanks)):
                 with open(path, "w", newline="") as fh:
                     fh.write(text)
-                for parse in (profiles_from_csv, profiles_from_csv_per_row):
-                    parsed = parse(path, grid)
-                    assert [(i, p.values.tobytes()) for i, p in parsed.items()] == expected
+                for parse in (parsed_pairs, oracle_pairs):
+                    assert parse(path, grid) == expected
 
     @pytest.mark.parametrize("ending", ["\r\n", "\n"])
     def test_long_files_parse_like_the_oracle(self, tmp_path, ending):
-        """Past the reader's 64-line chunks, with blank lines across their ends."""
+        """Past the reader's chunks, with blank lines across their ends."""
+        c = _CHUNK_LINES
         grid = TimeGrid(24.0, 5)
         rng = np.random.default_rng(5)
-        values = rng.choice([0.0, -0.0, 3.3, 1e-310, rng.uniform(-1e3, 1e3)], (1000, 5))
+        values = rng.choice([0.0, -0.0, 3.3, 1e-310, rng.uniform(-1e3, 1e3)], (2 * c + 1000, 5))
         lines = [",".join([str(i)] + [repr(float(v)) for v in row]) + ending
                  for i, row in enumerate(values)]
-        for at in (900, 128, 127, 65, 64, 63, 0):
+        for at in (2 * c + 900, 2 * c, 2 * c - 1, c + 1, c, c - 1, 0):
             lines.insert(at, ending)
         path = tmp_path / "profiles.csv"
         path.write_bytes("".join(lines).encode())
-        parsed = profiles_from_csv(path, grid)
-        assert [(i, p.values.tobytes()) for i, p in parsed.items()] == [
-            (i, p.values.tobytes()) for i, p in profiles_from_csv_per_row(path, grid).items()]
-        assert np.array_equal(np.array([p.values for p in parsed.values()]), values)
+        assert parsed_pairs(path, grid) == oracle_pairs(path, grid)
+        assert np.array_equal(profiles_from_csv(path, grid)[1], values)
 
     @pytest.mark.parametrize("kind", sorted(CORRUPTIONS))
     def test_each_corruption_names_the_oracles_line(self, tmp_path, kind):
-        """One corrupted row, at either end of the reader's 64-line chunks."""
+        """One corrupted row, at either end of the reader's chunks."""
+        c = _CHUNK_LINES
+        n = 2 * c + 100
         grid = TimeGrid(24.0, 4)
         path = tmp_path / "profiles.csv"
-        for i in (0, 1, 63, 64, 65, 128, 299):
-            rows = [[str(j)] + [repr(0.5 * (j + t)) for t in range(4)] for j in range(300)]
+        for i in (0, 1, c - 1, c, c + 1, 2 * c, n - 1):
+            rows = [[str(j)] + [repr(0.5 * (j + t)) for t in range(4)] for j in range(n)]
             CORRUPTIONS[kind](rows, i)
             path.write_text("".join(",".join(row) + "\r\n" for row in rows))
             expected = line_named(profiles_from_csv_per_row, path, grid)
@@ -563,10 +607,14 @@ class TestProfilesCsv:
             assert line_named(profiles_from_csv, path, grid) == expected
 
     @settings(max_examples=200, deadline=None)
-    @given(n=st.sampled_from([5, 300]), data=st.data(),
+    @given(n=st.sampled_from([5, _CHUNK_LINES + 300]), data=st.data(),
            ending=st.sampled_from(["\r\n", "\n"]))
     def test_corrupted_files_name_the_oracles_line(self, n, data, ending):
-        edits = data.draw(st.dictionaries(st.integers(0, n - 1),
+        c = _CHUNK_LINES
+        at = st.integers(0, n - 1)
+        if n > c:  # rows on either side of the first chunk's end, often
+            at |= st.sampled_from([c - 2, c - 1, c, c + 1])
+        edits = data.draw(st.dictionaries(at,
                                           st.sampled_from(sorted(CORRUPTIONS)),
                                           min_size=1, max_size=3))
         blank = data.draw(st.lists(st.integers(0, n), max_size=3))
@@ -758,6 +806,20 @@ class TestExperiment:
         assert main(["experiment", name, "--manifest", manifest, "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: start_window")
         assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["escape-sweep", "profile-sweep"])
+    def test_level_with_one_ev_exits_2_before_any_run(self, tmp_path, capsys, monkeypatch,
+                                                      name):
+        """Six households at 0.2 give round(1.2) = 1 EV, which `run` rejects:
+        the sweep names the level before it runs 0.5's three EVs."""
+        runs = []
+        monkeypatch.setattr(cli, "run", lambda *args: runs.append(args) or run(*args))
+        out = tmp_path / "out"
+        assert main(["experiment", name, "--manifest", three_ev_manifest(tmp_path, "flatten"),
+                     "--out", str(out), "--seeds", "1", "--penetrations", "0.5,0.2"]) == 2
+        assert capsys.readouterr().err == (
+            "error: --penetrations level 0.2 gives 1 EV; a sweep's runs need 0 or at least 2\n")
+        assert runs == [] and not out.exists()
 
     @pytest.mark.parametrize("levels", ["0.2,x", "-0.5", "0_5"])
     def test_bad_penetrations_exit_2(self, tmp_path, capsys, levels):
@@ -957,6 +1019,28 @@ class TestFleetGen:
                      "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith(f"error: {message}, got ")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", [False, 0, [], "", None, 5],
+                             ids=["false", "zero", "list", "string", "null", "five"])
+    def test_heterogeneity_that_is_not_an_object_exits_2(self, tmp_path, capsys, value):
+        """A falsy value too: it does not stand for identical EVs."""
+        manifest = write_manifest(tmp_path, {"fleet": {"heterogeneity": value}})
+        assert main(["fleet-gen", "--manifest", manifest,
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: bad fleet: heterogeneity must be an object, got {value!r}\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_empty_heterogeneity_is_identical_evs(self, tmp_path):
+        """`{}` gives what no `heterogeneity` key gives: EVs sharing one set."""
+        manifest = write_manifest(tmp_path, {"fleet": {"heterogeneity": {}}})
+        fleet = load_manifest(manifest, SimpleNamespace()).fleet
+        assert fleet.heterogeneity is None
+        for name, out in ((manifest, "empty"),
+                          (write_manifest(tmp_path, name="plain.json"), "plain")):
+            assert main(["fleet-gen", "--manifest", name, "--out", str(tmp_path / out)]) == 0
+        assert (read_rows(tmp_path / "empty" / "fleet.csv")
+                == read_rows(tmp_path / "plain" / "fleet.csv"))
 
     @pytest.mark.parametrize("command", ["fleet-gen", "run"])
     def test_negative_household_scale_exits_2(self, tmp_path, capsys, command):

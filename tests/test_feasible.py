@@ -83,11 +83,20 @@ class TestMemberIndex:
                 x = Profile(np.where(x.values == 0.0, -0.0, x.values), g)
                 signed_hits += ps.member_index(x) is not None
             assert ps.member_index(x) == self.row_loop(ps, x), seed
+            assert ps.member_index(x.values) == ps.member_index(x), seed  # the row form
         assert signed_hits > 0
 
     def test_other_grid_is_not_a_member(self):
         ps = make_pulse_set(1.0, 1.0, [0, 2], TimeGrid(4.0, 4))
         assert ps.member_index(Profile(ps.members[0], TimeGrid(8.0, 4))) is None
+
+    @pytest.mark.parametrize("shape", [(3,), (5,), (1, 4), (4, 1)])
+    def test_row_of_another_shape_raises(self, shape):
+        """As the solvers' rows do; a (1, S) row holds a member's bytes."""
+        ps = make_pulse_set(1.0, 1.0, [0, 2], TimeGrid(4.0, 4))
+        row = np.resize(ps.members[0], shape)
+        with pytest.raises(GridMismatchError):
+            ps.member_index(row)
 
 
 class TestValidateA1A4:
