@@ -10,7 +10,7 @@ coordinator/agent runner.
 from .core import (Objective, ObjectiveKind, Profile, TimeGrid, aggregate, norm,
                    norm2)
 from .engine import EngineConfig, LoadSpec, Termination, Trajectory, run
-from .feasible import (ConvexChargeSet, Distribution, FinitePulseSet,
-                       hull_minimize, make_pulse_set, project_convex, sample)
+from .feasible import (ConvexChargeSet, FinitePulseSet, hull_minimize, make_pulse_set,
+                       project_convex, sample)
 
 __version__ = "0.1.0"

@@ -13,6 +13,7 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -448,16 +449,15 @@ def cmd_analyze(args) -> int:
             raise InputError(f"load {load_id}: not in the scenario")
     row_of = {load_id: r for r, load_id in enumerate(ids)}
     sets = [spec.constraint for spec in loads]
-    order = []  # each load's row, in load order
-    idx = []
-    status = 0
+    order = []  # each load's row, in load order; all found before a check prints
     for spec in loads:
-        r = row_of.get(spec.id)
-        if r is None:
+        if spec.id not in row_of:
             raise InputError(f"load {spec.id}: missing profile")
-        order.append(r)
-        idx.append(spec.constraint.member_index(rows[r]))
-        if idx[-1] is None:
+        order.append(row_of[spec.id])
+    idx = [s.member_index(rows[r]) for s, r in zip(sets, order)]
+    status = 0
+    for spec, k in zip(loads, idx):
+        if k is None:
             print(f"load {spec.id}: profile is not an admissible member",
                   file=sys.stderr)
             status = 1
@@ -533,7 +533,9 @@ def _numeric_option(convert):
     return parse
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once; `main` looks each command's function up by name."""
     parser = argparse.ArgumentParser(prog="valleyfill")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -547,42 +549,38 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="run a scenario and emit artifacts")
     common(p)
-    p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("experiment", help="seeded sweeps producing CSV tables")
     p.add_argument("name", choices=["escape-sweep", "profile-sweep", "bound-sweep"])
     p.add_argument("--penetrations", help="comma-separated penetration levels")
     p.add_argument("--seeds", type=_numeric_option(int), default=10)
     common(p)
-    p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("analyze", help="check saved profiles against the theory")
     p.add_argument("profiles", help="final_profiles.csv from a run")
     p.add_argument("--checks", help="comma-separated subset of " + ",".join(CHECKS))
     common(p)
-    p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("coordinator", help="serve the networked coordinator")
     p.add_argument("--endpoint", default="127.0.0.1:7421")
     common(p)
-    p.set_defaults(func=cmd_coordinator)
 
     p = sub.add_parser("agent", help="run one networked load agent")
     p.add_argument("--endpoint", default="127.0.0.1:7421")
     p.add_argument("--load-id", type=_numeric_option(int), required=True)
     common(p)
-    p.set_defaults(func=cmd_agent)
 
     p = sub.add_parser("fleet-gen", help="emit the fleet manifest and base load")
     common(p)
-    p.set_defaults(func=cmd_fleet_gen)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    # looked up at call time, so a command function patched after the first call runs
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

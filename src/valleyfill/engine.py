@@ -47,8 +47,8 @@ import numpy as np
 
 from .core import (GridMismatchError, Profile, TimeGrid, _field, _flag, _integer,
                    _number, aggregate, norm, norm2)
-from .feasible import (ConvexChargeSet, Distribution, FinitePulseSet,
-                       SolverError, hull_minimize, project_convex, sample)
+from .feasible import (ConvexChargeSet, FinitePulseSet, SolverError, hull_minimize,
+                       project_convex, sample)
 
 __all__ = [
     "ConfigurationError",
@@ -326,10 +326,11 @@ def convex_load_update(g: np.ndarray, x_prev: np.ndarray, charge_set: ConvexChar
 
 def finite_load_update(g: np.ndarray, C: float, x_prev: np.ndarray,
                        pulse_set: FinitePulseSet, c_i: float,
-                       start: Optional[int] = None) -> Distribution:
-    """Sampling distribution of a finite load: hull-minimize against the exact leave-one-out signal.
+                       start: Optional[int] = None) -> np.ndarray:
+    """Sampling weights theta of a finite load: hull-minimize against the exact leave-one-out signal.
 
-    g and x_prev are rows on the set's grid.
+    g and x_prev are rows on the set's grid; theta is `hull_minimize`'s
+    read-only weight vector over the set's members.
     h = (g*C - x_prev) / (C - c_i) equals (b + sum_{j != i} x_j) / sum_{j != i} c_j.
     `start` is x_prev's member index, or None when x_prev is not a member
     (see `hull_minimize`).
@@ -445,8 +446,9 @@ class LoadUpdate:
     member index (None before a finite load's first member).  The memo
     keeps the results computed under one signal (C, g), keyed by
     (id(set), c, state) with a convex row's state as its bytes: each
-    group's theta and the quantities derived from it, and each convex
-    key's projection.  While the signal repeats bit for bit, a stored key
+    group's theta (the read-only weight vector its loads and later calls
+    share) and the quantities derived from it, and each convex key's
+    projection.  While the signal repeats bit for bit, a stored key
     reuses its result instead of re-solving or re-projecting; a new
     signal clears the memo.  Draws and sampling run every call, so an
     update whose memo is cleared before each call gives the same results
@@ -500,13 +502,12 @@ class LoadUpdate:
                     raise SolverError(f"iteration {k}, loads "
                                       f"{[loads[i].id for i in positions]}: {exc}",
                                       gap=exc.gap) from exc
-                w = theta.weights
-                j = int(w.argmax())
-                pinned = j if w[j] == 1.0 and not w[:j].any() else None
-                stay = 0.0 if prev is None else float(w[prev])
+                j = int(theta.argmax())
+                pinned = j if theta[j] == 1.0 and not theta[:j].any() else None
+                stay = 0.0 if prev is None else float(theta[prev])
                 # E[x] and E[norm2(x)] - norm2(E[x]) for x ~ theta; members share norm2(x) = Y
                 # einsum calls no BLAS, so these bits do not depend on its thread count
-                mean_g = np.einsum("k,ks->s", w, pulse_set.members)
+                mean_g = np.einsum("k,ks->s", theta, pulse_set.members)
                 memo[key] = (theta, pinned, stay, mean_g,
                              pulse_set.sqnorm - pulse_set.grid.dt * float(np.dot(mean_g, mean_g)))
             solved.append((positions, pulse_set, memo[key]))

@@ -31,7 +31,6 @@ __all__ = [
     "SolverError",
     "ConvexChargeSet",
     "FinitePulseSet",
-    "Distribution",
     "make_pulse_set",
     "project_convex",
     "hull_minimize",
@@ -40,8 +39,8 @@ __all__ = [
 ]
 
 # Snap-to-vertex tolerance in profile norm: hull minimizers this close to a
-# member collapse to the degenerate distribution on it, making stationary
-# points exactly observable.
+# member collapse to the one-hot weights on it, making stationary points
+# exactly observable.
 SNAP_TOLERANCE = 1e-7
 # Major cycles of the min-norm-point method before hull_minimize gives up.
 _HULL_MAX_ITERATIONS = 10_000
@@ -162,36 +161,6 @@ class FinitePulseSet:
         return self._index.get(values_key(x))
 
 
-@dataclass(frozen=True)
-class Distribution:
-    """Dense probability weights over the members of a finite set."""
-
-    weights: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=np.float64)
-        if w.ndim != 1 or w.shape[0] < 1:
-            raise ValueError("weights must be a nonempty vector")
-        # written so that NaN fails both checks
-        if not (w >= 0).all():
-            raise ValueError("weights must be nonnegative numbers, not NaN")
-        if not abs(float(np.sum(w)) - 1.0) <= 1e-12:
-            raise ValueError(f"weights sum to {np.sum(w)}, expected 1")
-        w = w.copy()
-        w.flags.writeable = False
-        object.__setattr__(self, "weights", w)
-
-    @classmethod
-    def degenerate(cls, m: int, k: int) -> "Distribution":
-        w = np.zeros(m)
-        w[k] = 1.0
-        return cls(w)
-
-    @property
-    def m(self) -> int:
-        return self.weights.shape[0]
-
-
 def make_pulse_set(rate: float, duration_hours: float,
                    allowed_start_slots: Sequence[int], grid: TimeGrid) -> FinitePulseSet:
     """Constant-rate pulse set: one member per allowed start slot.
@@ -267,7 +236,7 @@ def project_convex(z: np.ndarray, charge_set: ConvexChargeSet) -> np.ndarray:
 
 def hull_minimize(h: np.ndarray, x_prev: np.ndarray, c_i: float,
                   pulse_set: FinitePulseSet, start: Optional[int] = None,
-                  ) -> Distribution:
+                  ) -> np.ndarray:
     """Minimize Q(z) = 2*c_i*<h, z> + norm2(z - x_prev) over the member hull.
 
     Completing the square turns this into projecting p = x_prev - c_i*h
@@ -283,12 +252,13 @@ def hull_minimize(h: np.ndarray, x_prev: np.ndarray, c_i: float,
     p is far from the hull, and u sums to 1 by construction; a system
     that rounding made singular is solved by least squares.  Vertex ties
     break toward the lowest index.  Stops when the duality gap drops below
-    1e-8 * (1 + |Q|), or when rounding keeps Q from falling.  Returns hull
-    weights theta whose expectation `theta.weights @ members` is the
-    minimizer; a minimizer within SNAP_TOLERANCE of a member in profile
-    norm collapses to the degenerate distribution on the nearest member
-    (equal member norms force degeneracy there).  Weights that are not a
-    distribution, and a corral system no solver can solve, raise
+    1e-8 * (1 + |Q|), or when rounding keeps Q from falling.  Returns the
+    hull weights theta, a read-only float64 vector of length m whose
+    expectation `theta @ members` is the minimizer; a minimizer within
+    SNAP_TOLERANCE of a member in profile norm collapses to the one-hot
+    weights on the nearest member (equal member norms force degeneracy
+    there).  Weights that are not a distribution (negative, NaN, or not
+    summing to 1), and a corral system no solver can solve, raise
     SolverError.
 
     The corral starts from member `start`, which is x_prev's member index
@@ -349,7 +319,7 @@ def hull_minimize(h: np.ndarray, x_prev: np.ndarray, c_i: float,
                 steps = np.where(shrink, w / (w - u), np.inf)
             t = min(1.0, float(steps.min()))
             w = (1.0 - t) * w + t * u
-            keep = ~(w <= 1e-12)            # NaN weights stay, for Distribution to reject
+            keep = ~(w <= 1e-12)            # NaN weights stay, for _checked_weights to reject
             if keep.all():
                 w = np.maximum(w, 0.0)
                 break
@@ -371,23 +341,35 @@ def hull_minimize(h: np.ndarray, x_prev: np.ndarray, c_i: float,
     nearest = int(np.argmin(G.diagonal() - 2.0 * (scores + r)))
     diff = Y[nearest] - z
     if math.sqrt(dt * float(np.dot(diff, diff))) <= SNAP_TOLERANCE:
-        return Distribution.degenerate(m, nearest)
-    try:
-        return Distribution(theta)
-    except ValueError as exc:  # the corral's weights are not a distribution
-        raise SolverError(f"hull minimization: {exc}", gap=gap) from None
+        theta = np.zeros(m)
+        theta[nearest] = 1.0
+    return _checked_weights(theta, gap)
 
 
-def sample(theta: Distribution, u):
-    """Inverse-CDF sample over cumulative weights in index order.
+def _checked_weights(theta: np.ndarray, gap: float) -> np.ndarray:
+    """theta made read-only, or SolverError if it is not a distribution."""
+    # written so that NaN fails both checks
+    if not (theta >= 0).all():
+        raise SolverError("hull minimization: weights must be nonnegative numbers, not NaN",
+                          gap=gap)
+    if not abs(float(np.sum(theta)) - 1.0) <= 1e-12:
+        raise SolverError(f"hull minimization: weights sum to {np.sum(theta)}, expected 1",
+                          gap=gap)
+    theta.flags.writeable = False
+    return theta
 
+
+def sample(theta: np.ndarray, u):
+    """Inverse-CDF sample over theta's cumulative weights in index order.
+
+    theta is a vector of hull weights, as `hull_minimize` returns.
     `u` is one draw in [0, 1), giving one member index, or an array of
     draws, giving an index array: each element is the scalar sample.
     """
     draws = np.asarray(u, dtype=np.float64)
     if not np.all((0.0 <= draws) & (draws < 1.0)):
         raise ValueError(f"u must be in [0, 1), got {u}")
-    cum = np.cumsum(theta.weights)
-    idx = np.minimum(np.searchsorted(cum, draws, side="right"), theta.m - 1)
+    cum = np.cumsum(theta)
+    idx = np.minimum(np.searchsorted(cum, draws, side="right"), len(theta) - 1)
     return int(idx) if idx.ndim == 0 else idx
 

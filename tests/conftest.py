@@ -290,7 +290,7 @@ def expected_objective_enumeration(b, xs_prev, thetas, sets):
         prob = 1.0
         agg = b.values.copy()
         for i, k in enumerate(choice):
-            prob *= float(thetas[i].weights[k])
+            prob *= float(thetas[i][k])
             agg += sets[i].members[k]
         if prob > 0:
             total += prob * dt * float(np.dot(agg, agg))

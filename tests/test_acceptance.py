@@ -19,8 +19,8 @@ from valleyfill.analysis import (convex_stationarity_residual, is_nash,
                                  subopt_ratio_bound, suboptimality_gap_check)
 from valleyfill.core import Profile, TimeGrid, aggregate
 from valleyfill.engine import (EngineConfig, LoadSpec, Termination, run)
-from valleyfill.feasible import (ConvexChargeSet, Distribution,
-                                 hull_minimize, project_convex, sample)
+from valleyfill.feasible import (ConvexChargeSet, hull_minimize, project_convex,
+                                 sample)
 from valleyfill.scenario import (BaseLoadSpec, FleetSpec, SynthParams,
                                  build_case_study)
 
@@ -253,7 +253,7 @@ def test_criterion_8_solvers_match_independent_oracles():
             x_prev = s.member(k)
             c_i = float(rng.uniform(0.5, 2.0))
             theta = hull_minimize(h.values, x_prev.values, c_i, s, start=k)
-            z = Profile(theta.weights @ s.members, grid)
+            z = Profile(theta @ s.members, grid)
             z_ref, q_ref = hull_oracle_supports(h, x_prev, c_i, s)
             assert np.max(np.abs(z.values - z_ref)) <= 1e-5, seed
             if s.m <= 3:
@@ -267,12 +267,12 @@ def test_criterion_8_solvers_match_independent_oracles():
             rng = np.random.default_rng(82_000 + seed)
             m = int(rng.integers(2, 7))
             w = rng.uniform(0.05, 1.0, m)
-            theta = Distribution(w / w.sum())
+            theta = w / w.sum()
             us = rng.random(draws)
             counts = np.bincount([sample(theta, float(u)) for u in us],
                                  minlength=m)
             for k in range(m):
-                p = theta.weights[k]
+                p = theta[k]
                 sigma = np.sqrt(draws * p * (1.0 - p))
                 assert abs(counts[k] - draws * p) <= 3.0 * sigma, (seed, k)
 

@@ -333,6 +333,20 @@ class TestAnalyze:
         assert f"load {rows[1][0]}: profile is not an admissible member" \
             in captured.err
 
+    def test_missing_profile_exits_2_before_any_membership_line(self, tmp_path, capsys):
+        """Every load's row is found before the first membership check prints."""
+        manifest = write_manifest(tmp_path)
+        grid, (b, loads) = small_scenario()
+        rows = [(spec.id, spec.constraint.members[0]) for spec in loads]
+        rows[1] = (rows[1][0], rows[1][1] + 0.01)
+        missing = rows.pop()[0]
+        profiles = tmp_path / "profiles.csv"
+        self.write_profiles(profiles, rows)
+        status = main(["analyze", str(profiles), "--manifest", manifest])
+        err = capsys.readouterr().err
+        assert status == 2
+        assert err == f"error: load {missing}: missing profile\n"
+
     def test_gap_past_the_enumeration_cap_is_skipped(self, tmp_path, capsys):
         """Twenty canonical EVs have 81**20 selections: `gap` skips and exits 0."""
         manifest = tmp_path / "twenty.json"
@@ -899,6 +913,17 @@ class TestFleetGen:
         assert main(["fleet-gen", "--manifest", manifest,
                      "--out", str(tmp_path / "out")]) == 2
         assert "baseload.synth.peak_slots" in capsys.readouterr().err
+
+    def test_command_is_looked_up_on_each_call(self, tmp_path, monkeypatch):
+        """With the parser built once, a command patched after the first
+        call is the one a later call runs."""
+        manifest = write_manifest(tmp_path)
+        assert main(["fleet-gen", "--manifest", manifest,
+                     "--out", str(tmp_path / "out")]) == 0
+        calls = []
+        monkeypatch.setattr(cli, "cmd_fleet_gen", lambda args: calls.append(args) or 0)
+        assert main(["fleet-gen", "--manifest", manifest]) == 0
+        assert [args.manifest for args in calls] == [manifest]
 
     def read_fleet(self, out):
         rows = (out / "fleet.csv").read_text().strip().splitlines()

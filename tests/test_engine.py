@@ -165,7 +165,7 @@ class TestFiniteLoadUpdate:
         theta_direct = hull_minimize(h_direct, x_prev.values, c_i, ps)
         theta = finite_load_update(sig.values, C, x_prev.values, ps, c_i)
         x_new = ps.member(sample(theta, 0.3))
-        assert np.allclose(theta.weights, theta_direct.weights, atol=1e-12)
+        assert np.allclose(theta, theta_direct, atol=1e-12)
         assert ps.member_index(x_new) is not None
 
     def test_draw_selects_member(self):
@@ -179,7 +179,7 @@ class TestFiniteLoadUpdate:
         x_new = ps.member(sample(theta, 0.999999))
         k = ps.member_index(x_new)
         assert k is not None
-        assert theta.weights[k] > 0
+        assert theta[k] > 0
 
 
 class TestMixedFleetEscape:
@@ -847,10 +847,9 @@ class TestGroupedWork:
             stays = []
             for i, spec in enumerate(loads):
                 theta = thetas[(id(spec.constraint), spec.c, prev[i])]
-                w = theta.weights
-                stays.append(0.0 if prev[i] is None else float(w[prev[i]]))
-                if np.count_nonzero(w) == 1 and w.max() == 1.0:
-                    prev[i] = int(np.argmax(w))
+                stays.append(0.0 if prev[i] is None else float(theta[prev[i]]))
+                if np.count_nonzero(theta) == 1 and theta.max() == 1.0:
+                    prev[i] = int(np.argmax(theta))
                 else:
                     expected.append(spec.id)
                     prev[i] = sample(theta, load_draw(0, spec.id, k))

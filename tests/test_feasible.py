@@ -9,9 +9,9 @@ from conftest import (hull_oracle_grid, hull_oracle_supports, hull_q,
                       projection_oracle, random_convex_set, random_pulse_set,
                       validate_A1A4)
 from valleyfill.core import GridMismatchError, Profile, TimeGrid, norm, norm2
-from valleyfill.feasible import (SNAP_TOLERANCE, ConvexChargeSet, Distribution,
-                                 FinitePulseSet, InfeasibleSetError, hull_minimize,
-                                 make_pulse_set, project_convex, sample)
+from valleyfill.feasible import (SNAP_TOLERANCE, ConvexChargeSet, FinitePulseSet,
+                                 InfeasibleSetError, SolverError, _checked_weights,
+                                 hull_minimize, make_pulse_set, project_convex, sample)
 
 
 def canonical_grid():
@@ -204,20 +204,25 @@ class TestProjectConvex:
 def hull_point(h, x_prev, c_i, ps, **kwargs):
     """hull_minimize on the Profiles' rows: (its minimizer as a Profile, theta)."""
     theta = hull_minimize(h.values, x_prev.values, c_i, ps, **kwargs)
-    return Profile(theta.weights @ ps.members, ps.grid), theta
+    return Profile(theta @ ps.members, ps.grid), theta
 
 
 def assert_as_close_as_oracle(theta, ps, h, x_prev, c_i):
-    """theta's minimizer is as close to p = x_prev - c_i*h as the support oracle's.
+    """theta is a distribution whose minimizer is as close to p = x_prev - c_i*h
+    as the support oracle's.
 
-    Both distances are dt*norm2(z - p), compared with a relative tolerance.
-    The snap may move a minimizer by up to SNAP_TOLERANCE, which bounds
-    the rest of the allowance.
+    theta must be a read-only float64 vector of length m, nonnegative and
+    summing to 1.  Both distances are dt*norm2(z - p), compared with a
+    relative tolerance.  The snap may move a minimizer by up to
+    SNAP_TOLERANCE, which bounds the rest of the allowance.
     """
+    assert theta.dtype == np.float64 and theta.shape == (ps.m,)
+    assert not theta.flags.writeable
+    assert (theta >= 0).all() and abs(float(theta.sum()) - 1.0) <= 1e-12
     g = ps.grid
     oracle_z, _ = hull_oracle_supports(Profile(h, g), Profile(x_prev, g), c_i, ps)
     p = x_prev - c_i * h
-    d2 = norm2(Profile(theta.weights @ ps.members - p, g))
+    d2 = norm2(Profile(theta @ ps.members - p, g))
     oracle_d2 = norm2(Profile(oracle_z - p, g))
     snap = 2 * SNAP_TOLERANCE * math.sqrt(oracle_d2) + SNAP_TOLERANCE ** 2
     assert d2 <= oracle_d2 * (1 + 1e-9) + snap
@@ -229,14 +234,14 @@ class TestHullMinimize:
         ps = make_pulse_set(1.0, 2.0, [0, 3, 6], g)
         x_prev = ps.member(1)
         z, theta = hull_point(Profile.zeros(g), x_prev, 1.0, ps, start=1)
-        assert theta.weights.tolist() == [0.0, 1.0, 0.0]
+        assert theta.tolist() == [0.0, 1.0, 0.0]
         assert z == x_prev
 
     def test_single_member(self):
         g = TimeGrid(8.0, 8)
         ps = make_pulse_set(1.0, 2.0, [4], g)
         z, theta = hull_point(Profile(np.ones(8), g), Profile.zeros(g), 2.0, ps)
-        assert theta.weights.tolist() == [1.0]
+        assert theta.tolist() == [1.0]
         assert z == ps.member(0)
 
     @settings(max_examples=100, deadline=None)
@@ -253,7 +258,7 @@ class TestHullMinimize:
         c_i = float(rng.uniform(0.2, 3.0))
         warm = hull_minimize(h, ps.members[k], c_i, ps, start=k)
         cold = hull_minimize(h, ps.members[k], c_i, ps, start=None)
-        gap = (warm.weights - cold.weights) @ ps.members
+        gap = (warm - cold) @ ps.members
         assert np.max(np.abs(gap)) <= 1e-7
 
     @settings(max_examples=100, deadline=None)
@@ -297,7 +302,7 @@ class TestHullMinimize:
         g = TimeGrid(8.0, 8)
         ps = make_pulse_set(1.0, 2.0, [0, 3, 6], g)
         theta = hull_minimize(np.zeros(8), ps.members[1], 1.0, ps, start=1)
-        assert np.array_equal(theta.weights @ ps.members, ps.members[1])
+        assert np.array_equal(theta @ ps.members, ps.members[1])
 
     @pytest.mark.parametrize("bad", [np.zeros(7), np.zeros(9), np.zeros((1, 8)),
                                      np.float64(0.0)])
@@ -332,7 +337,7 @@ class TestHullMinimize:
             t_star = -(dt * c_i * float(np.dot(h.values, d))
                        + dt * float(np.dot(y0 - x_prev.values, d))) / denom
             t_star = min(max(t_star, 0.0), 1.0)
-            assert theta.weights[1] == pytest.approx(t_star, abs=1e-8)
+            assert theta[1] == pytest.approx(t_star, abs=1e-8)
 
     def test_matches_support_oracle(self):
         rng = np.random.default_rng(9)
@@ -370,7 +375,7 @@ class TestHullMinimize:
             h = Profile(rng.normal(0, 1, 6), g)
             x_prev = Profile(rng.normal(0, 1, 6), g)
             z, theta = hull_point(h, x_prev, 1.0, ps)
-            expectation = theta.weights @ ps.members
+            expectation = theta @ ps.members
             assert norm(Profile(z.values - expectation, g)) <= 1e-7
 
     def test_degeneracy_rule(self):
@@ -384,32 +389,26 @@ class TestHullMinimize:
             z, theta = hull_point(h, x_prev, 1.0, ps)
             dists = [norm(Profile(z.values - ps.members[k], g)) for k in range(ps.m)]
             if min(dists) <= 1e-7:
-                assert np.count_nonzero(theta.weights) == 1
+                assert np.count_nonzero(theta) == 1
 
 
-class TestDistribution:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            Distribution(np.array([0.5, 0.6]))
-        with pytest.raises(ValueError):
-            Distribution(np.array([-0.1, 1.1]))
-        for weights in ([np.nan, 1.0], [np.nan]):
-            with pytest.raises(ValueError):
-                Distribution(np.array(weights))
-
-    def test_degenerate(self):
-        d = Distribution.degenerate(4, 2)
-        assert d.weights.tolist() == [0.0, 0.0, 1.0, 0.0]
+class TestCheckedWeights:
+    @pytest.mark.parametrize("weights", [[0.5, 0.6], [-0.1, 1.1], [np.nan, 1.0],
+                                         [np.nan]],
+                             ids=["sum-above-1", "negative", "nan", "only-nan"])
+    def test_weights_that_are_no_distribution_raise(self, weights):
+        with pytest.raises(SolverError, match="^hull minimization: weights"):
+            _checked_weights(np.array(weights), gap=0.0)
 
 
 class TestSample:
     def test_degenerate(self):
-        theta = Distribution.degenerate(5, 3)
+        theta = np.array([0.0, 0.0, 0.0, 1.0, 0.0])
         for u in (0.0, 0.3, 0.999999):
             assert sample(theta, u) == 3
 
     def test_inverse_cdf(self):
-        theta = Distribution(np.array([0.5, 0.5]))
+        theta = np.array([0.5, 0.5])
         assert sample(theta, 0.25) == 0
         assert sample(theta, 0.75) == 1
 
@@ -419,22 +418,22 @@ class TestSample:
             m = int(rng.integers(1, 7))
             w = rng.uniform(0.0, 1.0, m) * (rng.random(m) < 0.7)
             w[int(rng.integers(m))] += 0.1
-            theta = Distribution(w / w.sum())
+            theta = w / w.sum()
             us = np.append(rng.random(20), [0.0, np.nextafter(1.0, 0.0)])
             assert sample(theta, us).tolist() == [sample(theta, float(u)) for u in us]
 
     def test_rejects_draw_outside_unit_interval(self):
-        theta = Distribution(np.array([0.5, 0.5]))
+        theta = np.array([0.5, 0.5])
         for u in (1.0, -0.1, np.array([0.2, 1.0])):
             with pytest.raises(ValueError):
                 sample(theta, u)
 
     def test_empirical_frequencies(self):
-        theta = Distribution(np.array([0.2, 0.5, 0.3]))
+        theta = np.array([0.2, 0.5, 0.3])
         rng = np.random.default_rng(23)
         n = 100_000
         draws = rng.random(n)
         counts = np.bincount([sample(theta, u) for u in draws], minlength=3)
-        for k, p in enumerate(theta.weights):
+        for k, p in enumerate(theta):
             sigma = math.sqrt(n * p * (1 - p))
             assert abs(counts[k] - n * p) <= 3 * sigma
