@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import Profile, TimeGrid, values_key
+from .core import Profile, TimeGrid, _field, _number, values_key
 
 __all__ = [
     "InfeasibleSetError",
@@ -103,9 +103,10 @@ class FinitePulseSet:
     `members` is an (m, S) array of distinct rows, each one admissible
     profile, stored with -0.0 folded into 0.0.
     `energy` (kWh), `sqnorm` (kW^2*h) and `rate_bound` (kW) record the
-    common constants the members are supposed to share.  Construction
-    does not check that they do, so deliberately perturbed sets can be
-    built.
+    common constants the members are supposed to share: finite numbers,
+    with `sqnorm` and `rate_bound` >= 0 (ValueError otherwise).
+    Construction does not check that the members share them, so
+    deliberately perturbed sets can be built.
     """
 
     def __init__(self, members: np.ndarray, grid: TimeGrid, energy: float,
@@ -126,9 +127,10 @@ class FinitePulseSet:
                 raise ValueError(f"duplicate member at index {k}")
         self.members = members
         self.grid = grid
-        self.energy = float(energy)
-        self.sqnorm = float(sqnorm)
-        self.rate_bound = float(rate_bound)
+        self.energy, self.sqnorm, self.rate_bound = energy, sqnorm, rate_bound
+        _field(self, "energy", _number, "a finite number")
+        _field(self, "sqnorm", _number, "a finite number >= 0", ge=0)
+        _field(self, "rate_bound", _number, "a finite number >= 0", ge=0)
 
     @property
     def m(self) -> int:

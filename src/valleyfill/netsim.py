@@ -160,8 +160,10 @@ def _recv(fh, expect: Sequence[str], grid: TimeGrid,
     """Read one message of an expected kind: (kind, iteration, fields).
 
     The fields are the kind's header values, followed by the profile for
-    SIGNAL and PROFILEUPDATE.  Any malformed part, a non-ASCII byte or a
-    digit separator (core's `_number_text`) included, raises ProtocolError.
+    SIGNAL and PROFILEUPDATE; any other kind has no field past its header.
+    Any malformed part, a non-ASCII byte, a digit separator (core's
+    `_number_text`) or a field too many or too few included, raises
+    ProtocolError.
     `last` is the connection's dict, kept for the session: a profile whose
     tokens equal the previous profile's on that connection reuses its
     parsed Profile.
@@ -192,6 +194,8 @@ def _recv(fh, expect: Sequence[str], grid: TimeGrid,
             if tokens != last.get("tokens"):
                 last["tokens"], last["profile"] = tokens, _profile(tokens, grid)
             fields.append(last["profile"])
+        elif len(payload) > len(header):
+            raise ValueError(f"{kind} takes {len(header)} fields, got {len(payload)}")
     except ValueError as exc:
         raise ProtocolError(f"malformed {kind} message ({exc}): {line!r}") from None
     return kind, iteration, fields

@@ -177,7 +177,11 @@ def default_baseload(grid: TimeGrid = CANONICAL_GRID) -> Profile:
 
 
 def load_baseload_csv(path, grid: TimeGrid) -> Profile:
-    """Read a per-household base load (`slot,kw_per_household`), validated."""
+    """Read a per-household base load (`slot,kw_per_household`), validated.
+
+    Empty lines after the header are skipped, as in a profiles CSV; errors
+    name the file's own line numbers.
+    """
     values = np.zeros(grid.slots)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -188,6 +192,8 @@ def load_baseload_csv(path, grid: TimeGrid) -> Profile:
         count = 0
         for row in reader:
             line += 1
+            if not row:
+                continue
             if count >= grid.slots:
                 raise BaseLoadError(f"{path}: line {line}: more rows than the {grid.slots}-slot grid")
             if len(row) != 2:

@@ -6,6 +6,8 @@ import math
 import os
 import pathlib
 import re
+import subprocess
+import sys
 import tempfile
 import threading
 from types import SimpleNamespace
@@ -16,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import profiles_from_csv_per_row
-from test_netsim import free_endpoint
+from test_netsim import LEAKS_FAIL, free_endpoint
 from valleyfill import cli, netsim
 from valleyfill.analysis import (brute_force_optimum, is_nash, subopt_ratio_bound,
                                  suboptimality_gap_check)
@@ -81,16 +83,23 @@ def track_game(seed=2):
                                Profile(np.array(TRACK_TARGET), grid))
 
 
-def one_row_baseload(tmp_path):
-    """A base-load CSV with one row where the grid has 24 slots."""
-    path = tmp_path / "one_row.csv"
-    path.write_text("slot,kw_per_household\n0,1.0\n")
+def baseload_csv(tmp_path, edit):
+    """A base-load CSV of the lines `edit` makes of a valid 24-slot file's lines."""
+    lines = ["slot,kw_per_household"] + [f"{t},1.0" for t in range(24)]
+    path = tmp_path / "baseload.csv"
+    path.write_text("".join(line + "\n" for line in edit(lines)))
     return str(path)
 
 
 def read_rows(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
+
+
+# `python -m valleyfill.cli` as a process of its own, importing this checkout's src
+CLI = [sys.executable, "-m", "valleyfill.cli"]
+CLI_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+    str(pathlib.Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")])))
 
 
 class TestRun:
@@ -184,6 +193,24 @@ class TestRun:
         assert (out / "final_profiles.csv").exists()
         assert (out / "report.txt").exists()
 
+    @pytest.mark.parametrize("households,iterations,status,message", [
+        (4, "5", 0, ""),
+        (2, "5", 1, "error: finite load 0 needs C > c_i\n"),
+        (4, "1_0", 2, "error: argument --iterations: invalid "),
+    ], ids=["two-evs", "one-ev", "separator"])
+    def test_process_exit_codes(self, tmp_path, households, iterations, status, message):
+        """The process exits with `main`'s status, and never with a traceback."""
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"fleet": {"households": households,
+                                                  "penetration": 0.5}}))
+        out = tmp_path / "out"
+        process = subprocess.run(CLI + ["run", "--manifest", str(manifest), "--iterations",
+                                        iterations, "--out", str(out)],
+                                 env=CLI_ENV, capture_output=True, text=True, timeout=120)
+        assert process.returncode == status, process.stderr
+        assert message in process.stderr and "Traceback" not in process.stderr
+        assert (out / "report.txt").exists() == (status == 0)
+
     def test_missing_baseload_csv_is_reported(self, tmp_path):
         manifest = write_manifest(
             tmp_path, {"baseload": {"csv": str(tmp_path / "nope.csv")}})
@@ -194,10 +221,14 @@ class TestRun:
                      "--out", str(tmp_path / "o")]) == 1
 
 
+@LEAKS_FAIL
 class TestNetworked:
-    @pytest.mark.parametrize("kind", ["flatten", "track"])
-    def test_coordinator_writes_runs_artifacts(self, tmp_path, kind):
-        """Coordinator plus one agent per EV gives `run`'s artifacts."""
+    @pytest.mark.parametrize("kind,processes", [("flatten", False), ("track", False),
+                                                ("flatten", True)],
+                             ids=["flatten", "track", "processes"])
+    def test_coordinator_writes_runs_artifacts(self, tmp_path, kind, processes):
+        """Coordinator plus one agent per EV gives `run`'s artifacts, whether
+        they run as threads of `main` or as processes."""
         manifest = three_ev_manifest(tmp_path, kind)
         assert main(["run", "--manifest", manifest,
                      "--out", str(tmp_path / "run")]) == 0
@@ -205,18 +236,27 @@ class TestNetworked:
         common = ["--manifest", manifest, "--endpoint", f"{host}:{port}"]
         commands = [["coordinator", *common, "--out", str(tmp_path / "net")]]
         commands += [["agent", "--load-id", str(i), *common] for i in range(3)]
-        statuses = [None] * len(commands)
+        if processes:
+            with contextlib.ExitStack() as stack:
+                running = []
+                for command in commands:
+                    running.append(stack.enter_context(
+                        subprocess.Popen(CLI + command, env=CLI_ENV)))
+                    stack.callback(running[-1].kill)  # a no-op once it has exited
+                statuses = [process.wait(60) for process in running]
+        else:
+            statuses = [None] * len(commands)
 
-        def call(i):
-            statuses[i] = main(commands[i])
+            def call(i):
+                statuses[i] = main(commands[i])
 
-        threads = [threading.Thread(target=call, args=(i,), daemon=True)
-                   for i in range(len(commands))]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(60)
-        assert not any(t.is_alive() for t in threads)
+            threads = [threading.Thread(target=call, args=(i,), daemon=True)
+                       for i in range(len(commands))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+            assert not any(t.is_alive() for t in threads)
         assert statuses == [0] * len(commands)
 
         local, net = tmp_path / "run", tmp_path / "net"
@@ -462,7 +502,7 @@ class TestAnalyze:
             assert status in (0, 1)
             assert len(calls) == n, checks
 
-    def test_round_trip_of_run_output(self, tmp_path):
+    def test_round_trip_of_run_output(self, tmp_path, capsys):
         out = tmp_path / "out"
         manifest = write_manifest(tmp_path)
         assert main(["run", "--manifest", manifest, "--out", str(out)]) == 0
@@ -473,6 +513,19 @@ class TestAnalyze:
         _, (b, loads) = small_scenario()
         for spec, row in zip(loads, rows):
             assert spec.constraint.member_index(row) is not None
+        # `run` writes CRLF rows, and an LF copy of them prints the same lines;
+        # with nash, its three lines come first and the others are unchanged
+        crlf = out / "final_profiles.csv"
+        assert crlf.read_bytes().count(b"\r\n") == 3
+        lf = tmp_path / "lf.csv"
+        lf.write_bytes(crlf.read_bytes().replace(b"\r\n", b"\n"))
+        printed = []
+        for path, checks in ((crlf, "gap,ratio"), (lf, "gap,ratio"), (crlf, "nash,gap,ratio")):
+            status = main(["analyze", str(path), "--manifest", manifest, "--checks", checks])
+            assert status in ((0, 1) if "nash" in checks else (0,))
+            printed.append(capsys.readouterr().out.splitlines())
+        assert printed[0] == printed[1] and len(printed[0]) == 6
+        assert printed[2][0].startswith("is_equilibrium=") and printed[2][3:] == printed[0]
 
     def test_profiles_built_do_not_grow_with_the_fleet(self, tmp_path, monkeypatch):
         """`analyze` reads the profiles into one array and checks them there:
@@ -673,9 +726,10 @@ class TestExperiment:
         out = tmp_path / "out"
         assert main(["experiment", "bound-sweep", "--manifest", manifest,
                      "--out", str(out), "--penetrations", "0.3,0.6"]) == 0
-        lines = (out / "bound_sweep.csv").read_text().strip().splitlines()
+        raw = (out / "bound_sweep.csv").read_bytes()
+        assert raw.endswith(b"\r\n") and raw.count(b"\n") == raw.count(b"\r\n") == 3
+        lines = raw.decode().splitlines()
         assert lines[0] == "penetration,absolute_bound,ratio_bound,optimum_lower_bound"
-        assert len(lines) == 3
         r1 = float(lines[1].split(",")[2])
         r2 = float(lines[2].split(",")[2])
         assert 0 < r1 < r2   # more EVs, larger bound at fixed base load
@@ -970,7 +1024,11 @@ class TestFleetGen:
         {"fleet": {"start_window": [50, 10]}},
         {"fleet": {"charge_hours": 1.1}},
         {"fleet": {"charger_kw": -3}},
-        lambda tmp_path: {"baseload": {"csv": one_row_baseload(tmp_path)}},
+        lambda tmp_path: {"baseload": {"csv": baseload_csv(tmp_path, lambda x: x[:2])}},
+        lambda tmp_path: {"baseload": {"csv": baseload_csv(
+            tmp_path, lambda x: x[:5] + [x[5] + ",9"] + x[6:])}},
+        lambda tmp_path: {"baseload": {"csv": baseload_csv(
+            tmp_path, lambda x: x[:5] + ["  "] + x[5:])}},
         # the other sections, and the file itself, are checked as strictly
         {"baseload": {"synth": {"bogus": 1}}},
         {"baseload": {"synth": {"peak_slots": [4, 36]}}},
@@ -986,6 +1044,7 @@ class TestFleetGen:
         {"objective": {"kind": "trak"}},
         {"objective": {"kind": "track"}},
         {"objective": {"kind": "track", "target": [1.0, 2.0]}},
+        {"objective": {"kind": "flatten", "target": [1.0] * 24}},
         {"outdir": "x"},
         # numbers must be JSON numbers: no strings, and booleans are not numbers
         {"fleet": {"penetration": "0.5"}},
@@ -1000,12 +1059,14 @@ class TestFleetGen:
             "jitter-out-of-range", "bad-range", "households-not-int",
             "penetration-null", "window-not-pair", "heterogeneity-not-object",
             "penetration-negative", "window-reversed", "hours-off-grid",
-            "charger-negative", "baseload-csv-one-row", "unknown-synth-key",
+            "charger-negative", "baseload-csv-one-row", "baseload-csv-third-field",
+            "baseload-csv-line-of-spaces", "unknown-synth-key",
             "peak-slots-not-triple", "peak-slot-past-grid", "peak-slot-negative", "peak-slot-repeated",
             "engine-not-object", "unknown-engine-key", "epsilon-zero",
             "unknown-grid-key", "unknown-emit-key", "emit-not-bool",
             "unknown-objective-kind", "track-without-target",
-            "target-off-grid", "unknown-top-level-key", "penetration-string",
+            "target-off-grid", "flatten-with-target", "unknown-top-level-key",
+            "penetration-string",
             "households-bool", "epsilon-bool", "horizon-string",
             "window-bool", "manifest-not-object",
             "manifest-not-json", "integer-past-digit-limit"])

@@ -49,6 +49,19 @@ class TestMakePulseSet:
         with pytest.raises(ValueError, match="duplicate member at index 1"):
             FinitePulseSet([[0.0, 1.0], [-0.0, 1.0]], TimeGrid(2.0, 2), 1.0, 1.0, 1.0)
 
+    @pytest.mark.parametrize("field,value", [
+        ("energy", math.nan), ("energy", math.inf), ("energy", True), ("energy", "4"),
+        ("sqnorm", math.nan), ("sqnorm", -math.inf), ("sqnorm", np.True_),
+        ("sqnorm", -1.0), ("rate_bound", math.nan), ("rate_bound", math.inf),
+        ("rate_bound", "4"), ("rate_bound", -0.5)],
+        ids=["energy-nan", "energy-inf", "energy-bool", "energy-string", "sqnorm-nan",
+             "sqnorm-minus-inf", "sqnorm-numpy-bool", "sqnorm-negative", "rate-nan",
+             "rate-inf", "rate-string", "rate-negative"])
+    def test_constants_are_checked_when_built(self, field, value):
+        constants = {"energy": 1.0, "sqnorm": 1.0, "rate_bound": 1.0, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be a finite number"):
+            FinitePulseSet(np.eye(2), TimeGrid(2.0, 2), **constants)
+
 
 class TestMemberIndex:
     @staticmethod

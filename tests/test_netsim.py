@@ -18,6 +18,12 @@ from valleyfill.netsim import (_HEADERS, AgentLostError, ProtocolError,
                                RosterEntry, _connect_with_retry, _encode_floats,
                                _recv, grid_digest, run_agent, serve_coordinator)
 
+# A socket or file that a test leaves open fails it: the warning that its
+# finalizer gives is an error, and so is pytest's report of that error.
+LEAKS_FAIL = pytest.mark.filterwarnings("error::ResourceWarning",
+                                        "error::pytest.PytestUnraisableExceptionWarning")
+pytestmark = LEAKS_FAIL
+
 
 def free_endpoint():
     s = socket.socket()
@@ -538,11 +544,16 @@ class TestWireParsing:
         b"MESSAGE SIGNAL 1 2.0 0_3 0.5 0.5 0.5\n",
         b"MESSAGE SIGNAL 1 2_0.5 3 0.5 0.5 0.5\n",
         b"MESSAGE PROFILEUPDATE 1 0 0.5 3 0.5 0.5 1_0\n",
+        # a kind without a profile takes no field past its header
+        b"MESSAGE HELLO 0 3 3.0:3 finite 13.2 extra junk\n",
+        b"MESSAGE ASSIGN 0 3 3.0:3 extra\n",
+        b"MESSAGE STOP 5 MaxIter trailing\n",
     ], ids=["nan-weight", "negative-weight", "infinite-weight", "non-ascii-value",
             "non-ascii-stop", "hello-unknown-kind", "hello-zero-weight",
             "hello-no-weight", "separator-in-iteration-and-value",
             "separator-in-slot-count", "separator-in-weight",
-            "separator-in-update-value"])
+            "separator-in-update-value", "hello-extra-fields", "assign-extra-field",
+            "stop-extra-field"])
     def test_bad_signal_is_protocol_error(self, data):
         with pytest.raises(ProtocolError):
             read_wire(data)

@@ -230,6 +230,23 @@ class TestCsvLoader:
         with pytest.raises(BaseLoadError, match="line 3.*expected 2 fields"):
             load_baseload_csv(self.write(tmp_path, rows), g)
 
+    @pytest.mark.parametrize("at", [4, 1], ids=["trailing", "interior"])
+    def test_empty_line_is_skipped(self, tmp_path, at):
+        g = TimeGrid(2.0, 4)
+        rows = [f"{i},{v}" for i, v in enumerate([0.5, 1.25, 0.0, 2.0])]
+        clean = load_baseload_csv(self.write(tmp_path, rows), g)
+        rows.insert(at, "")
+        assert load_baseload_csv(self.write(tmp_path, rows), g) == clean
+
+    @pytest.mark.parametrize("rows,message", [
+        (["0,1.0", "", "1,-0.5", "2,1.0", "3,1.0"], "line 4: negative"),
+        (["0,1.0", "  ", "1,1.0", "2,1.0", "3,1.0"], "line 3: expected 2 fields"),
+        (["0,1.0", "", "1,1.0", "", ""], "line 7: expected 4 rows, got 2"),
+    ], ids=["error-past-an-empty-line", "line-of-spaces", "short-with-empty-lines"])
+    def test_errors_name_the_files_line(self, tmp_path, rows, message):
+        with pytest.raises(BaseLoadError, match=message):
+            load_baseload_csv(self.write(tmp_path, rows), TimeGrid(2.0, 4))
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
     def test_value_not_finite(self, tmp_path, value):
         g = TimeGrid(2.0, 4)
