@@ -26,7 +26,7 @@ import numpy as np
 
 from . import analysis, netsim
 from .core import (Objective, Profile, TimeGrid, _flag, _items, _number, _number_text,
-                   _text, aggregate, norm, norm2)
+                   aggregate, norm, norm2)
 from .engine import EngineConfig, LoadSpec, Trajectory, run
 from .scenario import (BaseLoadSpec, FleetSpec, HeterogeneitySpec, SynthParams,
                        build_case_study)
@@ -191,6 +191,13 @@ def _baseload(section) -> BaseLoadSpec:
         raise InputError(f"bad baseload: {exc}") from None
 
 
+def _out(value) -> str:
+    """The output directory: a non-empty string, so no command works for nothing."""
+    if not (isinstance(value, str) and value):
+        raise ValueError("must be a non-empty string")
+    return value
+
+
 _ENGINE_KEYS = {key: key for key in ("epsilon", "max_iterations", "master_seed")}
 
 _EMIT_KEYS = {key: (key, _flag) for key in ("trajectory", "profiles", "report")}
@@ -203,7 +210,7 @@ _MANIFEST_KEYS = {
     "baseload": ("baseload", _baseload),
     "engine": ("engine", lambda s: _section(EngineConfig, s, _ENGINE_KEYS, "engine")),
     "objective": "objective",
-    "out": ("out", _text),
+    "out": ("out", _out),
     "emit": ("emit", lambda s: _fields(s, _EMIT_KEYS, "emit")),
 }
 
@@ -260,12 +267,13 @@ def profiles_from_csv(path, grid: TimeGrid) -> Tuple[List[int], np.ndarray]:
     for length and finiteness at once.  Only a chunk that fails is parsed
     again line by line, so a row that does not parse, has the wrong length,
     holds a non-finite value or repeats an id raises InputError naming its
-    line.
+    line.  A byte that is not UTF-8 is read as a lone surrogate, which no
+    number holds, so its row does not parse.
     """
     ids: List[int] = []
     seen = set()
     blocks = []
-    with open(path, newline="") as fh:
+    with open(path, newline="", errors="surrogateescape") as fh:
         lines = ((n, line.rstrip("\r\n").partition(",")) for n, line in enumerate(fh, 1)
                  if line.strip("\r\n"))
         while chunk := list(itertools.islice(lines, _CHUNK_LINES)):

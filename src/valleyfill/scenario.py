@@ -180,10 +180,11 @@ def load_baseload_csv(path, grid: TimeGrid) -> Profile:
     """Read a per-household base load (`slot,kw_per_household`), validated.
 
     Empty lines after the header are skipped, as in a profiles CSV; errors
-    name the file's own line numbers.
+    name the file's own line numbers.  A byte that is not UTF-8 makes its
+    row unparsable, as in a profiles CSV.
     """
     values = np.zeros(grid.slots)
-    with open(path, newline="") as fh:
+    with open(path, newline="", errors="surrogateescape") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != ["slot", "kw_per_household"]:

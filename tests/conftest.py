@@ -14,13 +14,145 @@ import csv
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from valleyfill.analysis import NashReport
 from valleyfill.cli import InputError
-from valleyfill.core import Profile, aggregate
-from valleyfill.feasible import ConvexChargeSet, FinitePulseSet
+from valleyfill.core import Objective, Profile, TimeGrid, aggregate
+from valleyfill.engine import EngineConfig, LoadSpec
+from valleyfill.feasible import ConvexChargeSet, FinitePulseSet, make_pulse_set
+from valleyfill.netsim import RosterEntry
+from valleyfill.scenario import BaseLoadSpec, FleetSpec, HeterogeneitySpec, SynthParams
+
+
+# ---------------------------------------------------------------------------
+# checked spec fields
+
+PULSES = make_pulse_set(1.0, 1.0, [0, 1], TimeGrid(4.0, 4))
+# Valid arguments of each spec class.
+ARGS = {
+    TimeGrid: {"horizon_hours": 24.0, "slots": 96},
+    EngineConfig: {},
+    LoadSpec: {"id": 0, "constraint": PULSES, "c": 1.0},
+    RosterEntry: {"id": 0, "is_finite": True, "c": 1.0},
+    FleetSpec: {"households": 4, "penetration": 0.5, "start_window": (0, 80)},
+    HeterogeneitySpec: {"rate_range": (0.8, 1.2), "duration_range": (0.8, 1.2)},
+    BaseLoadSpec: {"csv_path": "base.csv", "per_household_scale": 1.0},
+    SynthParams: {"peak_slots": (4, 36, 52)},
+    FinitePulseSet: {"members": np.eye(2), "grid": TimeGrid(2.0, 2), "energy": 1.0,
+                     "sqnorm": 1.0, "rate_bound": 1.0},
+    Objective: {},
+}
+
+
+@dataclass(frozen=True)
+class Checked:
+    """A field of `spec` that `core._field` checks, or with no spec a value only the
+    manifest holds, and the manifest keys, ``<section>.<key>``, that set it.
+
+    A value the field rejects raises the spec's error as
+    ``<prefix> <want>, got <value!r>``, and exits 2 from a manifest key with
+    ``error: bad <section>: <prefix> <want>, got <value!r>`` (the section of a
+    top-level key is ``manifest``).
+    """
+
+    spec: Optional[type]
+    field: str
+    rule: str                      # a key of REJECTED
+    want: str
+    bound: Optional[tuple] = None  # (">" or ">=", lowest value)
+    count: Optional[int] = None    # items of a tuple field
+    ordered: bool = False          # nondecreasing items
+    keys: tuple = ()
+    label: Optional[str] = None    # the message's name for the field
+
+    @property
+    def args(self) -> dict:
+        return ARGS[self.spec]
+
+    @property
+    def prefix(self) -> str:
+        return f"{self.label or self.field} must be"
+
+
+POSITIVE, NON_NEGATIVE = (">", 0), (">=", 0)
+CHECKED = [
+    Checked(TimeGrid, "horizon_hours", "number", "a finite number > 0", POSITIVE,
+            keys=("grid.horizon_hours",)),
+    Checked(TimeGrid, "slots", "integer", "an integer >= 1", (">=", 1), keys=("grid.slots",)),
+    Checked(EngineConfig, "epsilon", "number", "finite and positive", POSITIVE,
+            keys=("engine.epsilon",)),
+    Checked(EngineConfig, "max_iterations", "integer", "an integer >= 1", (">=", 1),
+            keys=("engine.max_iterations",)),
+    Checked(EngineConfig, "master_seed", "integer", "an integer", keys=("engine.master_seed",)),
+    Checked(EngineConfig, "record_diagnostics", "flag", "a bool"),
+    Checked(EngineConfig, "stop_on_epsilon", "flag", "a bool"),
+    *(Checked(spec, "id", "integer", "an integer >= 0", NON_NEGATIVE, label="load id")
+      for spec in (LoadSpec, RosterEntry)),
+    *(Checked(spec, "c", "number", "finite and positive", POSITIVE, label="load 0: c")
+      for spec in (LoadSpec, RosterEntry)),
+    Checked(RosterEntry, "is_finite", "flag", "a bool", label="load 0: is_finite"),
+    Checked(FleetSpec, "households", "integer", "an integer >= 0", NON_NEGATIVE,
+            keys=("fleet.households",)),
+    Checked(FleetSpec, "penetration", "number", "a finite number >= 0", NON_NEGATIVE,
+            keys=("fleet.penetration",)),
+    Checked(FleetSpec, "ev_rate", "number", "finite and positive", POSITIVE,
+            keys=("fleet.charger_kw", "fleet.ev_rate")),
+    Checked(FleetSpec, "ev_duration_hours", "number", "finite and positive", POSITIVE,
+            keys=("fleet.charge_hours", "fleet.ev_duration_hours")),
+    Checked(FleetSpec, "start_window", "integer", "two integers 0 <= first <= last",
+            NON_NEGATIVE, 2, True, keys=("fleet.start_window",)),
+    *(Checked(HeterogeneitySpec, name, "number", "finite with 0 < lo <= hi", POSITIVE, 2,
+              True, keys=(f"fleet.heterogeneity.{name}",))
+      for name in ("rate_range", "duration_range")),
+    Checked(BaseLoadSpec, "csv_path", "text", "a string when synth is None",
+            keys=("baseload.csv",)),
+    Checked(BaseLoadSpec, "per_household_scale", "number", "a finite number >= 0",
+            NON_NEGATIVE, keys=("baseload.per_household_scale",)),
+    *(Checked(SynthParams, name, "number", "a finite number >= 0", NON_NEGATIVE,
+              keys=(f"baseload.synth.{name}",))
+      for name in ("evening_peak_kw", "morning_peak_kw", "valley_kw")),
+    Checked(SynthParams, "peak_slots", "integer", "three integers", count=3,
+            keys=("baseload.synth.peak_slots",)),
+    Checked(FinitePulseSet, "energy", "number", "a finite number"),
+    *(Checked(FinitePulseSet, name, "number", "a finite number >= 0", NON_NEGATIVE)
+      for name in ("sqnorm", "rate_bound")),
+    Checked(Objective, "kind", "kind", "flatten or track", keys=("objective.kind",)),
+    Checked(None, "out", "path", "a non-empty string", keys=("out",)),
+]
+# What each rule rejects among the values a manifest or a caller may pass.
+NOT_FINITE = [math.nan, math.inf, -math.inf, 10**400]
+REJECTED = {
+    "number": [True, np.True_, "1", None, *NOT_FINITE],
+    "integer": [True, np.True_, "1", None, 1.0, 2.5, *NOT_FINITE],
+    "flag": ["1", None, 0, 1, 0.0, *NOT_FINITE],
+    "text": [None, True, 1, ["base.csv"]],
+    "path": [None, True, 1, ["out"], ""],
+    "kind": ["trak", "FLATTEN", None, True],
+}
+
+
+def rejected(row):
+    """The values `row`'s field rejects: its rule's and the first past its bound,
+    each as one item among valid ones in a tuple field, which also rejects too
+    few items and, if ordered, its valid items reversed."""
+    default = (row.spec, row.field) == (LoadSpec, "c")  # None: the set's energy
+    values = [v for v in REJECTED[row.rule] if not (default and v is None)]
+    if row.bound:
+        op, low = row.bound
+        values.append(low if op == ">" else low - 1)
+    if row.count is None:
+        return values
+    valid = row.args[row.field]
+    return ([(v,) + valid[1:] for v in values] + [valid[:-1]]
+            + ([valid[::-1]] if row.ordered else []))
+
+
+def case_id(value):
+    """A short test id for a value."""
+    return repr(value).replace(str(10**400), "10**400")
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +263,7 @@ def is_nash_per_load(xs, sets, b, tol):
 def profiles_from_csv_per_row(path, grid):
     """`cli.profiles_from_csv` as a `csv.reader` loop; InputError names the line."""
     out = {}
-    with open(path, newline="") as fh:
+    with open(path, newline="", errors="surrogateescape") as fh:
         reader = csv.reader(fh)
         for row in reader:
             if not row:

@@ -1,7 +1,9 @@
 import ast
+import dataclasses
 import importlib
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,15 +12,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import valleyfill
+from conftest import ARGS, CHECKED, PULSES, case_id, rejected
 from valleyfill.cli import main
 from valleyfill.core import (GridMismatchError, Objective, ObjectiveKind,
-                             Profile, TimeGrid, _flag, _integer, _number,
+                             Profile, TimeGrid, _field, _flag, _integer, _number,
                              _number_text, aggregate, norm2)
 from valleyfill.engine import ConfigurationError, EngineConfig, LoadSpec
-from valleyfill.feasible import make_pulse_set
 from valleyfill.netsim import RosterEntry
-from valleyfill.scenario import (BaseLoadSpec, FleetSpec, HeterogeneitySpec,
-                                 SynthParams)
 
 
 def grid(T=24.0, S=96):
@@ -98,48 +98,8 @@ class TestValueRules:
         assert checked == loadtxt
 
 
-PULSES = make_pulse_set(1.0, 1.0, [0, 1], TimeGrid(4.0, 4))
-LOAD = {"id": 0, "constraint": PULSES, "c": 1.0}
-ENTRY = {"id": 0, "is_finite": True, "c": 1.0}
-FLEET = {"households": 4, "penetration": 0.5, "start_window": (0, 80)}
-# Every checked spec field: (class, valid arguments, field, rule, lower
-# bound as (operator, value) or None, item count of a tuple field or None).
-CHECKED_FIELDS = [
-    (TimeGrid, {"horizon_hours": 24.0, "slots": 96}, "horizon_hours", "number",
-     (">", 0), None),
-    (TimeGrid, {"horizon_hours": 24.0, "slots": 96}, "slots", "integer", (">=", 1), None),
-    (EngineConfig, {}, "epsilon", "number", (">", 0), None),
-    (EngineConfig, {}, "max_iterations", "integer", (">=", 1), None),
-    (EngineConfig, {}, "master_seed", "integer", None, None),
-    (EngineConfig, {}, "record_diagnostics", "flag", None, None),
-    (EngineConfig, {}, "stop_on_epsilon", "flag", None, None),
-    (LoadSpec, LOAD, "id", "integer", (">=", 0), None),
-    (LoadSpec, LOAD, "c", "number", (">", 0), None),
-    (RosterEntry, ENTRY, "id", "integer", (">=", 0), None),
-    (RosterEntry, ENTRY, "c", "number", (">", 0), None),
-    (RosterEntry, ENTRY, "is_finite", "flag", None, None),
-    (FleetSpec, FLEET, "households", "integer", (">=", 0), None),
-    (FleetSpec, FLEET, "penetration", "number", (">=", 0), None),
-    (FleetSpec, FLEET, "ev_rate", "number", (">", 0), None),
-    (FleetSpec, FLEET, "ev_duration_hours", "number", (">", 0), None),
-    (FleetSpec, FLEET, "start_window", "integer", (">=", 0), 2),
-    (HeterogeneitySpec, {"rate_range": (1.0, 1.0)}, "rate_range", "number", (">", 0), 2),
-    (HeterogeneitySpec, {"duration_range": (1.0, 1.0)}, "duration_range", "number",
-     (">", 0), 2),
-    (BaseLoadSpec, {"synth": SynthParams(), "per_household_scale": 1.0},
-     "per_household_scale", "number", (">=", 0), None),
-    (SynthParams, {"evening_peak_kw": 1.1}, "evening_peak_kw", "number", (">=", 0), None),
-    (SynthParams, {"morning_peak_kw": 1.0}, "morning_peak_kw", "number", (">=", 0), None),
-    (SynthParams, {"valley_kw": 0.9}, "valley_kw", "number", (">=", 0), None),
-    (SynthParams, {"peak_slots": (4, 36, 52)}, "peak_slots", "integer", None, 3),
-]
 CONFIGURATION_SPECS = (EngineConfig, LoadSpec, RosterEntry)
-# What each rule rejects among the values a manifest or a caller may pass.
-REJECTED = {
-    "number": [True, np.True_, "1", None, math.nan, math.inf, -math.inf, 10**400],
-    "integer": [True, np.True_, "1", None, math.nan, math.inf, -math.inf, 10**400],
-    "flag": ["1", None, math.nan, math.inf, -math.inf, 10**400],
-}
+PYTHON_TYPES = {"number": float, "integer": int, "flag": bool}
 
 
 def below(rule, bound):
@@ -152,35 +112,43 @@ def below(rule, bound):
 
 
 def passing(rule, bound):
-    """numpy values that the rule and the bound accept."""
+    """numpy values, and Python ints for a number, that the rule and the bound accept."""
     if rule == "flag":
         return st.booleans().map(np.bool_)
-    low = 0 if bound is None else bound[1] + 1
-    ints = st.integers(low, 10**6).map(np.int64)
+    low = -10**6 if bound is None else bound[1] + 1
+    ints = st.integers(low, 10**6)
     if rule == "integer":
-        return ints
-    return ints | st.floats(low, 1e6).map(np.float64)
+        return ints.map(np.int64)
+    return ints | ints.map(np.int64) | st.floats(low, 1e6).map(np.float64)
+
+
+def check_rejected(row, value):
+    """Building `row`'s spec from `value` raises its error with the full message."""
+    with pytest.raises(ValueError) as info:
+        row.spec(**{**row.args, row.field: value})
+    assert type(info.value) is (ConfigurationError if row.spec in CONFIGURATION_SPECS
+                                else ValueError)
+    assert str(info.value) == f"{row.prefix} {row.want}, got {value!r}"
+
+
+SPEC_CASES = [(row, value) for row in CHECKED if row.spec for value in rejected(row)]
 
 
 class TestCheckedFields:
     """Every spec field goes through core's one field check."""
 
+    @pytest.mark.parametrize("row,value", SPEC_CASES, ids=[
+        f"{row.spec.__name__}.{row.field}-{case_id(value)}" for row, value in SPEC_CASES])
+    def test_spec_rejects(self, row, value):
+        check_rejected(row, value)
+
     @given(st.data())
     def test_rejected_values_raise_the_specs_error_naming_the_field(self, data):
-        cls, args, field, rule, bound, count = data.draw(st.sampled_from(CHECKED_FIELDS))
-        # c=None is LoadSpec's documented default (see the next test)
-        default = (None,) if (cls, field) == (LoadSpec, "c") else ()
-        bad = st.sampled_from([v for v in REJECTED[rule] if v not in default])
-        if bound is not None:
-            bad = bad | below(rule, bound)
-        value = data.draw(bad)
-        if count is not None:  # one bad item among valid ones
-            value = (value,) + args[field][1:]
-        error = ConfigurationError if cls in CONFIGURATION_SPECS else ValueError
-        with pytest.raises(ValueError) as info:
-            cls(**{**args, field: value})
-        assert type(info.value) is error
-        assert f"{field} must be " in str(info.value)
+        """Values below a field's lower bound."""
+        row = data.draw(st.sampled_from([row for row in CHECKED if row.bound]))
+        value = data.draw(below(row.rule, row.bound))
+        check_rejected(row, value if row.count is None
+                       else (value,) + row.args[row.field][1:])
 
     def test_load_weight_defaults_to_the_sets_energy(self):
         assert LoadSpec(0, PULSES).c == PULSES.energy
@@ -188,50 +156,39 @@ class TestCheckedFields:
 
     @given(st.data())
     def test_numpy_values_are_stored_as_python_values(self, data):
-        cls, args, field, rule, bound, count = data.draw(st.sampled_from(CHECKED_FIELDS))
-        value = data.draw(passing(rule, bound))
-        spec = cls(**{**args, field: value if count is None else (value,) * count})
-        stored = getattr(spec, field)
-        python_type = {"number": float, "integer": int, "flag": bool}[rule]
-        items = stored if count is not None else (stored,)
-        assert [type(item) for item in items] == [python_type] * len(items)
-        assert items == (value,) * len(items)
+        row = data.draw(st.sampled_from([row for row in CHECKED
+                                         if row.spec and row.rule in PYTHON_TYPES]))
+        value = data.draw(passing(row.rule, row.bound))
+        values = (value,) * (row.count or 1)
+        spec = row.spec(**{**row.args, row.field: values if row.count else value})
+        stored = getattr(spec, row.field)
+        items = stored if row.count else (stored,)
+        assert items == values
+        assert {type(item) for item in items} == {PYTHON_TYPES[row.rule]}
+        if dataclasses.is_dataclass(spec):  # equal specs hash alike, as grids must
+            assert hash(spec) == hash(row.spec(**{**row.args, row.field: stored}))
+
+    def test_every_checked_field_has_a_row(self, monkeypatch):
+        """Each spec built from valid arguments checks exactly the table's fields."""
+        seen = set()
+
+        def record(spec, name, *args, **kwargs):
+            seen.add((type(spec), name))
+            return _field(spec, name, *args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "valleyfill" and getattr(module, "_field", None) is _field:
+                monkeypatch.setattr(module, "_field", record)
+        for spec, args in ARGS.items():  # numpy numbers take LoadSpec past its fast path
+            spec(**{k: np.asarray(v)[()] if isinstance(v, (int, float)) else v
+                    for k, v in args.items()})
+        assert seen == {(row.spec, row.field) for row in CHECKED if row.spec}
 
 
 class TestTimeGrid:
     def test_dt_consistency(self):
         g = grid()
         assert abs(g.dt * g.slots - g.horizon_hours) <= 1e-12 * g.horizon_hours
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            TimeGrid(0.0, 96)
-        with pytest.raises(ValueError):
-            TimeGrid(24.0, 0)
-
-    @pytest.mark.parametrize("slots", [96.0, 96.5, True, np.True_, "96", None, -1],
-                             ids=["float", "fraction", "bool", "numpy-bool", "string",
-                                  "none", "negative"])
-    def test_slots_must_be_an_integer_when_built(self, slots):
-        with pytest.raises(ValueError, match="slots must be an integer >= 1"):
-            TimeGrid(24.0, slots)
-
-    @pytest.mark.parametrize("hours", [True, np.True_, "24", None, -1.0, math.inf,
-                                       math.nan, 10**400],
-                             ids=["bool", "numpy-bool", "string", "none", "negative",
-                                  "inf", "nan", "past-float-range"])
-    def test_horizon_must_be_a_finite_positive_number_when_built(self, hours):
-        with pytest.raises(ValueError, match="horizon_hours must be a finite number > 0"):
-            TimeGrid(hours, 96)
-
-    def test_numpy_integer_slots_are_stored_as_int(self):
-        g = TimeGrid(24.0, np.int64(96))
-        assert type(g.slots) is int and g == TimeGrid(24.0, 96)
-
-    def test_integer_horizon_is_stored_as_float(self):
-        g = TimeGrid(24, 96)
-        assert type(g.horizon_hours) is float and g == TimeGrid(24.0, 96)
-        assert hash(g) == hash(TimeGrid(24.0, 96))
 
 
 class TestProfile:

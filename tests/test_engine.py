@@ -21,7 +21,6 @@ from valleyfill.engine import (ConfigurationError, EngineConfig, LoadSpec,
                                fleet_weight, load_draw, load_draws, run)
 from valleyfill.feasible import (FinitePulseSet, SolverError,
                                  make_pulse_set, sample)
-from valleyfill.netsim import RosterEntry
 from valleyfill.scenario import (BaseLoadSpec, FleetSpec, SynthParams,
                                  build_case_study)
 
@@ -438,66 +437,6 @@ class TestRunValidation:
         loads = [LoadSpec(0, random_pulse_set(rng, g))]
         with pytest.raises(ConfigurationError):
             run(loads, Profile.zeros(g), EngineConfig())
-
-    @pytest.mark.parametrize("finite", [True, False])
-    def test_negative_id_rejected(self, finite):
-        rng = np.random.default_rng(34)
-        g = grid()
-        constraint = random_pulse_set(rng, g) if finite else random_convex_set(rng, g)
-        message = r"^load id must be an integer >= 0, got -1$"
-        with pytest.raises(ConfigurationError, match=message):
-            LoadSpec(-1, constraint)
-        with pytest.raises(ConfigurationError, match=message):
-            RosterEntry(-1, finite, 1.0)
-        assert LoadSpec(0, constraint).id == 0
-
-    def test_bad_config(self):
-        with pytest.raises(ConfigurationError):
-            EngineConfig(epsilon=0.0)
-        with pytest.raises(ConfigurationError):
-            EngineConfig(max_iterations=0)
-
-    @pytest.mark.parametrize("field, value", [
-        ("max_iterations", 2.5), ("max_iterations", True), ("max_iterations", "3"),
-        ("master_seed", 1.5), ("master_seed", True), ("master_seed", None),
-        ("epsilon", math.inf), ("epsilon", math.nan), ("epsilon", True),
-        ("epsilon", "1e-6"), ("stop_on_epsilon", "no"), ("stop_on_epsilon", 0.0),
-        ("stop_on_epsilon", 1), ("record_diagnostics", None),
-        ("record_diagnostics", "yes"),
-    ])
-    def test_bad_config_field_rejected_when_built(self, field, value):
-        with pytest.raises(ConfigurationError, match=field):
-            EngineConfig(**{field: value})
-
-    @pytest.mark.parametrize("load_id", [1.0, True, "1", None])
-    def test_non_integer_id_rejected_when_built(self, load_id):
-        s = random_convex_set(np.random.default_rng(35), grid())
-        with pytest.raises(ConfigurationError, match="load id"):
-            LoadSpec(load_id, s)
-        with pytest.raises(ConfigurationError, match="load id"):
-            RosterEntry(load_id, False, 1.0)
-
-    @pytest.mark.parametrize("c", [math.inf, math.nan, -1.0, 0, True, np.True_, "1",
-                                   10**400])
-    def test_bad_weight_rejected_when_built(self, c):
-        s = random_convex_set(np.random.default_rng(36), grid())
-        with pytest.raises(ConfigurationError, match="c must be finite and positive"):
-            LoadSpec(0, s, c=c)
-        with pytest.raises(ConfigurationError, match="c must be finite and positive"):
-            RosterEntry(0, False, c)
-
-    def test_integer_fields_keep_their_values(self):
-        s = random_convex_set(np.random.default_rng(37), grid())
-        spec = LoadSpec(np.int64(3), s, c=2)
-        assert type(spec.id) is int and spec.id == 3 and spec.c == 2
-        entry = RosterEntry(np.int64(3), np.True_, 2)
-        assert type(entry.id) is int and entry.id == 3 and entry.c == 2
-        assert entry.is_finite is True
-        cfg = EngineConfig(max_iterations=np.int32(4), master_seed=-5, epsilon=1)
-        assert (cfg.max_iterations, cfg.master_seed, cfg.epsilon) == (4, -5, 1)
-        cfg = EngineConfig(stop_on_epsilon=np.False_, record_diagnostics=np.True_)
-        assert (cfg.stop_on_epsilon, cfg.record_diagnostics) == (False, True)
-        assert type(cfg.stop_on_epsilon) is bool and type(cfg.record_diagnostics) is bool
 
     def test_coordinate_rejects_duplicate_ids_before_exchanging(self):
         rng = np.random.default_rng(38)

@@ -252,15 +252,6 @@ class TestHandshake:
                               free_endpoint(), timeout=0.5)
 
 
-class TestRosterEntry:
-    """Ids and weights are checked as `LoadSpec`'s are (see test_engine)."""
-
-    @pytest.mark.parametrize("is_finite", ["yes", 1, 0.0, None])
-    def test_non_bool_kind_rejected_when_built(self, is_finite):
-        with pytest.raises(ConfigurationError, match="is_finite must be a bool"):
-            RosterEntry(0, is_finite, 1.0)
-
-
 class TestFailureModes:
     def test_agent_disconnect_mid_session(self):
         rng = np.random.default_rng(8)

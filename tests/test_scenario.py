@@ -1,6 +1,3 @@
-import json
-import math
-
 import numpy as np
 import pytest
 
@@ -33,6 +30,7 @@ class TestCanonicalFleet:
         assert len(build_fleet(FleetSpec(households=1000, penetration=0.5))) == 500
         assert len(build_fleet(FleetSpec(households=3, penetration=0.5))) == 2
         assert len(build_fleet(FleetSpec(households=5, penetration=0.0))) == 0
+        assert len(build_fleet(FleetSpec(households=np.int64(4), penetration=1))) == 4
 
     def test_determinism(self):
         spec = FleetSpec(households=10, penetration=0.3,
@@ -64,36 +62,6 @@ class TestHeterogeneity:
                                         ev_rate=6.6))[0].constraint
         assert doubled.energy == pytest.approx(2.0 * base.energy, rel=1e-12)
         assert doubled.sqnorm == pytest.approx(4.0 * base.sqnorm, rel=1e-12)
-
-    @pytest.mark.parametrize("field", ["ev_rate", "ev_duration_hours"])
-    @pytest.mark.parametrize("value", [0.0, -3.3, np.inf, np.nan, True])
-    def test_rate_and_duration_checked_when_built(self, field, value):
-        with pytest.raises(ValueError, match=f"{field} must be finite and positive"):
-            FleetSpec(households=1, penetration=1.0, **{field: value})
-
-    @pytest.mark.parametrize("field,value", [
-        ("households", 2.5), ("households", True), ("households", -1),
-        ("households", "4"), ("penetration", math.nan), ("penetration", math.inf),
-        ("penetration", -0.5), ("penetration", np.True_),
-    ], ids=["households-fraction", "households-bool", "households-negative",
-            "households-string", "penetration-nan", "penetration-inf",
-            "penetration-negative", "penetration-numpy-bool"])
-    def test_households_and_penetration_checked_when_built(self, field, value):
-        kind = "an integer" if field == "households" else "a finite number"
-        with pytest.raises(ValueError, match=f"{field} must be {kind} >= 0, got "):
-            FleetSpec(**{"households": 4, "penetration": 1.0, field: value})
-
-    def test_checked_counts_are_stored_as_int_and_float(self):
-        spec = FleetSpec(households=np.int64(4), penetration=1)
-        assert (type(spec.households), type(spec.penetration)) == (int, float)
-        assert len(build_fleet(spec)) == 4
-
-    @pytest.mark.parametrize("field", ["rate_range", "duration_range"])
-    @pytest.mark.parametrize("pair", [(-2.0, -1.0), (1.2, 0.8), (0.0, 0.0),
-                                      (0.0, 1.0), (0.9, np.inf), (np.nan, 1.0)])
-    def test_ranges_checked_when_built(self, field, pair):
-        with pytest.raises(ValueError, match=f"{field} must be finite with 0 < lo <= hi"):
-            HeterogeneitySpec(**{field: pair})
 
     def test_long_pulse_shrinks_window(self):
         spec = FleetSpec(households=1, penetration=1.0, ev_duration_hours=5.0)
@@ -128,24 +96,6 @@ class TestSynthBaseload:
         # half-cosine ramps: step never exceeds the coarse slope bound
         assert diffs.max() < 0.1
 
-    def test_rejects_negative_levels(self):
-        with pytest.raises(ValueError):
-            synth_baseload(SynthParams(1.0, -0.1, 0.5, (4, 36, 52)), CANONICAL_GRID)
-
-    @pytest.mark.parametrize("field,value", [
-        ("peak_slots", (4.5, 36, 52)), ("peak_slots", (True, 36, 52)),
-        ("valley_kw", math.nan), ("evening_peak_kw", "1"), ("morning_peak_kw", -0.5),
-    ], ids=["slot-fraction", "slot-bool", "valley-nan", "peak-string",
-            "morning-negative"])
-    def test_params_checked_when_built(self, tmp_path, capsys, field, value):
-        with pytest.raises(ValueError, match=f"^{field} must be "):
-            SynthParams(**{field: value})
-        manifest = tmp_path / "manifest.json"
-        manifest.write_text(json.dumps({"baseload": {"synth": {field: value}}}))
-        assert main(["fleet-gen", "--manifest", str(manifest),
-                     "--out", str(tmp_path / "out")]) == 2
-        assert capsys.readouterr().err.startswith("error: bad baseload.synth")
-
     def test_nonstandard_grid(self):
         g = TimeGrid(24.0, 48)
         p = default_baseload(g)
@@ -169,7 +119,7 @@ class TestCsvLoader:
     def write(self, tmp_path, rows, header="slot,kw_per_household"):
         path = tmp_path / "base.csv"
         lines = [header] + rows
-        path.write_text("\n".join(lines) + "\n")
+        path.write_text("\n".join(lines) + "\n", errors="surrogateescape")  # \udcff: 0xff
         return path
 
     def test_round_trip(self, tmp_path):
@@ -214,9 +164,9 @@ class TestCsvLoader:
         with pytest.raises(BaseLoadError, match="line 3.*unparsable"):
             load_baseload_csv(self.write(tmp_path, rows), g)
 
-    @pytest.mark.parametrize("row", ["1,1_0", "0_1,1.0", "1,\u0661"],
+    @pytest.mark.parametrize("row", ["1,1_0", "0_1,1.0", "1,\u0661", "1,1.0\udcff"],
                              ids=["separator-in-value", "separator-in-slot",
-                                  "non-ascii-digit"])
+                                  "non-ascii-digit", "non-utf-8-byte"])
     def test_numbers_np_loadtxt_rejects_are_unparsable(self, tmp_path, row):
         g = TimeGrid(2.0, 4)
         rows = ["0,1.0", row, "2,1.0", "3,1.0"]
@@ -272,13 +222,6 @@ class TestCaseStudy:
                                     grid=g)
         assert fleet == []
         assert np.allclose(b.values, [10.0, 20.0, 5.0, 0.0])
-
-    @pytest.mark.parametrize("scale", [-1, math.nan, math.inf, True, "1"],
-                             ids=["negative", "nan", "inf", "bool", "string"])
-    def test_scale_checked_when_built(self, scale):
-        with pytest.raises(ValueError,
-                           match="per_household_scale must be a finite number >= 0"):
-            BaseLoadSpec(synth=SynthParams(), per_household_scale=scale)
 
     def test_spec_requires_exactly_one_source(self):
         with pytest.raises(ValueError):
