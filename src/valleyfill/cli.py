@@ -267,8 +267,9 @@ def profiles_from_csv(path, grid: TimeGrid) -> Tuple[List[int], np.ndarray]:
     for length and finiteness at once.  Only a chunk that fails is parsed
     again line by line, so a row that does not parse, has the wrong length,
     holds a non-finite value or repeats an id raises InputError naming its
-    line.  A byte that is not UTF-8 is read as a lone surrogate, which no
-    number holds, so its row does not parse.
+    line, and a value that does not parse also its CSV column.  A byte that
+    is not UTF-8 is read as a lone surrogate, which no number holds, so its
+    row does not parse.
     """
     ids: List[int] = []
     seen = set()
@@ -290,17 +291,39 @@ def profiles_from_csv(path, grid: TimeGrid) -> Tuple[List[int], np.ndarray]:
                 try:
                     load_id = int(_number_text(head))
                     if not parsed:
-                        rows[k] = Profile(np.loadtxt([tail], delimiter=",", comments=None,
-                                                     ndmin=1) if tail else np.empty(0),
-                                          grid).values
+                        rows[k] = Profile(_line_values(tail), grid).values
                 except ValueError as exc:
-                    raise InputError(f"{path} line {n}: {exc}") from None
+                    raise InputError(f"{path}: line {n}: {exc}") from None
                 if load_id in seen:
-                    raise InputError(f"{path} line {n}: load {load_id} appears twice")
+                    raise InputError(f"{path}: line {n}: load {load_id} appears twice")
                 seen.add(load_id)
                 ids.append(load_id)
             blocks.append(rows)
     return ids, np.concatenate(blocks) if blocks else np.empty((0, grid.slots))
+
+
+def _line_values(tail: str) -> np.ndarray:
+    """The values after one profiles line's id, as `np.loadtxt` parses them.
+
+    A value it rejects raises ValueError naming its CSV column (the id is
+    column 0); `np.loadtxt`'s own row and column count within its call.
+    """
+    try:
+        return np.loadtxt([tail], delimiter=",", comments=None, ndmin=1) if tail else np.empty(0)
+    except ValueError:
+        fields = tail.split(",")
+        column = next(c for c, text in enumerate(fields, 1) if not _is_value(text))
+        raise ValueError(f"column {column}: could not convert {fields[column - 1]!r} "
+                         "to a number") from None
+
+
+def _is_value(text: str) -> bool:
+    """Whether `np.loadtxt` reads `text` as one value of a line (an empty value is
+    none, though alone it reads as a line without data)."""
+    try:
+        return bool(text) and np.loadtxt([text], delimiter=",", comments=None).size == 1
+    except ValueError:
+        return False
 
 
 def _write_artifacts(manifest: Manifest, loads: Sequence[LoadSpec], base: Profile,

@@ -22,7 +22,9 @@ Loads that agree on all four share one update, so the memo keys each
 result by (set, c, state) under one signal.  Convex loads update by
 projection (`convex_load_update`), once per key.  Finite loads update in
 two phases.  First each key's group solves the hull once for its
-sampling distribution theta, and finds whether theta pins one member.
+sampling distribution theta, the groups the memo lacks all in one
+lockstep `hull_minimize_batch` call, and finds whether theta pins one
+member.
 Then the loads of the groups theta does not pin draw in one `load_draws`
 call, in load order, and each group samples theta with its loads' draws.
 While g repeats bit for bit, as it does in every round after one in
@@ -48,7 +50,7 @@ import numpy as np
 from .core import (GridMismatchError, Profile, TimeGrid, _field, _flag, _integer,
                    _number, aggregate, norm, norm2)
 from .feasible import (ConvexChargeSet, FinitePulseSet, SolverError, hull_minimize,
-                       project_convex, sample)
+                       hull_minimize_batch, project_convex, sample)
 
 __all__ = [
     "ConfigurationError",
@@ -335,13 +337,20 @@ def finite_load_update(g: np.ndarray, C: float, x_prev: np.ndarray,
     `start` is x_prev's member index, or None when x_prev is not a member
     (see `hull_minimize`).
     """
+    return hull_minimize(_leave_one_out(g, C, x_prev, pulse_set, c_i), x_prev, c_i,
+                         pulse_set, start=start)
+
+
+def _leave_one_out(g: np.ndarray, C: float, x_prev: np.ndarray, pulse_set: FinitePulseSet,
+                   c_i: float) -> np.ndarray:
+    """The signal without load i, h = (g*C - x_prev) / (C - c_i), for rows g and
+    x_prev on the set's grid; C must exceed c_i."""
     if C <= c_i:
         raise ConfigurationError(
             f"need C > c_i (got C={C}, c_i={c_i}); a single finite load is not schedulable"
         )
     pulse_set.grid.check_rows(g, x_prev)
-    return hull_minimize((g * C - x_prev) / (C - c_i), x_prev, c_i, pulse_set,
-                         start=start)
+    return (g * C - x_prev) / (C - c_i)
 
 
 def _expected_objective(b: Profile, mean, variance: float) -> float:
@@ -432,7 +441,8 @@ class LoadUpdate:
     object, its weight c and its state: its member index for a finite
     load, its row for a convex load.  Loads that share (set, c, state)
     share one update: convex loads project once per key, and finite loads
-    of one key share theta, so each such group solves the hull once.
+    of one key share theta, so each such group solves the hull once; the
+    groups the memo lacks are solved in one `hull_minimize_batch` call.
     A group whose theta puts weight 1.0 on one member takes it without a
     draw (inverse-CDF sampling picks it for every u); the loads of the
     other groups draw in one `load_draws` call, in load order.
@@ -489,19 +499,22 @@ class LoadUpdate:
         groups: dict = {}
         for i, _, c, set_id in self._finite:
             groups.setdefault((set_id, c, member_idx[i]), []).append(i)
-        solved = []
-        drawn: List[int] = []
-        for key, positions in groups.items():
-            pulse_set = loads[positions[0]].constraint
-            if key not in memo:
-                _, c, prev = key
-                try:
-                    theta = finite_load_update(gv, C, X[positions[0]], pulse_set, c,
-                                               start=prev)
-                except SolverError as exc:
-                    raise SolverError(f"iteration {k}, loads "
-                                      f"{[loads[i].id for i in positions]}: {exc}",
-                                      gap=exc.gap) from exc
+        missing = [(key, positions) for key, positions in groups.items() if key not in memo]
+        if missing:  # one lockstep solve serves every group the memo lacks
+            problems = []
+            for (_, c, prev), positions in missing:
+                x_prev, pulse_set = X[positions[0]], loads[positions[0]].constraint
+                problems.append((_leave_one_out(gv, C, x_prev, pulse_set, c), x_prev, c,
+                                 pulse_set, prev))
+            try:
+                thetas = hull_minimize_batch(problems)
+            except SolverError as exc:
+                positions = missing[exc.problem][1]
+                raise SolverError(f"iteration {k}, loads "
+                                  f"{[loads[i].id for i in positions]}: {exc}",
+                                  gap=exc.gap) from exc
+            for (key, positions), theta in zip(missing, thetas):
+                pulse_set, prev = loads[positions[0]].constraint, key[2]
                 j = int(theta.argmax())
                 pinned = j if theta[j] == 1.0 and not theta[:j].any() else None
                 stay = 0.0 if prev is None else float(theta[prev])
@@ -510,7 +523,10 @@ class LoadUpdate:
                 mean_g = np.einsum("k,ks->s", theta, pulse_set.members)
                 memo[key] = (theta, pinned, stay, mean_g,
                              pulse_set.sqnorm - pulse_set.grid.dt * float(np.dot(mean_g, mean_g)))
-            solved.append((positions, pulse_set, memo[key]))
+        solved = []
+        drawn: List[int] = []
+        for key, positions in groups.items():
+            solved.append((positions, loads[positions[0]].constraint, memo[key]))
             if memo[key][1] is None:  # theta pins no member, so these loads draw
                 drawn.extend(positions)
         if drawn:

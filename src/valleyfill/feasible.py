@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -34,6 +34,7 @@ __all__ = [
     "make_pulse_set",
     "project_convex",
     "hull_minimize",
+    "hull_minimize_batch",
     "sample",
     "SNAP_TOLERANCE",
 ]
@@ -58,6 +59,8 @@ class SolverError(RuntimeError):
     def __init__(self, message: str, gap: float):
         super().__init__(message)
         self.gap = gap
+        # the failing problem's position in a `hull_minimize_batch` call
+        self.problem: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -266,86 +269,213 @@ def hull_minimize(h: np.ndarray, x_prev: np.ndarray, c_i: float,
     The corral starts from member `start`, which is x_prev's member index
     (fixed points then terminate in one gap evaluation), or None when
     x_prev is not a member: then from the member with the lowest Q value.
+    This is the one-problem call of `hull_minimize_batch`.
     """
-    pulse_set.grid.check_rows(h, x_prev)
-    Y, G = pulse_set.members, pulse_set.gram
-    m = pulse_set.m
-    dt = pulse_set.grid.dt
-    p = x_prev - c_i * h
-    r = np.einsum("ks,s->k", Y, p)     # without BLAS, as the Gram is
-    xx_prev = float(np.dot(x_prev, x_prev))
+    return hull_minimize_batch([(h, x_prev, c_i, pulse_set, start)])[0]
 
-    if start is None:  # norm2(y_k - p), less its constant norm2(p)
-        start = int(np.argmin(G.diagonal() - 2.0 * r))
-    corral = [start]
-    w = np.array([1.0])
 
-    def affine_min(idx):
-        """Exact minimizer of norm2(sum_k u_k (y_k - p)) over idx with sum(u) = 1."""
-        G_i, r_i = G[idx][:, idx], r[idx]
-        d0 = G_i[0, 0] - G_i[0]                 # (y_0 - y_k).y_0
-        M = G_i[1:, 1:] - G_i[1:, :1] + d0[1:]  # (y_k - y_0).(y_l - y_0)
-        rhs = d0[1:] + (r_i[1:] - r_i[0])      # (y_0 - y_k).(y_0 - p)
+def hull_minimize_batch(problems: Sequence[tuple]) -> List[np.ndarray]:
+    """`hull_minimize(h, x_prev, c_i, pulse_set, start)` of each problem, in lockstep.
+
+    Returns each problem's theta, in order, bit for bit as a call of its
+    own would.  The problems step together, bucketed by (m, corral size):
+    a bucket's major cycle takes the scores, w.scores and w.r over the
+    corral as stacked matmuls, and its minor cycle solves the affine minima
+    as one stacked `np.linalg.solve`; per problem, Python keeps only the
+    corral list, the entering member and the rare ratio step.  numpy runs
+    a stacked matmul or solve as one BLAS or LAPACK call per item, of the
+    item's own shape, so no bit depends on the bucket.  A corral is never
+    padded to share a bucket: a padded system changes BLAS blocking, and
+    so the bits.  When a stacked solve finds a singular system, the
+    bucket's systems are solved one at a time, each by `solve`, then by
+    least squares.  `_HULL_MAX_ITERATIONS` counts each problem's major
+    cycles.  The other problems run on when one fails; then the SolverError
+    of the first failing problem is raised, with its position in
+    `problems` as `problem`.
+    """
+    hulls = [_Hull(*problem) for problem in problems]
+    running = [hull for bucket in _buckets(hulls) for hull in _major_cycle(bucket)]
+    while running:
+        running = [hull for bucket in _buckets(running) for hull in _minor_cycle(bucket)]
+    thetas = []
+    for i, hull in enumerate(hulls):
         try:
-            v = np.linalg.solve(M, rhs)
-        except np.linalg.LinAlgError:  # rounding made the corral dependent
-            try:
-                v = np.linalg.lstsq(M, rhs)[0]
-            except np.linalg.LinAlgError as exc:
-                raise SolverError(f"hull minimization: {exc}", gap=gap) from None
-        return np.concatenate(([1.0 - v.sum()], v))
+            thetas.append(hull.weights())
+        except SolverError as exc:
+            exc.problem = i
+            raise
+    return thetas
 
-    gap = q_last = math.inf
-    for _ in range(_HULL_MAX_ITERATIONS):
-        scores = w @ G[corral] - r
-        wsw = float(w @ scores[corral])     # w^T G w - w.r over the corral
-        q = dt * (wsw - float(w @ r[corral]) + xx_prev)
-        j = int(scores.argmin())
-        gap = 2.0 * dt * (wsw - float(scores[j]))
-        # a NaN gap stops too, and so does a Q that rounding kept from falling
-        if not gap > 1e-8 * (1.0 + abs(q)) or not q < q_last:
-            break
-        q_last = q
-        if j not in corral:
-            corral.append(j)
-            w = np.append(w, 0.0)
-        # minor cycles: shrink the corral until the affine minimizer is
-        # a proper convex combination
-        while True:
-            u = affine_min(corral)
-            if (u > 1e-12).all():
-                w = u
-                break
-            shrink = u < w
-            with np.errstate(divide="ignore", invalid="ignore"):
-                steps = np.where(shrink, w / (w - u), np.inf)
-            t = min(1.0, float(steps.min()))
-            w = (1.0 - t) * w + t * u
-            keep = ~(w <= 1e-12)            # NaN weights stay, for _checked_weights to reject
-            if keep.all():
-                w = np.maximum(w, 0.0)
-                break
-            corral = [k for k, kept in zip(corral, keep) if kept]
-            w = w[keep]
-        w = w / float(w.sum())
-    else:
-        raise SolverError(
-            f"hull minimization did not converge in {_HULL_MAX_ITERATIONS} iterations",
-            gap=gap,
-        )
 
-    theta = np.zeros(m)
-    theta[corral] = w
-    z = theta @ Y
+class _Hull:
+    """One problem of `hull_minimize_batch`: its data and its Wolfe state."""
 
-    # Snap to a vertex when the minimizer coincides with a member: the
-    # member nearest z in member space, at its exact distance.
-    nearest = int(np.argmin(G.diagonal() - 2.0 * (scores + r)))
-    diff = Y[nearest] - z
-    if math.sqrt(dt * float(np.dot(diff, diff))) <= SNAP_TOLERANCE:
+    __slots__ = ("Y", "G", "r", "dt", "xx_prev", "corral", "w", "q_last", "gap",
+                 "cycles", "scores", "error")
+
+    def __init__(self, h, x_prev, c_i, pulse_set, start):
+        pulse_set.grid.check_rows(h, x_prev)
+        self.Y, self.G = pulse_set.members, pulse_set.gram
+        self.dt = pulse_set.grid.dt
+        self.r = np.einsum("ks,s->k", self.Y, x_prev - c_i * h)  # without BLAS, as the Gram is
+        self.xx_prev = float(np.dot(x_prev, x_prev))
+        if start is None:  # norm2(y_k - p), less its constant norm2(p)
+            start = int((self.G.diagonal() - 2.0 * self.r).argmin())
+        self.corral = [start]
+        self.w = np.array([1.0])
+        self.q_last = self.gap = math.inf
+        self.cycles = 0
+        self.scores = self.error = None
+
+    def weights(self) -> np.ndarray:
+        """theta over all members from the corral weights, snapped and checked;
+        the problem's SolverError if it failed."""
+        if self.error is not None:
+            raise self.error
+        Y, G, m = self.Y, self.G, len(self.r)
         theta = np.zeros(m)
-        theta[nearest] = 1.0
-    return _checked_weights(theta, gap)
+        theta[self.corral] = self.w
+        z = theta @ Y
+        # Snap to a vertex when the minimizer coincides with a member: the
+        # member nearest z in member space, at its exact distance.
+        nearest = int((G.diagonal() - 2.0 * (self.scores + self.r)).argmin())
+        diff = Y[nearest] - z
+        if math.sqrt(self.dt * float(np.dot(diff, diff))) <= SNAP_TOLERANCE:
+            theta = np.zeros(m)
+            theta[nearest] = 1.0
+        return _checked_weights(theta, self.gap)
+
+
+def _buckets(hulls: List[_Hull]):
+    """`hulls` grouped by (m, corral size), the shapes a stacked step needs."""
+    if len(hulls) == 1:
+        return [hulls]
+    buckets: dict = {}
+    for hull in hulls:
+        buckets.setdefault((len(hull.r), len(hull.corral)), []).append(hull)
+    return buckets.values()
+
+
+def _gram(bucket: List[_Hull], corrals: np.ndarray, square: bool) -> np.ndarray:
+    """Each problem's Gram rows G[corral], or with `square` its block
+    G[corral][:, corral], stacked."""
+    G = bucket[0].G
+    if len(bucket) == 1 or all(hull.G is G for hull in bucket):  # one set: one gather
+        return G[corrals[:, :, None], corrals[:, None, :]] if square else G.take(corrals, axis=0)
+    if square:
+        return np.stack([hull.G[np.ix_(c, c)] for hull, c in zip(bucket, corrals)])
+    return np.stack([hull.G.take(c, axis=0) for hull, c in zip(bucket, corrals)])
+
+
+def _major_cycle(bucket: List[_Hull], stacked=None) -> List[_Hull]:
+    """One major cycle of each problem in `bucket`: score the members against
+    the corral weights, stop at a small gap or when Q stops falling, or else
+    add the lowest-scoring member to the corral.  `stacked` holds the
+    bucket's corrals, r vectors, flat corral positions and weights as the
+    minor cycle before stacked them, or is None.  Returns the problems that
+    go on to minor cycles."""
+    if stacked is None:
+        stacked = (*_stacked(bucket), bucket[0].w[None] if len(bucket) == 1
+                   else np.array([hull.w for hull in bucket]))
+    corrals, R, at, W = stacked
+    W = W[:, None]
+    scores = (W @ _gram(bucket, corrals, False))[:, 0] - R
+    wsw = (W @ scores.take(at)[:, :, None]).ravel()  # w^T G w - w.r over the corral
+    wr = (W @ R.take(at)[:, :, None]).ravel()
+    going = []
+    for hull, s, j, wsw_b, wr_b in zip(bucket, scores, scores.argmin(axis=1).tolist(),
+                                       wsw.tolist(), wr.tolist()):
+        hull.cycles += 1
+        q = hull.dt * (wsw_b - wr_b + hull.xx_prev)
+        hull.scores, hull.gap = s, 2.0 * hull.dt * (wsw_b - float(s[j]))
+        # a NaN gap stops too, and so does a Q that rounding kept from falling
+        if not hull.gap > 1e-8 * (1.0 + abs(q)) or not q < hull.q_last:
+            continue
+        if hull.cycles == _HULL_MAX_ITERATIONS:
+            hull.error = SolverError("hull minimization did not converge in "
+                                     f"{_HULL_MAX_ITERATIONS} iterations", gap=hull.gap)
+            continue
+        hull.q_last = q
+        if j not in hull.corral:
+            hull.corral.append(j)  # its weight 0 joins w in a ratio step
+        going.append(hull)
+    return going
+
+
+def _minor_cycle(bucket: List[_Hull]) -> List[_Hull]:
+    """One minor cycle of each problem in `bucket`: the exact minimizer of
+    norm2(sum_k u_k (y_k - p)) over the corral's affine hull, with sum(u) = 1.
+    A problem takes it as its weights when it is a proper convex combination,
+    and otherwise steps toward it until a weight reaches zero, dropping that
+    member; a problem whose corral shrank needs another minor cycle, and the
+    others go on to their next major cycle here.  Returns the problems that
+    run on."""
+    corrals, R, at = _stacked(bucket)
+    G_i, r_i = _gram(bucket, corrals, True), R.take(at)
+    d0 = G_i[:, 0, :1] - G_i[:, 0, 1:]                     # (y_0 - y_k).y_0, k >= 1
+    M = G_i[:, 1:, 1:] - G_i[:, 1:, :1] + d0[:, None]      # (y_k - y_0).(y_l - y_0)
+    rhs = d0 + (r_i[:, 1:] - r_i[:, :1])                   # (y_0 - y_k).(y_0 - p)
+    solved = True
+    try:
+        v = np.linalg.solve(M, rhs[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:  # rounding made a corral dependent
+        v = np.array([_corral_solve(hull, M_b, rhs_b)
+                      for hull, M_b, rhs_b in zip(bucket, M, rhs)])
+        solved = all(hull.error is None for hull in bucket)
+    U = np.concatenate((1.0 - v.sum(axis=1, keepdims=True), v), axis=1)
+    W = U / U.sum(axis=1, keepdims=True)
+    mins = U.min(axis=1).tolist()
+    if solved and all(u_min > 1e-12 for u_min in mins):  # NaN is not
+        for hull, w in zip(bucket, W):
+            hull.w = w
+        return _major_cycle(bucket, (corrals, R, at, W))  # the stacked arrays carry over
+    settled, again = [], []
+    for hull, u, w_b, u_min in zip(bucket, U, W, mins):
+        if hull.error is not None:
+            continue
+        if u_min > 1e-12:
+            hull.w = w_b
+            settled.append(hull)
+            continue
+        w = hull.w if len(hull.w) == len(u) else np.append(hull.w, 0.0)
+        shrink = u < w
+        with np.errstate(divide="ignore", invalid="ignore"):
+            steps = np.where(shrink, w / (w - u), np.inf)
+        t = min(1.0, float(steps.min()))
+        w = (1.0 - t) * w + t * u
+        keep = ~(w <= 1e-12)            # NaN weights stay, for _checked_weights to reject
+        if keep.all():
+            w = np.maximum(w, 0.0)
+            hull.w = w / float(w.sum())
+            settled.append(hull)
+        else:
+            hull.corral = [k for k, kept in zip(hull.corral, keep) if kept]
+            hull.w = w[keep]
+            again.append(hull)
+    return again + [hull for sub in _buckets(settled) for hull in _major_cycle(sub)]
+
+
+def _stacked(bucket: List[_Hull]):
+    """The bucket's corrals and r vectors as (B, k) and (B, m) arrays, and each
+    corral's flat positions in the (B, m) array."""
+    corrals = np.array([hull.corral for hull in bucket])
+    if len(bucket) == 1:  # views, not copies: most calls solve one problem
+        return corrals, bucket[0].r[None], corrals
+    R = np.array([hull.r for hull in bucket])
+    return corrals, R, corrals + np.arange(0, R.size, R.shape[1])[:, None]
+
+
+def _corral_solve(hull: _Hull, M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """One corral system by `solve`, or by least squares when rounding made it
+    singular; NaNs, with the problem's SolverError set, when neither can."""
+    try:
+        return np.linalg.solve(M, rhs)
+    except np.linalg.LinAlgError:
+        try:
+            return np.linalg.lstsq(M, rhs)[0]
+        except np.linalg.LinAlgError as exc:
+            hull.error = SolverError(f"hull minimization: {exc}", gap=hull.gap)
+            return np.full(len(rhs), np.nan)
 
 
 def _checked_weights(theta: np.ndarray, gap: float) -> np.ndarray:
@@ -354,8 +484,8 @@ def _checked_weights(theta: np.ndarray, gap: float) -> np.ndarray:
     if not (theta >= 0).all():
         raise SolverError("hull minimization: weights must be nonnegative numbers, not NaN",
                           gap=gap)
-    if not abs(float(np.sum(theta)) - 1.0) <= 1e-12:
-        raise SolverError(f"hull minimization: weights sum to {np.sum(theta)}, expected 1",
+    if not abs(float(theta.sum()) - 1.0) <= 1e-12:
+        raise SolverError(f"hull minimization: weights sum to {theta.sum()}, expected 1",
                           gap=gap)
     theta.flags.writeable = False
     return theta

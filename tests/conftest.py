@@ -7,7 +7,8 @@ minimizer, outcome enumeration for conditional expectations, a per-load
 rebuild of the others' aggregate for best responses, per-member sums
 for the A1-A4 assumptions finite sets are built to meet, a per-load loop
 for the Nash check, and a `csv.reader` loop with `float` per value for the
-profiles reader.
+profiles reader.  `reference_hull_minimize` is the min-norm-point loop
+one problem at a time, which the lockstep solver must match bit for bit.
 """
 
 import csv
@@ -22,7 +23,9 @@ from valleyfill.analysis import NashReport
 from valleyfill.cli import InputError
 from valleyfill.core import Objective, Profile, TimeGrid, aggregate
 from valleyfill.engine import EngineConfig, LoadSpec
-from valleyfill.feasible import ConvexChargeSet, FinitePulseSet, make_pulse_set
+from valleyfill.feasible import (_HULL_MAX_ITERATIONS, SNAP_TOLERANCE, ConvexChargeSet,
+                                 FinitePulseSet, SolverError, _checked_weights,
+                                 make_pulse_set)
 from valleyfill.netsim import RosterEntry
 from valleyfill.scenario import BaseLoadSpec, FleetSpec, HeterogeneitySpec, SynthParams
 
@@ -272,9 +275,9 @@ def profiles_from_csv_per_row(path, grid):
                 load_id = int(row[0])
                 profile = Profile(np.array([float(v) for v in row[1:]]), grid)
             except ValueError as exc:
-                raise InputError(f"{path} line {reader.line_num}: {exc}") from None
+                raise InputError(f"{path}: line {reader.line_num}: {exc}") from None
             if load_id in out:
-                raise InputError(f"{path} line {reader.line_num}: "
+                raise InputError(f"{path}: line {reader.line_num}: "
                                  f"load {load_id} appears twice")
             out[load_id] = profile
     return out
@@ -408,6 +411,87 @@ def hull_oracle_grid(h, x_prev, c_i, pulse_set, step=1e-3):
             best_q = float(q[k])
             best_z = Z[k]
     return best_z, best_q
+
+
+# ---------------------------------------------------------------------------
+# hull minimization reference: the min-norm-point loop one problem at a time
+
+def reference_hull_minimize(h, x_prev, c_i, pulse_set, start=None):
+    """`feasible.hull_minimize` as one Wolfe loop per problem, each step on
+    1-D arrays, as it ran before the solver ran its problems in lockstep:
+    the bits a lockstep solve must reproduce."""
+    pulse_set.grid.check_rows(h, x_prev)
+    Y, G = pulse_set.members, pulse_set.gram
+    m = pulse_set.m
+    dt = pulse_set.grid.dt
+    p = x_prev - c_i * h
+    r = np.einsum("ks,s->k", Y, p)
+    xx_prev = float(np.dot(x_prev, x_prev))
+
+    if start is None:
+        start = int(np.argmin(G.diagonal() - 2.0 * r))
+    corral = [start]
+    w = np.array([1.0])
+
+    def affine_min(idx):
+        G_i, r_i = G[idx][:, idx], r[idx]
+        d0 = G_i[0, 0] - G_i[0]
+        M = G_i[1:, 1:] - G_i[1:, :1] + d0[1:]
+        rhs = d0[1:] + (r_i[1:] - r_i[0])
+        try:
+            v = np.linalg.solve(M, rhs)
+        except np.linalg.LinAlgError:
+            try:
+                v = np.linalg.lstsq(M, rhs)[0]
+            except np.linalg.LinAlgError as exc:
+                raise SolverError(f"hull minimization: {exc}", gap=gap) from None
+        return np.concatenate(([1.0 - v.sum()], v))
+
+    gap = q_last = math.inf
+    for _ in range(_HULL_MAX_ITERATIONS):
+        scores = w @ G[corral] - r
+        wsw = float(w @ scores[corral])
+        q = dt * (wsw - float(w @ r[corral]) + xx_prev)
+        j = int(scores.argmin())
+        gap = 2.0 * dt * (wsw - float(scores[j]))
+        if not gap > 1e-8 * (1.0 + abs(q)) or not q < q_last:
+            break
+        q_last = q
+        if j not in corral:
+            corral.append(j)
+            w = np.append(w, 0.0)
+        while True:
+            u = affine_min(corral)
+            if (u > 1e-12).all():
+                w = u
+                break
+            shrink = u < w
+            with np.errstate(divide="ignore", invalid="ignore"):
+                steps = np.where(shrink, w / (w - u), np.inf)
+            t = min(1.0, float(steps.min()))
+            w = (1.0 - t) * w + t * u
+            keep = ~(w <= 1e-12)
+            if keep.all():
+                w = np.maximum(w, 0.0)
+                break
+            corral = [k for k, kept in zip(corral, keep) if kept]
+            w = w[keep]
+        w = w / float(w.sum())
+    else:
+        raise SolverError(
+            f"hull minimization did not converge in {_HULL_MAX_ITERATIONS} iterations",
+            gap=gap,
+        )
+
+    theta = np.zeros(m)
+    theta[corral] = w
+    z = theta @ Y
+    nearest = int(np.argmin(G.diagonal() - 2.0 * (scores + r)))
+    diff = Y[nearest] - z
+    if math.sqrt(dt * float(np.dot(diff, diff))) <= SNAP_TOLERANCE:
+        theta = np.zeros(m)
+        theta[nearest] = 1.0
+    return _checked_weights(theta, gap)
 
 
 # ---------------------------------------------------------------------------

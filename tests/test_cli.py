@@ -730,8 +730,26 @@ class TestProfilesCsv:
         status = main(["analyze", str(profiles), "--manifest", manifest])
         err = capsys.readouterr().err
         assert status == 2
-        assert err.startswith(f"error: {profiles} line 2: ")
-        assert "Traceback" not in err
+        assert err == (f"error: {profiles}: line 2: column 3: could not convert "
+                       f"{spelling!r} to a number\n")
+
+    @pytest.mark.parametrize("value, column", [("0.0\udcff", 1), ("x", 2), ("", 4),
+                                               (" ", 3), ("1.0 2.0", 2)],
+                             ids=["non-UTF-8-byte", "letter", "empty", "blank", "space"])
+    def test_a_value_that_does_not_parse_names_its_line_and_column(self, tmp_path, value,
+                                                                  column):
+        """Not the row and column of numpy's one-line parse: the file's line and
+        the CSV column, counting the id as column 0."""
+        grid = TimeGrid(24.0, 4)
+        rows = [[str(i)] + [repr(0.5 * (i + t)) for t in range(4)] for i in range(3)]
+        rows[1][column] = value
+        path = tmp_path / "fp.csv"
+        path.write_text("".join(",".join(row) + "\n" for row in rows),
+                        errors="surrogateescape")
+        with pytest.raises(InputError) as info:
+            profiles_from_csv(path, grid)
+        assert str(info.value) == (f"{path}: line 2: column {column}: could not convert "
+                                   f"{value!r} to a number")
 
 
 class TestExperiment:

@@ -351,7 +351,7 @@ class TestSignalMemo:
         loads = mixed_fleet(rng, g, 1, 4)
         b = random_base(rng, g)
         signals, calls = [], []
-        for name in ("finite_load_update", "convex_load_update"):
+        for name in ("hull_minimize_batch", "convex_load_update"):
             def traced(*args, _update=getattr(engine, name), **kwargs):
                 calls.append(len(signals))  # the round making the call
                 return _update(*args, **kwargs)
@@ -653,14 +653,16 @@ class TestSolverErrorContext:
         g = TimeGrid(4.0, 8)
         ps = make_pulse_set(1.0, 1.0, [2], g)  # one member: one group from k=2
         loads = [LoadSpec(i, ps) for i in range(3)]
-        solve = engine.hull_minimize
+        solve = engine.hull_minimize_batch
 
-        def fail_after_first(*args, start=None, **kwargs):
-            if start is None:
-                return solve(*args, start=start, **kwargs)
-            raise SolverError("did not converge", gap=0.25)
+        def fail_after_first(problems):
+            if all(start is None for *_, start in problems):
+                return solve(problems)
+            error = SolverError("did not converge", gap=0.25)
+            error.problem = 0
+            raise error
 
-        monkeypatch.setattr(engine, "hull_minimize", fail_after_first)
+        monkeypatch.setattr(engine, "hull_minimize_batch", fail_after_first)
         with pytest.raises(SolverError) as info:
             run(loads, random_base(np.random.default_rng(0), g),
                 EngineConfig(max_iterations=5, stop_on_epsilon=False))
@@ -668,11 +670,31 @@ class TestSolverErrorContext:
         assert "loads [0, 1, 2]" in str(info.value)
         assert info.value.gap == 0.25
 
+    def test_names_the_failing_group_when_it_is_not_first_in_its_batch(self, monkeypatch):
+        """With one major cycle allowed, the one-member set's group stops in it and
+        the three-member set's group fails; both are solved in one batch."""
+        g = TimeGrid(8.0, 8)
+        single = make_pulse_set(1.0, 2.0, [3], g)
+        several = make_pulse_set(1.0, 2.0, [0, 1, 2], g)
+        loads = [LoadSpec(0, single), LoadSpec(1, single), LoadSpec(2, several),
+                 LoadSpec(3, several)]
+        batches = []
+        solve = engine.hull_minimize_batch
+        monkeypatch.setattr(engine, "hull_minimize_batch",
+                            lambda problems: batches.append(len(problems)) or solve(problems))
+        monkeypatch.setattr(feasible, "_HULL_MAX_ITERATIONS", 1)
+        with pytest.raises(SolverError) as info:
+            run(loads, Profile(np.arange(8.0), g), EngineConfig(max_iterations=5))
+        assert batches == [2]
+        assert str(info.value) == ("iteration 1, loads [2, 3]: hull minimization did not "
+                                   "converge in 1 iterations")
+        assert info.value.gap > 0
+
     def test_weights_that_are_no_distribution_name_iteration_and_group(
             self, tmp_path, capsys, monkeypatch):
         """A corral solve that returns NaN weights fails as a SolverError."""
         def nans(M, rhs):
-            return np.full(len(rhs), np.nan)
+            return np.full(np.shape(rhs), np.nan)
 
         monkeypatch.setattr(feasible.np.linalg, "solve", nans)
         message = ("iteration 1, loads [0, 1]: hull minimization: "
@@ -717,7 +739,7 @@ class TestGroupedWork:
                                     BaseLoadSpec(synth=SynthParams()), seed=0)
         iterations = 20
         events = []
-        solve, draws, signal = engine.hull_minimize, engine.load_draws, \
+        solve, draws, signal = engine.hull_minimize_batch, engine.load_draws, \
             engine.coordinator_signal
         scan = FinitePulseSet.member_index
 
@@ -726,10 +748,12 @@ class TestGroupedWork:
             events.append(("signal", g.values.tobytes()))
             return g
 
-        def traced_solve(h, x_prev, c_i, pulse_set, **kwargs):
-            theta = solve(h, x_prev, c_i, pulse_set, **kwargs)
-            events.append(("solve", (id(pulse_set), c_i, kwargs.get("start")), theta))
-            return theta
+        def traced_solve(problems):
+            thetas = solve(problems)
+            events.append(("batch",))
+            for (_, _, c_i, pulse_set, start), theta in zip(problems, thetas):
+                events.append(("solve", (id(pulse_set), c_i, start), theta))
+            return thetas
 
         def traced_draws(master_seed, ids, k):
             events.append(("draws", [int(i) for i in ids], k))
@@ -740,7 +764,7 @@ class TestGroupedWork:
             return scan(self, x)
 
         monkeypatch.setattr(engine, "coordinator_signal", traced_signal)
-        monkeypatch.setattr(engine, "hull_minimize", traced_solve)
+        monkeypatch.setattr(engine, "hull_minimize_batch", traced_solve)
         monkeypatch.setattr(engine, "load_draws", traced_draws)
         monkeypatch.setattr(FinitePulseSet, "member_index", traced_scan)
         traj = run(loads, b, EngineConfig(max_iterations=iterations, master_seed=0,
@@ -764,14 +788,17 @@ class TestGroupedWork:
             keys = {(id(spec.constraint), spec.c, prev[i])
                     for i, spec in enumerate(loads)}
             n_solves = sum(e[0] == "solve" for e in per_k[k])
+            n_batches = sum(e[0] == "batch" for e in per_k[k])
             if signals[k] != signals[k - 1]:
-                # a new signal: one hull solve per distinct (set, c, previous member)
+                # a new signal: one hull solve per distinct (set, c, previous member),
+                # all in one batch
+                assert n_batches == 1
                 assert n_solves == len(solves) == len(keys)
                 assert set(solves) == keys
                 thetas = solves
             else:
                 # the signal repeats (C is fixed): every theta is reused
-                assert n_solves == 0
+                assert n_solves == n_batches == 0
                 assert keys <= set(thetas)
                 quiet_rounds += 1
             # the engine passes each group's previous member: it never scans

@@ -2,16 +2,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
+import valleyfill.feasible as feasible
 from conftest import (hull_oracle_grid, hull_oracle_supports, hull_q,
                       projection_oracle, random_convex_set, random_pulse_set,
-                      validate_A1A4)
+                      reference_hull_minimize, validate_A1A4)
 from valleyfill.core import GridMismatchError, Profile, TimeGrid, norm, norm2
 from valleyfill.feasible import (SNAP_TOLERANCE, ConvexChargeSet, FinitePulseSet,
                                  InfeasibleSetError, SolverError, _checked_weights,
-                                 hull_minimize, make_pulse_set, project_convex, sample)
+                                 hull_minimize, hull_minimize_batch, make_pulse_set,
+                                 project_convex, sample)
 
 
 def canonical_grid():
@@ -200,6 +202,20 @@ class TestProjectConvex:
             assert d2 == pytest.approx(oracle_d2, abs=1e-8)
 
 
+def near_duplicate_problem(seed):
+    """(set, h, x_prev, c_i): up to 8 members on up to 8 slots, some of them
+    copies of others moved by 1e-9 to 1e-6."""
+    rng = np.random.default_rng(seed)
+    S = int(rng.integers(2, 9))
+    m = int(rng.integers(2, 9))
+    rows = list(rng.uniform(0.0, 2.0, (int(rng.integers(1, m)), S)))
+    while len(rows) < m:
+        near = rows[int(rng.integers(len(rows)))]
+        rows.append(near + 10.0 ** rng.uniform(-9, -6) * rng.normal(0, 1, S))
+    ps = FinitePulseSet(np.array(rows), TimeGrid(float(S), S), 1.0, 1.0, 2.0)
+    return ps, rng.normal(0, 1, S), rng.normal(0, 1, S), float(rng.uniform(0.2, 3.0))
+
+
 def hull_point(h, x_prev, c_i, ps, **kwargs):
     """hull_minimize on the Profiles' rows: (its minimizer as a Profile, theta)."""
     theta = hull_minimize(h.values, x_prev.values, c_i, ps, **kwargs)
@@ -282,18 +298,7 @@ class TestHullMinimize:
     @example(seed=35)
     @example(seed=2249)
     def test_near_duplicate_members_match_support_oracle(self, seed):
-        # up to 8 members, some of them copies of others moved by 1e-9 to 1e-6
-        rng = np.random.default_rng(seed)
-        S = int(rng.integers(2, 9))
-        m = int(rng.integers(2, 9))
-        rows = list(rng.uniform(0.0, 2.0, (int(rng.integers(1, m)), S)))
-        while len(rows) < m:
-            near = rows[int(rng.integers(len(rows)))]
-            rows.append(near + 10.0 ** rng.uniform(-9, -6) * rng.normal(0, 1, S))
-        ps = FinitePulseSet(np.array(rows), TimeGrid(float(S), S), 1.0, 1.0, 2.0)
-        h = rng.normal(0, 1, S)
-        x_prev = rng.normal(0, 1, S)
-        c_i = float(rng.uniform(0.2, 3.0))
+        ps, h, x_prev, c_i = near_duplicate_problem(seed)
         theta = hull_minimize(h, x_prev, c_i, ps)
         assert_as_close_as_oracle(theta, ps, h, x_prev, c_i)
 
@@ -389,6 +394,106 @@ class TestHullMinimize:
             dists = [norm(Profile(z.values - ps.members[k], g)) for k in range(ps.m)]
             if min(dists) <= 1e-7:
                 assert np.count_nonzero(theta) == 1
+
+
+class TestHullMinimizeBatch:
+    """The lockstep solve gives each problem the bits of the one-problem loop."""
+
+    def test_each_problem_matches_the_one_problem_loop(self):
+        seen = set()
+
+        @settings(max_examples=150, deadline=None)
+        @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8),
+               signed=st.booleans(), log_shift=st.floats(0.0, 4.0))
+        def prop(seed, n, signed, log_shift):
+            rng = np.random.default_rng(seed)
+            S = int(rng.integers(2, 13))
+            g = TimeGrid(float(S), S)
+            # sets of different m put several (m, corral size) buckets in one round
+            sets = [random_pulse_set(rng, g, m_max=int(rng.integers(1, 11)), signed=signed)
+                    for _ in range(int(rng.integers(1, 4)))]
+            problems = []
+            for _ in range(n):
+                if problems and rng.random() < 0.2:
+                    problems.append(problems[int(rng.integers(len(problems)))])
+                    seen.add("duplicate")
+                    continue
+                ps = sets[int(rng.integers(len(sets)))]
+                h = rng.normal(0, 1, S)
+                if rng.random() < 0.3:
+                    h = h + 10.0 ** log_shift * ps.rate_bound
+                if rng.random() < 0.5:
+                    start = int(rng.integers(ps.m))
+                    problems.append((h, ps.members[start], float(rng.uniform(0.2, 3.0)), ps,
+                                     start))
+                else:
+                    problems.append((h, rng.normal(0, 1, S), float(rng.uniform(0.2, 3.0)), ps,
+                                     None))
+            ms = {p[3].m for p in problems}
+            starts = {p[4] is None for p in problems}
+            seen.update({"mixed m"} if len(ms) > 1 else set())
+            seen.update({"mixed starts"} if len(starts) > 1 else set())
+            event(f"distinct m: {len(ms)}")
+            thetas = hull_minimize_batch(problems)
+            assert len(thetas) == len(problems)
+            for problem, theta in zip(problems, thetas):
+                assert not theta.flags.writeable
+                assert theta.tobytes() == reference_hull_minimize(*problem).tobytes()
+
+        prop()
+        assert seen == {"duplicate", "mixed m", "mixed starts"}
+
+    def test_one_singular_corral_falls_back_alone(self, monkeypatch):
+        """Rounding makes the second problem's corral singular while it shares a
+        stacked solve: that problem takes least squares, the others keep their bits."""
+        ps, h, x_prev, c_i = near_duplicate_problem(35)
+        rng = np.random.default_rng(1)
+        others = [(rng.normal(0, 1, ps.grid.slots), rng.normal(0, 1, ps.grid.slots),
+                   float(rng.uniform(0.2, 3.0)), ps, None) for _ in range(2)]
+        problems = [others[0], (h, x_prev, c_i, ps, None), others[1]]
+        alone = [reference_hull_minimize(*p).tobytes() for p in problems]
+        solve, lstsq = np.linalg.solve, np.linalg.lstsq
+        singular, fallback = [], []
+
+        def spied_solve(M, rhs):
+            try:
+                return solve(M, rhs)
+            except np.linalg.LinAlgError:
+                singular.append(M.shape)
+                raise
+
+        def spied_lstsq(M, rhs, *args):
+            fallback.append(rhs.tobytes())
+            return lstsq(M, rhs, *args)
+
+        monkeypatch.setattr(feasible.np.linalg, "solve", spied_solve)
+        monkeypatch.setattr(feasible.np.linalg, "lstsq", spied_lstsq)
+        # by themselves, the other two never meet a singular corral
+        assert [theta.tobytes() for theta in hull_minimize_batch(others)] == [alone[0],
+                                                                              alone[2]]
+        assert singular == fallback == []
+        thetas = hull_minimize_batch(problems)
+        monkeypatch.undo()
+        assert [theta.tobytes() for theta in thetas] == alone
+        # a stacked solve of more than one corral hit the singular one
+        assert any(len(shape) == 3 and shape[0] > 1 for shape in singular)
+        assert fallback
+
+    def test_the_first_failing_problem_is_raised(self, monkeypatch):
+        """With one major cycle allowed, a problem at its fixed point stops in it
+        and the others fail; the error names the first that failed."""
+        g = TimeGrid(8.0, 8)
+        ps = make_pulse_set(1.0, 2.0, [0, 1, 2, 3], g)
+        # the minimizers of the other two lie between members
+        problems = [(np.zeros(8), ps.members[1], 1.0, ps, 1),
+                    (np.zeros(8), ps.members[1:3].mean(axis=0), 1.0, ps, None),
+                    (np.zeros(8), ps.members.mean(axis=0), 1.0, ps, None)]
+        monkeypatch.setattr(feasible, "_HULL_MAX_ITERATIONS", 1)
+        assert hull_minimize(*problems[0]).tolist() == [0.0, 1.0, 0.0, 0.0]
+        with pytest.raises(SolverError, match="did not converge in 1 iterations") as info:
+            hull_minimize_batch(problems)
+        assert info.value.problem == 1
+        assert info.value.gap > 0
 
 
 class TestCheckedWeights:
