@@ -4,13 +4,15 @@
 sessions pass it the fleet and a transport callable that returns every
 load's update, and it works out the fleet's weight C, its size and
 whether every load is finite.
-Inside the loop the fleet state is an (n, S) array, one load per row;
-`Profile`s are built only for the records' signals and the final
-profiles.  Each iteration sums one aggregate in load order, which gives
-both that iteration's objective and the next signal.  The loop plays the
-game on the base it is given; a caller with a Track objective passes
-`Objective.effective_base(b)`.  The escape probability is one minus the
-product of the loads' stay probabilities, which the update returns.
+Inside the loop the fleet state is one (n+1, S) array, the base in row 0
+and one load per row after it; `Profile`s are built only for the
+aggregates, the records' signals and the final profiles.  Each iteration
+sums one aggregate in load order, with one reduction over that array,
+which gives both that iteration's objective and the next signal.  The
+loop plays the game on the base it is given; a caller with a Track
+objective passes `Objective.effective_base(b)`.  The escape probability
+is one minus the product of the loads' stay probabilities, which the
+update returns.
 
 `LoadUpdate` is the one load update, for a whole fleet in process and
 for one load in a networked agent; one instance serves one run and keeps
@@ -26,7 +28,10 @@ sampling distribution theta, the groups the memo lacks all in one
 lockstep `hull_minimize_batch` call, and finds whether theta pins one
 member.
 Then the loads of the groups theta does not pin draw in one `load_draws`
-call, in load order, and each group samples theta with its loads' draws.
+call, in load order, and each group samples theta's cumulative weights,
+which the memo keeps, with its loads' draws.  Member indices, stays and
+draws are arrays, so a call's Python work on finite loads is per group,
+but for one pass that groups them by a small integer key.
 While g repeats bit for bit, as it does in every round after one in
 which no profile moved, the memo keeps its results, and only the draws
 and sampling run again; a new signal clears it.
@@ -48,9 +53,9 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .core import (GridMismatchError, Profile, TimeGrid, _field, _flag, _integer,
-                   _number, aggregate, norm, norm2)
-from .feasible import (ConvexChargeSet, FinitePulseSet, SolverError, hull_minimize,
-                       hull_minimize_batch, project_convex, sample)
+                   _number, norm, norm2)
+from .feasible import (ConvexChargeSet, FinitePulseSet, SolverError, _inverse_cdf,
+                       _unit_draws, hull_minimize, hull_minimize_batch, project_convex)
 
 __all__ = [
     "ConfigurationError",
@@ -337,20 +342,25 @@ def finite_load_update(g: np.ndarray, C: float, x_prev: np.ndarray,
     `start` is x_prev's member index, or None when x_prev is not a member
     (see `hull_minimize`).
     """
-    return hull_minimize(_leave_one_out(g, C, x_prev, pulse_set, c_i), x_prev, c_i,
-                         pulse_set, start=start)
+    _check_weight(C, c_i)
+    pulse_set.grid.check_rows(g, x_prev)
+    return hull_minimize(_leave_one_out(g, C, x_prev, c_i), x_prev, c_i, pulse_set,
+                         start=start)
 
 
-def _leave_one_out(g: np.ndarray, C: float, x_prev: np.ndarray, pulse_set: FinitePulseSet,
-                   c_i: float) -> np.ndarray:
-    """The signal without load i, h = (g*C - x_prev) / (C - c_i), for rows g and
-    x_prev on the set's grid; C must exceed c_i."""
+def _check_weight(C: float, c_i: float) -> None:
+    """ConfigurationError unless C > c_i, which a finite load's leave-one-out signal needs."""
     if C <= c_i:
         raise ConfigurationError(
             f"need C > c_i (got C={C}, c_i={c_i}); a single finite load is not schedulable"
         )
-    pulse_set.grid.check_rows(g, x_prev)
-    return (g * C - x_prev) / (C - c_i)
+
+
+def _leave_one_out(g: np.ndarray, C: float, x_prev: np.ndarray, c) -> np.ndarray:
+    """The signal without load i, h = (g*C - x_prev) / (C - c_i), for the row g and
+    a row x_prev with its weight c, or a stack of rows with the column of their
+    weights: each row of the stack has its own h's bits.  C must exceed c."""
+    return (g * C - x_prev) / (C - c)
 
 
 def _expected_objective(b: Profile, mean, variance: float) -> float:
@@ -387,21 +397,34 @@ def coordinate(b: Profile, fleet: Sequence, cfg: EngineConfig,
     `fleet` holds the loads' `LoadSpec`s or `netsim.RosterEntry`s, in
     load order; C is their `fleet_weight`.  Starting from zero profiles,
     each iteration broadcasts g = (b + sum_i x_i) / C through
-    exchange(k, C, g, X), where X is the (n, S) array of current profiles.
-    The exchange returns the new array, stay = P{x^(k) = x^(k-1)} as the
-    product of the loads' stay probabilities (see `LoadUpdate`) in load
-    order, and the sums `_expected_objective` takes (NaN where the
-    transport lacks them).
+    exchange(k, C, g, X), where X is the (n, S) array of current profiles,
+    a view that the next iteration overwrites.  The exchange returns the
+    new array, stay = P{x^(k) = x^(k-1)} as the product of the loads' stay
+    probabilities (see `LoadUpdate`) in load order, and the sums
+    `_expected_objective` takes (NaN where the transport lacks them).
     The factors lie in [0, 1], so stay is 1.0 exactly when each factor is.
     Stops on the signal-change rule (k > 2 and ||g^(k-1) - g^(k-2)|| < eps),
     on an exact fixed point when every load is finite and keeps its
     profile with probability 1, or at max_iterations.
+
+    The loop reuses one (n+1, S) state array: row 0 is b, the rows after
+    it are X, and each iteration copies the exchange's rows into it.  The
+    aggregate is one `np.add.reduce` over that array, bit for bit
+    `aggregate`'s load-order row loop.
     """
     C = fleet_weight(fleet)
     all_finite = all(load.is_finite for load in fleet)
-    grid = b.grid
-    X = np.zeros((len(fleet), grid.slots))
-    d = aggregate(b, X)
+    grid, S = b.grid, b.grid.slots
+    # numpy reduces a C-ordered array along axis 0 row after row, but one
+    # column as a 1-D pairwise sum, so the state has at least two columns
+    state = np.zeros((len(fleet) + 1, max(S, 2)))
+    state[0, :S] = b.values
+    X = state[1:, :S]
+
+    def total() -> Profile:
+        return Profile(np.add.reduce(state, axis=0)[:S], grid)
+
+    d = total()
     records: List[IterationRecord] = []
     g_prev: Optional[Profile] = None
     terminated = Termination.MAX_ITER
@@ -415,8 +438,9 @@ def coordinate(b: Profile, fleet: Sequence, cfg: EngineConfig,
             expected = _expected_objective(b, mean, variance)
         else:
             escape = expected = math.nan
-        X = X_new
-        d = aggregate(b, X)
+        X[...] = X_new
+        del X_new  # else it stays alive, a second (n, S) array, through the next exchange
+        d = total()
         objective = norm2(d)
         records.append(IterationRecord(k, g, objective, escape, expected, changed))
 
@@ -442,53 +466,78 @@ class LoadUpdate:
     load, its row for a convex load.  Loads that share (set, c, state)
     share one update: convex loads project once per key, and finite loads
     of one key share theta, so each such group solves the hull once; the
-    groups the memo lacks are solved in one `hull_minimize_batch` call.
+    groups the memo lacks are solved in one `hull_minimize_batch` call,
+    their leave-one-out signals built as one array.
     A group whose theta puts weight 1.0 on one member takes it without a
     draw (inverse-CDF sampling picks it for every u); the loads of the
-    other groups draw in one `load_draws` call, in load order.
+    other groups draw in one `load_draws` call, in load order, and each
+    such group samples its stored cumulative weights with one
+    `searchsorted`.
     Returns the new profiles, stay = P{x^(k) = x^(k-1)} as the load-order
     product of the loads' stay probabilities, and the sums of the loads'
     means and variances that `_expected_objective` takes.  A SolverError
     is re-raised naming k and the group's load ids.
 
     The update reads each load's kind, set and weight when it is built,
-    and keeps the run's state.  `member_idx` holds each load's
-    member index (None before a finite load's first member).  The memo
-    keeps the results computed under one signal (C, g), keyed by
-    (id(set), c, state) with a convex row's state as its bytes: each
-    group's theta (the read-only weight vector its loads and later calls
-    share) and the quantities derived from it, and each convex key's
-    projection.  While the signal repeats bit for bit, a stored key
-    reuses its result instead of re-solving or re-projecting; a new
-    signal clears the memo.  Draws and sampling run every call, so an
-    update whose memo is cleared before each call gives the same results
-    bit for bit.
+    and numbers the finite loads' (set, c) classes, so that a finite
+    load's key is one small integer, its class and member index.  Per
+    call, one pass groups the finite loads by that integer, each convex
+    load keeps its own pass, and the finite loads' other work is array
+    operations per group and per set.  `member_idx` is an int array of
+    each load's member index (-1 before a finite load's first member).
+    The memo keeps the results computed under one signal (C, g): for
+    each finite group, what its theta gives (the cumulative weights, or
+    the member theta pins, and the stay probability, mean and variance),
+    keyed by the group's integer; for each convex key, the projection,
+    keyed by (id(set), c, bytes of the row).  While the signal repeats
+    bit for bit, a stored key reuses its result instead of re-solving or
+    re-projecting; a new signal clears the memo.  Draws and sampling run
+    every call, so an update whose memo is cleared before each call gives
+    the same results bit for bit.
     """
 
     def __init__(self, loads: Sequence[LoadSpec], master_seed: int):
         self.loads = loads
         self.master_seed = master_seed
-        self.member_idx: List[Optional[int]] = [None] * len(loads)
-        # (position, set, c, id(set)) of each load, split by kind
-        self._convex, self._finite = [], []
-        for i, spec in enumerate(loads):
-            s = spec.constraint
-            (self._finite if spec.is_finite else self._convex).append((i, s, spec.c, id(s)))
+        self.member_idx = np.full(len(loads), -1)
+        ids = [spec.id for spec in loads]
+        # numpy makes a list holding ids past int64 float64 or object; an object
+        # array keeps them Python ints, which load_draws draws key by key
+        self._ids = np.array(ids, dtype=np.int64 if max(ids, default=0) < 2**63 else object)
+        # (position, set, c, id(set)) of each convex load
+        self._convex = [(i, spec.constraint, spec.c, id(spec.constraint))
+                        for i, spec in enumerate(loads) if not spec.is_finite]
+        finite = [i for i, spec in enumerate(loads) if spec.is_finite]
+        self._finite, self._finite_list = np.array(finite, dtype=np.intp), finite
+        # one class per (set, c): a finite load's key is its class's code plus its
+        # member index, and code // stride is the class, code % stride - 1 the member
+        classes: dict = {}
+        for i in finite:
+            spec = loads[i]
+            classes.setdefault((id(spec.constraint), spec.c), (spec.constraint, spec.c))
+        self._classes = list(classes.values())
+        self._stride = 1 + max((s.m for s, _ in self._classes), default=0)
+        code = {key: n * self._stride + 1 for n, key in enumerate(classes)}
+        self._codes = np.array([code[id(loads[i].constraint), loads[i].c] for i in finite],
+                               dtype=np.int64)
+        self._c_max = max((c for _, c in self._classes), default=0.0)
+        self._grids = {s.grid for s, _ in self._classes}
         self._signal: Optional[Tuple[float, bytes]] = None
         self._memo: dict = {}
 
     def __call__(self, k: int, C: float, g: Profile,
                  X: np.ndarray) -> Tuple[np.ndarray, float, np.ndarray, float]:
-        loads, member_idx, memo = self.loads, self.member_idx, self._memo
+        memo = self._memo
         gv = g.values
         signal = (C, gv.tobytes())
         if self._signal != signal:
             memo.clear()
             self._signal = signal
+            if self._finite_list:  # C comes off the wire in an agent
+                _check_weight(C, self._c_max)
         X_new = np.empty_like(X)
-        stays = [1.0] * len(loads)
+        stays = np.empty(len(self.loads))
         mean = np.zeros(gv.shape)
-        variance = 0.0
         for i, charge_set, c, set_id in self._convex:
             key = (set_id, c, X[i].tobytes())
             if key not in memo:
@@ -496,55 +545,79 @@ class LoadUpdate:
             x_new = X_new[i] = memo[key]
             stays[i] = 1.0 if np.array_equal(x_new, X[i]) else 0.0
             mean += x_new
+        variance = 0.0
+        if self._finite_list:
+            variance = self._update_finite(k, C, gv, X, X_new, stays, mean)
+        return X_new, math.prod(stays.tolist()), mean, variance
+
+    def _update_finite(self, k: int, C: float, gv: np.ndarray, X: np.ndarray,
+                       X_new: np.ndarray, stays: np.ndarray, mean: np.ndarray) -> float:
+        """The finite loads' rows of X_new and stays, their means added to `mean`,
+        and the sum of their variances."""
+        member_idx, memo = self.member_idx, self._memo
         groups: dict = {}
-        for i, _, c, set_id in self._finite:
-            groups.setdefault((set_id, c, member_idx[i]), []).append(i)
-        missing = [(key, positions) for key, positions in groups.items() if key not in memo]
-        if missing:  # one lockstep solve serves every group the memo lacks
-            problems = []
-            for (_, c, prev), positions in missing:
-                x_prev, pulse_set = X[positions[0]], loads[positions[0]].constraint
-                problems.append((_leave_one_out(gv, C, x_prev, pulse_set, c), x_prev, c,
-                                 pulse_set, prev))
-            try:
-                thetas = hull_minimize_batch(problems)
-            except SolverError as exc:
-                positions = missing[exc.problem][1]
-                raise SolverError(f"iteration {k}, loads "
-                                  f"{[loads[i].id for i in positions]}: {exc}",
-                                  gap=exc.gap) from exc
-            for (key, positions), theta in zip(missing, thetas):
-                pulse_set, prev = loads[positions[0]].constraint, key[2]
-                j = int(theta.argmax())
-                pinned = j if theta[j] == 1.0 and not theta[:j].any() else None
-                stay = 0.0 if prev is None else float(theta[prev])
-                # E[x] and E[norm2(x)] - norm2(E[x]) for x ~ theta; members share norm2(x) = Y
-                # einsum calls no BLAS, so these bits do not depend on its thread count
-                mean_g = np.einsum("k,ks->s", theta, pulse_set.members)
-                memo[key] = (theta, pinned, stay, mean_g,
-                             pulse_set.sqnorm - pulse_set.grid.dt * float(np.dot(mean_g, mean_g)))
-        solved = []
-        drawn: List[int] = []
-        for key, positions in groups.items():
-            solved.append((positions, loads[positions[0]].constraint, memo[key]))
-            if memo[key][1] is None:  # theta pins no member, so these loads draw
-                drawn.extend(positions)
-        if drawn:
-            drawn.sort()
-            u = np.empty(len(loads))
-            u[drawn] = load_draws(self.master_seed, [loads[i].id for i in drawn], k)
-        for positions, pulse_set, (theta, pinned, stay, mean_g, variance_g) in solved:
-            if pinned is None:
-                idx = sample(theta, u[positions]).tolist()
-            else:
-                idx = [pinned] * len(positions)
-            X_new[positions] = pulse_set.members[idx]
-            for i, j in zip(positions, idx):
-                member_idx[i] = j
-                stays[i] = stay
-            mean += len(positions) * mean_g
-            variance += len(positions) * variance_g
-        return X_new, math.prod(stays), mean, variance
+        for i, code in zip(self._finite_list,
+                           (self._codes + member_idx.take(self._finite)).tolist()):
+            groups.setdefault(code, []).append(i)
+        missing = [code for code in groups if code not in memo]
+        if missing:
+            self._solve(k, C, gv, X, groups, missing)
+        entries = [(np.array(positions, dtype=np.intp), memo[code])
+                   for code, positions in groups.items()]
+        drawn = [at for at, (_, cum, *_) in entries if cum is not None]
+        if drawn:  # the loads of the groups theta does not pin draw, in load order
+            at = np.sort(np.concatenate(drawn))
+            u = np.empty(len(self.loads))
+            u[at] = _unit_draws(load_draws(self.master_seed, self._ids[at], k))
+        variance = 0.0
+        for at, (members, cum, top, stay, mean_g, variance_g) in entries:
+            idx = top if cum is None else _inverse_cdf(cum, u.take(at))
+            member_idx.put(at, idx)
+            X_new[at] = members[idx]
+            stays.put(at, stay)
+            mean += len(at) * mean_g
+            variance += len(at) * variance_g
+        return variance
+
+    def _solve(self, k: int, C: float, gv: np.ndarray, X: np.ndarray, groups: dict,
+               missing: List[int]) -> None:
+        """Memo entries for the group codes `missing` under the signal (C, gv): their
+        leave-one-out signals as one array, one lockstep hull solve, and each set's
+        means as one einsum."""
+        classes = self._classes
+        keys = [divmod(code, self._stride) for code in missing]   # (class, member + 1)
+        X_prev = X.take([groups[code][0] for code in missing], axis=0)
+        for grid in self._grids:
+            grid.check_rows(gv, X_prev[0])
+        c = [classes[n][1] for n, _ in keys]
+        H = _leave_one_out(gv, C, X_prev, np.array(c)[:, None])
+        problems = [(h, x_prev, c_b, classes[n][0], j - 1 if j else None)
+                    for h, x_prev, c_b, (n, j) in zip(H, X_prev, c, keys)]
+        try:
+            thetas = hull_minimize_batch(problems)
+        except SolverError as exc:
+            positions = groups[missing[exc.problem]]
+            raise SolverError(f"iteration {k}, loads "
+                              f"{[self.loads[i].id for i in positions]}: {exc}",
+                              gap=exc.gap) from exc
+        by_set: dict = {}
+        for b, (n, _) in enumerate(keys):
+            by_set.setdefault(classes[n][0], []).append(b)
+        for pulse_set, at in by_set.items():
+            # E[x] and E[norm2(x)] - norm2(E[x]) for x ~ theta; members share norm2(x) = Y.
+            # einsum calls no BLAS, so these bits do not depend on its thread count,
+            # and each stacked row has the bits of its theta's own "k,ks->s"
+            means = np.einsum("bk,ks->bs", np.array([thetas[b] for b in at]),
+                              pulse_set.members)
+            for b, mean_g in zip(at, means):
+                theta, prev = thetas[b], keys[b][1] - 1
+                top = int(theta.argmax())
+                # theta that pins member top gives it every draw: the group draws none
+                pinned = theta[top] == 1.0 and not theta[:top].any()
+                self._memo[missing[b]] = (
+                    pulse_set.members, None if pinned else np.cumsum(theta), top,
+                    0.0 if prev < 0 else float(theta[prev]), mean_g,
+                    pulse_set.sqnorm - pulse_set.grid.dt * float(np.dot(mean_g, mean_g)))
 
 
 def run(loads: Sequence[LoadSpec], b: Profile, cfg: EngineConfig) -> Trajectory:

@@ -278,7 +278,8 @@ def hull_minimize_batch(problems: Sequence[tuple]) -> List[np.ndarray]:
     """`hull_minimize(h, x_prev, c_i, pulse_set, start)` of each problem, in lockstep.
 
     Returns each problem's theta, in order, bit for bit as a call of its
-    own would.  The problems step together, bucketed by (m, corral size):
+    own would.  The products r = Y p of the problems that share a set are
+    one einsum.  The problems step together, bucketed by (m, corral size):
     a bucket's major cycle takes the scores, w.scores and w.r over the
     corral as stacked matmuls, and its minor cycle solves the affine minima
     as one stacked `np.linalg.solve`; per problem, Python keeps only the
@@ -293,7 +294,20 @@ def hull_minimize_batch(problems: Sequence[tuple]) -> List[np.ndarray]:
     of the first failing problem is raised, with its position in
     `problems` as `problem`.
     """
-    hulls = [_Hull(*problem) for problem in problems]
+    by_set: dict = {}
+    for i, (h, x_prev, _, pulse_set, _) in enumerate(problems):
+        pulse_set.grid.check_rows(h, x_prev)
+        by_set.setdefault(pulse_set, []).append(i)
+    r = [None] * len(problems)
+    for pulse_set, at in by_set.items():
+        # r = Y p of the problems on one set as one einsum, without BLAS as the
+        # Gram is; each row has the bits of its problem's own "ks,s->k"
+        H, X_prev, c = (np.array([problems[i][j] for i in at]) for j in range(3))
+        for i, r_i in zip(at, np.einsum("ks,bs->bk", pulse_set.members,
+                                        X_prev - c[:, None] * H)):
+            r[i] = r_i
+    hulls = [_Hull(x_prev, pulse_set, start, r_i)
+             for (_, x_prev, _, pulse_set, start), r_i in zip(problems, r)]
     running = [hull for bucket in _buckets(hulls) for hull in _major_cycle(bucket)]
     while running:
         running = [hull for bucket in _buckets(running) for hull in _minor_cycle(bucket)]
@@ -313,14 +327,13 @@ class _Hull:
     __slots__ = ("Y", "G", "r", "dt", "xx_prev", "corral", "w", "q_last", "gap",
                  "cycles", "scores", "error")
 
-    def __init__(self, h, x_prev, c_i, pulse_set, start):
-        pulse_set.grid.check_rows(h, x_prev)
+    def __init__(self, x_prev, pulse_set, start, r):
         self.Y, self.G = pulse_set.members, pulse_set.gram
         self.dt = pulse_set.grid.dt
-        self.r = np.einsum("ks,s->k", self.Y, x_prev - c_i * h)  # without BLAS, as the Gram is
+        self.r = r
         self.xx_prev = float(np.dot(x_prev, x_prev))
         if start is None:  # norm2(y_k - p), less its constant norm2(p)
-            start = int((self.G.diagonal() - 2.0 * self.r).argmin())
+            start = int((self.G.diagonal() - 2.0 * r).argmin())
         self.corral = [start]
         self.w = np.array([1.0])
         self.q_last = self.gap = math.inf
@@ -498,10 +511,21 @@ def sample(theta: np.ndarray, u):
     `u` is one draw in [0, 1), giving one member index, or an array of
     draws, giving an index array: each element is the scalar sample.
     """
+    idx = _inverse_cdf(np.cumsum(theta), _unit_draws(u))
+    return int(idx) if idx.ndim == 0 else idx
+
+
+def _unit_draws(u) -> np.ndarray:
+    """u as float64 draws, or ValueError unless every draw lies in [0, 1)."""
     draws = np.asarray(u, dtype=np.float64)
     if not np.all((0.0 <= draws) & (draws < 1.0)):
         raise ValueError(f"u must be in [0, 1), got {u}")
-    cum = np.cumsum(theta)
-    idx = np.minimum(np.searchsorted(cum, draws, side="right"), len(theta) - 1)
-    return int(idx) if idx.ndim == 0 else idx
+    return draws
+
+
+def _inverse_cdf(cum: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """The member index of each draw in [0, 1) against the cumulative weights
+    cum = np.cumsum(theta): the first member whose cumulative weight exceeds
+    the draw, or the last member when rounding leaves cum[-1] below it."""
+    return np.minimum(np.searchsorted(cum, draws, side="right"), len(cum) - 1)
 

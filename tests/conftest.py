@@ -8,7 +8,9 @@ rebuild of the others' aggregate for best responses, per-member sums
 for the A1-A4 assumptions finite sets are built to meet, a per-load loop
 for the Nash check, and a `csv.reader` loop with `float` per value for the
 profiles reader.  `reference_hull_minimize` is the min-norm-point loop
-one problem at a time, which the lockstep solver must match bit for bit.
+one problem at a time, which the lockstep solver must match bit for bit,
+and `reference_load_update` the load update as a loop over loads, which
+the array update must match bit for bit.
 """
 
 import csv
@@ -22,7 +24,8 @@ import numpy as np
 from valleyfill.analysis import NashReport
 from valleyfill.cli import InputError
 from valleyfill.core import Objective, Profile, TimeGrid, aggregate
-from valleyfill.engine import EngineConfig, LoadSpec
+from valleyfill.engine import (ConfigurationError, EngineConfig, LoadSpec,
+                               convex_load_update, load_draws)
 from valleyfill.feasible import (_HULL_MAX_ITERATIONS, SNAP_TOLERANCE, ConvexChargeSet,
                                  FinitePulseSet, SolverError, _checked_weights,
                                  make_pulse_set)
@@ -492,6 +495,72 @@ def reference_hull_minimize(h, x_prev, c_i, pulse_set, start=None):
         theta = np.zeros(m)
         theta[nearest] = 1.0
     return _checked_weights(theta, gap)
+
+
+# ---------------------------------------------------------------------------
+# load update reference: one load at a time
+
+def reference_load_update(loads, master_seed, member_idx, k, C, g, X):
+    """`engine.LoadUpdate`'s call as a loop over loads, as it ran before its
+    state became arrays: the bits the array update must reproduce.
+
+    `member_idx` is a list of the loads' member indices (None before a
+    finite load's first member), updated in place.  Each call solves every
+    group afresh, which the engine's memo changes no bit of, and each
+    group solves by `reference_hull_minimize`, one problem at a time.
+    Returns (X_new, stay, mean, variance), as the update does.
+    """
+    gv = g.values
+    X_new = np.empty_like(X)
+    stays = [1.0] * len(loads)
+    mean = np.zeros(gv.shape)
+    variance = 0.0
+    for i, spec in enumerate(loads):
+        if not spec.is_finite:
+            x_new = X_new[i] = convex_load_update(gv, X[i], spec.constraint, spec.c)
+            stays[i] = 1.0 if np.array_equal(x_new, X[i]) else 0.0
+            mean += x_new
+    groups: dict = {}
+    for i, spec in enumerate(loads):
+        if spec.is_finite:
+            groups.setdefault((id(spec.constraint), spec.c, member_idx[i]), []).append(i)
+    solved = []
+    drawn = []
+    for (_, c, prev), positions in groups.items():
+        x_prev, pulse_set = X[positions[0]], loads[positions[0]].constraint
+        if C <= c:
+            raise ConfigurationError(f"need C > c_i (got C={C}, c_i={c})")
+        pulse_set.grid.check_rows(gv, x_prev)
+        theta = reference_hull_minimize((gv * C - x_prev) / (C - c), x_prev, c, pulse_set,
+                                        start=prev)
+        j = int(theta.argmax())
+        pinned = j if theta[j] == 1.0 and not theta[:j].any() else None
+        stay = 0.0 if prev is None else float(theta[prev])
+        mean_g = np.einsum("k,ks->s", theta, pulse_set.members)
+        variance_g = pulse_set.sqnorm - pulse_set.grid.dt * float(np.dot(mean_g, mean_g))
+        solved.append((positions, pulse_set, theta, pinned, stay, mean_g, variance_g))
+        if pinned is None:
+            drawn.extend(positions)
+    if drawn:
+        drawn.sort()
+        u = np.empty(len(loads))
+        u[drawn] = load_draws(master_seed, [loads[i].id for i in drawn], k)
+    for positions, pulse_set, theta, pinned, stay, mean_g, variance_g in solved:
+        if pinned is None:
+            draws = u[positions]
+            assert np.all((0.0 <= draws) & (draws < 1.0))
+            cum = np.cumsum(theta)
+            idx = np.minimum(np.searchsorted(cum, draws, side="right"),
+                             len(theta) - 1).tolist()
+        else:
+            idx = [pinned] * len(positions)
+        X_new[positions] = pulse_set.members[idx]
+        for i, j in zip(positions, idx):
+            member_idx[i] = j
+            stays[i] = stay
+        mean += len(positions) * mean_g
+        variance += len(positions) * variance_g
+    return X_new, math.prod(stays), mean, variance
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -10,11 +11,11 @@ import valleyfill.engine as engine
 import valleyfill.feasible as feasible
 
 from conftest import (expected_objective_enumeration, random_base,
-                      random_convex_set, random_pulse_set)
+                      random_convex_set, random_pulse_set, reference_load_update)
 from valleyfill.analysis import is_nash
 from valleyfill.cli import main
 from valleyfill.core import (GridMismatchError, Profile, TimeGrid, aggregate,
-                             norm)
+                             norm, norm2)
 from valleyfill.engine import (ConfigurationError, EngineConfig, LoadSpec,
                                LoadUpdate, Termination, convex_load_update,
                                coordinator_signal, finite_load_update,
@@ -253,7 +254,7 @@ class TestUpdateLoads:
             for i, single in enumerate(singles):
                 x_i, stay_i, _, _ = fresh_memo(single)(k, C, sig, X[i:i + 1])
                 assert x_i[0].tobytes() == X_fleet[i].tobytes()
-                assert single.member_idx == [fleet.member_idx[i]]
+                assert single.member_idx.tolist() == fleet.member_idx[i:i + 1].tolist()
                 stays.append(stay_i)
             assert stay == math.prod(stays)
             X = X_fleet
@@ -282,7 +283,7 @@ class TestUpdateLoads:
             for i, single in enumerate(singles):
                 x_i, stay_i, _, _ = single(k, C, sig, X[i:i + 1])
                 assert x_i[0].tobytes() == X_fleet[i].tobytes()
-                assert single.member_idx == [fleet.member_idx[i]]
+                assert single.member_idx.tolist() == fleet.member_idx[i:i + 1].tolist()
                 stays.append(stay_i)
             assert stay == math.prod(stays)
             X = X_fleet
@@ -311,6 +312,132 @@ def test_records_without_diagnostics_differ_only_in_nan_diagnostics():
         return [r[:3] + r[5:] for r in records], finals, terminated
 
     assert without_diagnostics(off) == without_diagnostics(on)
+
+
+def reference_exchange(loads, master_seed):
+    """`conftest.reference_load_update` as an exchange with its own member indices."""
+    member_idx = [None] * len(loads)
+    return lambda k, C, g, X: reference_load_update(loads, master_seed, member_idx, k, C, g, X)
+
+
+class TestArrayUpdate:
+    """The update's array state gives the bits of the per-load loop it replaced."""
+
+    def test_matches_the_per_load_loop(self):
+        seen = set()
+
+        @settings(max_examples=60, deadline=None)
+        @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 2 * engine._BATCH_MIN_KEYS),
+               master_seed=st.integers(0, MASK64))
+        def prop(seed, n, master_seed):
+            rng = np.random.default_rng(seed)
+            g = grid()
+            sets = [random_pulse_set(rng, g, m_max=4) for _ in range(int(rng.integers(1, 4)))]
+            shared_c = float(rng.uniform(0.5, 3.0))  # one weight across sets
+            loads = []
+            for i in range(n):
+                if rng.random() < 0.2:
+                    loads.append(LoadSpec(i, random_convex_set(rng, g)))
+                else:  # a set under its own energy or the shared weight
+                    loads.append(LoadSpec(i, sets[int(rng.integers(len(sets)))],
+                                          shared_c if rng.random() < 0.5 else None))
+            finite = [(id(spec.constraint), spec.c) for spec in loads if spec.is_finite]
+            if len(set(finite)) > len({set_id for set_id, _ in finite}):
+                seen.add("one set, two weights")
+            if len({set_id for set_id, c in finite if c == shared_c}) > 1:
+                seen.add("one weight, two sets")
+            seen.update({"one load"} if n == 1 else set())
+            seen.update({"convex"} if len(finite) < n else set())
+            # the loads may be part of a fleet, so C exceeds their own weight
+            C = sum(spec.c for spec in loads) + float(rng.uniform(0.5, 5.0))
+            b = random_base(rng, g)
+            update = LoadUpdate(loads, master_seed)
+            member_idx = [None] * n
+            X = np.zeros((n, g.slots))
+            sig = None
+            for k in range(1, 9):
+                if sig is None or rng.random() < 0.6:
+                    sig = coordinator_signal(aggregate(b, X), C)
+                else:  # the memo keeps the keys that recur under a repeated signal
+                    seen.add("repeated signal")
+                got = update(k, C, sig, X)
+                want = reference_load_update(loads, master_seed, member_idx, k, C, sig, X)
+                assert got[0].tobytes() == want[0].tobytes()
+                assert update.member_idx.tolist() == [-1 if j is None else j
+                                                      for j in member_idx]
+                assert got[1] == want[1]
+                assert got[2].tobytes() == want[2].tobytes()
+                assert got[3] == want[3]
+                cums = [entry[1] for key, entry in update._memo.items() if type(key) is int]
+                seen.update({"pinned"} if any(cum is None for cum in cums) else set())
+                seen.update({"drawn"} if any(cum is not None for cum in cums) else set())
+                X = got[0]
+
+        prop()
+        assert seen == {"one set, two weights", "one weight, two sets", "one load", "convex",
+                        "repeated signal", "pinned", "drawn"}
+
+    @pytest.mark.parametrize("ids", [
+        [3, 2**63, 7, 2**63 + 11, 2**64 - 1],          # float64 in numpy, per key
+        [3, 2**63, 2**64 + 5, 7, 2**70],                # object in numpy, per key
+        list(range(10)) + [2**63 - 1, 2**63, 2**64 - 1, 2**64, 2**90],
+        list(range(12)) + [2**63, 2**64 - 1],
+        list(range(2**32 - 14, 2**32)),                 # the vectorised pass
+    ])
+    def test_ids_of_any_size_draw_by_their_definition(self, monkeypatch, ids):
+        """numpy turns ids past int64 into float64 or objects; each draw keeps its id."""
+        rng = np.random.default_rng(len(ids))
+        g = grid()
+        ps = random_pulse_set(rng, g, m_max=4)
+        loads = [LoadSpec(i, ps) for i in ids]
+        b = random_base(rng, g)
+        cfg = EngineConfig(max_iterations=8, master_seed=5, stop_on_epsilon=False)
+        calls = []
+        draws = engine.load_draws
+
+        def traced(master_seed, batch, k):
+            out = draws(master_seed, batch, k)
+            calls.append(([operator.index(i) for i in batch], k, out))
+            return out
+
+        monkeypatch.setattr(engine, "load_draws", traced)
+        traj = run(loads, b, cfg)
+        monkeypatch.undo()
+        assert calls
+        for batch, k, out in calls:
+            # the drawn loads, in load order, each drawn by the stream's definition
+            assert batch == [i for i in ids if i in set(batch)]
+            assert out.tolist() == [load_draw(5, i, k) for i in batch]
+        reference = engine.coordinate(b, loads, cfg, reference_exchange(loads, 5))
+        assert record_bytes(traj) == record_bytes(reference)
+
+
+@pytest.mark.parametrize("slots", [1, 2, 12])
+def test_recorded_aggregates_are_the_load_order_row_loop(slots):
+    """A one-slot grid is where a reduction of the rows could sum pairwise;
+    over ten fleets, a pairwise sum would differ in some last bit."""
+    g = TimeGrid(6.0, slots)
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        loads = [LoadSpec(i, random_convex_set(rng, g)) for i in range(40)]
+        b = random_base(rng, g)
+        update = LoadUpdate(loads, 0)
+        rows = []
+
+        def exchange(*args):
+            result = update(*args)
+            rows.append(result[0])
+            return result
+
+        traj = engine.coordinate(b, loads, EngineConfig(max_iterations=3,
+                                                        stop_on_epsilon=False), exchange)
+        C = fleet_weight(loads)
+        assert len(rows) == 3
+        for record, X in zip(traj.records, rows):
+            assert record.objective == norm2(aggregate(b, X))
+        for record, X in zip(traj.records[1:], rows):
+            assert record.g.values.tobytes() == coordinator_signal(aggregate(b, X),
+                                                                   C).values.tobytes()
 
 
 class TestSignalMemo:
