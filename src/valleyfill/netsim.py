@@ -40,10 +40,16 @@ encoded again: the coordinator encodes the signal only when it differs
 from the last one it sent, and an agent its profile only when it differs
 from its last reply.  On receipt, a profile whose text repeats the
 previous line's on that connection reuses its parsed Profile.  This state
-lives per session and per connection.  An agent exits 0 after a STOP that
-ends the run and 1 after a refusal or an abort such as ``AgentLost``.
-Every connection, and the coordinator's listening socket, is closed on
-every exit path.
+lives per session and per connection.
+
+Once the coordinator listens, every failure (a refusal, a malformed or
+misaddressed message, a timeout, a lost connection) ends the session one
+way: each agent already assigned gets ``STOP 0 AgentLost``, a refused
+client its own reason, and the coordinator raises.  An agent exits 0
+after a STOP that ends the run and 1 after any other STOP; it raises
+AgentLostError only when its connection closes with no STOP.  Every
+connection, and the coordinator's listening socket, is closed on every
+exit path.
 """
 
 from __future__ import annotations
@@ -108,7 +114,7 @@ def _encode_floats(values: np.ndarray) -> str:
 
 
 def _send(fh, kind: str, iteration: int, payload: str) -> None:
-    fh.write(f"MESSAGE {kind} {iteration} {payload}\n")
+    fh.write(f"MESSAGE {kind} {iteration} {payload}\n".encode())
     fh.flush()
 
 
@@ -169,7 +175,7 @@ def _recv(fh, expect: Sequence[str], grid: TimeGrid,
     parsed Profile.
     """
     try:
-        line = fh.readline()
+        line = fh.readline().decode("ascii")
     except UnicodeDecodeError as exc:
         raise ProtocolError(f"non-ASCII message ({exc})") from None
     if not line:
@@ -203,10 +209,12 @@ def _recv(fh, expect: Sequence[str], grid: TimeGrid,
 
 @contextlib.contextmanager
 def _open(conn: socket.socket, timeout: float):
-    """The connection's ASCII line file; on exit closes it, then the socket."""
+    """The connection's line file, in bytes: a text file would drop the lines
+    it has read ahead when it is written to.  On exit it closes the file,
+    then the socket."""
     with conn:
         conn.settimeout(timeout)
-        fh = conn.makefile("rw", encoding="ascii", newline="\n")
+        fh = conn.makefile("rwb")
         try:
             yield fh
         finally:
@@ -225,6 +233,11 @@ def serve_coordinator(b: Profile, roster: Sequence[RosterEntry], cfg: EngineConf
     and waits for every PROFILEUPDATE.  The returned Trajectory matches
     the in-process run bit for bit, escape probabilities included; its
     expected next objectives are NaN.
+
+    On any failure once the socket listens, each assigned agent gets
+    ``STOP 0 AgentLost`` and a refused client its reason before the error
+    is raised; once every agent has joined, a timeout or a closed
+    connection raises AgentLostError.
     """
     fleet_weight(roster)  # a bad roster fails before the socket opens
     entries = {entry.id: entry for entry in roster}
@@ -237,28 +250,7 @@ def serve_coordinator(b: Profile, roster: Sequence[RosterEntry], cfg: EngineConf
                                                           backlog=len(roster)))
         server.settimeout(timeout)
         conns: Dict[int, object] = {}
-        while len(conns) < len(roster):
-            fh = stack.enter_context(_open(server.accept()[0], timeout))
-            _, _, (load_id, agent_digest, finite, c) = _recv(fh, ["HELLO"], grid)
-            if load_id in conns:
-                _send(fh, "STOP", 0, "DuplicateId")
-                raise ConfigurationError(f"duplicate load id {load_id} in session")
-            if load_id not in entries:
-                _send(fh, "STOP", 0, "UnknownId")
-                raise ConfigurationError(f"load id {load_id} not in roster")
-            if agent_digest != digest:
-                _send(fh, "STOP", 0, "GridMismatch")
-                raise ProtocolError(
-                    f"agent {load_id} grid digest {agent_digest!r} != session {digest!r}"
-                )
-            entry = entries[load_id]
-            if (finite, c) != (entry.is_finite, entry.c):
-                _send(fh, "STOP", 0, "RosterMismatch")
-                raise ConfigurationError(f"agent {load_id} (finite={finite}, c={c!r}) "
-                                         f"does not match its roster entry {entry}")
-            _send(fh, "ASSIGN", 0, f"{load_id} {digest}")
-            conns[load_id] = fh
-
+        stops: Dict[object, str] = {}       # the STOP reason each connection gets on a failure
         received = {i: {} for i in ids}     # each connection's last profile
         signal, payload = None, ""          # the last signal sent
 
@@ -283,12 +275,38 @@ def serve_coordinator(b: Profile, roster: Sequence[RosterEntry], cfg: EngineConf
             return X_new, stay, 0.0, float("nan")
 
         try:
+            while len(conns) < len(roster):
+                fh = stack.enter_context(_open(server.accept()[0], timeout))
+                _, _, (load_id, agent_digest, finite, c) = _recv(fh, ["HELLO"], grid)
+                entry = entries.get(load_id)
+                if load_id in conns:
+                    stops[fh], error = "DuplicateId", ConfigurationError(
+                        f"duplicate load id {load_id} in session")
+                elif entry is None:
+                    stops[fh], error = "UnknownId", ConfigurationError(
+                        f"load id {load_id} not in roster")
+                elif agent_digest != digest:
+                    stops[fh], error = "GridMismatch", ProtocolError(
+                        f"agent {load_id} grid digest {agent_digest!r} != session {digest!r}")
+                elif (finite, c) != (entry.is_finite, entry.c):
+                    stops[fh], error = "RosterMismatch", ConfigurationError(
+                        f"agent {load_id} (finite={finite}, c={c!r}) "
+                        f"does not match its roster entry {entry}")
+                else:
+                    _send(fh, "ASSIGN", 0, f"{load_id} {digest}")
+                    conns[load_id], stops[fh] = fh, "AgentLost"
+                    continue
+                raise error
             traj = coordinate(b, roster, cfg, exchange)
-        except (socket.timeout, AgentLostError) as exc:
-            for fh in conns.values():
+        except BaseException as exc:
+            for fh, reason in stops.items():
                 with contextlib.suppress(OSError):
-                    _send(fh, "STOP", 0, "AgentLost")
-            raise AgentLostError(f"agent lost mid-session: {exc}") from exc
+                    _send(fh, "STOP", 0, reason)
+            # once every agent has joined, a timeout or a closed connection is a lost agent
+            lost = (socket.timeout, ConnectionError, AgentLostError)
+            if len(conns) == len(roster) and isinstance(exc, lost):
+                raise AgentLostError(f"agent lost mid-session: {exc}") from exc
+            raise
 
         for fh in conns.values():
             _send(fh, "STOP", len(traj.records), _stop_reason(traj.terminated_by))
@@ -323,7 +341,8 @@ def run_agent(load: LoadSpec, master_seed: int, endpoint: Tuple[str, int],
     round that repeats the last signal and profile reuses their solve, and
     a repeated signal or profile is neither parsed nor encoded again.
     Returns 0 after a STOP that ends the run (TOLERANCE, FIXED_POINT or
-    MAX_ITER) and 1 after a refusal or an aborted session.
+    MAX_ITER) and 1 after any other STOP, a refusal or an aborted session;
+    raises AgentLostError only when the connection closes with no STOP.
     """
     grid = load.grid
     digest = grid_digest(grid)

@@ -11,25 +11,35 @@ profiles reader.  `reference_hull_minimize` is the min-norm-point loop
 one problem at a time, which the lockstep solver must match bit for bit,
 and `reference_load_update` the load update as a loop over loads, which
 the array update must match bit for bit.
+
+`Session` is the one harness for networked tests: a coordinator thread,
+`run_agent` threads that keep every line they read, and raw clients.
 """
 
+import contextlib
 import csv
 import itertools
 import math
+import socket
+import threading
 from dataclasses import dataclass
 from typing import Optional
+from unittest import mock
 
 import numpy as np
+import pytest
 
 from valleyfill.analysis import NashReport
 from valleyfill.cli import InputError
 from valleyfill.core import Objective, Profile, TimeGrid, aggregate
-from valleyfill.engine import (ConfigurationError, EngineConfig, LoadSpec,
+from valleyfill import netsim
+from valleyfill.engine import (ConfigurationError, EngineConfig, LoadSpec, Termination,
                                convex_load_update, load_draws)
 from valleyfill.feasible import (_HULL_MAX_ITERATIONS, SNAP_TOLERANCE, ConvexChargeSet,
                                  FinitePulseSet, SolverError, _checked_weights,
                                  make_pulse_set)
-from valleyfill.netsim import RosterEntry
+from valleyfill.netsim import (RosterEntry, _connect_with_retry, _open, run_agent,
+                               serve_coordinator)
 from valleyfill.scenario import BaseLoadSpec, FleetSpec, HeterogeneitySpec, SynthParams
 
 
@@ -192,6 +202,175 @@ def random_pulse_set(rng, grid, m_max=6, signed=False):
 
 def random_base(rng, grid, lo=0.0, hi=2.0):
     return Profile(rng.uniform(lo, hi, grid.slots), grid)
+
+
+def small_convex_set(rng, grid):
+    caps = rng.uniform(0.2, 0.8, grid.slots)
+    energy = rng.uniform(0.1, 0.35) * grid.dt * caps.sum()
+    return ConvexChargeSet(Profile(caps, grid), energy)
+
+
+def mixed_fleet(seed):
+    """Acceptance criterion 9's fleet for `seed` in 0..9: its loads, base and config."""
+    grid = TimeGrid(6.0, 12)
+    rng = np.random.default_rng(90_000 + seed)
+    loads = []
+    for i in range(int(rng.integers(2, 11))):
+        if rng.random() < 0.5:
+            loads.append(LoadSpec(i, small_convex_set(rng, grid)))
+        else:
+            loads.append(LoadSpec(i, random_pulse_set(rng, grid, m_max=5)))
+    return loads, random_base(rng, grid), EngineConfig(max_iterations=25, master_seed=seed)
+
+
+# ---------------------------------------------------------------------------
+# networked sessions: a coordinator thread, `run_agent` threads and raw clients
+
+# A socket or file that a test leaves open fails it: the warning that its
+# finalizer gives is an error, and so is pytest's report of that error.
+LEAKS_FAIL = pytest.mark.filterwarnings("error::ResourceWarning",
+                                        "error::pytest.PytestUnraisableExceptionWarning")
+AGENT_TIMEOUT = 10.0
+# The reason of the STOP that ends a run by each termination.
+STOP_REASONS = {Termination.TOLERANCE: "Tolerance", Termination.FIXED_POINT: "FixedPoint",
+                Termination.MAX_ITER: "MaxIter"}
+
+
+def free_endpoint():
+    s = socket.socket()
+    s.bind(("127.0.0.1", 0))
+    endpoint = s.getsockname()
+    s.close()
+    return endpoint
+
+
+class Agent:
+    """A `run_agent` thread's exit status, or the exception it raised, and every
+    line it read.  In its thread it stands in for the connection's line file."""
+
+    def __init__(self, spec):
+        self.spec, self.status, self.lines, self.fh = spec, None, [], None
+        self.answered = threading.Event()   # by the first line read or the thread's end
+
+    def readline(self):
+        line = self.fh.readline()
+        self.lines.append(line.decode())
+        self.answered.set()
+        return line
+
+    def write(self, text):
+        self.fh.write(text)
+
+    def flush(self):
+        self.fh.flush()
+
+
+class Session:
+    """A coordinator serving `roster` in a thread, and the clients a test adds.
+
+    `agent(spec)` starts `run_agent` in a thread and returns its `Agent` once
+    the coordinator has answered its HELLO, so agents join in the order they
+    are added.  `client(hello)` connects, sends the line `hello` and returns
+    the connection's line file.  The coordinator waits `timeout` seconds for
+    a message, agents and clients `AGENT_TIMEOUT`.  Leaving the block joins
+    every thread, asserts that each finished and closes the clients;
+    `result()` then returns the coordinator's Trajectory or raises its error.
+    """
+
+    def __init__(self, b, roster, cfg, timeout=AGENT_TIMEOUT):
+        self.endpoint = free_endpoint()
+        self.master_seed = cfg.master_seed
+        self.outcome = {}
+        self._agents = {}                   # thread ident -> its Agent
+        self._threads = [threading.Thread(target=self._coordinate,
+                                          args=(b, roster, cfg, timeout))]
+        self._stack = contextlib.ExitStack()
+
+    def __enter__(self):
+        self._stack.enter_context(mock.patch.object(netsim, "_open", self._tapped_open))
+        self._threads[0].start()
+        return self
+
+    def __exit__(self, *exc_info):
+        for thread in self._threads:
+            thread.join(60)
+        self._stack.close()
+        assert not any(thread.is_alive() for thread in self._threads)
+
+    def result(self):
+        if "error" in self.outcome:
+            raise self.outcome["error"]
+        return self.outcome["traj"]
+
+    def agent(self, spec):
+        agent = Agent(spec)
+        self._threads.append(threading.Thread(target=self._run_agent, args=(agent,)))
+        self._threads[-1].start()
+        assert agent.answered.wait(AGENT_TIMEOUT)
+        return agent
+
+    def client(self, hello):
+        with _connect_with_retry(self.endpoint, AGENT_TIMEOUT) as conn:
+            # the file keeps the socket open until the file closes
+            fh = self._stack.enter_context(conn.makefile("rw", encoding="ascii",
+                                                         newline="\n"))
+        fh.write(hello + "\n")
+        fh.flush()
+        return fh
+
+    def _coordinate(self, b, roster, cfg, timeout):
+        try:
+            self.outcome["traj"] = serve_coordinator(b, roster, cfg, self.endpoint,
+                                                     timeout=timeout)
+        except Exception as exc:  # raised again by result()
+            self.outcome["error"] = exc
+
+    def _run_agent(self, agent):
+        self._agents[threading.get_ident()] = agent
+        try:
+            agent.status = run_agent(agent.spec, self.master_seed, self.endpoint,
+                                     timeout=AGENT_TIMEOUT)
+        except Exception as exc:
+            agent.status = exc
+        finally:
+            agent.answered.set()
+
+    @contextlib.contextmanager
+    def _tapped_open(self, conn, timeout):
+        """`netsim._open`, whose file an agent's thread reads through its Agent."""
+        with _open(conn, timeout) as fh:
+            agent = self._agents.get(threading.get_ident())
+            if agent is None:
+                yield fh
+            else:
+                agent.fh = fh
+                yield agent
+
+
+def networked_run(loads, b, cfg):
+    """`run` served to one `run_agent` thread per load; every agent must read
+    the run-ending ``STOP <records> <reason>`` and exit 0."""
+    roster = [RosterEntry(spec.id, spec.is_finite, spec.c) for spec in loads]
+    with Session(b, roster, cfg) as session:
+        agents = [session.agent(spec) for spec in loads]
+    traj = session.result()
+    stop = f"MESSAGE STOP {len(traj.records)} {STOP_REASONS[traj.terminated_by]}\n"
+    assert [(agent.status, agent.lines[-1]) for agent in agents] == [(0, stop)] * len(loads)
+    return traj
+
+
+def assert_trajectories_equivalent(net, local):
+    assert net.terminated_by == local.terminated_by
+    assert len(net.records) == len(local.records)
+    for rn, rl in zip(net.records, local.records):
+        assert rn.k == rl.k
+        assert np.array_equal(rn.g.values, rl.g.values)
+        assert rn.objective == rl.objective
+        assert rn.profiles_changed == rl.profiles_changed
+        assert np.array_equal(rn.escape_probability, rl.escape_probability,
+                              equal_nan=True)
+    for xn, xl in zip(net.final_profiles, local.final_profiles):
+        assert np.array_equal(xn.values, xl.values)
 
 
 # ---------------------------------------------------------------------------

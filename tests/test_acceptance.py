@@ -12,9 +12,9 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from conftest import (hull_oracle_grid, hull_oracle_supports, hull_q,
-                      projection_oracle, random_base, random_pulse_set)
-from test_netsim import assert_trajectories_equivalent, networked_run
+from conftest import (LEAKS_FAIL, assert_trajectories_equivalent, hull_oracle_grid,
+                      hull_oracle_supports, hull_q, mixed_fleet, networked_run,
+                      projection_oracle, random_base, random_pulse_set, small_convex_set)
 from valleyfill.analysis import (convex_stationarity_residual, is_nash,
                                  subopt_ratio_bound, suboptimality_gap_check)
 from valleyfill.core import Profile, TimeGrid, aggregate
@@ -38,12 +38,6 @@ def reported(num, label):
         _line(num, label, False)
         raise
     _line(num, label, True)
-
-
-def small_convex_set(rng, grid):
-    caps = rng.uniform(0.2, 0.8, grid.slots)
-    energy = rng.uniform(0.1, 0.35) * grid.dt * caps.sum()
-    return ConvexChargeSet(Profile(caps, grid), energy)
 
 
 def pulse_fleet(rng, grid, n, m, m_exact=True, signed=False):
@@ -277,22 +271,10 @@ def test_criterion_8_solvers_match_independent_oracles():
                 assert abs(counts[k] - draws * p) <= 3.0 * sigma, (seed, k)
 
 
+@LEAKS_FAIL
 def test_criterion_9_networked_runs_reproduce_in_process():
     """Socket transport changes nothing: trajectories match bit for bit."""
     with reported(9, "transport transparency (10 mixed fleets)"):
-        grid = TimeGrid(6.0, 12)
         for seed in range(10):
-            rng = np.random.default_rng(90_000 + seed)
-            n = int(rng.integers(2, 11))
-            loads = []
-            for i in range(n):
-                if rng.random() < 0.5:
-                    loads.append(LoadSpec(i, small_convex_set(rng, grid)))
-                else:
-                    loads.append(LoadSpec(i, random_pulse_set(rng, grid,
-                                                              m_max=5)))
-            b = random_base(rng, grid)
-            cfg = EngineConfig(max_iterations=25, master_seed=seed)
-            net = networked_run(loads, b, cfg)
-            local = run(loads, b, cfg)
-            assert_trajectories_equivalent(net, local)
+            fleet = mixed_fleet(seed)
+            assert_trajectories_equivalent(networked_run(*fleet), run(*fleet))

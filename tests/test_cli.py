@@ -15,8 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CHECKED, case_id, profiles_from_csv_per_row, rejected
-from test_netsim import LEAKS_FAIL, free_endpoint
+from conftest import (CHECKED, LEAKS_FAIL, case_id, free_endpoint, profiles_from_csv_per_row,
+                      rejected)
 from valleyfill import cli, netsim
 from valleyfill.analysis import (brute_force_optimum, is_nash, subopt_ratio_bound,
                                  suboptimality_gap_check)

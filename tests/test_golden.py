@@ -18,8 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_base, random_convex_set, random_pulse_set
-from test_acceptance import small_convex_set
+from conftest import mixed_fleet, random_base, random_convex_set, random_pulse_set
 from valleyfill.core import Objective, ObjectiveKind, Profile, TimeGrid
 from valleyfill.engine import EngineConfig, LoadSpec, run
 from valleyfill.scenario import (BaseLoadSpec, FleetSpec, SynthParams,
@@ -49,21 +48,6 @@ def case_study():
                                       record_diagnostics=True))
 
 
-def mixed_fleet(seed):
-    """The fleet of acceptance criterion 9 for this seed, run in process."""
-    grid = TimeGrid(6.0, 12)
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(2, 11))
-    loads = []
-    for i in range(n):
-        if rng.random() < 0.5:
-            loads.append(LoadSpec(i, small_convex_set(rng, grid)))
-        else:
-            loads.append(LoadSpec(i, random_pulse_set(rng, grid, m_max=5)))
-    b = random_base(rng, grid)
-    return run(loads, b, EngineConfig(max_iterations=25, master_seed=seed - 90_000))
-
-
 def convex_fleet():
     rng = np.random.default_rng(7)
     grid = TimeGrid(12.0, 24)
@@ -85,8 +69,9 @@ def track_run():
 
 
 CASES = {"case-study-seed-0": case_study,
-         **{f"mixed-fleet-{seed}": (lambda seed=seed: mixed_fleet(seed))
-            for seed in range(90_000, 90_010)},
+         # acceptance criterion 9's fleets, named by their generators' seeds
+         **{f"mixed-fleet-{90_000 + seed}": (lambda seed=seed: run(*mixed_fleet(seed)))
+            for seed in range(10)},
          "convex-fleet": convex_fleet,
          "track": track_run}
 

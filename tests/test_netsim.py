@@ -3,81 +3,25 @@ import math
 import socket
 import sys
 import threading
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_base, random_convex_set, random_pulse_set
+from conftest import (LEAKS_FAIL, Session, assert_trajectories_equivalent, free_endpoint,
+                      networked_run, random_base, random_convex_set, random_pulse_set)
 from valleyfill.core import Profile, TimeGrid
-from valleyfill.engine import (ConfigurationError, EngineConfig, LoadSpec,
+from valleyfill.engine import (ConfigurationError, EngineConfig, LoadSpec, Termination,
                                run)
 from valleyfill import netsim
 from valleyfill.netsim import (_HEADERS, AgentLostError, ProtocolError,
                                RosterEntry, _connect_with_retry, _encode_floats,
-                               _recv, grid_digest, run_agent, serve_coordinator)
+                               _open, _recv, _send, grid_digest, serve_coordinator)
 
-# A socket or file that a test leaves open fails it: the warning that its
-# finalizer gives is an error, and so is pytest's report of that error.
-LEAKS_FAIL = pytest.mark.filterwarnings("error::ResourceWarning",
-                                        "error::pytest.PytestUnraisableExceptionWarning")
 pytestmark = LEAKS_FAIL
-
-
-def free_endpoint():
-    s = socket.socket()
-    s.bind(("127.0.0.1", 0))
-    endpoint = s.getsockname()
-    s.close()
-    return endpoint
-
-
-def networked_run(loads, b, cfg, timeout=10.0):
-    """Coordinator and one agent per load in threads; every agent must exit 0."""
-    endpoint = free_endpoint()
-    roster = [RosterEntry(spec.id, spec.is_finite, spec.c) for spec in loads]
-    result = {}
-    statuses = {}
-
-    def agent(spec):
-        statuses[spec.id] = run_agent(spec, cfg.master_seed, endpoint, timeout=timeout)
-
-    def coordinate():
-        try:
-            result["traj"] = serve_coordinator(b, roster, cfg, endpoint,
-                                               timeout=timeout)
-        except Exception as exc:  # surfaced to the test thread
-            result["error"] = exc
-
-    coord = threading.Thread(target=coordinate)
-    coord.start()
-    agents = []
-    for spec in loads:
-        t = threading.Thread(target=agent, args=(spec,))
-        t.start()
-        agents.append(t)
-    coord.join(timeout=60)
-    for t in agents:
-        t.join(timeout=60)
-    if "error" in result:
-        raise result["error"]
-    assert statuses == {spec.id: 0 for spec in loads}
-    return result["traj"]
-
-
-def assert_trajectories_equivalent(net, local):
-    assert net.terminated_by == local.terminated_by
-    assert len(net.records) == len(local.records)
-    for rn, rl in zip(net.records, local.records):
-        assert rn.k == rl.k
-        assert np.array_equal(rn.g.values, rl.g.values)
-        assert rn.objective == rl.objective
-        assert rn.profiles_changed == rl.profiles_changed
-        assert np.array_equal(rn.escape_probability, rl.escape_probability,
-                              equal_nan=True)
-    for xn, xl in zip(net.final_profiles, local.final_profiles):
-        assert np.array_equal(xn.values, xl.values)
 
 
 class TestEquivalence:
@@ -137,107 +81,6 @@ class TestHandshake:
         assert TimeGrid(24, 96) == TimeGrid(24.0, 96)
         assert grid_digest(TimeGrid(24, 96)) == grid_digest(TimeGrid(24.0, 96))
 
-    def test_grid_mismatch_refused(self):
-        rng = np.random.default_rng(5)
-        g_session = TimeGrid(6.0, 12)
-        g_agent = TimeGrid(6.0, 24)
-        endpoint = free_endpoint()
-        roster = [RosterEntry(0, False, 1.0)]
-        b = random_base(rng, g_session)
-        result = {}
-
-        def coordinate():
-            try:
-                serve_coordinator(b, roster, EngineConfig(), endpoint,
-                                  timeout=10.0)
-            except Exception as exc:
-                result["error"] = exc
-
-        coord = threading.Thread(target=coordinate)
-        coord.start()
-        load = LoadSpec(0, random_convex_set(rng, g_agent))
-        status = run_agent(load, 0, endpoint, timeout=10.0)
-        coord.join(timeout=30)
-        assert status == 1
-        assert isinstance(result.get("error"), ProtocolError)
-
-    def test_unknown_id_refused(self):
-        rng = np.random.default_rng(6)
-        g = TimeGrid(6.0, 12)
-        endpoint = free_endpoint()
-        roster = [RosterEntry(0, False, 1.0)]
-        b = random_base(rng, g)
-        result = {}
-
-        def coordinate():
-            try:
-                serve_coordinator(b, roster, EngineConfig(), endpoint,
-                                  timeout=10.0)
-            except Exception as exc:
-                result["error"] = exc
-
-        coord = threading.Thread(target=coordinate)
-        coord.start()
-        load = LoadSpec(99, random_convex_set(rng, g))
-        status = run_agent(load, 0, endpoint, timeout=10.0)
-        coord.join(timeout=30)
-        assert status == 1
-        assert isinstance(result.get("error"), ConfigurationError)
-
-    def test_kind_mismatch_refused(self):
-        """A convex agent whose roster entry, of the same weight, is finite."""
-        rng = np.random.default_rng(7)
-        g = TimeGrid(6.0, 12)
-        endpoint = free_endpoint()
-        # the convex entry 1 keeps C > c_i for the finite entry 0
-        roster = [RosterEntry(0, True, 1.5), RosterEntry(1, False, 2.0)]
-        b = random_base(rng, g)
-        result = {}
-
-        def coordinate():
-            try:
-                serve_coordinator(b, roster, EngineConfig(), endpoint,
-                                  timeout=10.0)
-            except Exception as exc:
-                result["error"] = exc
-
-        coord = threading.Thread(target=coordinate)
-        coord.start()
-        load = LoadSpec(0, random_convex_set(rng, g), c=1.5)
-        status = run_agent(load, 0, endpoint, timeout=10.0)
-        coord.join(timeout=30)
-        assert status == 1
-        assert isinstance(result.get("error"), ConfigurationError)
-        assert "does not match its roster entry" in str(result["error"])
-
-    def test_weight_one_ulp_off_is_a_mismatch(self):
-        """c must equal the roster's bit for bit; the refusal names the reason."""
-        rng = np.random.default_rng(10)
-        g = TimeGrid(6.0, 12)
-        endpoint = free_endpoint()
-        result = {}
-
-        def coordinate():
-            try:
-                serve_coordinator(random_base(rng, g), [RosterEntry(0, False, 2.0)],
-                                  EngineConfig(), endpoint, timeout=10.0)
-            except Exception as exc:
-                result["error"] = exc
-
-        coord = threading.Thread(target=coordinate)
-        coord.start()
-        conn = _connect_with_retry(endpoint, timeout=10.0)
-        fh = conn.makefile("rw", encoding="ascii", newline="\n")
-        fh.write(f"MESSAGE HELLO 0 0 {grid_digest(g)} convex "
-                 f"{math.nextafter(2.0, 3.0)!r}\n")
-        fh.flush()
-        reply = fh.readline()
-        fh.close()
-        conn.close()
-        coord.join(timeout=30)
-        assert reply == "MESSAGE STOP 0 RosterMismatch\n"
-        assert isinstance(result.get("error"), ConfigurationError)
-
     def test_empty_roster(self):
         with pytest.raises(ConfigurationError):
             serve_coordinator(Profile.zeros(TimeGrid(1.0, 2)), [],
@@ -252,219 +95,138 @@ class TestHandshake:
                               free_endpoint(), timeout=0.5)
 
 
-class TestFailureModes:
-    def test_agent_disconnect_mid_session(self):
-        rng = np.random.default_rng(8)
-        g = TimeGrid(6.0, 12)
-        endpoint = free_endpoint()
-        roster = [RosterEntry(0, False, 2.0)]
-        b = random_base(rng, g)
-        result = {}
+class TestRunEnd:
+    @pytest.mark.parametrize("termination", Termination, ids=lambda t: t.name)
+    def test_every_agent_reads_the_run_ending_stop(self, termination):
+        """`networked_run` asserts that each agent reads ``STOP <records> <reason>``
+        and exits 0; a session ends here by each termination."""
+        rng = np.random.default_rng(31)
+        g = TimeGrid(4.0, 8)
+        if termination is Termination.TOLERANCE:
+            loads = [LoadSpec(0, random_convex_set(rng, g))]
+        else:
+            loads = [LoadSpec(i, random_pulse_set(rng, g, m_max=3)) for i in range(3)]
+        cfg = EngineConfig(max_iterations=2 if termination is Termination.MAX_ITER else 5000,
+                           stop_on_epsilon=termination is Termination.TOLERANCE)
+        assert networked_run(loads, random_base(rng, g), cfg).terminated_by is termination
 
-        def coordinate():
-            try:
-                serve_coordinator(b, roster, EngineConfig(max_iterations=100),
-                                  endpoint, timeout=10.0)
-            except Exception as exc:
-                result["error"] = exc
 
-        coord = threading.Thread(target=coordinate)
-        coord.start()
+GRID = TimeGrid(6.0, 12)
+BASE = random_base(np.random.default_rng(8), GRID)
 
-        # handshake correctly, then vanish before answering any signal
-        conn = _connect_with_retry(endpoint, timeout=10.0)
-        fh = conn.makefile("rw", encoding="ascii", newline="\n")
-        fh.write(f"MESSAGE HELLO 0 0 {grid_digest(g)} convex 2.0\n")
-        fh.flush()
-        assert fh.readline().startswith("MESSAGE ASSIGN")
-        fh.readline()  # consume the first SIGNAL
-        fh.close()
-        conn.close()
-        coord.join(timeout=30)
-        assert isinstance(result.get("error"), AgentLostError)
 
-    def test_surviving_agent_of_an_aborted_session_exits_1(self):
-        """STOP AgentLost ends the session, but not as a completed run."""
-        rng = np.random.default_rng(13)
-        g = TimeGrid(6.0, 12)
-        endpoint = free_endpoint()
-        roster = [RosterEntry(0, False, 2.0), RosterEntry(1, False, 2.0)]
-        b = random_base(rng, g)
-        result, status = {}, {}
+def convex_agent(load_id, grid=GRID, c=2.0):
+    return LoadSpec(load_id, random_convex_set(np.random.default_rng(load_id), grid), c=c)
 
-        def coordinate():
-            try:
-                serve_coordinator(b, roster, EngineConfig(max_iterations=100),
-                                  endpoint, timeout=10.0)
-            except Exception as exc:
-                result["error"] = exc
 
-        def survive():
-            status[0] = run_agent(LoadSpec(0, random_convex_set(rng, g), c=2.0),
-                                  0, endpoint, timeout=10.0)
+SURVIVOR = convex_agent(0)
+ZEROS = f"{GRID.slots} {_encode_floats(np.zeros(GRID.slots))}"
 
-        coord = threading.Thread(target=coordinate)
-        coord.start()
-        survivor = threading.Thread(target=survive)
-        survivor.start()
-        # agent 1 handshakes correctly, then vanishes after the first SIGNAL
-        conn = _connect_with_retry(endpoint, timeout=10.0)
-        fh = conn.makefile("rw", encoding="ascii", newline="\n")
-        fh.write(f"MESSAGE HELLO 0 1 {grid_digest(g)} convex 2.0\n")
-        fh.flush()
-        assert fh.readline().startswith("MESSAGE ASSIGN")
-        assert fh.readline().startswith("MESSAGE SIGNAL")
-        fh.close()
-        conn.close()
-        coord.join(timeout=30)
-        survivor.join(timeout=30)
-        assert isinstance(result.get("error"), AgentLostError)
-        assert status == {0: 1}
 
-    def test_endpoint_is_free_after_a_refusal_and_an_abort(self):
-        """A failed session releases its endpoint: the next coordinator binds at once."""
-        rng = np.random.default_rng(14)
-        g = TimeGrid(6.0, 12)
-        endpoint = free_endpoint()
-        roster = [RosterEntry(0, False, 2.0)]
-        b = random_base(rng, g)
+@dataclass(frozen=True)
+class Fault:
+    """Agent 0 joins a session of agents 0 and 1, then a client breaks it.
 
-        def fails_with(error, client):
-            result = {}
+    The client runs `run_agent` for `agent`, or is a raw connection that
+    sends `hello`, given `reply` reads ASSIGN and SIGNAL 1 and writes
+    `reply`, and then reads to the end, or closes if `vanish`.  The
+    coordinator raises `error`, whose text holds `message`, and the client
+    then reads only ``STOP 0 <stop>``, or nothing if `stop` is None.
+    """
 
-            def coordinate():
-                try:
-                    serve_coordinator(b, roster, EngineConfig(max_iterations=100),
-                                      endpoint, timeout=10.0)
-                except Exception as exc:
-                    result["error"] = exc
+    error: type
+    message: str
+    stop: Optional[str]
+    agent: Optional[LoadSpec] = None
+    hello: str = f"MESSAGE HELLO 0 1 {grid_digest(GRID)} convex 2.0"
+    reply: Optional[str] = None
+    vanish: bool = False
+    finite: bool = False        # roster entry 1's kind
+    timeout: float = 10.0       # the coordinator's
 
-            coord = threading.Thread(target=coordinate)
-            coord.start()
-            client()
-            coord.join(timeout=30)
-            assert isinstance(result.get("error"), error)
-            # binding succeeds, so only the wait for an agent can time out
-            with pytest.raises(socket.timeout):
-                serve_coordinator(b, roster, EngineConfig(), endpoint, timeout=0.2)
 
-        def refused_agent():
-            load = LoadSpec(0, random_convex_set(rng, g), c=1.5)
-            assert run_agent(load, 0, endpoint, timeout=10.0) == 1
+def malformed(line, reason):
+    """The coordinator's error text for a malformed `line`."""
+    quoted = repr(line + "\n")
+    return f"malformed {line.split()[1]} message ({reason}): {quoted}"
 
-        def vanishing_agent():
-            with _connect_with_retry(endpoint, timeout=10.0) as conn, \
-                    conn.makefile("rw", encoding="ascii", newline="\n") as fh:
-                fh.write(f"MESSAGE HELLO 0 0 {grid_digest(g)} convex 2.0\n")
-                fh.flush()
-                assert fh.readline().startswith("MESSAGE ASSIGN")
-                assert fh.readline().startswith("MESSAGE SIGNAL")
 
-        fails_with(ConfigurationError, refused_agent)   # STOP RosterMismatch
-        fails_with(AgentLostError, vanishing_agent)     # STOP AgentLost
+FAULTS = {
+    # refusals: the client reads its reason and exits 1
+    "grid-mismatch": Fault(ProtocolError, "agent 1 grid digest '6.0:24' != session '6.0:12'",
+                           "GridMismatch", convex_agent(1, TimeGrid(6.0, 24))),
+    "unknown-id": Fault(ConfigurationError, "load id 99 not in roster", "UnknownId",
+                        convex_agent(99)),
+    "duplicate-id": Fault(ConfigurationError, "duplicate load id 0 in session",
+                          "DuplicateId", SURVIVOR),
+    # a convex agent whose roster entry, of the same weight, is finite
+    "kind-mismatch": Fault(ConfigurationError, "does not match its roster entry",
+                           "RosterMismatch", convex_agent(1), finite=True),
+    # c must equal the roster's bit for bit
+    "weight-one-ulp-off": Fault(ConfigurationError, "does not match its roster entry",
+                                "RosterMismatch",
+                                convex_agent(1, c=math.nextafter(2.0, 3.0))),
+    # malformed HELLOs: the client is not assigned and reads no line
+    **{name: Fault(ProtocolError, malformed(line, "HELLO needs 4 header fields"), None,
+                   hello=line)
+       for name, line in [("hello-no-fields", "MESSAGE HELLO 0"),
+                          ("hello-bad-id", "MESSAGE HELLO 0 abc x")]},
+    # mid-session: every assigned agent, the client included, reads STOP 0 AgentLost
+    **{name: Fault(ProtocolError, message, "AgentLost", reply=line)
+       for name, line, message in [
+           ("update-no-fields", "MESSAGE PROFILEUPDATE 1",
+            malformed("MESSAGE PROFILEUPDATE 1", "PROFILEUPDATE needs 2 header fields")),
+           ("update-no-stay", "MESSAGE PROFILEUPDATE 1 1",
+            malformed("MESSAGE PROFILEUPDATE 1 1", "PROFILEUPDATE needs 2 header fields")),
+           ("update-bad-profile", "MESSAGE PROFILEUPDATE 1 1 0 nonsense",
+            malformed("MESSAGE PROFILEUPDATE 1 1 0 nonsense",
+                      "invalid literal for int() with base 10: 'nonsense'")),
+           ("wrong-iteration", f"MESSAGE PROFILEUPDATE 2 1 1.0 {ZEROS}",
+            "profile update for iteration 2, expected 1"),
+           ("wrong-sender", f"MESSAGE PROFILEUPDATE 1 7 1.0 {ZEROS}",
+            "update from 7 on connection 1")]},
+    "lost-after-signal": Fault(AgentLostError, "agent lost mid-session: connection closed",
+                               None, reply="", vanish=True),
+    # a broken pipe or a reset, as the coordinator's first SIGNAL finds the socket closed
+    "lost-after-hello": Fault(AgentLostError, "agent lost mid-session: ", None, vanish=True),
+    "silent-after-signal": Fault(AgentLostError, "agent lost mid-session: timed out",
+                                 "AgentLost", reply="", timeout=1.0),
+}
 
-    def test_duplicate_hello_is_refused(self):
-        rng = np.random.default_rng(15)
-        g = TimeGrid(6.0, 12)
-        endpoint = free_endpoint()
-        roster = [RosterEntry(0, False, 2.0), RosterEntry(1, False, 2.0)]
-        result = {}
 
-        def coordinate():
-            try:
-                serve_coordinator(random_base(rng, g), roster, EngineConfig(),
-                                  endpoint, timeout=10.0)
-            except Exception as exc:
-                result["error"] = exc
-
-        coord = threading.Thread(target=coordinate)
-        coord.start()
-        hello = f"MESSAGE HELLO 0 0 {grid_digest(g)} convex 2.0\n"
-        with _connect_with_retry(endpoint, timeout=10.0) as first, \
-                first.makefile("rw", encoding="ascii", newline="\n") as fh:
-            fh.write(hello)
-            fh.flush()
-            assert fh.readline().startswith("MESSAGE ASSIGN 0 0 ")
-            with _connect_with_retry(endpoint, timeout=10.0) as second, \
-                    second.makefile("rw", encoding="ascii", newline="\n") as fh2:
-                fh2.write(hello)
-                fh2.flush()
-                assert fh2.readline() == "MESSAGE STOP 0 DuplicateId\n"
-                coord.join(timeout=30)
-        assert isinstance(result.get("error"), ConfigurationError)
-        assert "duplicate load id 0" in str(result["error"])
-
-    @pytest.mark.parametrize("iteration,sender,message", [
-        (2, 0, "profile update for iteration 2, expected 1"),
-        (1, 7, "update from 7 on connection 0"),
-    ], ids=["wrong-iteration", "wrong-sender"])
-    def test_misaddressed_update_is_protocol_error(self, iteration, sender, message):
-        rng = np.random.default_rng(16)
-        g = TimeGrid(6.0, 12)
-        endpoint = free_endpoint()
-        roster = [RosterEntry(0, False, 2.0)]
-        result = {}
-
-        def coordinate():
-            try:
-                serve_coordinator(random_base(rng, g), roster, EngineConfig(),
-                                  endpoint, timeout=10.0)
-            except Exception as exc:
-                result["error"] = exc
-
-        coord = threading.Thread(target=coordinate)
-        coord.start()
-        with _connect_with_retry(endpoint, timeout=10.0) as conn, \
-                conn.makefile("rw", encoding="ascii", newline="\n") as fh:
-            fh.write(f"MESSAGE HELLO 0 0 {grid_digest(g)} convex 2.0\n")
-            fh.flush()
-            assert fh.readline().startswith("MESSAGE ASSIGN")
-            assert fh.readline().startswith("MESSAGE SIGNAL 1 ")
-            fh.write(f"MESSAGE PROFILEUPDATE {iteration} {sender} 1.0 "
-                     f"{g.slots} {_encode_floats(np.zeros(g.slots))}\n")
-            fh.flush()
-            coord.join(timeout=30)
-        assert isinstance(result.get("error"), ProtocolError)
-        assert message in str(result["error"])
-
-    @pytest.mark.parametrize("line", [
-        "MESSAGE HELLO 0",
-        "MESSAGE HELLO 0 abc x",
-        "MESSAGE PROFILEUPDATE 1",
-        "MESSAGE PROFILEUPDATE 1 0",
-        "MESSAGE PROFILEUPDATE 1 0 0 nonsense",
-    ], ids=["hello-no-fields", "hello-bad-id", "update-no-fields",
-            "update-no-stay", "update-bad-profile"])
-    def test_malformed_update_is_protocol_error(self, line):
-        rng = np.random.default_rng(9)
-        g = TimeGrid(6.0, 12)
-        endpoint = free_endpoint()
-        roster = [RosterEntry(0, False, 2.0)]
-        b = random_base(rng, g)
-        result = {}
-
-        def coordinate():
-            try:
-                serve_coordinator(b, roster, EngineConfig(max_iterations=100),
-                                  endpoint, timeout=10.0)
-            except Exception as exc:
-                result["error"] = exc
-
-        coord = threading.Thread(target=coordinate)
-        coord.start()
-        conn = _connect_with_retry(endpoint, timeout=10.0)
-        fh = conn.makefile("rw", encoding="ascii", newline="\n")
-        if "HELLO" not in line:
-            fh.write(f"MESSAGE HELLO 0 0 {grid_digest(g)} convex 2.0\n")
-            fh.flush()
-            fh.readline()  # ASSIGN
-            fh.readline()  # SIGNAL
-        fh.write(line + "\n")
-        fh.flush()
-        coord.join(timeout=30)
-        fh.close()
-        conn.close()
-        assert isinstance(result.get("error"), ProtocolError)
+@pytest.mark.parametrize("fault", FAULTS.values(), ids=FAULTS)
+def test_a_failed_session_stops_every_assigned_agent(fault):
+    """Any failure once the coordinator listens ends the session one way: the
+    coordinator raises, every assigned agent reads STOP 0 AgentLost and exits
+    1, a refused client reads its own reason, and the endpoint is free."""
+    roster = [RosterEntry(0, False, 2.0), RosterEntry(1, fault.finite, 2.0)]
+    with Session(BASE, roster, EngineConfig(max_iterations=100), fault.timeout) as session:
+        survivor = session.agent(SURVIVOR)
+        if fault.agent is not None:
+            client = session.agent(fault.agent)
+        else:
+            fh = session.client(fault.hello)
+            if fault.reply is not None:
+                assert fh.readline().startswith("MESSAGE ASSIGN 0 1 ")
+                assert fh.readline().startswith("MESSAGE SIGNAL 1 ")
+                if fault.reply:
+                    fh.write(fault.reply + "\n")
+                    fh.flush()
+            lines = [] if fault.vanish else fh.readlines()
+            fh.close()
+    with pytest.raises(fault.error) as raised:
+        session.result()
+    assert fault.message in str(raised.value)
+    assert survivor.lines[0] == f"MESSAGE ASSIGN 0 0 {grid_digest(GRID)}\n"
+    assert (survivor.status, survivor.lines[-1]) == (1, "MESSAGE STOP 0 AgentLost\n")
+    if fault.agent is not None:
+        assert client.status == 1
+        lines = client.lines
+    assert lines == ([] if fault.stop is None else [f"MESSAGE STOP 0 {fault.stop}\n"])
+    # a failed session releases its endpoint: binding succeeds, so only the
+    # wait for an agent can time out
+    with pytest.raises(socket.timeout):
+        serve_coordinator(BASE, roster, EngineConfig(), session.endpoint, timeout=0.2)
 
 
 WIRE_GRID = TimeGrid(3.0, 3)
@@ -504,8 +266,7 @@ def wire_lines(draw):
 
 
 def read_wire(data):
-    fh = io.TextIOWrapper(io.BytesIO(data), encoding="ascii", newline="\n")
-    return _recv(fh, list(_HEADERS), WIRE_GRID)
+    return _recv(io.BytesIO(data), list(_HEADERS), WIRE_GRID)
 
 
 class TestWireParsing:
@@ -558,13 +319,23 @@ class TestWireParsing:
         assert (kind, k, C) == ("SIGNAL", 4, 2.5)
         assert g.values.tolist() == [0.5, 0.25, 1.0]
 
+    def test_a_reply_keeps_the_lines_read_ahead(self):
+        """A STOP that arrives with a SIGNAL is read after the agent's reply."""
+        coordinator, agent = socket.socketpair()
+        with coordinator, _open(agent, 1.0) as fh:
+            coordinator.sendall(b"MESSAGE SIGNAL 1 2.5 3 0.5 0.25 1.0\n"
+                                b"MESSAGE STOP 0 AgentLost\n")
+            assert _recv(fh, ["SIGNAL", "STOP"], WIRE_GRID)[0] == "SIGNAL"
+            _send(fh, "PROFILEUPDATE", 1, "0 1.0 3 0.5 0.25 1.0")
+            assert _recv(fh, ["SIGNAL", "STOP"], WIRE_GRID) == ("STOP", 0, ["AgentLost"])
+
     def test_repeated_profile_reuses_its_parse(self):
         """Per connection, equal profile tokens give the same Profile; new text is checked."""
         last = {}
-        fh = io.StringIO("MESSAGE SIGNAL 1 2.5 3 0.5 0.25 1.0\n"
-                         "MESSAGE SIGNAL 2 3.5 3 0.5 0.25 1.0\n"
-                         "MESSAGE SIGNAL 3 2.5 3 0.5 0.25 2.0\n"
-                         "MESSAGE SIGNAL 4 2.5 3 0.5 0.25 nonsense\n")
+        fh = io.BytesIO(b"MESSAGE SIGNAL 1 2.5 3 0.5 0.25 1.0\n"
+                        b"MESSAGE SIGNAL 2 3.5 3 0.5 0.25 1.0\n"
+                        b"MESSAGE SIGNAL 3 2.5 3 0.5 0.25 2.0\n"
+                        b"MESSAGE SIGNAL 4 2.5 3 0.5 0.25 nonsense\n")
         _, _, (_, g1) = _recv(fh, ["SIGNAL"], WIRE_GRID, last)
         _, _, (C2, g2) = _recv(fh, ["SIGNAL"], WIRE_GRID, last)
         assert g2 is g1 and C2 == 3.5
@@ -593,7 +364,7 @@ class TestEncoding:
         text = _encode_floats(a)
         assert text == old_encoding(a)
         line = f"MESSAGE SIGNAL 1 2.5 {a.size} {text}\n"
-        _, _, (_, g) = _recv(io.StringIO(line), ["SIGNAL"], TimeGrid(1.0, a.size))
+        _, _, (_, g) = _recv(io.BytesIO(line.encode()), ["SIGNAL"], TimeGrid(1.0, a.size))
         assert g.values.tobytes() == a.tobytes()
 
     def test_session_bytes_and_encodings(self, monkeypatch):
@@ -613,7 +384,7 @@ class TestEncoding:
                 self.fh = fh
 
             def write(self, text):
-                sent.append((threading.get_ident(), text))
+                sent.append((threading.get_ident(), text.decode()))
                 self.fh.write(text)
 
             def flush(self):
@@ -636,7 +407,7 @@ class TestEncoding:
                 continue
             if kind == "SIGNAL":
                 signaller = sender
-            _, k, fields = _recv(io.StringIO(text), [kind], g)
+            _, k, fields = _recv(io.BytesIO(text.encode()), [kind], g)
             *header, profile = fields
             rebuilt = " ".join(["MESSAGE", kind, str(k), *map(repr, header),
                                 str(g.slots), old_encoding(profile.values)]) + "\n"

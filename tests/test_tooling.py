@@ -1,5 +1,7 @@
-"""Checks that keep perfbench's tracer and the README's example in step with the package."""
+"""Checks that keep perfbench's tracer, the README's example and the test
+modules' imports in step with the package."""
 
+import ast
 import importlib
 import importlib.util
 import re
@@ -47,3 +49,19 @@ def test_readme_quick_start_runs(capsys):
     terminated_by, objective = capsys.readouterr().out.split()
     assert terminated_by.startswith("Termination.")
     assert float(objective) > 0
+
+
+def test_test_modules_import_only_from_conftest():
+    """Helpers that tests share live in conftest; a test module imports no other."""
+    modules = {path.stem: path for path in (ROOT / "tests").glob("test_*.py")}
+    found = []
+    for name, path in sorted(modules.items()):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                imported = [node.module]
+            elif isinstance(node, ast.Import):
+                imported = [alias.name for alias in node.names]
+            else:
+                continue
+            found += [(name, module) for module in imported if module in modules]
+    assert found == []
