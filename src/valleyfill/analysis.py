@@ -60,10 +60,13 @@ def nash_report(sets: Sequence[FinitePulseSet], member_idx: Sequence[int],
     """Check the best-response condition for every load within tol.
 
     Load i holds member `member_idx[i]` of `sets[i]`; `total` is the
-    load-order aggregate, base included.  Loads holding one member of one
-    set object share others' aggregate `total - x`, so their gap is computed
-    once, on the group's first load: O(n*S) plus O(m*S) per distinct (set,
-    member) pair held.  The first load with the largest gap is named.
+    load-order aggregate, base included.  Loads holding one member j of one
+    set object share others' aggregate `total - y_j`, so their gap is
+    computed once, on the group's first load: O(n*S) plus one O(m*S)
+    product per distinct (set, member) pair held.  That product gives every
+    member's cost, and the gap is the held member's cost less the least, so
+    it is >= 0, and exactly 0 when the held member is a best response.
+    The first load with the largest gap is named.
     """
     first = {}
     for i, (s, k) in enumerate(zip(sets, member_idx)):
@@ -72,11 +75,9 @@ def nash_report(sets: Sequence[FinitePulseSet], member_idx: Sequence[int],
     worst = 0.0
     violator = None
     for i in first.values():
-        x = sets[i].members[member_idx[i]]
-        others = total.values - x
-        current = dt * float(np.dot(others, x))
-        best = float(np.min(dt * (sets[i].members @ others)))
-        gap = current - best
+        members, j = sets[i].members, member_idx[i]
+        costs = dt * (members @ (total.values - members[j]))
+        gap = float(costs[j] - costs.min())
         if gap > worst:
             worst = gap
             violator = i

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import analysis, netsim
 from .core import (Objective, Profile, TimeGrid, _flag, _items, _number, _number_text,
-                   aggregate, norm, norm2)
+                   aggregate, load_rows, norm, norm2)
 from .engine import EngineConfig, LoadSpec, Trajectory, run
 from .scenario import (BaseLoadSpec, FleetSpec, HeterogeneitySpec, SynthParams,
                        build_case_study)
@@ -495,7 +495,9 @@ def cmd_analyze(args) -> int:
     if status or not loads:
         return status
 
-    total = aggregate(base, rows[order])
+    X, total_of = load_rows(base, len(order))
+    X[...] = rows[order]
+    total = total_of()
     if "nash" in checks:
         tol = 1e-9 * (1 + abs(norm2(total)))
         report = analysis.nash_report(sets, idx, total, tol)

@@ -18,7 +18,7 @@ import enum
 import math
 import operator
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -32,6 +32,7 @@ __all__ = [
     "norm2",
     "norm",
     "aggregate",
+    "load_rows",
 ]
 
 
@@ -243,18 +244,22 @@ def norm(f: Profile) -> float:
 
 
 def aggregate(b: Profile, xs) -> Profile:
-    """Pointwise aggregate b + sum_i x_i, summed in load index order.
-
-    `xs` is a sequence of Profiles on b's grid, or an (n, S) array holding
-    one load's values per row.
-    """
-    if isinstance(xs, np.ndarray):
-        rows = xs
-    else:
-        _check_same_grid(b, *xs)
-        rows = [x.values for x in xs]
+    """Pointwise aggregate b + sum_i x_i of Profiles xs on b's grid, summed in
+    load index order."""
+    _check_same_grid(b, *xs)
     total = b.values.copy()
-    for row in rows:
-        total += row
+    for x in xs:
+        total += x.values
     return Profile(total, b.grid)
 
+
+def load_rows(b: Profile, n: int) -> Tuple[np.ndarray, Callable[[], Profile]]:
+    """A zero (n, S) array X for n loads' rows, and a function that returns
+    their aggregate b + sum_i X[i]: one `np.add.reduce`, bit for bit
+    `aggregate`'s load-order loop.  numpy reduces a C-ordered array along
+    axis 0 row after row, but one column as a 1-D pairwise sum, so X is a
+    view of an (n+1, max(S, 2)) stack whose row 0 is b."""
+    S = b.grid.slots
+    stack = np.zeros((n + 1, max(S, 2)))
+    stack[0, :S] = b.values
+    return stack[1:, :S], lambda: Profile(np.add.reduce(stack, axis=0)[:S], b.grid)

@@ -53,7 +53,7 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .core import (GridMismatchError, Profile, TimeGrid, _field, _flag, _integer,
-                   _number, norm, norm2)
+                   _number, load_rows, norm, norm2)
 from .feasible import (ConvexChargeSet, FinitePulseSet, SolverError, _inverse_cdf,
                        _unit_draws, hull_minimize, hull_minimize_batch, project_convex)
 
@@ -407,23 +407,12 @@ def coordinate(b: Profile, fleet: Sequence, cfg: EngineConfig,
     on an exact fixed point when every load is finite and keeps its
     profile with probability 1, or at max_iterations.
 
-    The loop reuses one (n+1, S) state array: row 0 is b, the rows after
-    it are X, and each iteration copies the exchange's rows into it.  The
-    aggregate is one `np.add.reduce` over that array, bit for bit
-    `aggregate`'s load-order row loop.
+    The loop reuses one array X of `load_rows`, and each iteration copies
+    the exchange's rows into it; the aggregate is one reduction.
     """
     C = fleet_weight(fleet)
     all_finite = all(load.is_finite for load in fleet)
-    grid, S = b.grid, b.grid.slots
-    # numpy reduces a C-ordered array along axis 0 row after row, but one
-    # column as a 1-D pairwise sum, so the state has at least two columns
-    state = np.zeros((len(fleet) + 1, max(S, 2)))
-    state[0, :S] = b.values
-    X = state[1:, :S]
-
-    def total() -> Profile:
-        return Profile(np.add.reduce(state, axis=0)[:S], grid)
-
+    X, total = load_rows(b, len(fleet))
     d = total()
     records: List[IterationRecord] = []
     g_prev: Optional[Profile] = None
@@ -448,12 +437,12 @@ def coordinate(b: Profile, fleet: Sequence, cfg: EngineConfig,
             terminated = Termination.FIXED_POINT
             break
         if cfg.stop_on_epsilon and k > 2:
-            if norm(Profile(g.values - g_prev.values, grid)) < cfg.epsilon:
+            if norm(Profile(g.values - g_prev.values, b.grid)) < cfg.epsilon:
                 terminated = Termination.TOLERANCE
                 break
         g_prev = g
 
-    return Trajectory(records, [Profile(x, grid) for x in X], terminated)
+    return Trajectory(records, [Profile(x, b.grid) for x in X], terminated)
 
 
 class LoadUpdate:

@@ -9,8 +9,10 @@ for the A1-A4 assumptions finite sets are built to meet, a per-load loop
 for the Nash check, and a `csv.reader` loop with `float` per value for the
 profiles reader.  `reference_hull_minimize` is the min-norm-point loop
 one problem at a time, which the lockstep solver must match bit for bit,
-and `reference_load_update` the load update as a loop over loads, which
-the array update must match bit for bit.
+`reference_load_update` the load update as a loop over loads, which
+the array update must match bit for bit, and `row_loop_aggregate` the
+aggregate of an array's rows as a loop over them, which `core.load_rows`'
+one reduction must match bit for bit.
 
 `Session` is the one harness for networked tests: a coordinator thread,
 `run_agent` threads that keep every line they read, and raw clients.
@@ -223,6 +225,20 @@ def mixed_fleet(seed):
     return loads, random_base(rng, grid), EngineConfig(max_iterations=25, master_seed=seed)
 
 
+def mixed_loads(rng, g, n_convex, n_finite, share_convex=False):
+    """Convex loads, then finite ones; `share_convex` gives the convex loads one set."""
+    loads = []
+    next_id = 0
+    shared = random_convex_set(rng, g) if share_convex else None
+    for _ in range(n_convex):
+        loads.append(LoadSpec(next_id, shared or random_convex_set(rng, g)))
+        next_id += 1
+    for _ in range(n_finite):
+        loads.append(LoadSpec(next_id, random_pulse_set(rng, g, m_max=5)))
+        next_id += 1
+    return loads
+
+
 # ---------------------------------------------------------------------------
 # networked sessions: a coordinator thread, `run_agent` threads and raw clients
 
@@ -422,20 +438,28 @@ def best_response(i, xs, b, pulse_set):
     return idx, float(scores[idx])
 
 
+def row_loop_aggregate(b, X):
+    """b + sum_i X[i] for an (n, S) array X, one row at a time in load order:
+    the reference that `core.load_rows`' one reduction must match bit for bit."""
+    total = b.values.copy()
+    for row in X:
+        total += row
+    return Profile(total, b.grid)
+
+
 def is_nash_per_load(xs, sets, b, tol):
-    """`analysis.is_nash` as one m*S product per load, not per held member."""
-    for i, (x, s) in enumerate(zip(xs, sets)):
-        if s.member_index(x) is None:
-            raise ValueError(f"load {i}: profile is not a member of its set")
+    """`analysis.is_nash` as one m*S cost product per load, not per held member:
+    a load's gap is its held member's cost less the least member cost."""
+    idx = [s.member_index(x) for x, s in zip(xs, sets)]
+    if None in idx:
+        raise ValueError(f"load {idx.index(None)}: profile is not a member of its set")
     dt = b.grid.dt
     total = aggregate(b, xs).values
     worst = 0.0
     violator = None
-    for i, (x, s) in enumerate(zip(xs, sets)):
-        others = total - x.values
-        current = dt * float(np.dot(others, x.values))
-        best = float(np.min(dt * (s.members @ others)))
-        gap = current - best
+    for i, (x, s, j) in enumerate(zip(xs, sets, idx)):
+        costs = dt * (s.members @ (total - x.values))
+        gap = float(costs[j] - costs.min())
         if gap > worst:
             worst = gap
             violator = i

@@ -10,8 +10,8 @@ from valleyfill.analysis import (NashReport, OracleTooLargeError, brute_force_op
                                  convex_stationarity_residual, is_nash, nash_report,
                                  subopt_ratio_bound, suboptimality_gap_check)
 from valleyfill.core import Profile, TimeGrid, aggregate, norm2
-from valleyfill.engine import (ConfigurationError, EngineConfig, LoadSpec,
-                               Termination, run)
+from valleyfill.engine import (ConfigurationError, EngineConfig, LoadSpec, LoadUpdate,
+                               Termination, coordinator_signal, fleet_weight, run)
 from valleyfill.feasible import FinitePulseSet
 
 
@@ -211,6 +211,43 @@ class TestIsNash:
         assert report == expected
         assert report.worst_violation.hex() == expected.worst_violation.hex()
         event(f"loads: {min(n, 2)}{'+' if n > 2 else ''}")
+
+
+def tiny_fleet(seed):
+    """Two or three finite loads with m <= 4 members on 8 slots, under random
+    weights: odd seeds sign their sets, and a load may share the set before it."""
+    rng = np.random.default_rng(60_000 + seed)
+    g = grid()
+    sets = []
+    for _ in range(int(rng.integers(2, 4))):
+        if sets and rng.random() < 0.25:
+            sets.append(sets[-1])
+        else:
+            sets.append(random_pulse_set(rng, g, m_max=4, signed=seed % 2 == 1))
+    loads = [LoadSpec(i, s, c=float(rng.uniform(0.2, 5.0))) for i, s in enumerate(sets)]
+    return loads, random_base(rng, g)
+
+
+class TestFixedPointTuples:
+    """The paper's characterization, tuple by tuple: a member tuple is a final
+    profile of the algorithm exactly when it is a Nash equilibrium."""
+
+    def test_certified_exactly_when_one_update_keeps_every_load(self):
+        seen = {False: 0, True: 0}
+        for seed in range(300):
+            loads, b = tiny_fleet(seed)
+            sets = [spec.constraint for spec in loads]
+            C = fleet_weight(loads)
+            for idx in itertools.product(*(range(s.m) for s in sets)):
+                total = aggregate(b, [s.member(j) for s, j in zip(sets, idx)])
+                update = LoadUpdate(loads, seed)
+                update.member_idx[:] = idx
+                X = np.array([s.members[j] for s, j in zip(sets, idx)])
+                stay = update(1, C, coordinator_signal(total, C), X)[1]
+                report = nash_report(sets, idx, total, 0.0)
+                assert report.is_equilibrium == (stay == 1.0), (seed, idx, report, stay)
+                seen[report.is_equilibrium] += 1
+        assert min(seen.values()) > 100, seen
 
 
 class TestBruteForce:

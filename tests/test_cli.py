@@ -583,6 +583,7 @@ class TestAnalyze:
         captured = capsys.readouterr()
         assert status == 0, captured.out + captured.err
         assert "is_equilibrium=True" in captured.out
+        assert "worst_violation=0.0\n" in captured.out
 
 
 def line_named(parse, path, grid):

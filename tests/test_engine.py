@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 import valleyfill.engine as engine
 import valleyfill.feasible as feasible
 
-from conftest import (expected_objective_enumeration, random_base,
-                      random_convex_set, random_pulse_set, reference_load_update)
-from valleyfill.analysis import is_nash
+from conftest import (expected_objective_enumeration, mixed_loads, random_base,
+                      random_convex_set, random_pulse_set, reference_load_update,
+                      row_loop_aggregate)
+from valleyfill.analysis import NashReport, is_nash
 from valleyfill.cli import main
 from valleyfill.core import (GridMismatchError, Profile, TimeGrid, aggregate,
                              norm, norm2)
@@ -204,20 +205,6 @@ class TestMixedFleetEscape:
             assert traj.records[k - 1].escape_probability == 1.0
 
 
-def mixed_fleet(rng, g, n_convex, n_finite, share_convex=False):
-    """Convex loads, then finite ones; `share_convex` gives the convex loads one set."""
-    loads = []
-    next_id = 0
-    shared = random_convex_set(rng, g) if share_convex else None
-    for _ in range(n_convex):
-        loads.append(LoadSpec(next_id, shared or random_convex_set(rng, g)))
-        next_id += 1
-    for _ in range(n_finite):
-        loads.append(LoadSpec(next_id, random_pulse_set(rng, g, m_max=5)))
-        next_id += 1
-    return loads
-
-
 def fresh_memo(update):
     """`update` with its memo cleared before every call: the reference for memo reuse."""
     def call(*args):
@@ -248,7 +235,7 @@ class TestUpdateLoads:
         fleet = LoadUpdate(loads, master_seed)
         singles = [LoadUpdate([spec], master_seed) for spec in loads]
         for k in range(1, 7):
-            sig = coordinator_signal(aggregate(b, X), C)
+            sig = coordinator_signal(row_loop_aggregate(b, X), C)
             X_fleet, stay, _, _ = fresh_memo(fleet)(k, C, sig, X)
             stays = []
             for i, single in enumerate(singles):
@@ -277,7 +264,7 @@ class TestUpdateLoads:
         fleet = LoadUpdate(loads, master_seed)
         singles = [LoadUpdate([spec], master_seed) for spec in loads]
         for k in range(1, 16):
-            sig = coordinator_signal(aggregate(b, X), C)
+            sig = coordinator_signal(row_loop_aggregate(b, X), C)
             X_fleet, stay, _, _ = fresh_memo(fleet)(k, C, sig, X)
             stays = []
             for i, single in enumerate(singles):
@@ -298,7 +285,7 @@ def record_bytes(traj):
 def test_records_without_diagnostics_differ_only_in_nan_diagnostics():
     rng = np.random.default_rng(11)
     g = grid()
-    loads = mixed_fleet(rng, g, 2, 5)
+    loads = mixed_loads(rng, g, 2, 5)
     b = random_base(rng, g)
     fields = dict(max_iterations=40, master_seed=9, stop_on_epsilon=False)
     on = run(loads, b, EngineConfig(**fields))
@@ -357,7 +344,7 @@ class TestArrayUpdate:
             sig = None
             for k in range(1, 9):
                 if sig is None or rng.random() < 0.6:
-                    sig = coordinator_signal(aggregate(b, X), C)
+                    sig = coordinator_signal(row_loop_aggregate(b, X), C)
                 else:  # the memo keeps the keys that recur under a repeated signal
                     seen.add("repeated signal")
                 got = update(k, C, sig, X)
@@ -434,10 +421,10 @@ def test_recorded_aggregates_are_the_load_order_row_loop(slots):
         C = fleet_weight(loads)
         assert len(rows) == 3
         for record, X in zip(traj.records, rows):
-            assert record.objective == norm2(aggregate(b, X))
+            assert record.objective == norm2(row_loop_aggregate(b, X))
         for record, X in zip(traj.records[1:], rows):
-            assert record.g.values.tobytes() == coordinator_signal(aggregate(b, X),
-                                                                   C).values.tobytes()
+            assert record.g.values.tobytes() == coordinator_signal(
+                row_loop_aggregate(b, X), C).values.tobytes()
 
 
 class TestSignalMemo:
@@ -454,7 +441,7 @@ class TestSignalMemo:
             rng = np.random.default_rng(seed)
             g = grid()
             # convex loads sharing a set share the memo's (set, c, row) keys
-            loads = mixed_fleet(rng, g, n_convex, n_finite, share_convex)
+            loads = mixed_loads(rng, g, n_convex, n_finite, share_convex)
             b = random_base(rng, g)
             # convex rows need up to ~150 rounds to stop moving bit for bit
             cfg = EngineConfig(max_iterations=150, master_seed=master_seed,
@@ -475,7 +462,7 @@ class TestSignalMemo:
     def test_repeated_signal_makes_no_update_calls(self, monkeypatch):
         rng = np.random.default_rng(5)
         g = grid()
-        loads = mixed_fleet(rng, g, 1, 4)
+        loads = mixed_loads(rng, g, 1, 4)
         b = random_base(rng, g)
         signals, calls = [], []
         for name in ("hull_minimize_batch", "convex_load_update"):
@@ -501,7 +488,7 @@ class TestSignalMemo:
     def test_identical_convex_loads_project_once_per_signal(self, monkeypatch):
         rng = np.random.default_rng(7)
         g = grid()
-        loads = mixed_fleet(rng, g, 4, 2, share_convex=True)
+        loads = mixed_loads(rng, g, 4, 2, share_convex=True)
         b = random_base(rng, g)
         signals, calls = [], []
         update = engine.convex_load_update
@@ -523,7 +510,7 @@ class TestSignalMemo:
         """The update reads each load's kind when it is built, not per iteration."""
         rng = np.random.default_rng(13)
         g = grid()
-        loads = mixed_fleet(rng, g, 10, 10)
+        loads = mixed_loads(rng, g, 10, 10)
         b = random_base(rng, g)
         reads = []
         kind = LoadSpec.is_finite.fget
@@ -587,7 +574,7 @@ class TestRunDeterminism:
     def test_replay_is_bitwise_identical(self):
         rng = np.random.default_rng(41)
         g = grid()
-        loads = mixed_fleet(rng, g, 1, 2)
+        loads = mixed_loads(rng, g, 1, 2)
         b = random_base(rng, g)
         cfg = EngineConfig(max_iterations=30, master_seed=99)
         t1 = run(loads, b, cfg)
@@ -602,7 +589,7 @@ class TestRunDeterminism:
     def test_seed_changes_finite_trajectory(self):
         rng = np.random.default_rng(42)
         g = grid()
-        loads = mixed_fleet(rng, g, 0, 3)
+        loads = mixed_loads(rng, g, 0, 3)
         b = random_base(rng, g)
         t1 = run(loads, b, EngineConfig(max_iterations=5, master_seed=1,
                                         stop_on_epsilon=False))
@@ -633,7 +620,7 @@ class TestConvexConvergence:
     def test_signal_change_stop_and_residual(self):
         rng = np.random.default_rng(61)
         g = TimeGrid(12.0, 24)
-        loads = mixed_fleet(rng, g, 4, 0)
+        loads = mixed_loads(rng, g, 4, 0)
         b = random_base(rng, g)
         traj = run(loads, b, EngineConfig(epsilon=1e-9, max_iterations=2000))
         assert traj.terminated_by == Termination.TOLERANCE
@@ -644,7 +631,7 @@ class TestConvexConvergence:
     def test_objective_monotone_after_first(self):
         rng = np.random.default_rng(62)
         g = TimeGrid(12.0, 24)
-        loads = mixed_fleet(rng, g, 3, 0)
+        loads = mixed_loads(rng, g, 3, 0)
         b = random_base(rng, g)
         traj = run(loads, b, EngineConfig(max_iterations=60))
         objs = [rec.objective for rec in traj.records]
@@ -658,7 +645,7 @@ class TestSupermartingale:
         rng = np.random.default_rng(71)
         g = TimeGrid(6.0, 12)
         for trial in range(5):
-            loads = mixed_fleet(rng, g, 0, 3)
+            loads = mixed_loads(rng, g, 0, 3)
             b = random_base(rng, g)
             traj = run(loads, b, EngineConfig(max_iterations=40,
                                               master_seed=trial,
@@ -714,9 +701,21 @@ class TestFixedPoint:
                 continue
             hits += 1
             report = is_nash(traj.final_profiles,
-                             [spec.constraint for spec in loads], b, 1e-9)
-            assert report.is_equilibrium, report
+                             [spec.constraint for spec in loads], b, 0.0)
+            assert report.is_equilibrium and report.worst_violation == 0.0, report
         assert hits >= 8
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_small_case_study_fixed_point_certifies_with_gap_zero(self, seed):
+        """A 20-household case study's fixed point is exactly Nash: no member
+        of any load costs less than the one it holds."""
+        b, loads = build_case_study(FleetSpec(households=20, penetration=0.5),
+                                    BaseLoadSpec(synth=SynthParams()), seed=seed)
+        traj = run(loads, b, EngineConfig(max_iterations=400, master_seed=seed,
+                                          stop_on_epsilon=False))
+        assert traj.terminated_by is Termination.FIXED_POINT
+        report = is_nash(traj.final_profiles, [spec.constraint for spec in loads], b, 0.0)
+        assert report == NashReport(True, 0.0, None)
 
     def test_fixed_point_escape_probability_zero(self):
         rng = np.random.default_rng(82)

@@ -65,3 +65,23 @@ def test_test_modules_import_only_from_conftest():
                 continue
             found += [(name, module) for module in imported if module in modules]
     assert found == []
+
+
+def test_test_modules_define_no_conftest_name():
+    """A test module's own top-level definition would shadow the conftest helper
+    of that name in it, and readers would take one builder for the other."""
+    def defined(path):
+        names = set()
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names.update(n.id for t in targets for n in ast.walk(t)
+                             if isinstance(n, ast.Name))
+        return names
+
+    shared = defined(ROOT / "tests" / "conftest.py")
+    found = [(path.stem, name) for path in sorted((ROOT / "tests").glob("test_*.py"))
+             for name in sorted(defined(path) & shared)]
+    assert found == []
